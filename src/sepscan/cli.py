@@ -184,6 +184,7 @@ def cmd_wopt(args, started: float) -> int:
         "value_normalized": res.value,
         "value": res.value * hs,
         "guarantee": res.guarantee * hs,
+        "stats": {"scanned": net.size, "evaluated": res.evaluated},
         "maximizer": {
             "alpha": [[z.real, z.imag] for z in res.maximizer.alpha],
             "beta": [[z.real, z.imag] for z in res.maximizer.beta],
@@ -293,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepscan",
         description="Deterministic bipartite separability testing with certificates",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="cap BLAS threads (needs threadpoolctl)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="run the one-sided test pipeline")
@@ -363,6 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, kind: str, code: int) -> int:
+    json.dump({"error": message, "kind": kind}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return code
+
+
 def main(argv=None) -> int:
     started = time.time()
     parser = build_parser()
@@ -370,28 +379,24 @@ def main(argv=None) -> int:
     if args.threads:
         try:
             from threadpoolctl import threadpool_limits
-
-            threadpool_limits(args.threads)
         except ImportError:
-            pass
+            return _fail(
+                "--threads needs the threadpoolctl package, which is not installed;"
+                " cap BLAS threads with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) instead",
+                "input",
+                EXIT_BAD_INPUT,
+            )
+        threadpool_limits(args.threads)
     try:
         return args.func(args, started)
     except (InputFormatError,) as exc:
-        json.dump({"error": str(exc), "kind": "input"}, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        return EXIT_BAD_INPUT
+        return _fail(str(exc), "input", EXIT_BAD_INPUT)
     except (NetTooCoarseError, NetTooLargeError, DimensionGuardError) as exc:
-        json.dump({"error": str(exc), "kind": "infeasible"}, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        return EXIT_INFEASIBLE
+        return _fail(str(exc), "infeasible", EXIT_INFEASIBLE)
     except (NumericalBreakdownError,) as exc:
-        json.dump({"error": str(exc), "kind": "numerical"}, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        return EXIT_NUMERICAL
+        return _fail(str(exc), "numerical", EXIT_NUMERICAL)
     except ValueError as exc:
-        json.dump({"error": str(exc), "kind": "input"}, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        return EXIT_BAD_INPUT
+        return _fail(str(exc), "input", EXIT_BAD_INPUT)
 
 
 if __name__ == "__main__":

@@ -201,7 +201,8 @@ class _ExtensionMaps:
         self.dsk = sym_dim(m, k)
         self.dim = self.dsk * n
         self.coeffs = _single_copy_coeffs(m, k)
-        self.branches = {l: _branch_isometry(m, k, l) for l in range(1, k)}
+        # branch isometries lifted to Sym_k (x) B; real, so the adjoint is the transpose
+        self.lifts = {l: np.kron(_branch_isometry(m, k, l), np.eye(n)) for l in range(1, k)}
 
     def reduce_one(self, x: Array) -> Array:
         """Partial trace down to one A copy plus B."""
@@ -228,25 +229,20 @@ class _ExtensionMaps:
 
     def transpose_copies(self, x: Array, l: int) -> Array:
         """Branch to Sym_l (x) Sym_(k-l) (x) B, then transpose the Sym_l factor."""
-        b = self.branches[l]
+        lift = self.lifts[l]
         dl = sym_dim(self.m, l)
         dr = sym_dim(self.m, self.k - l)
-        big = np.kron(b, np.eye(self.n)) @ x @ np.kron(b, np.eye(self.n)).T
+        big = lift @ x @ lift.T
         t = big.reshape(dl, dr * self.n, dl, dr * self.n).transpose(2, 1, 0, 3)
         return t.reshape(dl * dr * self.n, dl * dr * self.n)
 
     def transpose_copies_adjoint(self, y: Array, l: int) -> Array:
-        b = self.branches[l]
+        lift = self.lifts[l]
         dl = sym_dim(self.m, l)
         dr = sym_dim(self.m, self.k - l)
         t = y.reshape(dl, dr * self.n, dl, dr * self.n).transpose(2, 1, 0, 3)
         t = t.reshape(dl * dr * self.n, dl * dr * self.n)
-        bi = np.kron(b, np.eye(self.n))
-        return bi.T @ t @ bi
-
-    def embed(self, x: Array, subspace: SymSubspace) -> Array:
-        v = np.kron(subspace.isometry, np.eye(self.n))
-        return v @ x @ v.conj().T
+        return lift.T @ t @ lift
 
 
 def _psd_clip(x: Array) -> Array:

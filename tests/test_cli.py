@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from sepscan.serialize import (
     density_to_json,
     dump_json,
     graph_to_json,
+    matrix_to_json,
     qsep_certificate_from_json,
     qsep_certificate_to_json,
     qsep_instance_from_json,
@@ -147,6 +149,16 @@ class TestWoptCommand:
         assert code == 0
         assert report["value"] == pytest.approx(1.0, abs=2 * 0.2 * 2.0)
         assert report["guarantee"] == pytest.approx(2 * 0.2 * 2.0)
+        assert report["stats"]["scanned"] == report["config"]["net_size"]
+        assert report["stats"]["evaluated"] == report["stats"]["scanned"]  # n = 2: closed form
+
+    def test_reports_pruned_scan(self, capsys, tmp_path):
+        a = states.random_hermitian_unit(6, 0)
+        path = tmp_path / "a23.json"
+        dump_json({"m": 2, "n": 3, "matrix": matrix_to_json(a)}, path)
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.4")
+        assert code == 0
+        assert 0 < report["stats"]["evaluated"] < report["stats"]["scanned"]
 
 
 class TestQsepCommands:
@@ -228,6 +240,16 @@ class TestStateCommand:
     def test_unknown_name_is_input_error(self, capsys):
         code, report = run_cli(capsys, "state", "--name", "nonsense")
         assert code == 64
+
+
+class TestThreads:
+    def test_missing_threadpoolctl_is_input_error(self, capsys, monkeypatch, bell_path):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+        code, report = run_cli(capsys, "--threads", "1", "test", "--input", bell_path)
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "threadpoolctl" in report["error"]
+        assert "OPENBLAS_NUM_THREADS" in report["error"]
 
 
 class TestDeterminism:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sepscan import states
+from sepscan import states, wopt
 from sepscan.core import DimensionMismatchError, ket, proj
 from sepscan.nets import build_net
 from sepscan.wopt import (
     ProductState,
+    _certified_below,
     conditioned_operator,
     quadratic_form,
     seesaw_max,
@@ -120,6 +121,115 @@ class TestWoptMax:
         r2 = wopt_max(a, 2, 3, net_04)
         assert r1.value == r2.value
         assert np.array_equal(r1.maximizer.alpha, r2.maximizer.alpha)
+
+
+def exhaustive_max(a, m, n, net, mode):
+    """Reference scan: every net point's full spectrum, B_x built by einsum."""
+    a4 = np.asarray(a, dtype=complex).reshape(m, n, m, n)
+    best = -np.inf
+    for start in range(0, net.size, 8192):
+        x = net.points[start : start + 8192]
+        vals = np.linalg.eigvalsh(np.einsum("ka,ajbl,kb->kjl", x.conj(), a4, x))
+        top = np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1]
+        best = max(best, float(top.max()))
+    return best
+
+
+@pytest.fixture(scope="module")
+def pruning_nets():
+    return {(2, 0.4): build_net(2, 0.4), (2, 0.2): build_net(2, 0.2), (3, 0.8): build_net(3, 0.8)}
+
+
+class TestScanPruning:
+    # m = 3 uses its coarsest standard net; the m = 3 net at 0.4 has 1.7M points
+    @pytest.mark.parametrize(
+        "m,n,delta", [(2, 3, 0.4), (2, 3, 0.2), (2, 4, 0.4), (2, 4, 0.2), (3, 3, 0.8)]
+    )
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    @pytest.mark.parametrize("chunk", [wopt.SCAN_CHUNK, 4096])
+    def test_matches_exhaustive_scan(self, pruning_nets, monkeypatch, m, n, delta, mode, chunk):
+        monkeypatch.setattr(wopt, "SCAN_CHUNK", chunk)
+        net = pruning_nets[(m, delta)]
+        for seed in range(2):
+            a = states.random_hermitian_unit(m * n, seed)
+            res = wopt_max(a, m, n, net, mode=mode)
+            assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
+            assert res.evaluated < net.size
+
+    def test_closed_form_evaluates_every_point(self, pruning_nets):
+        net = pruning_nets[(2, 0.4)]
+        a = states.random_hermitian_unit(4, 3)
+        for mode in ("signed", "abs"):
+            res = wopt_max(a, 2, 2, net, mode=mode)
+            assert res.evaluated == net.size
+            assert abs(res.value - exhaustive_max(a, 2, 2, net, mode)) <= 1e-12
+
+    def test_abs_mode_negative_dominant(self, pruning_nets):
+        net = pruning_nets[(3, 0.8)]
+        rng = np.random.default_rng(5)
+        v = states.random_unit_vector(9, rng)
+        a = -np.outer(v, v.conj()) + 0.05 * states.random_hermitian_unit(9, 5)
+        a /= np.linalg.norm(a)
+        res = wopt_max(a, 3, 3, net, mode="abs")
+        signed = wopt_max(a, 3, 3, net, mode="signed")
+        assert res.value > signed.value + 0.1  # the negative end decides
+        assert abs(res.value - exhaustive_max(a, 3, 3, net, "abs")) <= 1e-12
+        at = quadratic_form(a, 3, 3, res.maximizer.alpha, res.maximizer.beta)
+        assert at < 0 and abs(abs(at) - res.value) < 1e-12
+
+    def test_fully_pruned_chunks(self, pruning_nets, monkeypatch):
+        net = pruning_nets[(2, 0.4)]
+        calls = []
+        spectra = wopt._scan_values
+
+        def counted(bx, mode):
+            calls.append(bx.shape[0])
+            return spectra(bx, mode)
+
+        monkeypatch.setattr(wopt, "SCAN_CHUNK", 64)
+        monkeypatch.setattr(wopt, "_scan_values", counted)
+        a = states.random_hermitian_unit(6, 1)
+        res = wopt_max(a, 2, 3, net)
+        chunks = -(-net.size // 64)
+        assert len(calls) < chunks  # some chunk reached no eigensolve at all
+        assert abs(res.value - exhaustive_max(a, 2, 3, net, "signed")) <= 1e-12
+
+
+def _hermitian_with_spectrum(rng, spectra):
+    k, n = spectra.shape
+    q, _ = np.linalg.qr(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
+    return np.einsum("kij,kj,klj->kil", q, spectra, q.conj())
+
+
+class TestCholeskyCertificate:
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "rank1"])
+    @pytest.mark.parametrize("eps", [1e-10, 1e-14, -1e-14, -1e-10])
+    def test_never_skips_at_or_above_level(self, n, kind, eps):
+        rng = np.random.default_rng([n, len(kind)])
+        count = 2000
+        level = rng.uniform(0.05, 0.95, count)
+        top = level + eps
+        if kind == "generic":
+            rest = top[:, None] - rng.uniform(0.0, 1.0, (count, n - 1))
+        elif kind == "degenerate":  # the top eigenvalue repeated, the rest repeated too
+            rest = np.repeat((top - 0.3)[:, None], n - 1, axis=1)
+            rest[:, : n // 2] = top[:, None]
+        else:  # rank 1: one eigenvalue top, the rest zero
+            rest = np.zeros((count, n - 1))
+        bx = _hermitian_with_spectrum(rng, np.column_stack([rest, top]))
+        # shift so every matrix is tested against its own level at once
+        certified = _certified_below(bx - level[:, None, None] * np.eye(n), 0.0)
+        if eps > 0:
+            assert not certified.any()
+        elif eps <= -1e-10:  # far enough below to be certified
+            assert certified.all()
+
+    def test_sign_tests_the_bottom_of_the_spectrum(self):
+        bx = np.diag([-0.9, 0.1, 0.2]).astype(complex)[None]
+        assert _certified_below(bx, 0.5).all()
+        assert not _certified_below(bx, 0.5, -1.0).any()
+        assert _certified_below(bx, 0.95, -1.0).all()
 
 
 class TestSeesaw:
