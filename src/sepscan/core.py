@@ -20,8 +20,6 @@ Array = np.ndarray
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-EIG_OFFDIAG_FACTOR = 1e-12
-EIG_MAX_SWEEPS = 64
 
 
 class DimensionMismatchError(ValueError):
@@ -75,6 +73,8 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"expected a {m * n}x{m * n} matrix for an {m}x{n} system, got {mat.shape}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix has non-finite entries")
         h, _resid = hermitize(mat)
         if validate:
             tr = h.trace().real
@@ -203,74 +203,25 @@ def realign(mat: Array, m: int, n: int) -> Array:
     return t.transpose(2, 0, 3, 1).reshape(m * m, n * n)
 
 
-def frobenius(x: Array) -> float:
-    return float(np.linalg.norm(x))
+def eig_hermitian(h: Array) -> EigDecomposition:
+    """Full eigendecomposition of a Hermitian matrix by LAPACK (`eigh`).
 
-
-def eig_hermitian(
-    h: Array,
-    *,
-    tol_factor: float = EIG_OFFDIAG_FACTOR,
-    max_sweeps: int = EIG_MAX_SWEEPS,
-) -> EigDecomposition:
-    """Full eigendecomposition by cyclic complex Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    tol_factor * ||H||_F.  Unconditionally convergent on Hermitian input;
-    values come back nonincreasing with matching orthonormal columns.
+    Rejects non-square and non-finite input, and input further than
+    1e-8 * d from Hermitian in Frobenius norm; the Hermitian part is what
+    gets decomposed.  Values come back nonincreasing with matching
+    orthonormal columns.
     """
     a = np.asarray(h, dtype=complex)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError(f"square matrix required, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     if not is_hermitian(a, 1e-8 * max(d, 1)):
         raise ValueError("input is not Hermitian within tolerance")
     a, _ = hermitize(a)
-    v = np.eye(d, dtype=complex)
-    norm = frobenius(a)
-    if norm == 0.0 or d == 1:
-        vals = np.diag(a).real.copy()
-        order = np.argsort(-vals)
-        return EigDecomposition(vals[order], v[:, order])
-    threshold = tol_factor * norm
-    # pivots below skip_floor cannot push the off-diagonal mass above threshold
-    skip_floor = max(threshold / (2.0 * d), 1e-300)
-    diag_idx = np.diag_indices(d)
-    for _ in range(max_sweeps):
-        # summed directly: the norm^2 - sum(diag^2) form cancels catastrophically
-        off_direct = a.copy()
-        off_direct[diag_idx] = 0.0
-        off = float(np.linalg.norm(off_direct))
-        if off <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                hpq = a[p, q]
-                r = abs(hpq)
-                if r <= skip_floor:
-                    continue
-                phase = hpq.conjugate() / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # W = diag(1, phase) @ [[c, s], [-s, c]] zeroes the pivot
-                w = np.array([[c, s], [-s * phase, c * phase]], dtype=complex)
-                cols = a[:, [p, q]] @ w
-                a[:, [p, q]] = cols
-                a[[p, q], :] = dagger(w) @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ w
-        norm = frobenius(a)
-    vals = np.diag(a).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigDecomposition(vals[order], v[:, order])
+    vals, vecs = np.linalg.eigh(a)
+    return EigDecomposition(vals[::-1], vecs[:, ::-1])
 
 
 def eigvals_descending(h: Array) -> Array:
@@ -282,17 +233,11 @@ def lambda_min(h: Array) -> float:
 
 
 def trace_norm(x: Array) -> float:
-    """Sum of singular values, via the spectrum of X†X."""
+    """Sum of singular values (LAPACK SVD, no vectors)."""
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         return 0.0
-    gram = dagger(x) @ x
-    vals = eig_hermitian(gram).values
-    # squaring doubles the noise exponent; eigenvalues at gram-noise level
-    # are numerically zero and would blow up to sqrt(noise) otherwise
-    floor = len(vals) * np.finfo(float).eps * max(float(vals[0]), 0.0)
-    vals = np.where(vals > floor, vals, 0.0)
-    return float(np.sum(np.sqrt(vals)))
+    return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
 def is_unnormalized_pure(o: Array, alpha: float, tol: float) -> bool:

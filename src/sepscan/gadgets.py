@@ -320,6 +320,12 @@ def wval_value(
 ) -> float:
     """max over separable states of tr(B sigma), by the certified net scan
     when the A-side matches the net, otherwise by seeded ascent."""
+    return _wval_value(inst, net, seed, None)
+
+
+def _wval_value(inst: WvalInstance, net: DeltaNet | None, seed: int, x: Array | None) -> float:
+    """`wval_value`, given the sphere point of `rsdf_value(blocks, seed=seed)`
+    on the instance's blocks when the caller already has it (None: run it)."""
     b = inst.b
     hs = float(np.linalg.norm(b))
     if hs < 1e-15:
@@ -331,7 +337,8 @@ def wval_value(
     blocks = [
         b[0 : inst.n, i * inst.n : (i + 1) * inst.n] for i in range(1, inst.m)
     ]
-    _, x = rsdf_value(blocks, seed=seed)
+    if x is None:
+        _, x = rsdf_value(blocks, seed=seed)
     alpha, beta = product_state_from_block_vector(blocks, x)
     res = seesaw_max(b / hs, inst.m, inst.n, seed=seed, init=[(alpha, beta)])
     return res.value * hs
@@ -390,7 +397,8 @@ def verify_chain(
         from .nets import build_net
 
         use_net = build_net(2, net_delta)
-    value = wval_value(wval, net=use_net, seed=seed)
+    # wval's blocks are rsdf's, so the ascent above already found the seesaw start
+    value = _wval_value(wval, use_net, seed, x)
     decided = value > float(wval.gamma)
     return ChainReport(
         kappa=kappa,

@@ -157,7 +157,7 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
     if a.shape != (m * n, m * n):
         raise DimensionMismatchError(f"operator shape {a.shape} does not match {m}x{n}")
     hs = float(np.linalg.norm(a))
-    if abs(hs - 1.0) > HS_NORM_TOL:
+    if not abs(hs - 1.0) <= HS_NORM_TOL:  # also rejects a non-finite norm
         raise ValueError(f"operator must have unit Hilbert-Schmidt norm, got {hs}")
     if mode not in ("signed", "abs"):
         raise ValueError(f"mode must be 'signed' or 'abs', got {mode!r}")

@@ -90,6 +90,18 @@ class TestTestCommand:
         code, report = run_cli(capsys, "test", "--input", str(path))
         assert code == 64
 
+    def test_nan_entry_is_input_error(self, capsys, tmp_path):
+        # a bare NaN token, as Python's json module reads and writes it
+        cells = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        cells[0][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "matrix": cells}))
+        assert "NaN" in path.read_text()
+        code, report = run_cli(capsys, "test", "--input", str(path))
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "non-finite entries" in report["error"]
+
 
 class TestWitnessCommand:
     def test_werner_entangled_with_witness_artifact(self, capsys, tmp_path):

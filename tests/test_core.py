@@ -213,7 +213,26 @@ class TestEigHermitian:
         dec = eig_hermitian(np.kron(z, np.eye(2)))
         np.testing.assert_allclose(dec.values, [1, 1, -1, -1], atol=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 5, 12, 36])
+    def test_one_by_one(self):
+        dec = eig_hermitian(np.array([[-0.25]]))
+        np.testing.assert_array_equal(dec.values, [-0.25])
+        np.testing.assert_allclose(np.abs(dec.vectors), [[1.0]])
+
+    def test_zero_matrix(self):
+        dec = eig_hermitian(np.zeros((4, 4)))
+        np.testing.assert_array_equal(dec.values, 0.0)
+        np.testing.assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(4), atol=1e-14)
+
+    def test_degenerate_spectrum_orthonormal(self):
+        z = np.diag([1.0, -1.0])
+        h = np.kron(z, np.eye(4))
+        dec = eig_hermitian(h)
+        np.testing.assert_allclose(dec.values, [1] * 4 + [-1] * 4, atol=1e-12)
+        np.testing.assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(8), atol=1e-12)
+        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
+        np.testing.assert_allclose(recon, h, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 5, 12, 36, 64])
     def test_reconstruction(self, d):
         rng = np.random.default_rng(d)
         h = random_hermitian(d, rng)
@@ -240,6 +259,22 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        h = np.eye(3, dtype=complex)
+        h[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(h)
+        h = np.eye(3, dtype=complex)
+        h[0, 2] = h[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(h)
+
 
 class TestTraceNorm:
     def test_zero(self):
@@ -249,6 +284,15 @@ class TestTraceNorm:
         rng = np.random.default_rng(13)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         assert abs(trace_norm(q) - 4.0) < 1e-9
+
+    def test_rank_one(self):
+        # ||u v^dagger||_1 = ||u|| ||v||, with no SVD on the reference side
+        rng = np.random.default_rng(15)
+        for shape in [(3, 5), (6, 2), (9, 9)]:
+            u = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
+            v = rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1])
+            expected = np.sqrt(np.vdot(u, u).real * np.vdot(v, v).real)
+            assert abs(trace_norm(np.outer(u, v.conj())) - expected) < 1e-9 * expected
 
     def test_against_svd_oracle(self):
         rng = np.random.default_rng(14)
@@ -298,6 +342,16 @@ class TestDensityMatrix:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
             DensityMatrix.make(2, 2, np.diag([1.5, -0.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix.make(2, 2, mat)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix.make(2, 2, mat, validate=False)
 
     def test_symmetrized(self):
         mat = np.eye(4) / 4

@@ -227,6 +227,24 @@ class TestVerifyChain:
             assert abs(rep.simplex_value - rep.rsdf_value) < 1e-6
             assert abs(rep.wval_value - math.sqrt(rep.rsdf_value)) < 1e-6
 
+    @pytest.mark.parametrize("g, c, seed", [(K3, 3, 0), (P3, 3, 1), (random_graph(5, 0.6, 2), 3, 2)])
+    def test_one_ascent_per_chain(self, monkeypatch, g, c, seed):
+        import sepscan.gadgets as gadgets
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return rsdf_value(*args, **kwargs)
+
+        monkeypatch.setattr(gadgets, "rsdf_value", counted)
+        rep = verify_chain(g, c, seed=seed)
+        assert calls == [seed]
+        # the reused sphere point gives wval_value's own result, bit for bit
+        wval = rsdf_to_wval(wmqs_to_rsdf(clique_to_wmqs(g, c)))
+        assert rep.wval_value == wval_value(wval, seed=seed)
+        assert len(calls) == 2
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             verify_chain(Graph(7, np.zeros((7, 7), dtype=np.int8)), 2)

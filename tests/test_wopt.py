@@ -110,6 +110,17 @@ class TestWoptMax:
         with pytest.raises(ValueError):
             wopt_max(np.eye(4, dtype=complex), 2, 2, net_04)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, net_04, n, bad):
+        a = np.full((2 * n, 2 * n), bad, dtype=complex)
+        with pytest.raises(ValueError, match="Hilbert-Schmidt"):
+            wopt_max(a, 2, n, net_04)
+        a = states.random_hermitian_unit(2 * n, 1)
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="Hilbert-Schmidt"):
+            wopt_max(a, 2, n, net_04, mode="abs")
+
     def test_rejects_wrong_net_dimension(self, net_04):
         a = states.random_hermitian_unit(9, 0)
         with pytest.raises(DimensionMismatchError):
