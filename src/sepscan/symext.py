@@ -1,4 +1,4 @@
-"""Bounded search for (PPT) Bose-symmetric extensions by alternating projections.
+"""Bounded search for (PPT) Bose-symmetric extensions by Douglas-Rachford splitting.
 
 An extension candidate lives directly in Bose-symmetric coordinates: a
 Hermitian operator X on Sym_k(C^m) (x) C^n, so permutation symmetry holds
@@ -6,20 +6,27 @@ by construction.  Feasibility asks for
 
 * X >= 0, and optionally PSD partial transposes: transposing subsystem B,
   or l = 1..k-1 copies of A (the k inequivalent choices), and
-* the extension property: tracing out k-1 copies of A returns the target
-  state.
+* the extension property E(X) = rho, where E traces out k-1 copies of A.
 
 Transposed copies are handled without ever materializing (C^m)^(x k):
 transposing l copies acts as an ordinary transpose of the Sym_l factor
 after branching Sym_k into Sym_l (x) Sym_(k-l), and the branching is an
 isometry with closed-form binomial coefficients in the occupation basis.
+E itself is one matrix product with an (m^2, d_sk^2) coefficient matrix.
 
-The feasibility problem is solved with Dykstra's algorithm in the product
-space (X, Y_1, ..., Y_J): one set is the product of PSD cones (projection
-is an eigenvalue clip per component), the other is the affine set
-{Y_j = T_j(X), E(X) = rho} (projection is a precomputed least-squares
-solve).  A stalled gap between the two sets is heuristic evidence of
-infeasibility; it is reported, never silently dropped.
+The search works in the product space (X, Y_1, ..., Y_J).  One set is the
+product of PSD cones (projection: an eigenvalue clip per component), the
+other the affine set {Y_j = T_j(X), E(X) = rho} (projection: a
+least-squares correction through the pseudo-inverse of E E*).  Relaxed
+Douglas-Rachford (the ADMM of this splitting) alternates them; the
+residual is the distance between the cone and affine iterates, which
+tends to zero on feasible problems and to the gap between the two sets on
+infeasible ones.  A positive residual when the iteration budget runs out
+is no proof of anything: it may be slow convergence.
+
+With PPT constraints, infeasibility is also decided exactly before any
+iteration: every PPT extension satisfies E(T_B X) = rho^Gamma with
+T_B X >= 0, so a negative eigenvalue of rho^Gamma rules out every depth k.
 
 The trace-distance bound 4m/k for states with a k-copy Bose-symmetric
 extension turns the hierarchy into a weak membership test: scanning up to
@@ -37,13 +44,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import Array, DensityMatrix
+from .core import Array, DensityMatrix, partial_transpose
 from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 
 DEFAULT_MAX_DIM = 512
 DEFAULT_SPLIT_MAX_DIM = 2048
-DEFAULT_EMBED_MAX_DIM = 8192
-INFEASIBILITY_RESIDUAL = 1e-3
+# over-relaxation of the Douglas-Rachford step
+RELAXATION = 1.7
 
 
 class DimensionGuardError(ValueError):
@@ -78,44 +85,10 @@ def occupations(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SymSubspace:
-    m: int
-    k: int
-    dim_sk: int
-    isometry: Array  # (m^k, dim_sk), orthonormal columns
-
-
-def sym_subspace(m: int, k: int, *, max_embed_dim: int = DEFAULT_EMBED_MAX_DIM) -> SymSubspace:
-    """Occupation-basis isometry embedding Sym_k(C^m) into (C^m)^(x k)."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be >= 1")
-    if m**k > max_embed_dim:
-        raise DimensionGuardError(f"m^k = {m**k} exceeds embed limit {max_embed_dim}")
-    occ = occupations(m, k)
-    iso = np.zeros((m**k, len(occ)), dtype=complex)
-    for col, n in enumerate(occ):
-        weight = 1.0 / math.sqrt(math.factorial(k) / math.prod(math.factorial(c) for c in n))
-        seen = set()
-        from itertools import permutations
-
-        letters = []
-        for i, c in enumerate(n):
-            letters.extend([i] * c)
-        for perm in permutations(letters):
-            if perm in seen:
-                continue
-            seen.add(perm)
-            idx = 0
-            for p in perm:
-                idx = idx * m + p
-            iso[idx, col] = weight
-    return SymSubspace(m, k, len(occ), iso)
-
-
 @lru_cache(maxsize=128)
-def _single_copy_coeffs(m: int, k: int) -> tuple[Array, ...]:
-    """G[i,j][n_idx, p_idx] = sqrt(n_i p_j)/k on pairs with n - e_i = p - e_j."""
+def _single_copy_coeffs(m: int, k: int) -> Array:
+    """Coefficient matrix of E: G[(i, j), (a, b)] = sqrt(n_i p_j)/k on pairs
+    of occupations n = occ[a], p = occ[b] with n - e_i = p - e_j."""
     occ = occupations(m, k)
     index = {n: a for a, n in enumerate(occ)}
     gs = np.zeros((m, m, len(occ), len(occ)))
@@ -129,8 +102,9 @@ def _single_copy_coeffs(m: int, k: int) -> tuple[Array, ...]:
                 p[j] += 1
                 b = index[tuple(p)]
                 gs[i, j, a, b] = math.sqrt(n[i] * p[j]) / k
-    gs.setflags(write=False)
-    return tuple(tuple(gs[i, j] for j in range(m)) for i in range(m))
+    g = gs.reshape(m * m, len(occ) ** 2)
+    g.setflags(write=False)
+    return g
 
 
 @lru_cache(maxsize=128)
@@ -185,12 +159,31 @@ class ExtensionProblem:
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """Outcome of `find_extension`.
+
+    Not found with `budget_exhausted` means the iterations ran out: the
+    residual is the last distance between the iterates, evidence only.
+    Not found without it means infeasibility was proved (the NPT presolve,
+    at iteration 0): the residual is then a certified lower bound on the
+    distance between the two sets of the splitting.
+    """
+
     found: bool
     operator: Array | None  # Bose-symmetric coordinates, (d_sk n, d_sk n)
     residual: float
     iterations: int
-    witness: Array | None = None  # heuristic separating functional on the state space
+    witness: Array | None = None  # state-space functional; separating only if certified
     budget_exhausted: bool = False
+
+
+def _paired(x: Array, a: int, b: int) -> Array:
+    """Regroup an (ab, ab) operator as an (a^2, b^2) matrix: rows (i, j), columns (s, t)."""
+    return x.reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, b * b)
+
+
+def _unpaired(y: Array, a: int, b: int) -> Array:
+    """Inverse of `_paired`."""
+    return y.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
 class _ExtensionMaps:
@@ -201,27 +194,17 @@ class _ExtensionMaps:
         self.dsk = sym_dim(m, k)
         self.dim = self.dsk * n
         self.coeffs = _single_copy_coeffs(m, k)
+        # E E* acts as gram (x) I_(n^2) on the paired layout
+        self.gram = self.coeffs @ self.coeffs.T
         # branch isometries lifted to Sym_k (x) B; real, so the adjoint is the transpose
         self.lifts = {l: np.kron(_branch_isometry(m, k, l), np.eye(n)) for l in range(1, k)}
 
     def reduce_one(self, x: Array) -> Array:
-        """Partial trace down to one A copy plus B."""
-        m, n = self.m, self.n
-        x4 = x.reshape(self.dsk, n, self.dsk, n)
-        out = np.empty((m, n, m, n), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                out[i, :, j, :] = np.einsum("np,nbpc->bc", self.coeffs[i][j], x4)
-        return out.reshape(m * n, m * n)
+        """Partial trace E down to one A copy plus B."""
+        return _unpaired(self.coeffs @ _paired(x, self.dsk, self.n), self.m, self.n)
 
     def reduce_one_adjoint(self, y: Array) -> Array:
-        m, n = self.m, self.n
-        y4 = y.reshape(m, n, m, n)
-        out = np.zeros((self.dsk, n, self.dsk, n), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                out += np.einsum("np,bc->nbpc", self.coeffs[i][j], y4[i, :, j, :])
-        return out.reshape(self.dim, self.dim)
+        return _unpaired(self.coeffs.T @ _paired(y, self.m, self.n), self.dsk, self.n)
 
     def transpose_b(self, x: Array) -> Array:
         x4 = x.reshape(self.dsk, self.n, self.dsk, self.n)
@@ -245,11 +228,37 @@ class _ExtensionMaps:
         return lift.T @ t @ lift
 
 
+def _hermitian(x: Array) -> Array:
+    return 0.5 * (x + x.conj().T)
+
+
 def _psd_clip(x: Array) -> Array:
-    h = 0.5 * (x + x.conj().T)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hermitian(x))
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
+
+
+def _lowest(x: Array) -> float:
+    return float(np.linalg.eigvalsh(_hermitian(x))[0])
+
+
+def _npt_certificate(rho: DensityMatrix, gram: Array, tol: float) -> ExtensionResult | None:
+    """Exact infeasibility of every PPT extension when rho^Gamma has a negative eigenvalue.
+
+    Any PPT extension has E(T_B X) = rho^Gamma with T_B X >= 0, and E maps
+    PSD operators to PSD operators, so the affine and cone sets are at least
+    dist_F(rho^Gamma, PSD) / ||E|| apart; ||E||^2 is the top eigenvalue of
+    the Gram matrix of E.  The witness is the PPT witness -(|v><v|)^(T_B),
+    made traceless and unit-norm: it is larger on rho than on every product
+    state.
+    """
+    m, n, d = rho.m, rho.n, rho.dim
+    vals, vecs = np.linalg.eigh(partial_transpose(rho.mat, m, n, "B"))
+    if vals[0] >= -tol:
+        return None
+    bound = float(np.linalg.norm(vals[vals < 0]) / math.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    w = np.eye(d) / d - partial_transpose(np.outer(vecs[:, 0], vecs[:, 0].conj()), m, n, "B")
+    return ExtensionResult(False, None, bound, 0, w / np.linalg.norm(w))
 
 
 def find_extension(
@@ -257,103 +266,71 @@ def find_extension(
     max_iters: int = 20_000,
     tol: float = 1e-7,
 ) -> ExtensionResult:
-    """Dykstra-projected feasibility search for a (PPT) Bose-symmetric extension.
+    """Douglas-Rachford feasibility search for a (PPT) Bose-symmetric extension.
 
-    Success requires the affine-exact iterate (extension property holds to
-    machine precision) to be PSD within tol on every required cone.  A
-    stalled positive gap between the cone and affine projections is
-    reported as the residual; it is heuristic infeasibility evidence only.
+    With PPT constraints, an NPT state is rejected at iteration 0 with a
+    certified residual (see `_npt_certificate`).  Otherwise each iteration
+    clips z onto the cones (c), projects 2c - z onto the affine set (a) and
+    moves z by RELAXATION * (a - c), starting from the affine point nearest
+    the origin, so a problem feasible there is accepted at iteration 1.
+
+    Success requires the affine iterate (extension property exact to
+    machine precision) to be PSD within tol on every required cone, or
+    the cone iterate (PSD exactly) to trace back and pass the transposed
+    cones within tol.  The residual is ||a - c|| over all cones; if the
+    budget runs out it is reported with `budget_exhausted`, and the
+    witness is the defect a - c of X traced back to the state space.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     rho = prob.rho
     maps = _ExtensionMaps(rho.m, rho.n, prob.k)
-    transposes: list[tuple[str, int]] = []
     if prob.ppt:
-        transposes.append(("B", 0))
-        transposes.extend(("A", l) for l in range(1, prob.k))
-
-    def apply_t(x: Array, tag: tuple[str, int]) -> Array:
-        return maps.transpose_b(x) if tag[0] == "B" else maps.transpose_copies(x, tag[1])
-
-    def apply_t_adj(y: Array, tag: tuple[str, int]) -> Array:
-        return (
-            maps.transpose_b(y) if tag[0] == "B" else maps.transpose_copies_adjoint(y, tag[1])
+        cert = _npt_certificate(rho, maps.gram, tol)
+        if cert is not None:
+            return cert
+    # each cone is the image of X under one isometry: (map, adjoint)
+    ops = [(lambda x: x, lambda y: y)]
+    if prob.ppt:
+        ops.append((maps.transpose_b, maps.transpose_b))
+        ops.extend(
+            (lambda x, l=l: maps.transpose_copies(x, l),
+             lambda y, l=l: maps.transpose_copies_adjoint(y, l))
+            for l in range(1, prob.k)
         )
+    gram_pinv = np.linalg.pinv(maps.gram)
+    m, n = rho.m, rho.n
 
-    # precompute the normal-equation factor of the reduction map
-    d_small = rho.dim
-    basis_units = []
-    for r in range(d_small):
-        for c in range(d_small):
-            e = np.zeros((d_small, d_small), dtype=complex)
-            e[r, c] = 1.0
-            basis_units.append(e)
-    gram = np.empty((d_small * d_small, d_small * d_small), dtype=complex)
-    for idx, e in enumerate(basis_units):
-        gram[:, idx] = maps.reduce_one(maps.reduce_one_adjoint(e)).reshape(-1)
-    gram_inv = np.linalg.pinv(gram)
+    def affine_point(g: Array) -> list[Array]:
+        """Nearest X to g with E(X) = rho, lifted to every cone."""
+        lam = _unpaired(gram_pinv @ _paired(rho.mat - maps.reduce_one(g), m, n), m, n)
+        x = g + maps.reduce_one_adjoint(lam)
+        return [t(x) for t, _ in ops]
 
-    def affine_project(x_hat: Array, y_hats: list[Array]) -> Array:
-        g = x_hat.copy()
-        for tag, y in zip(transposes, y_hats):
-            g += apply_t_adj(y, tag)
-        g /= 1.0 + len(transposes)
-        defect = rho.mat - maps.reduce_one(g)
-        lam = (gram_inv @ defect.reshape(-1)).reshape(d_small, d_small)
-        return g + maps.reduce_one_adjoint(lam)
+    def affine_project(w: list[Array]) -> list[Array]:
+        # the T_j are isometries, so the product-space projection averages their adjoints
+        return affine_point(sum(t_adj(y) for (_, t_adj), y in zip(ops, w)) / len(ops))
 
-    x = affine_project(np.zeros((maps.dim, maps.dim), dtype=complex), [
-        np.zeros_like(apply_t(np.zeros((maps.dim, maps.dim), dtype=complex), tag))
-        for tag in transposes
-    ])
-    dual_x = np.zeros_like(x)
-    dual_y = [np.zeros_like(apply_t(x, tag)) for tag in transposes]
-    y_affine = [apply_t(x, tag) for tag in transposes]
-
-    residual = np.inf
+    z = affine_point(np.zeros((maps.dim, maps.dim), dtype=complex))
     for it in range(1, max_iters + 1):
-        # cone projections with Dykstra corrections
-        wx = x + dual_x
-        cx = _psd_clip(wx)
-        dual_x = wx - cx
-        cy = []
-        for idx, tag in enumerate(transposes):
-            wy = y_affine[idx] + dual_y[idx]
-            py = _psd_clip(wy)
-            dual_y[idx] = wy - py
-            cy.append(py)
-        # affine projection
-        x = affine_project(cx, cy)
-        y_affine = [apply_t(x, tag) for tag in transposes]
-        gap_sq = float(np.linalg.norm(x - cx) ** 2)
-        for idx in range(len(transposes)):
-            gap_sq += float(np.linalg.norm(y_affine[idx] - cy[idx]) ** 2)
-        residual = math.sqrt(gap_sq)
+        c = [_psd_clip(y) for y in z]
+        a = affine_project([2.0 * ci - zi for ci, zi in zip(c, z)])
+        residual = math.sqrt(sum(float(np.linalg.norm(ai - ci)) ** 2 for ai, ci in zip(a, c)))
         if it % 10 == 0 or residual < tol:
-            # the affine iterate traces back exactly; accept it if the cone
-            # defects are inside tolerance
-            lows = [float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0])]
-            lows.extend(
-                float(np.linalg.eigvalsh(0.5 * (y + y.conj().T))[0]) for y in y_affine
-            )
-            if min(lows) >= -tol:
-                return ExtensionResult(True, 0.5 * (x + x.conj().T), residual, it)
-            # the cone iterate is PSD exactly; accept it if its trace-back and
-            # transpose defects are inside tolerance
+            if min(_lowest(y) for y in a) >= -tol:
+                return ExtensionResult(True, _hermitian(a[0]), residual, it)
             if residual < tol:
-                cand = 0.5 * (cx + cx.conj().T)
+                cand = _hermitian(c[0])
                 trace_defect = float(np.linalg.norm(maps.reduce_one(cand) - rho.mat))
-                lows = [
-                    float(np.linalg.eigvalsh(apply_t(cand, tag))[0]) for tag in transposes
-                ]
-                if trace_defect <= tol and (not lows or min(lows) >= -tol):
+                if trace_defect <= tol and all(_lowest(t(cand)) >= -tol for t, _ in ops[1:]):
                     return ExtensionResult(True, cand, residual, it)
-    defect_dir = x - cx
+        z = [zi + RELAXATION * (ai - ci) for zi, ai, ci in zip(z, a, c)]
+    defect_dir = a[0] - c[0]
     norm = float(np.linalg.norm(defect_dir))
     witness = None
     if norm > 1e-12:
-        w = maps.reduce_one(defect_dir / norm)
-        w = 0.5 * (w + w.conj().T)
-        w -= np.trace(w) / d_small * np.eye(d_small)
+        w = _hermitian(maps.reduce_one(defect_dir / norm))
+        w -= np.trace(w) / rho.dim * np.eye(rho.dim)
         wn = float(np.linalg.norm(w))
         if wn > 1e-12:
             witness = w / wn
@@ -388,16 +365,17 @@ def separability_scan(
     ppt: bool = True,
     max_iters: int = 3000,
     tol: float = 1e-7,
-    infeasibility_threshold: float = INFEASIBILITY_RESIDUAL,
     strict_confirm=None,
 ) -> Verdict:
     """Climb the extension hierarchy up to the trace-norm-delta depth.
 
-    A stalled residual above the threshold is heuristic entanglement
-    evidence (exact=False); in strict mode the callable `strict_confirm`
-    must agree before the Entangled verdict is emitted.  Reaching the
-    bound with an extension in hand certifies trace-norm delta-closeness
-    to the separable set.
+    Entangled (exact=False) comes only from a proof that no extension
+    exists, the NPT presolve of `find_extension`; its value is the certified
+    residual, and in strict mode the callable `strict_confirm` must agree
+    before it is emitted.  A search that runs out of iterations proves
+    nothing and yields Unknown with the last residual as its value.
+    Reaching the bound with an extension in hand certifies trace-norm
+    delta-closeness to the separable set.
     """
     kbar = copies_bound(rho.m, delta)
     if kbar < 2:
@@ -407,12 +385,13 @@ def separability_scan(
     for k in range(2, top + 1):
         prob = ExtensionProblem(rho, k, ppt=ppt)
         res = find_extension(prob, max_iters=max_iters, tol=tol)
-        if not res.found:
-            if res.residual > infeasibility_threshold:
-                if strict_confirm is not None and not strict_confirm(rho):
-                    return Verdict(UNKNOWN, f"symext_unconfirmed_k{k}", False, res.residual)
-                return Verdict(ENTANGLED, f"symext_infeasible_k{k}", False, res.residual)
+        if res.found:
+            continue
+        if res.budget_exhausted:
             return Verdict(UNKNOWN, f"symext_stalled_k{k}", False, res.residual)
+        if strict_confirm is not None and not strict_confirm(rho):
+            return Verdict(UNKNOWN, f"symext_unconfirmed_k{k}", False, res.residual)
+        return Verdict(ENTANGLED, f"symext_infeasible_k{k}", False, res.residual)
     if top == kbar:
         return Verdict(SEPARABLE, f"symext_depth_k{kbar}", False, extension_gap(rho.m, kbar))
     return Verdict(UNKNOWN, f"symext_kmax_k{top}", False, None)

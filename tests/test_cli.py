@@ -148,6 +148,14 @@ class TestSymextCommand:
         )
         assert code == 0
 
+    def test_zero_iteration_budget_is_input_error(self, capsys, maxmixed_path):
+        code, report = run_cli(
+            capsys, "symext", "--input", maxmixed_path, "--delta", "2.0", "--max-iters", "0"
+        )
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "max_iters" in report["error"]
+
 
 class TestWoptCommand:
     def test_reports_value_and_guarantee(self, capsys, tmp_path):
@@ -271,3 +279,16 @@ class TestDeterminism:
         rep1.pop("timings")
         rep2.pop("timings")
         assert code1 == code2 and rep1 == rep2
+
+    def test_symext_reports_identical_modulo_timing(self, capsys, tmp_path):
+        # a mixture whose search stalls within the budget, so the residual is reported
+        path = tmp_path / "mixture.json"
+        dump_json(density_to_json(states.product_mixture(2, 2, 3, 1)), path)
+        argv = ("symext", "--input", str(path), "--delta", "1.0", "--kmax", "3",
+                "--max-iters", "50")
+        code1, rep1 = run_cli(capsys, *argv)
+        code2, rep2 = run_cli(capsys, *argv)
+        assert rep1["verdict"]["reason"].startswith("symext_stalled")
+        rep1.pop("timings")
+        rep2.pop("timings")
+        assert code1 == code2 == 2 and rep1 == rep2

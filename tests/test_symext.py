@@ -1,23 +1,63 @@
 import math
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from sepscan import states
-from sepscan.onesided import ENTANGLED, SEPARABLE
+from sepscan import states, symext
+from sepscan.core import DensityMatrix, partial_transpose
+from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN
 from sepscan.symext import (
     DimensionGuardError,
     ExtensionProblem,
+    _ExtensionMaps,
     copies_bound,
     extension_gap,
     find_extension,
     occupations,
     separability_scan,
     sym_dim,
-    sym_subspace,
     verify_extension,
 )
+
+DEFAULT_EMBED_MAX_DIM = 8192
+
+
+@dataclass(frozen=True)
+class SymSubspace:
+    m: int
+    k: int
+    dim_sk: int
+    isometry: np.ndarray  # (m^k, dim_sk), orthonormal columns
+
+
+def sym_subspace(m: int, k: int, *, max_embed_dim: int = DEFAULT_EMBED_MAX_DIM) -> SymSubspace:
+    """Occupation-basis isometry embedding Sym_k(C^m) into (C^m)^(x k): the
+    reference that the symmetric-coordinate maps are checked against."""
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be >= 1")
+    if m**k > max_embed_dim:
+        raise DimensionGuardError(f"m^k = {m**k} exceeds embed limit {max_embed_dim}")
+    occ = occupations(m, k)
+    iso = np.zeros((m**k, len(occ)), dtype=complex)
+    for col, n in enumerate(occ):
+        weight = 1.0 / math.sqrt(math.factorial(k) / math.prod(math.factorial(c) for c in n))
+        letters = [i for i, c in enumerate(n) for _ in range(c)]
+        for perm in set(permutations(letters)):
+            iso[int(np.ravel_multi_index(perm, (m,) * k)), col] = weight
+    return SymSubspace(m, k, len(occ), iso)
+
+
+def reduce_one_reference(x, m, n, k):
+    """Embed into (C^m)^(x k) (x) C^n and trace out copies 2..k with einsum."""
+    v = np.kron(sym_subspace(m, k).isometry, np.eye(n))
+    big = (v @ x @ v.conj().T).reshape(m, m ** (k - 1), n, m, m ** (k - 1), n)
+    return np.einsum("arbcrd->abcd", big).reshape(m * n, m * n)
+
+
+def random_complex(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
 def permutation_matrix(perm, m):
@@ -96,6 +136,27 @@ class TestProblemValidation:
             ExtensionProblem(states.maximally_mixed(3, 3), 40, max_dim=512)
 
 
+class TestExtensionMaps:
+    @pytest.mark.parametrize("m,n,k", [(2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 2, 4)])
+    def test_reduce_one_matches_einsum_reference(self, m, n, k):
+        rng = np.random.default_rng(m * 100 + n * 10 + k)
+        maps = _ExtensionMaps(m, n, k)
+        x = random_complex(rng, maps.dim)
+        np.testing.assert_allclose(
+            maps.reduce_one(x), reduce_one_reference(x, m, n, k), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("m,n,k", [(2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 4)])
+    def test_adjoint_identity(self, m, n, k):
+        rng = np.random.default_rng(7 + m + n + k)
+        maps = _ExtensionMaps(m, n, k)
+        x = random_complex(rng, maps.dim)
+        y = random_complex(rng, m * n)
+        lhs = np.vdot(maps.reduce_one(x), y)
+        rhs = np.vdot(x, maps.reduce_one_adjoint(y))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
 class TestFindExtension:
     def test_product_state_extends(self):
         prob = ExtensionProblem(states.random_pure_product(2, 2, 0), 3, ppt=True)
@@ -111,6 +172,21 @@ class TestFindExtension:
         assert not res.found
         assert res.residual > 1e-3
         assert res.budget_exhausted
+
+    def test_bell_gap_is_the_distance_between_the_sets(self):
+        # without PPT cones the search converges to the gap between the sets
+        for k, gap in ((2, 1.0 / 6.0), (3, math.sqrt(5.0) / 10.0)):
+            res = find_extension(ExtensionProblem(states.bell(), k, ppt=False), max_iters=3000)
+            assert not res.found and res.budget_exhausted
+            assert res.residual == pytest.approx(gap, rel=1e-6)
+
+    def test_feasible_start_accepts_at_iteration_one(self):
+        cases = [(states.maximally_mixed(2, 2), k) for k in (2, 3, 4)]
+        cases += [(states.product_mixture(2, 2, 20, 6), k) for k in (2, 3, 4)]
+        cases += [(states.product_mixture(2, 2, 20, seed), 2) for seed in (0, 5)]
+        for rho, k in cases:
+            res = find_extension(ExtensionProblem(rho, k, ppt=True))
+            assert res.found and res.iterations == 1
 
     def test_maximally_mixed_extends(self):
         prob = ExtensionProblem(states.maximally_mixed(2, 2), 4, ppt=True)
@@ -163,6 +239,50 @@ class TestFindExtension:
             assert np.linalg.norm(p @ big @ p.T - big) < 1e-7
 
 
+class TestNptPresolve:
+    NPT = [("bell", states.bell()), ("werner_0.5", states.werner(0.5))]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name,rho", NPT)
+    def test_returns_at_iteration_zero(self, name, rho, k):
+        res = find_extension(ExtensionProblem(rho, k, ppt=True))
+        assert not res.found and not res.budget_exhausted
+        assert res.iterations == 0 and res.operator is None
+        assert res.residual > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name,rho", NPT)
+    def test_residual_bounds_the_search_gap(self, name, rho, k, monkeypatch):
+        certified = find_extension(ExtensionProblem(rho, k, ppt=True)).residual
+        monkeypatch.setattr(symext, "_npt_certificate", lambda *args: None)
+        searched = find_extension(ExtensionProblem(rho, k, ppt=True), max_iters=2000)
+        assert not searched.found and searched.budget_exhausted
+        assert certified <= searched.residual
+
+    def test_bell_bound_value(self):
+        # dist_F(rho^Gamma, PSD) = 1/2 and ||E||^2 = 3/2 at m = k = 2
+        res = find_extension(ExtensionProblem(states.bell(), 2, ppt=True))
+        assert res.residual == pytest.approx(0.5 / math.sqrt(1.5), rel=1e-12)
+
+    @pytest.mark.parametrize("name,rho", NPT + [("npt_2x3", None)])
+    def test_witness_separates_from_product_states(self, name, rho):
+        if rho is None:
+            rng = np.random.default_rng(3)
+            v = rng.normal(size=6) + 1j * rng.normal(size=6)
+            rho = DensityMatrix.make(2, 3, 0.8 * np.outer(v, v.conj()) / np.vdot(v, v).real
+                                            + 0.2 * np.eye(6) / 6)
+        assert np.linalg.eigvalsh(partial_transpose(rho.mat, rho.m, rho.n, "B"))[0] < 0
+        res = find_extension(ExtensionProblem(rho, 2, ppt=True))
+        w = res.witness
+        assert np.allclose(w, w.conj().T)
+        assert abs(np.trace(w)) < 1e-12
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+        on_rho = float(np.trace(w @ rho.mat).real)
+        for seed in range(200):
+            sigma = states.random_pure_product(rho.m, rho.n, seed).mat
+            assert on_rho > float(np.trace(w @ sigma).real)
+
+
 class TestScan:
     def test_maximally_mixed_at_coarse_delta(self):
         v = separability_scan(states.maximally_mixed(2, 2), 2.0)
@@ -189,3 +309,31 @@ class TestScan:
         assert v.outcome == "Unknown"
         v = separability_scan(states.bell(), 0.5, strict_confirm=lambda rho: True)
         assert v.outcome == ENTANGLED
+
+    def test_separable_fault_state_not_entangled(self):
+        # separable by construction (PPT is exact at 2x2), so never Entangled
+        v = separability_scan(states.product_mixture(2, 2, 4, 0), 1.0, kmax=3)
+        assert v.outcome == UNKNOWN
+        assert v.reason == "symext_kmax_k3"
+
+    def test_small_product_mixtures_never_entangled(self):
+        reasons = [
+            separability_scan(states.product_mixture(m, n, terms, seed), 1.0, kmax=3)
+            for m, n in ((2, 2), (2, 3))
+            for terms in (2, 3, 4)
+            for seed in range(4)
+        ]
+        assert len(reasons) == 24
+        assert not [v for v in reasons if v.outcome == ENTANGLED]
+        assert sum(v.reason == "symext_kmax_k3" for v in reasons) >= 20
+
+    def test_stall_is_unknown_with_residual(self):
+        v = separability_scan(states.product_mixture(2, 2, 3, 1), 1.0, kmax=3, max_iters=20)
+        assert v.outcome == UNKNOWN
+        assert v.reason.startswith("symext_stalled_k")
+        assert v.detail > 0
+
+    def test_no_ppt_never_entangled(self):
+        v = separability_scan(states.bell(), 0.5, ppt=False, max_iters=500)
+        assert v.outcome == UNKNOWN
+        assert v.reason == "symext_stalled_k2"
