@@ -106,6 +106,12 @@ def cmd_witness(args, started: float) -> int:
         ).to_json(),
         "verdict": result.verdict.to_json(),
         "iterations": result.iterations,
+        "stats": {
+            "stop": result.stop,
+            "newton_steps": result.newton_steps,
+            "lp_calls": result.lp_calls,
+            "oracle_evaluated": result.oracle_evaluated,
+        },
     }
     if result.witness is not None:
         witness_json = {

@@ -15,10 +15,17 @@ orthogonal to the center so the cut passes through both the origin and
 the center; the projection can erode witnesses by at most the observed
 margin (<= 2*epsilon), which the detection threshold already absorbs.
 
+Interior points: all cuts pass through the origin, so the region is a
+cone in the unit ball.  Each cut starts Newton at d/(2||d||), d the
+least-distance point of {N d >= 1} (one NNLS), once min N d/||d|| > 1e-9
+is checked; only when that fails does a HiGHS LP run, and only the LP
+may certify that the region is empty.
+
 Termination declares the state delta-close to the separable set when the
 largest semi-axis of the Dikin ellipsoid at the analytic center drops
 below delta/4, when the region empties, or when the iteration cap
-4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.
+4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.  A smaller caller cap asserts
+nothing: it ends in Unknown.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .core import Array, DensityMatrix, from_bloch, hermitian_basis, to_bloch
 from .nets import DeltaNet, NetTooCoarseError
-from .onesided import ENTANGLED, SEPARABLE, Verdict
+from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 from .wopt import ProductState, WoptResult, wopt_max
 
 NEWTON_GRAD_TOL = 1e-8
@@ -47,28 +54,26 @@ class NumericalBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """Unit Bloch ball cut by halfspaces {x : n . x >= offset} (offsets ~ 0)."""
+    """Unit Bloch ball cut by halfspaces {x : n . x >= 0}."""
 
     normals: Array  # (k, dim) unit rows
-    offsets: Array  # (k,)
     center: Array
     radius_proxy: float  # largest Dikin semi-axis at the center
     rho_bloch: Array
 
-    @property
-    def halfspaces(self) -> list[tuple[Array, float]]:
-        return [(self.normals[i], float(self.offsets[i])) for i in range(len(self.offsets))]
-
     def slacks(self, x: Array) -> Array:
-        if self.normals.shape[0] == 0:
-            return np.empty(0)
-        return self.normals @ x - self.offsets
+        return self.normals @ x
 
     def strictly_feasible(self, x: Array, margin: float = 0.0) -> bool:
         if np.linalg.norm(x) >= 1.0 - margin:
             return False
-        s = self.slacks(x)
-        return bool(s.size == 0 or np.min(s) > margin)
+        return bool(np.all(self.slacks(x) > margin))
+
+
+@dataclass
+class SearchStats:  # work counters of one search, filled in as it runs
+    newton_steps: int = 0  # accepted damped-Newton steps
+    lp_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -89,40 +94,38 @@ class WsepResult:
     witness: WitnessCert | None
     iterations: int
     region: SearchRegion
+    stop: str  # witness, dikin_radius, region_empty, cap or budget
+    newton_steps: int
+    lp_calls: int
+    oracle_evaluated: int  # sum of WoptResult.evaluated
 
 
-def _barrier_parts(normals: Array, offsets: Array, x: Array):
-    r2 = float(x @ x)
-    ball = 1.0 - r2
-    s = normals @ x - offsets if normals.shape[0] else np.empty(0)
-    return s, ball
+def _barrier_parts(normals: Array, x: Array):
+    return normals @ x, 1.0 - float(x @ x)
 
 
-def _barrier_value(normals: Array, offsets: Array, x: Array) -> float:
-    s, ball = _barrier_parts(normals, offsets, x)
+def _barrier_value(normals: Array, x: Array) -> float:
+    s, ball = _barrier_parts(normals, x)
     if ball <= 0.0 or (s.size and np.min(s) <= 0.0):
         return np.inf
     return -float(np.sum(np.log(s))) - math.log(ball)
 
 
-def _barrier_grad_hess(normals: Array, offsets: Array, x: Array):
-    s, ball = _barrier_parts(normals, offsets, x)
+def _barrier_grad_hess(normals: Array, x: Array):
+    s, ball = _barrier_parts(normals, x)
     dim = x.shape[0]
     g = 2.0 * x / ball
     h = (2.0 / ball) * np.eye(dim) + (4.0 / ball**2) * np.outer(x, x)
-    if s.size:
-        w = normals / s[:, None]
-        g = g - w.sum(axis=0)
-        h = h + w.T @ w
-    return g, h
+    w = normals / s[:, None]
+    return g - w.sum(axis=0), h + w.T @ w
 
 
 def analytic_center(
     normals: Array,
-    offsets: Array,
     x0: Array,
     *,
     grad_tol: float = NEWTON_GRAD_TOL,
+    stats: SearchStats | None = None,
 ) -> tuple[Array, float]:
     """Damped-Newton minimizer of the log barrier; returns (center, dikin radius).
 
@@ -130,10 +133,10 @@ def analytic_center(
     largest semi-axis of the unit Dikin ellipsoid at the center.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if _barrier_value(normals, offsets, x) == np.inf:
+    if _barrier_value(normals, x) == np.inf:
         raise RegionEmptyError("starting point is not strictly feasible")
     for _ in range(NEWTON_MAX_STEPS):
-        g, h = _barrier_grad_hess(normals, offsets, x)
+        g, h = _barrier_grad_hess(normals, x)
         if np.linalg.norm(g) <= grad_tol:
             break
         try:
@@ -141,21 +144,23 @@ def analytic_center(
         except np.linalg.LinAlgError:
             dx = -g
         t = 1.0
-        base = _barrier_value(normals, offsets, x)
+        base = _barrier_value(normals, x)
         slope = float(g @ dx)
         while t > 1e-14:
             cand = x + t * dx
-            val = _barrier_value(normals, offsets, cand)
+            val = _barrier_value(normals, cand)
             if val < base + 0.25 * t * slope or (slope >= 0 and val < base):
                 x = cand
+                if stats is not None:
+                    stats.newton_steps += 1
                 break
             t *= 0.5
         else:
             break
-    s, ball = _barrier_parts(normals, offsets, x)
+    s, ball = _barrier_parts(normals, x)
     if ball <= 1e-30 or (s.size and np.min(s) <= 1e-30):
         raise RegionEmptyError("interior collapsed during centering")
-    _, h = _barrier_grad_hess(normals, offsets, x)
+    _, h = _barrier_grad_hess(normals, x)
     lam_min = float(np.linalg.eigvalsh(h)[0])
     # H >= (2/ball) I exactly, so anything smaller is roundoff from the
     # huge slack terms; flooring keeps the radius conservative
@@ -163,51 +168,53 @@ def analytic_center(
     return x, 1.0 / math.sqrt(lam_min)
 
 
-def initial_region(rho: DensityMatrix) -> SearchRegion:
+def initial_region(rho: DensityMatrix, stats: SearchStats | None = None) -> SearchRegion:
     """Unit Bloch ball, cut by v(rho) . x >= 0 when v(rho) is nonzero."""
     v = to_bloch(rho.mat, hermitian_basis(rho.m, rho.n))
-    dim = v.shape[0]
     nv = float(np.linalg.norm(v))
     if nv < 1e-12:
-        normals = np.empty((0, dim))
-        offsets = np.empty(0)
-        x0 = np.zeros(dim)
+        normals, x0 = np.empty((0, v.shape[0])), np.zeros(v.shape[0])
     else:
-        normals = (v / nv)[None, :]
-        offsets = np.zeros(1)
-        x0 = v / (2.0 * nv)
-    center, radius = analytic_center(normals, offsets, x0)
-    return SearchRegion(normals, offsets, center, radius, v)
+        normals, x0 = (v / nv)[None, :], v / (2.0 * nv)
+    center, radius = analytic_center(normals, x0, stats=stats)
+    return SearchRegion(normals, center, radius, v)
 
 
-def _feasible_start(normals: Array, offsets: Array) -> Array:
+def _feasible_start(normals: Array, stats: SearchStats | None = None) -> Array:
     """Strictly interior point of {x : N x >= 0, ||x|| < 1}, or RegionEmptyError.
 
-    All cut offsets are zero, so the region is a cone section: a direction
-    d with min_i n_i . d maximal (a small LP) yields the point d/2 when the
-    cone has interior, and certifies emptiness otherwise.
+    The LDP min ||d|| s.t. N d >= 1 is the NNLS on E = [N^T; 1^T], f = e_last
+    (Lawson-Hanson): d = -r[:dim] / r[dim], r = E u - f.  Its acceptance implies
+    the LP's t > 1e-9 too, since d/||d|| lies in the LP's box.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import linprog, nnls
 
-    dim = normals.shape[1]
-    if normals.shape[0] == 0:
+    k, dim = normals.shape
+    if k == 0:
         return np.zeros(dim)
-    if np.max(np.abs(offsets)) > 1e-12:
-        raise AssertionError("cut offsets are expected to be zero")
+    e_last = np.eye(dim + 1)[-1]
+    try:
+        u, _ = nnls(np.vstack([normals.T, np.ones(k)]), e_last)
+    except RuntimeError:  # NNLS iteration limit: the LP decides
+        u = np.zeros(k)
+    d = np.sign(1.0 - u.sum()) * (normals.T @ u)  # -r[:dim] / r[dim] up to a positive factor
+    nd = float(np.linalg.norm(d))
+    if nd > 0.0 and np.min(normals @ d) > 1e-9 * nd:
+        return 0.5 * d / nd
+    if stats is not None:
+        stats.lp_calls += 1
     # variables (d, t): maximize t subject to n_i . d >= t, -1 <= d_j <= 1
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-normals, np.ones((normals.shape[0], 1))])
-    b_ub = np.zeros(normals.shape[0])
+    a_ub = np.hstack([-normals, np.ones((k, 1))])
     bounds = [(-1.0, 1.0)] * dim + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(-e_last, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
     if not res.success or res.x is None or res.x[-1] <= 1e-9:
         raise RegionEmptyError("cut cone has no interior")
-    d = res.x[:dim]
-    return 0.5 * d / np.linalg.norm(d)
+    return 0.5 * res.x[:dim] / np.linalg.norm(res.x[:dim])
 
 
-def cut(region: SearchRegion, a: Array, sigma_a: ProductState) -> SearchRegion:
+def cut(
+    region: SearchRegion, a: Array, sigma_a: ProductState, stats: SearchStats | None = None
+) -> SearchRegion:
     """Halfspace through the origin (and through a when its margin was >= 0).
 
     a is the tested center (unnormalized Bloch position); sigma_a the
@@ -224,12 +231,10 @@ def cut(region: SearchRegion, a: Array, sigma_a: ProductState) -> SearchRegion:
     norm = float(np.linalg.norm(normal))
     if norm < 1e-12:
         raise NumericalBreakdownError("cut normal vanished")
-    normal = normal / norm
-    normals = np.vstack([region.normals, normal[None, :]])
-    offsets = np.concatenate([region.offsets, [0.0]])
-    start = _feasible_start(normals, offsets)
-    center, radius = analytic_center(normals, offsets, start)
-    return SearchRegion(normals, offsets, center, radius, region.rho_bloch)
+    normals = np.vstack([region.normals, normal[None, :] / norm])
+    start = _feasible_start(normals, stats)
+    center, radius = analytic_center(normals, start, stats=stats)
+    return SearchRegion(normals, center, radius, region.rho_bloch)
 
 
 def iteration_cap(dim: int, delta: float) -> int:
@@ -247,6 +252,8 @@ def wsep_solve(
     within delta of the separable set in Euclidean norm."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if net.delta > delta / 10.0 + 1e-12:
         raise NetTooCoarseError(
             f"net covering radius {net.delta} exceeds delta/10 = {delta / 10}"
@@ -255,31 +262,39 @@ def wsep_solve(
     eps = delta / 5.0
     dim = basis.size - 1
     cap = iteration_cap(dim, delta) if max_iters is None else max_iters
-    region = initial_region(rho)
-    fallback = np.zeros(dim)
-    fallback[0] = 1.0
-    iterations = 0
+    stop = "cap" if cap >= iteration_cap(dim, delta) else "budget"
+    stats = SearchStats()
+    region = initial_region(rho, stats)
+    fallback = np.eye(dim)[0]
+    cert, evaluated = None, 0
     for iterations in range(1, cap + 1):
         a = region.center
         na = float(np.linalg.norm(a))
         a_hat = a / na if na > 1e-12 else fallback
         candidate = from_bloch(a_hat, 0.0, basis)
         oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
+        evaluated += oracle.evaluated
         margin = float(region.rho_bloch @ a_hat) - oracle.value
         if margin > 2.0 * eps:
-            cert = WitnessCert(candidate, a_hat, margin, delta)
-            verdict = Verdict(ENTANGLED, "witness_search", False, margin)
-            return WsepResult(verdict, cert, iterations, region)
+            cert, stop = WitnessCert(candidate, a_hat, margin, delta), "witness"
+            break
         try:
-            region = cut(region, a if na > 1e-12 else fallback * 1e-9, oracle.maximizer)
+            region = cut(region, a if na > 1e-12 else fallback * 1e-9, oracle.maximizer, stats)
         except RegionEmptyError:
-            verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
-            return WsepResult(verdict, None, iterations, region)
+            stop = "region_empty"
+            break
         if region.radius_proxy < delta / 4.0:
-            verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
-            return WsepResult(verdict, None, iterations, region)
-    verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
-    return WsepResult(verdict, None, iterations, region)
+            stop = "dikin_radius"
+            break
+    if cert is not None:
+        verdict = Verdict(ENTANGLED, "witness_search", False, cert.margin)
+    elif stop == "budget":
+        verdict = Verdict(UNKNOWN, "witness_budget", False, region.radius_proxy)
+    else:
+        verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
+    return WsepResult(
+        verdict, cert, iterations, region, stop, stats.newton_steps, stats.lp_calls, evaluated
+    )
 
 
 def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:
@@ -287,21 +302,3 @@ def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:
     oracle = wopt_max(cert.operator, rho.m, rho.n, net)
     basis = hermitian_basis(rho.m, rho.n)
     return float(to_bloch(rho.mat, basis) @ cert.bloch) - oracle.value
-
-
-def ppt_witness_bloch(rho: DensityMatrix) -> Array | None:
-    """Unit Bloch vector of the witness built from a negative PT eigenvector.
-
-    Returns None when the state is PPT.  Used to check that the search
-    region keeps at least one true witness for NPT states.
-    """
-    from .core import eig_hermitian, partial_transpose
-
-    pt = partial_transpose(rho.mat, rho.m, rho.n, "B")
-    dec = eig_hermitian(pt)
-    if dec.values[-1] >= 0:
-        return None
-    vec = dec.vectors[:, -1]
-    w = -partial_transpose(np.outer(vec, vec.conj()), rho.m, rho.n, "B")
-    coords = to_bloch(w, hermitian_basis(rho.m, rho.n))
-    return coords / np.linalg.norm(coords)

@@ -110,7 +110,7 @@ def _probe(bx: Array, mode: str) -> Array:
     the largest bound t + sqrt((n-1)/n) ||B_x - tI||_F (|t| + ... in abs mode),
     t = tr(B_x)/n, and every PROBE_STRIDE-th point, which spread over the net."""
     n = bx.shape[-1]
-    t = np.trace(bx, axis1=1, axis2=2).real / n
+    t = np.einsum("kjj->k", bx.real) / n
     fro2 = np.einsum("kjl,kjl->k", bx.real, bx.real) + np.einsum("kjl,kjl->k", bx.imag, bx.imag)
     bound = (np.abs(t) if mode == "abs" else t) + np.sqrt(
         (n - 1) / n * np.maximum(fro2 - n * t * t, 0.0)

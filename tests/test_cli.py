@@ -125,6 +125,21 @@ class TestWitnessCommand:
         emitted = json.loads(out_path.read_text())
         assert max(abs(x) for x in emitted["bloch_sup_normalized"]) == pytest.approx(1.0)
 
+    def test_stats_report_stop_reason(self, capsys, tmp_path, bell_path, maxmixed_path):
+        cache = str(tmp_path / "nets")
+        code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.3",
+                               "--net-cache", cache)
+        assert code == 1
+        assert report["stats"]["stop"] == "witness"
+        assert report["stats"]["lp_calls"] == 0
+        assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
+        code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3",
+                               "--net-cache", cache)
+        assert report["verdict"]["outcome"] == "SeparableAssured"
+        assert report["stats"]["stop"] in ("dikin_radius", "region_empty")
+        assert report["stats"]["newton_steps"] > report["iterations"]
+        assert 0 <= report["stats"]["lp_calls"] <= 2
+
     def test_too_coarse_net_is_infeasible(self, capsys, bell_path):
         code, report = run_cli(
             capsys, "witness", "--input", bell_path, "--delta", "0.05",

@@ -2,27 +2,55 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from sepscan import states
-from sepscan.core import DensityMatrix, partial_transpose
+from sepscan import states, witness
+from sepscan.core import (
+    DensityMatrix,
+    eig_hermitian,
+    hermitian_basis,
+    partial_transpose,
+    to_bloch,
+)
 from sepscan.nets import NetTooCoarseError, build_net
-from sepscan.onesided import ENTANGLED, SEPARABLE, ppt_test
+from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN, ppt_test
 from sepscan.witness import (
     RegionEmptyError,
+    _feasible_start,
     analytic_center,
     cut,
     initial_region,
     iteration_cap,
-    ppt_witness_bloch,
     revalidate,
     wsep_solve,
 )
 from sepscan.wopt import wopt_max
 
 
+def ppt_witness_bloch(rho):
+    """Unit Bloch vector of the witness built from a negative PT eigenvector.
+
+    Returns None when the state is PPT.  Used to check that the search
+    region keeps at least one true witness for NPT states.
+    """
+    pt = partial_transpose(rho.mat, rho.m, rho.n, "B")
+    dec = eig_hermitian(pt)
+    if dec.values[-1] >= 0:
+        return None
+    vec = dec.vectors[:, -1]
+    w = -partial_transpose(np.outer(vec, vec.conj()), rho.m, rho.n, "B")
+    coords = to_bloch(w, hermitian_basis(rho.m, rho.n))
+    return coords / np.linalg.norm(coords)
+
+
 @pytest.fixture(scope="module")
 def net_0005():
     return build_net(2, 0.005)
+
+
+@pytest.fixture(scope="module")
+def net_005():
+    return build_net(2, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +60,13 @@ def net_001():
 
 class TestAnalyticCenter:
     def test_plain_ball_centers_at_origin(self):
-        x, radius = analytic_center(np.empty((0, 3)), np.empty(0), np.zeros(3))
+        x, radius = analytic_center(np.empty((0, 3)), np.zeros(3))
         np.testing.assert_allclose(x, 0.0, atol=1e-10)
         assert radius == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
     def test_single_halfspace(self):
         normals = np.array([[1.0, 0.0, 0.0]])
-        x, _ = analytic_center(normals, np.zeros(1), np.array([0.5, 0.0, 0.0]))
+        x, _ = analytic_center(normals, np.array([0.5, 0.0, 0.0]))
         assert x[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-7)
         np.testing.assert_allclose(x[1:], 0.0, atol=1e-8)
 
@@ -49,26 +77,119 @@ class TestAnalyticCenter:
         for trial in range(5):
             normals = rng.standard_normal((4, 3))
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-            offsets = np.zeros(4)
             try:
-                from sepscan.witness import _feasible_start
-
-                x0 = _feasible_start(normals, offsets)
+                x0 = _feasible_start(normals)
             except RegionEmptyError:
                 continue
-            x, _ = analytic_center(normals, offsets, x0)
+            x, _ = analytic_center(normals, x0)
             ax = np.linspace(-0.99, 0.99, 41)
             grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
             grid = grid[np.linalg.norm(grid, axis=1) < 0.999]
             slacks = np.minimum(
-                (grid @ normals.T - offsets).min(axis=1),
+                (grid @ normals.T).min(axis=1),
                 1.0 - np.linalg.norm(grid, axis=1),
             )
             best = float(slacks.max())
             mine = min(
-                float((normals @ x - offsets).min()), 1.0 - float(np.linalg.norm(x))
+                float((normals @ x).min()), 1.0 - float(np.linalg.norm(x))
             )
             assert mine >= best / 5.0
+
+
+REAL_LINPROG = scipy.optimize.linprog
+
+
+def lp_slack(normals):
+    """max t subject to N d >= t, |d_j| <= 1, from HiGHS (the independent oracle)."""
+    k, dim = normals.shape
+    res = REAL_LINPROG(
+        -np.eye(dim + 1)[-1],
+        A_ub=np.hstack([-normals, np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        bounds=[(-1.0, 1.0)] * dim + [(None, None)],
+        method="highs",
+    )
+    assert res.success
+    return float(res.x[-1])
+
+
+@pytest.fixture()
+def linprog_calls(monkeypatch):
+    """Counts the LP solves the search makes; they still run HiGHS."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return REAL_LINPROG(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+def random_cones(count, seed):
+    """Unit normal sets, dim 3..35 with 1..60 normals: plain random ones, ones
+    holding a pair +-n (empty), +-n pairs tilted by 1e-4..1e-12 toward a
+    common direction (nearly degenerate), and narrow cones around an axis."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        kind = trial % 4
+        dim = int(rng.integers(3, 36))
+        k = int(rng.integers(2 if kind in (1, 2) else 1, 61))
+        normals = rng.standard_normal((k, dim))
+        if kind == 1:
+            normals[-1] = -normals[0]
+        elif kind == 2:
+            v = normals[0] / np.linalg.norm(normals[0])
+            w = rng.standard_normal(dim)
+            w -= (w @ v) * v
+            tilt = 10.0 ** -float(rng.integers(4, 13))
+            normals[0], normals[-1] = v + tilt * w, -v + tilt * w
+            normals[1:-1] = w + rng.standard_normal((k - 2, dim)) * 0.5 / np.sqrt(dim)
+        elif kind == 3:
+            normals = np.eye(dim)[0] + rng.standard_normal((k, dim)) * 0.3 / np.sqrt(dim)
+        yield normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+class TestFeasibleStart:
+    def test_least_distance_point_is_interior(self, linprog_calls):
+        accepted = empty = 0
+        for normals in random_cones(400, 3):
+            linprog_calls.clear()
+            try:
+                x = _feasible_start(normals)
+            except RegionEmptyError:
+                # emptiness is declared by the LP alone, and HiGHS agrees
+                assert linprog_calls
+                assert lp_slack(normals) <= 1e-9
+                empty += 1
+                continue
+            assert np.linalg.norm(x) == pytest.approx(0.5)
+            assert np.min(normals @ x) > 0.0
+            if not linprog_calls:
+                accepted += 1
+                assert np.min(normals @ x) > 0.5e-9
+                assert lp_slack(normals) > 1e-9
+        assert accepted >= 100 and empty >= 100
+
+    def test_pair_of_opposite_normals_is_empty(self, linprog_calls):
+        n = np.array([[0.6, 0.8, 0.0]])
+        with pytest.raises(RegionEmptyError):
+            _feasible_start(np.vstack([n, -n]))
+        assert len(linprog_calls) == 1
+
+    def test_nnls_failure_falls_back_to_lp(self, linprog_calls, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", failing)
+        normals = np.eye(3)[:2]
+        x = _feasible_start(normals)
+        assert len(linprog_calls) == 1
+        assert np.min(normals @ x) > 0.0 and np.linalg.norm(x) < 1.0
+
+    def test_no_normals_gives_origin(self, linprog_calls):
+        np.testing.assert_array_equal(_feasible_start(np.empty((0, 4))), np.zeros(4))
+        assert not linprog_calls
 
 
 class TestInitialRegion:
@@ -115,8 +236,7 @@ class TestCut:
         region = initial_region(rho)
         res = self._mock_maximizer(rho, net_001, region)
         new = cut(region, region.center, res.maximizer)
-        # all offsets are zero: origin satisfies every cut with equality
-        assert np.max(np.abs(new.offsets)) < 1e-9
+        # every cut passes through the origin: it satisfies each with equality
         assert np.all(new.slacks(np.zeros_like(new.center)) >= -1e-12)
 
     def test_radius_proxy_nonincreasing(self, net_001):
@@ -149,6 +269,43 @@ class TestWsepSolve:
     def test_werner_02_separable(self, net_0005):
         res = wsep_solve(states.werner(0.2), 0.05, net_0005)
         assert res.verdict.outcome == SEPARABLE
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_nonpositive_max_iters_rejected(self, net_005, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            wsep_solve(states.bell(), 0.5, net_005, max_iters=max_iters)
+
+    def test_budget_below_cap_is_unknown(self, net_0005):
+        # werner(0.2) needs 15 cuts at delta 0.05; 3 prove nothing
+        res = wsep_solve(states.werner(0.2), 0.05, net_0005, max_iters=3)
+        assert (res.verdict.outcome, res.verdict.reason) == (UNKNOWN, "witness_budget")
+        assert res.stop == "budget" and res.iterations == 3 and res.witness is None
+
+    def test_theoretical_cap_asserts_closeness(self, net_0005, monkeypatch):
+        monkeypatch.setattr(witness, "iteration_cap", lambda dim, delta: 3)
+        res = wsep_solve(states.werner(0.2), 0.05, net_0005)
+        assert (res.verdict.outcome, res.verdict.reason) == (SEPARABLE, "witness_search")
+        assert res.stop == "cap" and res.iterations == 3
+        res = wsep_solve(states.werner(0.2), 0.05, net_0005, max_iters=5)
+        assert res.stop == "cap" and res.verdict.outcome == SEPARABLE
+
+    def test_stats_of_a_detection(self, net_0005):
+        res = wsep_solve(states.werner(0.9), 0.05, net_0005)
+        assert res.stop == "witness" and res.lp_calls == 0 and res.newton_steps > 0
+        assert res.oracle_evaluated == res.iterations * net_0005.size  # n = 2: closed form
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_2x3_search_uses_at_most_two_lps(self, linprog_calls, seed):
+        delta = 0.1
+        net = build_net(2, delta / 10.0, method="band")
+        res = wsep_solve(states.product_mixture(2, 3, 24, seed), delta, net)
+        assert res.verdict.outcome == SEPARABLE
+        assert res.stop in ("dikin_radius", "region_empty")
+        assert res.lp_calls == len(linprog_calls) <= 2
+        if res.stop == "region_empty":
+            assert res.lp_calls >= 1
+        assert res.iterations < res.newton_steps
+        assert 0 < res.oracle_evaluated < res.iterations * net.size  # pruned scans
 
     def test_net_too_coarse_rejected(self, net_001):
         with pytest.raises(NetTooCoarseError):

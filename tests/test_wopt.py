@@ -7,6 +7,7 @@ from sepscan.nets import build_net
 from sepscan.wopt import (
     ProductState,
     _certified_below,
+    _probe,
     conditioned_operator,
     quadratic_form,
     seesaw_max,
@@ -210,6 +211,30 @@ def _hermitian_with_spectrum(rng, spectra):
     k, n = spectra.shape
     q, _ = np.linalg.qr(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
     return np.einsum("kij,kj,klj->kil", q, spectra, q.conj())
+
+
+class TestProbe:
+    @staticmethod
+    def reference(bx, mode):
+        """_probe with t from np.trace."""
+        n = bx.shape[-1]
+        t = np.trace(bx, axis1=1, axis2=2).real / n
+        fro2 = np.einsum("kjl,kjl->k", bx.real, bx.real)
+        fro2 = fro2 + np.einsum("kjl,kjl->k", bx.imag, bx.imag)
+        lead = np.abs(t) if mode == "abs" else t
+        bound = lead + np.sqrt((n - 1) / n * np.maximum(fro2 - n * t * t, 0.0))
+        top = np.argpartition(bound, -wopt.PROBE_POINTS)[-wopt.PROBE_POINTS:]
+        return t, np.union1d(top, np.arange(0, bound.size, wopt.PROBE_STRIDE))
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_matches_trace_reference(self, m, n, mode):
+        a = states.random_hermitian_unit(m * n, 7)
+        x = build_net(m, 0.4).points
+        bx = wopt._conditioned_batch(wopt._regrouped(a, m, n), x, n)
+        t_ref, probe_ref = self.reference(bx, mode)
+        np.testing.assert_allclose(np.einsum("kjj->k", bx.real), n * t_ref, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(_probe(bx, mode), probe_ref)
 
 
 class TestCholeskyCertificate:
