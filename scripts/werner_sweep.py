@@ -1,6 +1,6 @@
 """Sweep the Werner family through all three deciders and print a table.
 
-Usage: python scripts/werner_sweep.py [--delta 0.05] [--net-cache DIR]
+Usage: python scripts/werner_sweep.py [--delta 0.05]
 """
 
 import argparse
@@ -17,10 +17,9 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--delta", type=float, default=0.05)
     parser.add_argument("--symext-delta", type=float, default=1.0)
-    parser.add_argument("--net-cache", default=None)
     args = parser.parse_args()
 
-    net = build_net(2, args.delta / 10.0, cache_dir=args.net_cache)
+    net = build_net(2, args.delta / 10.0)
     print(f"net: {net.size} points ({net.method}), witness delta {args.delta}")
     print(f"{'w':>5} {'pipeline':>12} {'witness':>18} {'extension scan':>22}")
     for w in [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.4, 0.5, 0.7, 0.9, 1.0]:

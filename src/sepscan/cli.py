@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -69,10 +68,6 @@ def _emit(report: dict, started: float) -> None:
     sys.stdout.write("\n")
 
 
-def _net_cache(args) -> str | None:
-    return args.net_cache or os.environ.get("SEPSCAN_NET_CACHE") or None
-
-
 def _load_state(path: str) -> DensityMatrix:
     return density_from_json(load_json(path))
 
@@ -91,7 +86,7 @@ def cmd_test(args, started: float) -> int:
 def cmd_witness(args, started: float) -> int:
     rho = _load_state(args.input)
     net_delta = args.net_delta if args.net_delta is not None else args.delta / 10.0
-    net = build_net(rho.m, net_delta, cache_dir=_net_cache(args))
+    net = build_net(rho.m, net_delta)
     result = wsep_solve(rho, args.delta, net)
     report = {
         "config": RunConfig(
@@ -133,7 +128,7 @@ def cmd_symext(args, started: float) -> int:
     confirm = None
     if args.strict:
         def confirm(state):
-            net = build_net(state.m, args.delta / 10.0, cache_dir=_net_cache(args))
+            net = build_net(state.m, args.delta / 10.0)
             return wsep_solve(state, args.delta, net).verdict.outcome == ENTANGLED
 
     verdict = separability_scan(
@@ -174,7 +169,7 @@ def cmd_wopt(args, started: float) -> int:
     hs = float(np.linalg.norm(mat))
     if hs < 1e-15:
         raise InputFormatError("zero operator")
-    net = build_net(m, args.delta, cache_dir=_net_cache(args))
+    net = build_net(m, args.delta)
     res = wopt_max(mat / hs, m, n, net, mode=args.mode)
     report = {
         "config": RunConfig(
@@ -249,7 +244,7 @@ def cmd_gadget(args, started: float) -> int:
 
 
 def cmd_net(args, started: float) -> int:
-    net = build_net(args.m, args.delta, cache_dir=_net_cache(args))
+    net = build_net(args.m, args.delta)
     coverage = verify_coverage(net, args.verify_samples, args.seed)
     report = {
         "config": RunConfig(
@@ -315,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--net-delta", type=float, default=None)
-    p.add_argument("--net-cache", default=None)
     p.add_argument("--witness-out", default=None)
     p.set_defaults(func=cmd_witness)
 
@@ -327,14 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=3000)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--net-cache", default=None)
     p.set_defaults(func=cmd_symext)
 
     p = sub.add_parser("wopt", help="weak optimization over the separable set")
     p.add_argument("--op", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--mode", choices=["signed", "abs"], default="signed")
-    p.add_argument("--net-cache", default=None)
     p.set_defaults(func=cmd_wopt)
 
     p = sub.add_parser("qsep-verify", help="exact certificate verification")
@@ -358,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("net", help="build and verify a sphere covering")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--net-cache", default=None)
     p.add_argument("--verify-samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_net)

@@ -340,7 +340,7 @@ def _wval_value(inst: WvalInstance, net: DeltaNet | None, seed: int, x: Array | 
     if x is None:
         _, x = rsdf_value(blocks, seed=seed)
     alpha, beta = product_state_from_block_vector(blocks, x)
-    res = seesaw_max(b / hs, inst.m, inst.n, seed=seed, init=[(alpha, beta)])
+    res = seesaw_max(b / hs, inst.m, inst.n, init=[(alpha, beta)])
     return res.value * hs
 
 

@@ -6,47 +6,39 @@ takes every level down to the first one at or below delta, so nets for
 smaller delta are strict supersets of nets for larger delta; scan maxima
 are then monotone under refinement by construction.
 
-Two constructions:
+One construction per dimension:
 
-* "grid": cubic grid of spacing delta/sqrt(2m) on [-1,1]^(2m); cells
-  meeting the sphere contribute their projected centers.  Covering is in
-  the Euclidean metric of C^m ~ R^(2m).
-* "band" (m = 2 only): latitude/longitude covering of the state space
-  modulo global phase, mapped through (theta, phi) ->
+* m = 2, "band": latitude/longitude covering of the state space modulo
+  global phase, mapped through (theta, phi) ->
   (cos(theta/2), e^(i phi) sin(theta/2)).  Covering is in the
-  phase-quotient chordal metric min_phi ||x - e^(i phi) y||, which bounds
-  the trace distance of the corresponding projectors by the same 2*delta
-  as the Euclidean metric does, at ~ (1/delta)^2 points instead of
-  (1/delta)^3.
+  phase-quotient chordal metric min_phi ||x - e^(i phi) y||.  The oracle
+  only sees the projector xx^dagger, and this metric bounds the trace
+  distance of projectors by the same 2*delta as the Euclidean metric
+  does, at ~ (1/delta)^2 points instead of the grid's (1/delta)^3.
+* m >= 3, "grid": cubic grid of spacing delta/sqrt(2m) on [-1,1]^(2m);
+  cells meeting the sphere contribute their projected centers.  Covering
+  is in the Euclidean metric of C^m ~ R^(2m).
 
-Empirically measured size constant: |net| <= C_SIZE(m) * (1 + 2/delta)^(2m)
-for both methods at m <= 4 with C_SIZE(m) = 12 * 4^(m-2); the grid
-construction is the binding case and the growth in m tracks the
-sqrt(2m)^(2m-1) cell-diagonal factor.
+`method="grid"` also builds the grid at m = 2.  A net whose size
+estimate passes MAX_POINTS is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Array
 
-NET_VERSION = "1"
-DEFAULT_MAX_POINTS = 6_000_000
-
-
-def size_constant(m: int) -> float:
-    """Measured constant in |net| <= size_constant(m) * (1 + 2/delta)^(2m)."""
-    return 12.0 * 4.0 ** (m - 2)
+MAX_POINTS = 6_000_000
 
 
 class NetTooLargeError(ValueError):
-    """Requested net exceeds the configured point budget."""
+    """Requested net would exceed MAX_POINTS."""
 
 
 class NetTooCoarseError(ValueError):
@@ -60,7 +52,6 @@ class DeltaNet:
     points: Array  # (K, m) complex, unit rows
     projective: bool = False
     method: str = "grid"
-    version: str = NET_VERSION
 
     @property
     def size(self) -> int:
@@ -103,14 +94,20 @@ def _grid_level_points(m: int, level_delta: float) -> Array:
         np.meshgrid(*([axis] * (dim - 2)), indexing="ij"), axis=-1
     ).reshape(-1, dim - 2)
     rest_sq = np.sum(rest**2, axis=1)
+    order = np.argsort(rest_sq, kind="stable")
+    sorted_sq = rest_sq[order]
+    lo_sq, hi_sq = max(1.0 - half_diag, 0.0) ** 2, (1.0 + half_diag) ** 2
     for a0 in axis:
         for a1 in axis:
-            norms_sq = rest_sq + a0 * a0 + a1 * a1
-            norms = np.sqrt(norms_sq)
+            # candidates by squared norm, widened so the exact filter below decides
+            s = a0 * a0 + a1 * a1
+            lo, hi = np.searchsorted(sorted_sq, [lo_sq - s - 1e-9, hi_sq - s + 1e-9])
+            idx = np.sort(order[lo:hi])
+            norms = np.sqrt(rest_sq[idx] + a0 * a0 + a1 * a1)
             keep = np.abs(norms - 1.0) <= half_diag
             if not np.any(keep):
                 continue
-            sel = rest[keep]
+            sel = rest[idx[keep]]
             block = np.empty((sel.shape[0], dim))
             block[:, 0] = a0
             block[:, 1] = a1
@@ -162,100 +159,39 @@ def _estimate_band_size(delta: float) -> float:
     return total
 
 
-def _apply_phase_slices(points: Array, slices: int) -> Array:
-    """Keep points whose first coordinate of largest modulus has phase in [0, 2pi/K)."""
-    lead = points[np.arange(points.shape[0]), np.argmax(np.abs(points), axis=1)]
-    ang = np.mod(np.angle(lead), 2.0 * math.pi)
-    return points[ang < 2.0 * math.pi / slices]
+def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
+    """Deterministic covering of the unit sphere of C^m with radius <= delta.
 
-
-def _cache_path(cache_dir, m, delta, method, phase_slices) -> Path:
-    tag = f"net_m{m}_d{delta:.9g}_{method}_p{phase_slices or 0}_v{NET_VERSION}.npz"
-    return Path(cache_dir) / tag
-
-
-def build_net(
-    m: int,
-    delta: float,
-    *,
-    method: str = "auto",
-    cache_dir: str | Path | None = None,
-    max_points: int = DEFAULT_MAX_POINTS,
-    phase_slices: int | None = None,
-) -> DeltaNet:
-    """Deterministic covering of the unit sphere of C^m with radius <= delta."""
+    `method` defaults to "band" at m = 2 and "grid" otherwise.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
-
-    if method == "auto":
-        if m == 2 and _estimate_grid_size(m, delta) > max_points:
-            method = "band"
-        else:
-            method = "grid"
-
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, m, delta, method, phase_slices)
-        if path.exists():
-            data = np.load(path)
-            return DeltaNet(
-                m=int(data["m"]),
-                delta=float(data["delta"]),
-                points=data["points"],
-                projective=bool(data["projective"]),
-                method=str(data["method"]),
-                version=str(data["version"]),
-            )
-
-    if delta >= 2.0:
-        # the sphere has diameter 2: any single point covers it
-        single = np.zeros((1, m), dtype=complex)
-        single[0, 0] = 1.0
-        net = DeltaNet(m, delta, single, projective=False, method=method)
-    elif method == "grid":
-        if _estimate_grid_size(m, delta) > max_points:
-            raise NetTooLargeError(
-                f"grid net for m={m}, delta={delta} exceeds {max_points} points; "
-                "use method='band' (m=2) or a larger delta"
-            )
-        pts = np.concatenate(
-            [_grid_level_points(m, d) for d in _ladder_levels(delta)], axis=0
-        )
-        projective = False
-        if phase_slices:
-            pts = _apply_phase_slices(pts, phase_slices)
-            projective = True
-        net = DeltaNet(m, delta, pts, projective=projective, method="grid")
-    elif method == "band":
+    if method is None:
+        method = "band" if m == 2 else "grid"
+    if method == "band":
         if m != 2:
             raise ValueError("band construction is only defined for m = 2")
-        if _estimate_band_size(delta) > max_points:
-            raise NetTooLargeError(f"band net for delta={delta} exceeds {max_points} points")
-        pts = np.concatenate(
-            [_band_level_points(d) for d in _ladder_levels(delta)], axis=0
-        )
-        net = DeltaNet(m, delta, pts, projective=True, method="band")
+        estimate, level_points = _estimate_band_size(delta), _band_level_points
+    elif method == "grid":
+        estimate, level_points = _estimate_grid_size(m, delta), partial(_grid_level_points, m)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    net.points.setflags(write=False)
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            _cache_path(cache_dir, m, delta, method, phase_slices),
-            m=m,
-            delta=delta,
-            points=net.points,
-            projective=net.projective,
-            method=net.method,
-            version=NET_VERSION,
+    if delta >= 2.0:
+        # the sphere has diameter 2: any single point covers it
+        pts = np.zeros((1, m), dtype=complex)
+        pts[0, 0] = 1.0
+    elif estimate > MAX_POINTS:
+        raise NetTooLargeError(
+            f"{method} net for m={m}, delta={delta} exceeds {MAX_POINTS} points; "
+            "use a larger delta"
         )
-    return net
-
-
-def size_bound(m: int, delta: float) -> float:
-    return size_constant(m) * (1.0 + 2.0 / delta) ** (2 * m)
+    else:
+        pts = np.concatenate([level_points(d) for d in _ladder_levels(delta)], axis=0)
+    pts.setflags(write=False)
+    return DeltaNet(m, delta, pts, projective=method == "band", method=method)
 
 
 def _real_embedding(points: Array) -> Array:
@@ -278,17 +214,11 @@ def gaps_to_net(net: DeltaNet, samples: Array) -> Array:
         tree = cKDTree(_real_embedding(net.points))
         d, _ = tree.query(_real_embedding(samples), k=1)
         return d
-    if net.m == 2:
-        tree = cKDTree(_bloch_embedding(net.points))
-        chord, _ = tree.query(_bloch_embedding(samples), k=1)
-        overlap = np.sqrt(np.clip(1.0 - chord**2 / 4.0, 0.0, 1.0))
-        return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
-    out = np.empty(samples.shape[0])
-    for i in range(0, samples.shape[0], 64):
-        block = samples[i : i + 64]
-        ov = np.abs(block.conj() @ net.points.T)
-        out[i : i + 64] = np.sqrt(np.clip(2.0 - 2.0 * ov.max(axis=1), 0.0, None))
-    return out
+    # projective nets are the m = 2 band nets: phase-quotient distance via Bloch chords
+    tree = cKDTree(_bloch_embedding(net.points))
+    chord, _ = tree.query(_bloch_embedding(samples), k=1)
+    overlap = np.sqrt(np.clip(1.0 - chord**2 / 4.0, 0.0, 1.0))
+    return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
 
 
 def haar_unit_vectors(m: int, count: int, seed: int) -> Array:

@@ -207,29 +207,20 @@ def seesaw_max(
     a: Array,
     m: int,
     n: int,
+    init: list[tuple[Array, Array]],
     *,
-    starts: int = 24,
     iters: int = 120,
-    seed: int = 0,
-    init: list[tuple[Array, Array]] | None = None,
 ) -> WoptResult:
-    """Alternating top-eigenvector ascent over product states.
+    """Alternating top-eigenvector ascent over product states from each start in `init`.
 
     Local refinement: each step conditions one side out and takes the top
-    eigenvector of the other, so the form is nondecreasing.  Multi-start
-    makes it a strong heuristic, but unlike the net scan it carries no
-    additive guarantee (guarantee field is inf).
+    eigenvector of the other, so the form is nondecreasing.  Unlike the
+    net scan it carries no additive guarantee (guarantee field is inf).
     """
     a = np.asarray(a, dtype=complex)
     a4 = a.reshape(m, n, m, n)
-    rng = np.random.default_rng(seed)
     best: tuple[float, Array, Array] | None = None
-    inits = list(init) if init else []
-    for _ in range(starts):
-        alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        inits.append((alpha / np.linalg.norm(alpha), beta / np.linalg.norm(beta)))
-    for alpha, beta in inits:
+    for alpha, beta in init:
         alpha = np.asarray(alpha, dtype=complex)
         beta = np.asarray(beta, dtype=complex)
         prev = -np.inf

@@ -49,11 +49,6 @@ def announce(capsys):
     return emit
 
 
-@pytest.fixture(scope="module")
-def net_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("netcache"))
-
-
 def test_acceptance_1_ppt_exactness(announce):
     started = time.time()
     flagged_separable = 0
@@ -83,11 +78,11 @@ def test_acceptance_1_ppt_exactness(announce):
     assert elapsed < 10.0
 
 
-def test_acceptance_2_witness_vs_ppt_oracle(announce, net_cache):
+def test_acceptance_2_witness_vs_ppt_oracle(announce):
     started = time.time()
     delta = 0.02
-    net = build_net(2, delta / 10.0, cache_dir=net_cache)
-    finer = build_net(2, delta / 20.0, cache_dir=net_cache)
+    net = build_net(2, delta / 10.0)
+    finer = build_net(2, delta / 20.0)
     mistakes, revalidations = [], []
     for w in (0.05, 0.15, 0.25, 0.45, 0.6, 0.8, 0.95):
         rho = states.werner(w)
@@ -111,10 +106,10 @@ def test_acceptance_2_witness_vs_ppt_oracle(announce, net_cache):
     assert elapsed < 600.0
 
 
-def test_acceptance_3_wopt_two_delta_guarantee(announce, net_cache):
+def test_acceptance_3_wopt_two_delta_guarantee(announce):
     started = time.time()
-    coarse_net = build_net(2, 0.4, cache_dir=net_cache)
-    fine_net = build_net(2, 0.1, cache_dir=net_cache)
+    coarse_net = build_net(2, 0.4)
+    fine_net = build_net(2, 0.1)
     worst_gap = 0.0
     worst_violation = -np.inf
     cases = 0

@@ -115,8 +115,6 @@ class TestWitnessCommand:
             str(rho_path),
             "--delta",
             "0.05",
-            "--net-cache",
-            str(tmp_path / "nets"),
             "--witness-out",
             str(out_path),
         )
@@ -125,20 +123,26 @@ class TestWitnessCommand:
         emitted = json.loads(out_path.read_text())
         assert max(abs(x) for x in emitted["bloch_sup_normalized"]) == pytest.approx(1.0)
 
-    def test_stats_report_stop_reason(self, capsys, tmp_path, bell_path, maxmixed_path):
-        cache = str(tmp_path / "nets")
-        code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.3",
-                               "--net-cache", cache)
+    def test_stats_report_stop_reason(self, capsys, bell_path, maxmixed_path):
+        code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.3")
         assert code == 1
         assert report["stats"]["stop"] == "witness"
         assert report["stats"]["lp_calls"] == 0
         assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
-        code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3",
-                               "--net-cache", cache)
+        code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3")
         assert report["verdict"]["outcome"] == "SeparableAssured"
         assert report["stats"]["stop"] in ("dikin_radius", "region_empty")
         assert report["stats"]["newton_steps"] > report["iterations"]
         assert 0 <= report["stats"]["lp_calls"] <= 2
+
+    def test_default_m2_net_is_band(self, capsys, tmp_path):
+        path = tmp_path / "werner02.json"
+        dump_json(density_to_json(states.werner(0.2)), path)
+        code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", "0.5")
+        assert code == 0
+        assert report["verdict"]["outcome"] == "SeparableAssured"
+        assert report["config"]["net_method"] == "band"
+        assert report["config"]["net_size"] == 2120
 
     def test_too_coarse_net_is_infeasible(self, capsys, bell_path):
         code, report = run_cli(
@@ -191,7 +195,8 @@ class TestWoptCommand:
         a = states.random_hermitian_unit(6, 0)
         path = tmp_path / "a23.json"
         dump_json({"m": 2, "n": 3, "matrix": matrix_to_json(a)}, path)
-        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.4")
+        # the band net at 0.02 has 15,630 points, more than the 11,552 of the grid at 0.4
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.02")
         assert code == 0
         assert 0 < report["stats"]["evaluated"] < report["stats"]["scanned"]
 
@@ -253,10 +258,10 @@ class TestGadgetCommand:
 
 
 class TestNetCommand:
-    def test_build_and_verify(self, capsys, tmp_path):
+    def test_build_and_verify(self, capsys):
         code, report = run_cli(
             capsys, "net", "--m", "2", "--delta", "0.4",
-            "--net-cache", str(tmp_path), "--verify-samples", "2000",
+            "--verify-samples", "2000",
         )
         assert code == 0
         assert report["passed"] is True

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,37 @@ from sepscan.nets import (
     build_net,
     gaps_to_net,
     haar_unit_vectors,
-    size_bound,
     verify_coverage,
 )
+
+
+def size_constant(m: int) -> float:
+    """Measured constant C_SIZE(m) in |net| <= C_SIZE(m) * (1 + 2/delta)^(2m).
+
+    Holds for both constructions at m <= 4 with C_SIZE(m) = 12 * 4^(m-2); the
+    grid is the binding case, and the growth in m tracks the sqrt(2m)^(2m-1)
+    cell-diagonal factor.
+    """
+    return 12.0 * 4.0 ** (m - 2)
+
+
+def size_bound(m: int, delta: float) -> float:
+    return size_constant(m) * (1.0 + 2.0 / delta) ** (2 * m)
+
+
+def brute_force_grid_level(m: int, level_delta: float):
+    """Every cell center of the full grid within half a cell diagonal of the sphere."""
+    dim = 2 * m
+    h = level_delta / math.sqrt(dim)
+    half_diag = 0.5 * h * math.sqrt(dim)
+    k = int(math.ceil((1.0 + half_diag) / h))
+    axis = (np.arange(-k, k) + 0.5) * h
+    full = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    # the build's summation order: level 1.0 at m = 3 has cells exactly on the boundary
+    norms = np.sqrt(np.sum(full[:, 2:] ** 2, axis=1) + full[:, 0] ** 2 + full[:, 1] ** 2)
+    keep = np.abs(norms - 1.0) <= half_diag
+    real = full[keep] / norms[keep][:, None]
+    return real[:, :m] + 1j * real[:, m:]
 
 
 class TestBuild:
@@ -53,12 +83,27 @@ class TestBuild:
         np.testing.assert_array_equal(fine.points[: coarse.size], coarse.points)
 
     def test_grid_too_large_raises(self):
+        # refused by the size estimate, before any grid level is allocated
         with pytest.raises(NetTooLargeError):
-            build_net(2, 0.01, method="grid", max_points=100_000)
+            build_net(3, 0.1)
 
-    def test_auto_switches_to_band_for_fine_m2(self):
-        net = build_net(2, 0.02, max_points=200_000)
-        assert net.method == "band" and net.projective
+    @pytest.mark.parametrize(
+        "m,delta,method", [(2, 0.4, "band"), (2, 0.02, "band"), (2, 2.0, "band"),
+                           (3, 0.8, "grid"), (3, 2.0, "grid")]
+    )
+    def test_default_method_by_dimension(self, m, delta, method):
+        net = build_net(m, delta)
+        assert net.method == method and net.projective == (method == "band")
+
+    def test_one_point_net_projective_agrees_with_method(self):
+        assert build_net(2, 2.0, method="band").projective
+        assert not build_net(2, 2.0, method="grid").projective
+
+    @pytest.mark.parametrize("m,level", [(2, 2.0 * 2.0 ** -1.5), (3, 1.0)])
+    def test_grid_level_matches_brute_force(self, m, level):
+        got = nets._grid_level_points(m, level)
+        want = brute_force_grid_level(m, level)
+        np.testing.assert_array_equal(got, want)
 
     def test_band_only_m2(self):
         with pytest.raises(ValueError):
@@ -71,18 +116,6 @@ class TestBuild:
         c = build_net(2, 0.3, method="band")
         d = build_net(2, 0.3, method="band")
         assert np.array_equal(c.points, d.points)
-
-    def test_cache_round_trip(self, tmp_path):
-        a = build_net(2, 0.4, method="grid", cache_dir=tmp_path)
-        b = build_net(2, 0.4, method="grid", cache_dir=tmp_path)
-        assert np.array_equal(a.points, b.points)
-        assert b.method == "grid" and b.m == 2 and b.delta == 0.4
-
-    def test_phase_slices_shrink_grid(self):
-        full = build_net(2, 0.5, method="grid")
-        sliced = build_net(2, 0.5, method="grid", phase_slices=8)
-        assert sliced.projective
-        assert sliced.size < full.size
 
 
 class TestCoverage:

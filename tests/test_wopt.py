@@ -149,7 +149,9 @@ def exhaustive_max(a, m, n, net, mode):
 
 @pytest.fixture(scope="module")
 def pruning_nets():
-    return {(2, 0.4): build_net(2, 0.4), (2, 0.2): build_net(2, 0.2), (3, 0.8): build_net(3, 0.8)}
+    # grid nets at m = 2: the band nets are too small to leave chunks to prune
+    return {(2, 0.4): build_net(2, 0.4, method="grid"), (2, 0.2): build_net(2, 0.2, method="grid"),
+            (3, 0.8): build_net(3, 0.8)}
 
 
 class TestScanPruning:
@@ -230,7 +232,7 @@ class TestProbe:
     @pytest.mark.parametrize("mode", ["signed", "abs"])
     def test_matches_trace_reference(self, m, n, mode):
         a = states.random_hermitian_unit(m * n, 7)
-        x = build_net(m, 0.4).points
+        x = build_net(m, 0.4, method="grid").points
         bx = wopt._conditioned_batch(wopt._regrouped(a, m, n), x, n)
         t_ref, probe_ref = self.reference(bx, mode)
         np.testing.assert_allclose(np.einsum("kjj->k", bx.real), n * t_ref, rtol=0, atol=1e-14)
@@ -268,12 +270,22 @@ class TestCholeskyCertificate:
         assert _certified_below(bx, 0.95, -1.0).all()
 
 
+def random_starts(m, n, count, seed):
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(count):
+        alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        starts.append((alpha / np.linalg.norm(alpha), beta / np.linalg.norm(beta)))
+    return starts
+
+
 class TestSeesaw:
     def test_matches_net_scan(self, net_01):
         for seed in range(5):
             a = states.random_hermitian_unit(4, seed + 100)
             net_val = wopt_max(a, 2, 2, net_01).value
-            see_val = seesaw_max(a, 2, 2, seed=seed).value
+            see_val = seesaw_max(a, 2, 2, init=random_starts(2, 2, 24, seed)).value
             assert see_val >= net_val - 1e-9  # ascent from many starts dominates the net
             assert see_val <= net_val + 2 * 0.1
 
@@ -282,7 +294,7 @@ class TestSeesaw:
         alpha = np.array([1.0, 0.0], dtype=complex)
         beta = np.array([1.0, 0.0, 0.0], dtype=complex)
         start_val = quadratic_form(a, 2, 3, alpha, beta)
-        res = seesaw_max(a, 2, 3, starts=0, init=[(alpha, beta)])
+        res = seesaw_max(a, 2, 3, init=[(alpha, beta)])
         assert res.value >= start_val - 1e-12
 
 
