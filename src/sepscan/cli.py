@@ -105,6 +105,7 @@ def cmd_witness(args, started: float) -> int:
             "stop": result.stop,
             "newton_steps": result.newton_steps,
             "lp_calls": result.lp_calls,
+            "unconverged_centerings": result.unconverged_centerings,
             "oracle_evaluated": result.oracle_evaluated,
         },
     }
@@ -258,7 +259,6 @@ def cmd_net(args, started: float) -> int:
         ).to_json(),
         "size": net.size,
         "method": net.method,
-        "projective": net.projective,
         "max_gap": coverage.max_gap,
         "passed": coverage.passed,
     }
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gadget)
 
-    p = sub.add_parser("net", help="build and verify a sphere covering")
+    p = sub.add_parser("net", help="build and verify a covering of the rays of C^m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--verify-samples", type=int, default=10_000)

@@ -1,4 +1,4 @@
-"""Deterministic coverings of the complex unit sphere of C^m.
+"""Deterministic coverings of the rays of C^m (unit vectors modulo phase).
 
 A net is built as a union of refinement levels drawn from the fixed
 ladder delta_l = 2 * 2^(-l/2).  A request for covering radius delta
@@ -6,25 +6,25 @@ takes every level down to the first one at or below delta, so nets for
 smaller delta are strict supersets of nets for larger delta; scan maxima
 are then monotone under refinement by construction.
 
-One construction per dimension:
+Every net covers in the phase-quotient metric min_phi ||x - e^(i phi) y||,
+which bounds the trace distance of the projectors the oracle sees by the
+same 2*delta as the Euclidean metric does.  One construction per dimension:
 
-* m = 2, "band": latitude/longitude covering of the state space modulo
-  global phase, mapped through (theta, phi) ->
-  (cos(theta/2), e^(i phi) sin(theta/2)).  Covering is in the
-  phase-quotient chordal metric min_phi ||x - e^(i phi) y||.  The oracle
-  only sees the projector xx^dagger, and this metric bounds the trace
-  distance of projectors by the same 2*delta as the Euclidean metric
-  does, at ~ (1/delta)^2 points instead of the grid's (1/delta)^3.
-* m >= 3, "grid": cubic grid of spacing delta/sqrt(2m) on [-1,1]^(2m);
-  cells meeting the sphere contribute their projected centers.  Covering
-  is in the Euclidean metric of C^m ~ R^(2m).
+* m = 2, "band": latitude/longitude covering of the Bloch sphere through
+  (theta, phi) -> (cos(theta/2), e^(i phi) sin(theta/2)); ~ (1/delta)^2 points.
+* m >= 3, "grid": every ray has a representative with x_0 real and >= 0, so
+  a cubic grid of spacing delta/sqrt(2m-1) on (Re x, Im x_1..x_(m-1)) keeps
+  first-axis centers h/2, 3h/2, ...; centers within half a cell diagonal of
+  the sphere are projected onto it; ~ (1/delta)^(2m-2) points.
+* m = 1: CP^0 is one point, [1].
 
-`method="grid"` also builds the grid at m = 2.  A net whose size
-estimate passes MAX_POINTS is refused before anything is allocated.
+`method="grid"` also builds the grid at m = 2.  A net whose size bound
+passes MAX_POINTS is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -50,7 +50,6 @@ class DeltaNet:
     m: int
     delta: float
     points: Array  # (K, m) complex, unit rows
-    projective: bool = False
     method: str = "grid"
 
     @property
@@ -83,47 +82,51 @@ def _ladder_levels(delta: float) -> list[float]:
 
 
 def _grid_level_points(m: int, level_delta: float) -> Array:
-    dim = 2 * m
+    dim = 2 * m - 1
     h = level_delta / math.sqrt(dim)
     half_diag = 0.5 * h * math.sqrt(dim)
     k = int(math.ceil((1.0 + half_diag) / h))
     axis = (np.arange(-k, k) + 0.5) * h
-    # enumerate the grid in chunks over the two leading axes
+    lead = min(dim - 2, 2)  # chunks over two leading axes (one at m = 2), Re x_0 > 0 only
     pts = []
     rest = np.stack(
-        np.meshgrid(*([axis] * (dim - 2)), indexing="ij"), axis=-1
-    ).reshape(-1, dim - 2)
+        np.meshgrid(*([axis] * (dim - lead)), indexing="ij"), axis=-1
+    ).reshape(-1, dim - lead)
     rest_sq = np.sum(rest**2, axis=1)
     order = np.argsort(rest_sq, kind="stable")
     sorted_sq = rest_sq[order]
     lo_sq, hi_sq = max(1.0 - half_diag, 0.0) ** 2, (1.0 + half_diag) ** 2
-    for a0 in axis:
-        for a1 in axis:
-            # candidates by squared norm, widened so the exact filter below decides
-            s = a0 * a0 + a1 * a1
-            lo, hi = np.searchsorted(sorted_sq, [lo_sq - s - 1e-9, hi_sq - s + 1e-9])
-            idx = np.sort(order[lo:hi])
-            norms = np.sqrt(rest_sq[idx] + a0 * a0 + a1 * a1)
-            keep = np.abs(norms - 1.0) <= half_diag
-            if not np.any(keep):
-                continue
-            sel = rest[idx[keep]]
-            block = np.empty((sel.shape[0], dim))
-            block[:, 0] = a0
-            block[:, 1] = a1
-            block[:, 2:] = sel
-            block /= norms[keep][:, None]
-            pts.append(block)
+    for head in itertools.product(axis[k:], *([axis] * (lead - 1))):
+        # candidates by squared norm, widened so the exact filter below decides
+        s = sum(a * a for a in head)
+        lo, hi = np.searchsorted(sorted_sq, [lo_sq - s - 1e-9, hi_sq - s + 1e-9])
+        idx = np.sort(order[lo:hi])
+        sq = rest_sq[idx]
+        for a in head:  # coordinate by coordinate, as the full grid's norm sums
+            sq = sq + a * a
+        norms = np.sqrt(sq)
+        keep = np.abs(norms - 1.0) <= half_diag
+        if not np.any(keep):
+            continue
+        sel = rest[idx[keep]]
+        block = np.empty((sel.shape[0], dim))
+        block[:, :lead] = head
+        block[:, lead:] = sel
+        block /= norms[keep][:, None]
+        pts.append(block)
     real = np.concatenate(pts, axis=0)
-    return real[:, :m] + 1j * real[:, m:]
+    return real[:, :m] + 1j * np.pad(real[:, m:], ((0, 0), (1, 0)))
 
 
 def _estimate_grid_size(m: int, delta: float) -> float:
+    """Upper bound on the grid net's size: every kept cell lies in
+    {a0 >= 0, 1 - d <= |y| <= 1 + d}, so they number at most its volume / h^dim."""
+    dim = 2 * m - 1
+    ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)  # volume of the unit ball
     total = 0.0
     for d in _ladder_levels(delta):
-        h = d / math.sqrt(2 * m)
-        area = 2.0 * math.pi ** m / math.factorial(m - 1)  # surface of S^{2m-1}
-        total += 2.0 * area / h ** (2 * m - 1)
+        h = d / math.sqrt(dim)
+        total += 0.5 * ball * ((1.0 + d) ** dim - max(1.0 - d, 0.0) ** dim) / h**dim
     return total
 
 
@@ -160,7 +163,7 @@ def _estimate_band_size(delta: float) -> float:
 
 
 def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
-    """Deterministic covering of the unit sphere of C^m with radius <= delta.
+    """Deterministic covering of the rays of C^m with phase-quotient radius <= delta.
 
     `method` defaults to "band" at m = 2 and "grid" otherwise.
     """
@@ -179,8 +182,8 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if delta >= 2.0:
-        # the sphere has diameter 2: any single point covers it
+    if delta >= 2.0 or m == 1:
+        # CP^0 is a single point, and the sphere has diameter 2: any single point covers it
         pts = np.zeros((1, m), dtype=complex)
         pts[0, 0] = 1.0
     elif estimate > MAX_POINTS:
@@ -191,33 +194,21 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
     else:
         pts = np.concatenate([level_points(d) for d in _ladder_levels(delta)], axis=0)
     pts.setflags(write=False)
-    return DeltaNet(m, delta, pts, projective=method == "band", method=method)
+    return DeltaNet(m, delta, pts, method=method)
 
 
-def _real_embedding(points: Array) -> Array:
-    return np.concatenate([points.real, points.imag], axis=1)
-
-
-def _bloch_embedding(points: Array) -> Array:
-    """m=2 states to unit Bloch vectors; monotone with the phase-quotient metric."""
-    a, b = points[:, 0], points[:, 1]
-    return np.stack(
-        [2.0 * (a.conjugate() * b).real, 2.0 * (a.conjugate() * b).imag,
-         (np.abs(a) ** 2 - np.abs(b) ** 2)],
-        axis=1,
-    )
+def _projector_embedding(points: Array) -> Array:
+    """Real coordinates E(x) of xx^dagger, with ||E(x) - E(y)||^2 = 2 - 2|<x, y>|^2."""
+    i, j = np.triu_indices(points.shape[1], 1)
+    off = math.sqrt(2.0) * points[:, i] * points[:, j].conjugate()
+    return np.concatenate([np.abs(points) ** 2, off.real, off.imag], axis=1)
 
 
 def gaps_to_net(net: DeltaNet, samples: Array) -> Array:
-    """Distance from each sample (rows, unit vectors in C^m) to the net."""
-    if not net.projective:
-        tree = cKDTree(_real_embedding(net.points))
-        d, _ = tree.query(_real_embedding(samples), k=1)
-        return d
-    # projective nets are the m = 2 band nets: phase-quotient distance via Bloch chords
-    tree = cKDTree(_bloch_embedding(net.points))
-    chord, _ = tree.query(_bloch_embedding(samples), k=1)
-    overlap = np.sqrt(np.clip(1.0 - chord**2 / 4.0, 0.0, 1.0))
+    """Phase-quotient distance from each sample (rows, unit vectors in C^m) to the net."""
+    tree = cKDTree(_projector_embedding(net.points))
+    frob, _ = tree.query(_projector_embedding(samples), k=1)
+    overlap = np.sqrt(np.clip(1.0 - frob**2 / 2.0, 0.0, 1.0))
     return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
 
 

@@ -40,7 +40,7 @@ from .nets import DeltaNet, NetTooCoarseError
 from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 from .wopt import ProductState, WoptResult, wopt_max
 
-NEWTON_GRAD_TOL = 1e-8
+NEWTON_DECREMENT_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
 
 
@@ -74,6 +74,7 @@ class SearchRegion:
 class SearchStats:  # work counters of one search, filled in as it runs
     newton_steps: int = 0  # accepted damped-Newton steps
     lp_calls: int = 0
+    unconverged_centerings: int = 0  # centerings left with decrement >= 1/2
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,7 @@ class WsepResult:
     stop: str  # witness, dikin_radius, region_empty, cap or budget
     newton_steps: int
     lp_calls: int
+    unconverged_centerings: int
     oracle_evaluated: int  # sum of WoptResult.evaluated
 
 
@@ -121,36 +123,31 @@ def _barrier_grad_hess(normals: Array, x: Array):
 
 
 def analytic_center(
-    normals: Array,
-    x0: Array,
-    *,
-    grad_tol: float = NEWTON_GRAD_TOL,
-    stats: SearchStats | None = None,
+    normals: Array, x0: Array, *, stats: SearchStats | None = None
 ) -> tuple[Array, float]:
     """Damped-Newton minimizer of the log barrier; returns (center, dikin radius).
 
-    The Dikin radius is 1/sqrt(lambda_min) of the barrier Hessian: the
-    largest semi-axis of the unit Dikin ellipsoid at the center.
+    Newton stops once the decrement lambda^2 = g . H^-1 g <= NEWTON_DECREMENT_TOL.
+    The Dikin radius 1/sqrt(lambda_min(H)) is divided by 1 - r, r = lambda/(1 - lambda):
+    self-concordance gives ||x - x*||_x <= r, so this bounds the radius at the
+    true center x*.  For lambda >= 1/2 there is no bound, and the radius is inf.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if _barrier_value(normals, x) == np.inf:
+    base = _barrier_value(normals, x)
+    if base == np.inf:
         raise RegionEmptyError("starting point is not strictly feasible")
     for _ in range(NEWTON_MAX_STEPS):
         g, h = _barrier_grad_hess(normals, x)
-        if np.linalg.norm(g) <= grad_tol:
+        dx = -np.linalg.solve(h, g)
+        slope = float(g @ dx)  # -lambda^2
+        if -slope <= NEWTON_DECREMENT_TOL:
             break
-        try:
-            dx = -np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            dx = -g
         t = 1.0
-        base = _barrier_value(normals, x)
-        slope = float(g @ dx)
         while t > 1e-14:
             cand = x + t * dx
             val = _barrier_value(normals, cand)
-            if val < base + 0.25 * t * slope or (slope >= 0 and val < base):
-                x = cand
+            if val < base + 0.25 * t * slope:
+                x, base = cand, val
                 if stats is not None:
                     stats.newton_steps += 1
                 break
@@ -160,12 +157,17 @@ def analytic_center(
     s, ball = _barrier_parts(normals, x)
     if ball <= 1e-30 or (s.size and np.min(s) <= 1e-30):
         raise RegionEmptyError("interior collapsed during centering")
-    _, h = _barrier_grad_hess(normals, x)
-    lam_min = float(np.linalg.eigvalsh(h)[0])
+    g, h = _barrier_grad_hess(normals, x)
+    w, v = np.linalg.eigh(h)
     # H >= (2/ball) I exactly, so anything smaller is roundoff from the
     # huge slack terms; flooring keeps the radius conservative
-    lam_min = max(lam_min, 2.0 / ball)
-    return x, 1.0 / math.sqrt(lam_min)
+    w = np.maximum(w, 2.0 / ball)
+    lam = math.sqrt(float(np.sum((v.T @ g) ** 2 / w)))
+    if lam >= 0.5:
+        if stats is not None:
+            stats.unconverged_centerings += 1
+        return x, math.inf
+    return x, 1.0 / math.sqrt(float(w[0])) / (1.0 - lam / (1.0 - lam))
 
 
 def initial_region(rho: DensityMatrix, stats: SearchStats | None = None) -> SearchRegion:
@@ -293,7 +295,8 @@ def wsep_solve(
     else:
         verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
     return WsepResult(
-        verdict, cert, iterations, region, stop, stats.newton_steps, stats.lp_calls, evaluated
+        verdict, cert, iterations, region, stop, stats.newton_steps, stats.lp_calls,
+        stats.unconverged_centerings, evaluated,
     )
 
 

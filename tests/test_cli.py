@@ -128,6 +128,7 @@ class TestWitnessCommand:
         assert code == 1
         assert report["stats"]["stop"] == "witness"
         assert report["stats"]["lp_calls"] == 0
+        assert report["stats"]["unconverged_centerings"] == 0
         assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
         code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3")
         assert report["verdict"]["outcome"] == "SeparableAssured"
@@ -265,6 +266,11 @@ class TestNetCommand:
         )
         assert code == 0
         assert report["passed"] is True
+
+    def test_m1_is_one_point(self, capsys):
+        code, report = run_cli(capsys, "net", "--m", "1", "--delta", "0.5")
+        assert code == 0
+        assert report["size"] == 1 and report["max_gap"] == 0.0
 
 
 class TestStateCommand:

@@ -19,8 +19,7 @@ def size_constant(m: int) -> float:
     """Measured constant C_SIZE(m) in |net| <= C_SIZE(m) * (1 + 2/delta)^(2m).
 
     Holds for both constructions at m <= 4 with C_SIZE(m) = 12 * 4^(m-2); the
-    grid is the binding case, and the growth in m tracks the sqrt(2m)^(2m-1)
-    cell-diagonal factor.
+    phase-fixed grid needs ~ (1/delta)^(2m-2) points, so the bound has room.
     """
     return 12.0 * 4.0 ** (m - 2)
 
@@ -30,18 +29,39 @@ def size_bound(m: int, delta: float) -> float:
 
 
 def brute_force_grid_level(m: int, level_delta: float):
-    """Every cell center of the full grid within half a cell diagonal of the sphere."""
-    dim = 2 * m
+    """Every cell center of the full R^(2m-1) grid with a0 > 0 within half a
+    cell diagonal of the sphere, projected; coordinates (Re x, Im x_1..x_(m-1))."""
+    dim = 2 * m - 1
     h = level_delta / math.sqrt(dim)
     half_diag = 0.5 * h * math.sqrt(dim)
     k = int(math.ceil((1.0 + half_diag) / h))
     axis = (np.arange(-k, k) + 0.5) * h
     full = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    full = full[full[:, 0] > 0]
     # the build's summation order: level 1.0 at m = 3 has cells exactly on the boundary
-    norms = np.sqrt(np.sum(full[:, 2:] ** 2, axis=1) + full[:, 0] ** 2 + full[:, 1] ** 2)
+    lead = min(dim - 2, 2)
+    sq = np.sum(full[:, lead:] ** 2, axis=1)
+    for i in range(lead):
+        sq = sq + full[:, i] ** 2
+    norms = np.sqrt(sq)
     keep = np.abs(norms - 1.0) <= half_diag
     real = full[keep] / norms[keep][:, None]
-    return real[:, :m] + 1j * real[:, m:]
+    return real[:, :m] + 1j * np.hstack([np.zeros((real.shape[0], 1)), real[:, m:]])
+
+
+def dense_gaps(net, samples, chunk=1024):
+    """Phase-quotient distance sqrt(2 - 2 max_j |<s, x_j>|) by dense products.
+
+    Re and Im of <s, x> come from one real product each on (Re s, Im s).
+    """
+    s2 = np.hstack([samples.real, samples.imag])
+    best = np.zeros(samples.shape[0])
+    for start in range(0, net.size, chunk):
+        x = net.points[start : start + chunk]
+        re = s2 @ np.vstack([x.real.T, x.imag.T])
+        im = s2 @ np.vstack([x.imag.T, -x.real.T])
+        best = np.maximum(best, (re * re + im * im).max(axis=1))
+    return np.sqrt(np.clip(2.0 - 2.0 * np.sqrt(best), 0.0, None))
 
 
 class TestBuild:
@@ -49,6 +69,13 @@ class TestBuild:
         net = build_net(1, 2.0)
         assert net.size == 1
         assert verify_coverage(net, 1000, 0).passed
+
+    @pytest.mark.parametrize("delta", [2.0, 0.5, 0.01])
+    def test_m1_is_one_point_at_every_delta(self, delta):
+        # CP^0 is a single point
+        net = build_net(1, delta)
+        np.testing.assert_array_equal(net.points, [[1.0]])
+        assert verify_coverage(net, 1000, 0).max_gap == 0.0
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -92,12 +119,13 @@ class TestBuild:
                            (3, 0.8, "grid"), (3, 2.0, "grid")]
     )
     def test_default_method_by_dimension(self, m, delta, method):
-        net = build_net(m, delta)
-        assert net.method == method and net.projective == (method == "band")
+        assert build_net(m, delta).method == method
 
-    def test_one_point_net_projective_agrees_with_method(self):
-        assert build_net(2, 2.0, method="band").projective
-        assert not build_net(2, 2.0, method="grid").projective
+    def test_one_point_net_keeps_method(self):
+        for method in ("band", "grid"):
+            net = build_net(2, 2.0, method=method)
+            assert net.method == method
+            np.testing.assert_array_equal(net.points, [[1.0, 0.0]])
 
     @pytest.mark.parametrize("m,level", [(2, 2.0 * 2.0 ** -1.5), (3, 1.0)])
     def test_grid_level_matches_brute_force(self, m, level):
@@ -164,16 +192,48 @@ class TestNetQualityImpliesStateApproximation:
         for _ in range(20):
             a = states.random_unit_vector(2, rng)
             b = states.random_unit_vector(3, rng)
-            if net.projective:
-                overlap = np.abs(net.points.conj() @ a)
-                idx = int(np.argmax(overlap))
-            else:
-                idx = int(np.argmin(np.linalg.norm(net.points - a, axis=1)))
-            x = net.points[idx]
+            x = net.points[int(np.argmax(np.abs(net.points.conj() @ a)))]
             lhs = trace_norm(np.kron(proj(a), proj(b)) - np.kron(proj(x), proj(b)))
             gap = gaps_to_net(net, a[None, :])[0]
             assert lhs <= 2.0 * gap + 1e-9
             assert lhs <= 2.0 * delta + 1e-9
+
+
+class TestPhaseFixedGrid:
+    @pytest.mark.parametrize("m,delta", [(3, 0.8), (3, 0.4), (4, 0.8)])
+    def test_covers_rays(self, m, delta):
+        net = build_net(m, delta)
+        samples = haar_unit_vectors(m, 2000, 11)
+        dense = dense_gaps(net, samples)
+        assert dense.max() <= delta
+        np.testing.assert_allclose(gaps_to_net(net, samples), dense, rtol=0, atol=1e-12)
+
+    def test_points_are_phase_fixed(self):
+        net = build_net(3, 0.4)
+        assert np.all(net.points[:, 0].real > 0) and np.all(net.points[:, 0].imag == 0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_size_estimate_bounds_built_size(self, m):
+        # build_net concatenates the levels, so its size is the running sum
+        built = 0
+        for level in nets._ladder_levels(1e-3):
+            estimate = nets._estimate_grid_size(m, level)
+            if estimate > nets.MAX_POINTS:
+                break
+            built += nets._grid_level_points(m, level).shape[0]
+            assert estimate >= built
+        assert built > 0
+
+    def test_projector_embedding_matches_bloch_chord(self):
+        # at m = 2 the embedding is the Bloch chord over sqrt(2)
+        x = haar_unit_vectors(2, 50, 12)
+        a, b = x[:, 0], x[:, 1]
+        bloch = np.stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
+                          np.abs(a) ** 2 - np.abs(b) ** 2], axis=1)
+        emb = nets._projector_embedding(x)
+        chord = np.linalg.norm(bloch[:, None] - bloch[None], axis=2)
+        frob = np.linalg.norm(emb[:, None] - emb[None], axis=2)
+        np.testing.assert_allclose(frob, chord / math.sqrt(2.0), rtol=0, atol=1e-12)
 
 
 class TestHaarSampling:

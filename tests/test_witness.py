@@ -16,6 +16,7 @@ from sepscan.nets import NetTooCoarseError, build_net
 from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN, ppt_test
 from sepscan.witness import (
     RegionEmptyError,
+    SearchStats,
     _feasible_start,
     analytic_center,
     cut,
@@ -69,6 +70,19 @@ class TestAnalyticCenter:
         x, _ = analytic_center(normals, np.array([0.5, 0.0, 0.0]))
         assert x[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-7)
         np.testing.assert_allclose(x[1:], 0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("steps", [3, 4, 5])
+    def test_radius_bounds_the_radius_at_the_center(self, monkeypatch, steps):
+        # stopped early, the returned radius still bounds the one at the true center
+        normals = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+        x0 = np.array([0.05, 0.3, 0.02])
+        _, exact = analytic_center(normals, x0)
+        monkeypatch.setattr(witness, "NEWTON_MAX_STEPS", steps)
+        stats = SearchStats()
+        _, radius = analytic_center(normals, x0, stats=stats)
+        assert radius >= exact
+        # after 3 steps the decrement is still >= 1/2: no bound, so no radius
+        assert (radius == math.inf) == (steps == 3) == (stats.unconverged_centerings == 1)
 
     def test_min_slack_versus_grid(self):
         # analytic center's worst slack stays within a factor k of the best

@@ -149,13 +149,15 @@ def exhaustive_max(a, m, n, net, mode):
 
 @pytest.fixture(scope="module")
 def pruning_nets():
-    # grid nets at m = 2: the band nets are too small to leave chunks to prune
-    return {(2, 0.4): build_net(2, 0.4, method="grid"), (2, 0.2): build_net(2, 0.2, method="grid"),
-            (3, 0.8): build_net(3, 0.8)}
+    # each case keeps its label (m, delta) and scans a net at least as large as
+    # the Euclidean grid of that radius: 11,552, 91,088 and 75,968 points.
+    # Grid nets at m = 2: the band nets are too small to leave chunks to prune
+    return {(2, 0.4): build_net(2, 0.05, method="grid"),
+            (2, 0.2): build_net(2, 0.03, method="grid"),
+            (3, 0.8): build_net(3, 0.3)}
 
 
 class TestScanPruning:
-    # m = 3 uses its coarsest standard net; the m = 3 net at 0.4 has 1.7M points
     @pytest.mark.parametrize(
         "m,n,delta", [(2, 3, 0.4), (2, 3, 0.2), (2, 4, 0.4), (2, 4, 0.2), (3, 3, 0.8)]
     )
@@ -232,7 +234,7 @@ class TestProbe:
     @pytest.mark.parametrize("mode", ["signed", "abs"])
     def test_matches_trace_reference(self, m, n, mode):
         a = states.random_hermitian_unit(m * n, 7)
-        x = build_net(m, 0.4, method="grid").points
+        x = build_net(m, 0.1 if m == 2 else 0.4, method="grid").points
         bx = wopt._conditioned_batch(wopt._regrouped(a, m, n), x, n)
         t_ref, probe_ref = self.reference(bx, mode)
         np.testing.assert_allclose(np.einsum("kjj->k", bx.real), n * t_ref, rtol=0, atol=1e-14)
@@ -288,6 +290,17 @@ class TestSeesaw:
             see_val = seesaw_max(a, 2, 2, init=random_starts(2, 2, 24, seed)).value
             assert see_val >= net_val - 1e-9  # ascent from many starts dominates the net
             assert see_val <= net_val + 2 * 0.1
+
+    def test_phase_fixed_grid_guarantee_m3(self):
+        # the m = 3 grid covers rays only; the 2*delta guarantee must still hold
+        delta = 0.4
+        net = build_net(3, delta)
+        for seed in range(10):
+            a = states.random_hermitian_unit(6, seed + 200)
+            net_val = wopt_max(a, 3, 2, net).value
+            see_val = seesaw_max(a, 3, 2, init=random_starts(3, 2, 24, seed)).value
+            assert net_val >= see_val - 2 * delta
+            assert net_val <= np.linalg.eigvalsh(a)[-1] + 1e-12
 
     def test_monotone_ascent_from_given_start(self):
         a = states.random_hermitian_unit(6, 7)
