@@ -86,7 +86,7 @@ def cmd_test(args, started: float) -> int:
 def cmd_witness(args, started: float) -> int:
     rho = _load_state(args.input)
     net_delta = args.net_delta if args.net_delta is not None else args.delta / 10.0
-    net = build_net(rho.m, net_delta)
+    net = build_net(min(rho.m, rho.n), net_delta)
     result = wsep_solve(rho, args.delta, net)
     report = {
         "config": RunConfig(
@@ -107,6 +107,7 @@ def cmd_witness(args, started: float) -> int:
             "lp_calls": result.lp_calls,
             "unconverged_centerings": result.unconverged_centerings,
             "oracle_evaluated": result.oracle_evaluated,
+            "oracle_bounded": result.oracle_bounded,
         },
     }
     if result.witness is not None:
@@ -129,7 +130,7 @@ def cmd_symext(args, started: float) -> int:
     confirm = None
     if args.strict:
         def confirm(state):
-            net = build_net(state.m, args.delta / 10.0)
+            net = build_net(min(state.m, state.n), args.delta / 10.0)
             return wsep_solve(state, args.delta, net).verdict.outcome == ENTANGLED
 
     verdict = separability_scan(
@@ -163,14 +164,14 @@ def cmd_symext(args, started: float) -> int:
 def cmd_wopt(args, started: float) -> int:
     obj = load_json(args.op)
     mat = matrix_from_json(obj["matrix"] if isinstance(obj, dict) else obj)
-    if isinstance(obj, dict) and "m" in obj:
+    if isinstance(obj, dict) and "m" in obj and "n" in obj:
         m, n = int(obj["m"]), int(obj["n"])
     else:
         raise InputFormatError("operator JSON must carry m and n")
     hs = float(np.linalg.norm(mat))
     if hs < 1e-15:
         raise InputFormatError("zero operator")
-    net = build_net(m, args.delta)
+    net = build_net(min(m, n), args.delta)
     res = wopt_max(mat / hs, m, n, net, mode=args.mode)
     report = {
         "config": RunConfig(
@@ -186,7 +187,7 @@ def cmd_wopt(args, started: float) -> int:
         "value_normalized": res.value,
         "value": res.value * hs,
         "guarantee": res.guarantee * hs,
-        "stats": {"scanned": net.size, "evaluated": res.evaluated},
+        "stats": {"scanned": net.size, "bounded": res.bounded, "evaluated": res.evaluated},
         "maximizer": {
             "alpha": [[z.real, z.imag] for z in res.maximizer.alpha],
             "beta": [[z.real, z.imag] for z in res.maximizer.beta],

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -55,6 +55,13 @@ class DeltaNet:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def features(self) -> Array:
+        """`projector_features` of the points, built on first use and kept."""
+        feats = projector_features(self.points)
+        feats.setflags(write=False)
+        return feats
 
 
 @dataclass(frozen=True)
@@ -197,11 +204,26 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
     return DeltaNet(m, delta, pts, method=method)
 
 
+def projector_features(points: Array) -> Array:
+    """Real coordinates f(x) of xx^dagger for each row x of a (K, m) array, as
+    an (m^2, K) array: |x_a|^2, then 2 Re and 2 Im of conj(x_a) x_b for a < b
+    (pairs in `np.triu_indices` order)."""
+    m = points.shape[1]
+    i, j = np.triu_indices(m, 1)
+    feats = np.empty((m * m, points.shape[0]))
+    feats[:m] = (points.real**2 + points.imag**2).T
+    off = (2.0 * points[:, i].conj() * points[:, j]).T
+    feats[m : m + i.size] = off.real
+    feats[m + i.size :] = off.imag
+    return feats
+
+
 def _projector_embedding(points: Array) -> Array:
-    """Real coordinates E(x) of xx^dagger, with ||E(x) - E(y)||^2 = 2 - 2|<x, y>|^2."""
-    i, j = np.triu_indices(points.shape[1], 1)
-    off = math.sqrt(2.0) * points[:, i] * points[:, j].conjugate()
-    return np.concatenate([np.abs(points) ** 2, off.real, off.imag], axis=1)
+    """Real coordinates E(x) of xx^dagger, with ||E(x) - E(y)||^2 = 2 - 2|<x, y>|^2:
+    f(x) with the off-diagonal coordinates scaled by 1/sqrt(2), as rows."""
+    emb = projector_features(points).T.copy()
+    emb[:, points.shape[1] :] /= math.sqrt(2.0)
+    return emb
 
 
 def gaps_to_net(net: DeltaNet, samples: Array) -> Array:

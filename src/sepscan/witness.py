@@ -100,6 +100,7 @@ class WsepResult:
     lp_calls: int
     unconverged_centerings: int
     oracle_evaluated: int  # sum of WoptResult.evaluated
+    oracle_bounded: int  # sum of WoptResult.bounded
 
 
 def _barrier_parts(normals: Array, x: Array):
@@ -251,7 +252,8 @@ def wsep_solve(
     max_iters: int | None = None,
 ) -> WsepResult:
     """Weak separation: a detecting witness, or the assertion that rho is
-    within delta of the separable set in Euclidean norm."""
+    within delta of the separable set in Euclidean norm.  The net may cover
+    either side; the smaller side, C^min(m, n), gives the smallest net."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if max_iters is not None and max_iters < 1:
@@ -268,7 +270,7 @@ def wsep_solve(
     stats = SearchStats()
     region = initial_region(rho, stats)
     fallback = np.eye(dim)[0]
-    cert, evaluated = None, 0
+    cert, evaluated, bounded = None, 0, 0
     for iterations in range(1, cap + 1):
         a = region.center
         na = float(np.linalg.norm(a))
@@ -276,6 +278,7 @@ def wsep_solve(
         candidate = from_bloch(a_hat, 0.0, basis)
         oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
         evaluated += oracle.evaluated
+        bounded += oracle.bounded
         margin = float(region.rho_bloch @ a_hat) - oracle.value
         if margin > 2.0 * eps:
             cert, stop = WitnessCert(candidate, a_hat, margin, delta), "witness"
@@ -296,7 +299,7 @@ def wsep_solve(
         verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
     return WsepResult(
         verdict, cert, iterations, region, stop, stats.newton_steps, stats.lp_calls,
-        stats.unconverged_centerings, evaluated,
+        stats.unconverged_centerings, evaluated, bounded,
     )
 
 

@@ -1,34 +1,45 @@
 """Weak optimization of tr(A sigma) over the separable set.
 
-Only the A-side of the product state is discretized by a net; for each
-net point x the B-side is solved exactly through the top eigenvector of
-the conditioned operator B_x = <x| A |x>.  The best value over the net
-is within 2 * net.delta * ||A||_2 of the true maximum over all product
-states (and hence, by linearity, over all separable states).
+Only one side of the product state is discretized by a net; for each
+net point x the other side is solved exactly through the top eigenvector
+of the conditioned operator B_x = <x| A |x>.  The best value over the
+net is within 2 * net.delta * ||A||_2 of the true maximum over all
+product states (and hence, by linearity, over all separable states).
+The net may live on either side: a net on C^n scans SWAP A SWAP, and the
+maximizer comes back in the original order.
 
 The scan maximizes the signed form by default, which is what the witness
 search needs; "abs" mode maximizes |<x j|A|x j>| instead, and its
 guarantee follows by applying the signed bound to both A and -A.
 
-The scan is one kernel per chunk of net points.  B_x is linear in the
-outer product conj(x) x^T, so a chunk's stack of B_x is one complex GEMM
-against A regrouped as an (m^2, n^2) matrix.  Both modes read one
-spectrum per point: the closed form for n <= 2, one `eigvalsh` for
-n >= 3.  For n >= 3 the scan first takes an incumbent, the best exact
-value among a few first-chunk points (those with the largest
-trace/Frobenius bound, and an evenly strided sample), and from then on
-the running best.  A point is skipped without an eigensolve only when
-an unpivoted Cholesky factorization of M = (inc - PRUNE_TAU) I - B_x (in
-abs mode also of (inc - PRUNE_TAU) I + B_x) completes with positive
+The scan works in real coordinates.  B_x is linear in xx^dagger, whose
+m^2 real coordinates f(x) every net keeps (`DeltaNet.features`), so one
+real GEMM of a chunk's features against the (n^2, m^2) matrix C(A) gives
+the n^2 real parameters of every B_x, one contiguous row each: the
+diagonal, then Re and Im of the upper triangle.  The rows give the
+Frobenius bound u(x) = t + sqrt((n-1)/n) ||B_x - tI||_F >= lambda_max,
+t = tr(B_x)/n (|t| in abs mode), with equality for n <= 2, where it is
+the scan's value.  For n >= 3 the incumbent is the best exact value
+among a few first-chunk points (the PROBE_POINTS largest u, and every
+PROBE_STRIDE-th point), and from then on the running best.  A point
+whose u is at most the level inc - PRUNE_TAU is skipped outright:
+||B_x - tI||_F is summed from the centered entries, so u carries a
+rounding error of a few ulps of ||B_x|| <= ||A||_HS = 1, far below
+PRUNE_TAU.  A point that passes is skipped without an eigensolve only
+when an unpivoted Cholesky factorization of M = level I - B_x (in abs
+mode also of level I + B_x), run on its rows, completes with positive
 pivots.  Cholesky's backward error is at most c n^2 u ||M|| with
-||M|| <= 2 (||B_x|| <= ||A||_HS = 1), far below PRUNE_TAU, so a
-completed factorization proves that the point's value is below the
-incumbent, itself an actual net value: the maximum returned is the
-exhaustive scan's.
+||M|| <= 2, again far below PRUNE_TAU, so a completed factorization
+proves that the point's value is below the incumbent, itself an actual
+net value.  Only the points left over are built as Hermitian stacks for
+`eigvalsh` (the probe first takes its own level from the probe point of
+largest u, which spares most of the probe its eigensolve).  The maximum
+returned is the exhaustive scan's, and ties go to the first net index.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +49,7 @@ from .nets import DeltaNet
 
 SCAN_CHUNK = 262_144
 HS_NORM_TOL = 1e-8
+HERMITIAN_TOL = 1e-10
 PROBE_POINTS = 64
 PROBE_STRIDE = 256
 PRUNE_TAU = 1e-12
@@ -62,24 +74,63 @@ class WoptResult:
     value: float
     guarantee: float  # additive: value >= product max - guarantee
     evaluated: int = 0  # net points whose spectrum the scan computed (0 for seesaw)
+    bounded: int = 0  # net points whose Frobenius bound cleared the level (all for n <= 2)
 
 
-def _regrouped(a: Array, m: int, n: int) -> Array:
-    """A as the (m^2, n^2) matrix R[(a, b), (j, l)] = A[a j, b l]."""
-    a4 = np.asarray(a, dtype=complex).reshape(m, n, m, n)
-    return a4.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+@functools.lru_cache(maxsize=None)
+def _map_tables(m: int, n: int) -> tuple[Array, Array, Array, Array]:
+    """Flat indices into A and weights with C(A)^T = Re(WU * A.flat[IU] + WL * A.flat[IL]).
+
+    Generator g of B_x is (A_ab + A_ba)/2 for the features |x_a|^2 (a = b)
+    and 2 Re(conj(x_a) x_b), and i (A_ab - A_ba)/2 for 2 Im(conj(x_a) x_b),
+    A_ab being the n x n block A[a., b.]; row r reads its diagonal entry,
+    or Re or Im of an upper entry (Im z = Re(-i z)).
+    """
+    da, (ia, ja) = np.arange(m), np.triu_indices(m, 1)
+    dn, (i_n, j_n) = np.arange(n), np.triu_indices(n, 1)
+    ga, gb = np.concatenate([da, ia, ia]), np.concatenate([da, ja, ja])
+    rj, rl = np.concatenate([dn, i_n, i_n]), np.concatenate([dn, j_n, j_n])
+
+    def flat(first, second):  # A[first * n + rj, second * n + rl] per generator and row
+        return (first[:, None] * n + rj) * (m * n) + second[:, None] * n + rl
+
+    w_gen = np.concatenate([np.full(m + ia.size, 0.5), np.full(ia.size, 0.5j)])
+    w_row = np.concatenate([np.ones(n + i_n.size), np.full(i_n.size, -1j)])
+    return (flat(ga, gb), flat(gb, ga), np.outer(w_gen, w_row), np.outer(w_gen.conj(), w_row))
 
 
-def _conditioned_batch(a_reg: Array, x: Array, n: int) -> Array:
-    """B_x for each row of a (K, m) stack: vec(conj(x) x^T) @ R, as (K, n, n)."""
-    outer = (np.conj(x)[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
-    return (outer @ a_reg).reshape(-1, n, n)
+def _conditioned_map(a: Array, m: int, n: int) -> Array:
+    """C(A), the real (n^2, m^2) matrix with C(A) @ f(x) = the rows of B_x."""
+    iu, il, wu, wl = _map_tables(m, n)
+    flat = a.ravel()
+    return np.ascontiguousarray((wu * flat[iu] + wl * flat[il]).real.T)
 
 
-def conditioned_operator(a: Array, m: int, n: int, x: Array) -> Array:
-    """The n x n Hermitian block (B_x)_{jk} = <x e_j| A |x e_k>."""
-    x = np.asarray(x, dtype=complex)
-    return _conditioned_batch(_regrouped(a, m, n), x[None, :], n)[0]
+@functools.lru_cache(maxsize=None)
+def _stack_order(n: int) -> Array:
+    """For each flat position of an n x n matrix, its row in [diagonal; upper; lower]."""
+    d, (i, j) = np.arange(n), np.triu_indices(n, 1)
+    order = np.empty(n * n, dtype=np.intp)
+    order[d * (n + 1)] = d
+    order[i * n + j] = n + np.arange(i.size)
+    order[j * n + i] = n + i.size + np.arange(i.size)
+    return order
+
+
+def _stack(rows: Array, n: int) -> Array:
+    """The Hermitian (K, n, n) stack whose parameters are the (n^2, K) rows."""
+    q = (rows.shape[0] - n) // 2
+    entries = np.empty((n + 2 * q, rows.shape[1]), dtype=complex)
+    entries[:n] = rows[:n]
+    entries[n : n + q].real = rows[n : n + q]
+    entries[n : n + q].imag = rows[n + q :]
+    np.conj(entries[n : n + q], out=entries[n + q :])
+    return entries[_stack_order(n)].T.reshape(-1, n, n)
+
+
+def _swapped(a: Array, m: int, n: int) -> Array:
+    """SWAP A SWAP, the operator on C^n (x) C^m."""
+    return a.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
 
 
 def quadratic_form(a: Array, m: int, n: int, alpha: Array, beta: Array) -> float:
@@ -90,117 +141,155 @@ def quadratic_form(a: Array, m: int, n: int, alpha: Array, beta: Array) -> float
 def _scan_values(bx: Array, mode: str) -> Array:
     """lambda_max of each matrix in a Hermitian (K, n, n) stack; in abs mode
     max(lambda_max, -lambda_min), read from the same spectrum."""
-    n = bx.shape[-1]
-    if n == 1:
-        lo = hi = bx[:, 0, 0].real
-    elif n == 2:
-        half_tr = 0.5 * (bx[:, 0, 0].real + bx[:, 1, 1].real)
-        rad = np.sqrt(
-            0.25 * (bx[:, 0, 0].real - bx[:, 1, 1].real) ** 2 + np.abs(bx[:, 0, 1]) ** 2
-        )
-        lo, hi = half_tr - rad, half_tr + rad
-    else:
-        vals = np.linalg.eigvalsh(bx)
-        lo, hi = vals[:, 0], vals[:, -1]
-    return np.maximum(hi, -lo) if mode == "abs" else hi
+    vals = np.linalg.eigvalsh(bx)
+    return np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1]
 
 
-def _probe(bx: Array, mode: str) -> Array:
+def _frobenius_bound(rows: Array, n: int, mode: str) -> Array:
+    """u = t + sqrt((n-1)/n) ||B_x - tI||_F >= lambda_max (|t| + ... in abs mode),
+    t = tr(B_x)/n, from the (n^2, K) rows.  The diagonal is centered before it
+    is squared, so no cancellation against n t^2 enters the root.  For n <= 2
+    the bound is the spectrum's end itself: lambda_max (max(lambda_max,
+    -lambda_min) in abs mode)."""
+    t = rows[:n].sum(axis=0)
+    t /= n
+    dev = rows[:n] - t
+    spread = np.einsum("jk,jk->k", dev, dev)
+    del dev
+    off = np.einsum("jk,jk->k", rows[n:], rows[n:])
+    off *= 2.0
+    spread += off
+    del off
+    spread *= (n - 1) / n
+    np.sqrt(spread, out=spread)
+    spread += np.abs(t) if mode == "abs" else t
+    return spread
+
+
+def _probe(bound: Array) -> Array:
     """Points whose exact values set the first incumbent: the PROBE_POINTS with
-    the largest bound t + sqrt((n-1)/n) ||B_x - tI||_F (|t| + ... in abs mode),
-    t = tr(B_x)/n, and every PROBE_STRIDE-th point, which spread over the net."""
-    n = bx.shape[-1]
-    t = np.einsum("kjj->k", bx.real) / n
-    fro2 = np.einsum("kjl,kjl->k", bx.real, bx.real) + np.einsum("kjl,kjl->k", bx.imag, bx.imag)
-    bound = (np.abs(t) if mode == "abs" else t) + np.sqrt(
-        (n - 1) / n * np.maximum(fro2 - n * t * t, 0.0)
-    )
+    the largest bound and every PROBE_STRIDE-th point, which spread over the net."""
     if bound.size <= PROBE_POINTS:
         return np.arange(bound.size)
     top = np.argpartition(bound, -PROBE_POINTS)[-PROBE_POINTS:]
     return np.union1d(top, np.arange(0, bound.size, PROBE_STRIDE))
 
 
-def _certified_below(bx: Array, level: float, sign: float = 1.0) -> Array:
-    """True where an unpivoted Cholesky of level*I - sign*B_x completes with all
-    pivots > 0, which proves lambda_max(sign*B_x) < level up to the backward error.
+def _certified_below(rows: Array, n: int, level: float, sign: float = 1.0) -> Array:
+    """True where an unpivoted Cholesky M = R^dagger R of M = level*I - sign*B_x
+    completes with all pivots > 0, which proves lambda_max(sign*B_x) < level up
+    to the backward error.
 
-    Works column by column on the lower triangle, vectorized over the stack.
+    Works row by row of R on the (n^2, K) rows of B_x, vectorized over K.
     """
-    n = bx.shape[-1]
-    ok = np.ones(bx.shape[0], dtype=bool)
-    low: dict[tuple[int, int], Array] = {}  # entries of L below the diagonal
+    q = n * (n - 1) // 2
+    ok = np.ones(rows.shape[1], dtype=bool)
+    r: dict[tuple[int, int], Array] = {}  # entries of R above the diagonal
+    p = 0  # the rows of B_x[j, i], i > j, come in this loop's order
     for j in range(n):
-        d = level - sign * bx[:, j, j].real
+        d = level - sign * rows[j]
         for k in range(j):
-            d -= low[j, k].real ** 2 + low[j, k].imag ** 2
+            d -= r[k, j].real ** 2 + r[k, j].imag ** 2
         ok &= d > 0.0
         inv_pivot = 1.0 / np.sqrt(np.where(ok, d, 1.0))
         for i in range(j + 1, n):
-            c = -sign * bx[:, i, j]
+            c = (-sign) * rows[n + p] + (-sign * 1j) * rows[n + q + p]
+            p += 1
             for k in range(j):
-                c -= low[i, k] * np.conj(low[j, k])
-            low[i, j] = c * inv_pivot
+                c -= r[k, j].conj() * r[k, i]
+            r[j, i] = c * inv_pivot
     return ok
 
 
-def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -> WoptResult:
-    """Scan the net, conditioning out the B side; deterministic tie-breaks.
+def _survivors(rows: Array, n: int, level: float, mode: str) -> Array:
+    """Column indices of the (n^2, K) rows that no Cholesky certificate rules out."""
+    below = _certified_below(rows, n, level)
+    if mode == "abs":
+        below &= _certified_below(rows, n, level, -1.0)
+    return np.flatnonzero(~below)
 
-    Requires ||A||_2 = 1 so the additive guarantee is exactly 2*net.delta.
-    Returns the maximum of the exhaustive scan; `evaluated` counts the net
-    points that reached an eigensolve (all of them when n <= 2).
+
+def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -> WoptResult:
+    """Scan the net, conditioning out the other side; deterministic tie-breaks.
+
+    A must be Hermitian with ||A||_HS = 1, so the additive guarantee is
+    2*net.delta.  The net may live on C^m or on C^n.  Returns the maximum of
+    the exhaustive scan; `evaluated` counts the net points that reached an
+    eigensolve and `bounded` those whose Frobenius bound cleared the level
+    (both all of them when the conditioned side has dimension <= 2).
     """
     a = np.asarray(a, dtype=complex)
-    if net.m != m:
-        raise DimensionMismatchError(f"net lives on C^{net.m}, operator A-side is C^{m}")
     if a.shape != (m * n, m * n):
         raise DimensionMismatchError(f"operator shape {a.shape} does not match {m}x{n}")
+    if net.m not in (m, n):
+        raise DimensionMismatchError(f"net lives on C^{net.m}, operator sides are C^{m} and C^{n}")
     hs = float(np.linalg.norm(a))
     if not abs(hs - 1.0) <= HS_NORM_TOL:  # also rejects a non-finite norm
         raise ValueError(f"operator must have unit Hilbert-Schmidt norm, got {hs}")
+    skew = float(np.linalg.norm(a - a.conj().T))
+    if skew > HERMITIAN_TOL:
+        raise ValueError(f"operator must be Hermitian, ||A - A^dagger||_F = {skew}")
     if mode not in ("signed", "abs"):
         raise ValueError(f"mode must be 'signed' or 'abs', got {mode!r}")
+    swap = net.m != m
+    if swap:
+        a, m, n = _swapped(a, m, n), n, m
 
-    a_reg = _regrouped(a, m, n)
-    best_val = incumbent = -np.inf
-    best_idx = -1
-    evaluated = 0
-    pts = net.points
-    for start in range(0, pts.shape[0], SCAN_CHUNK):
-        bx = _conditioned_batch(a_reg, pts[start : start + SCAN_CHUNK], n)
-        idx = None
-        if n >= 3:
+    cmap = _conditioned_map(a, m, n)
+    feats = net.features
+    best_val, best_idx = -np.inf, -1
+    evaluated = bounded = 0
+    for start in range(0, net.size, SCAN_CHUNK):
+        rows = cmap @ feats[:, start : start + SCAN_CHUNK]
+        bound = _frobenius_bound(rows, n, mode)
+        if n <= 2:  # the bound is exact
+            vals, idx = bound, None
+            bounded += vals.size
+        else:
             if start == 0:
-                probe = _probe(bx, mode)
-                incumbent = float(_scan_values(bx[probe], mode).max())
-            level = max(incumbent, best_val) - PRUNE_TAU
-            keep = ~_certified_below(bx, level)
-            if mode == "abs":
-                keep |= ~_certified_below(bx, level, -1.0)
+                # the probe's best value; the probe point of largest bound gives
+                # the level that spares most of the probe its eigensolve
+                probe = _probe(bound)
+                first = probe[np.argmax(bound[probe])]
+                level = _scan_values(_stack(rows[:, first : first + 1], n), mode)[0]
+                idx = probe[_survivors(rows[:, probe], n, level - PRUNE_TAU, mode)]
+                vals = _scan_values(_stack(rows[:, idx], n), mode)
+                evaluated += vals.size
+                i = int(np.argmax(vals))
+                best_val, best_idx = float(vals[i]), int(idx[i])
+            level = best_val - PRUNE_TAU
+            keep = bound > level
+            del bound
+            bounded += int(np.count_nonzero(keep))
             if start == 0:
-                keep[probe] = True
+                keep[probe] = False  # already evaluated or ruled out
             idx = np.flatnonzero(keep)
+            del keep
             if idx.size == 0:
                 continue
-            bx = bx[idx]
-        vals = _scan_values(bx, mode)
-        evaluated += vals.shape[0]
+            if idx.size < rows.shape[1]:
+                rows = rows[:, idx]  # the kept columns only, from here on
+            live = _survivors(rows, n, level, mode)
+            if live.size == 0:
+                continue
+            vals = _scan_values(_stack(rows[:, live], n), mode)
+            idx = idx[live]
+        evaluated += vals.size
         i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_idx = start + (i if idx is None else int(idx[i]))
-    x_star = pts[best_idx]
-    bx = conditioned_operator(a, m, n, x_star)
-    vals, vecs = np.linalg.eigh(bx)
+        j = start + (i if idx is None else int(idx[i]))
+        if vals[i] > best_val or (vals[i] == best_val and j < best_idx):
+            best_val, best_idx = float(vals[i]), j
+    x_star = net.points[best_idx]
+    vals, vecs = np.linalg.eigh(_stack(cmap @ feats[:, best_idx : best_idx + 1], n)[0])
     if mode == "abs" and -vals[0] > vals[-1]:
-        beta = vecs[:, 0]
+        other = vecs[:, 0]
     else:
-        beta = vecs[:, -1]
-    value = quadratic_form(a, m, n, x_star, beta)
+        other = vecs[:, -1]
+    value = quadratic_form(a, m, n, x_star, other)
     if mode == "abs":
         value = abs(value)
-    return WoptResult(ProductState(x_star, beta), value, 2.0 * net.delta, evaluated)
+    maximizer = ProductState(other, x_star) if swap else ProductState(x_star, other)
+    return WoptResult(maximizer, value, 2.0 * net.delta, evaluated, bounded)
 
 
 def seesaw_max(

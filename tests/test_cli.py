@@ -145,6 +145,18 @@ class TestWitnessCommand:
         assert report["config"]["net_method"] == "band"
         assert report["config"]["net_size"] == 2120
 
+    def test_3x2_state_scans_the_smaller_side(self, capsys, tmp_path):
+        path = tmp_path / "mixture32.json"
+        dump_json(density_to_json(states.product_mixture(3, 2, 12, 0)), path)
+        for delta in ("0.5", "1.0"):
+            code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", delta)
+            assert code == 0
+            assert report["verdict"]["outcome"] == "SeparableAssured"
+            assert report["config"]["net_method"] == "band"  # the m = 2 net
+            scanned = report["iterations"] * report["config"]["net_size"]
+            assert 0 < report["stats"]["oracle_evaluated"] < scanned  # C^3 is conditioned out
+            assert 0 < report["stats"]["oracle_bounded"] < scanned
+
     def test_too_coarse_net_is_infeasible(self, capsys, bell_path):
         code, report = run_cli(
             capsys, "witness", "--input", bell_path, "--delta", "0.05",
@@ -167,6 +179,19 @@ class TestSymextCommand:
             capsys, "symext", "--input", maxmixed_path, "--delta", "2.0"
         )
         assert code == 0
+
+    def test_strict_confirms_a_3x2_state_on_the_smaller_side(self, capsys, tmp_path):
+        # an m = 3 net at delta/10 = 0.05 would pass the net size budget
+        v = np.zeros(6, dtype=complex)
+        v[[0, 5]] = 1.0 / np.sqrt(2.0)  # |00> + |21>: entangled
+        rho = 0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(6) / 6.0
+        path = tmp_path / "ent32.json"
+        dump_json({"m": 3, "n": 2, "matrix": matrix_to_json(rho)}, path)
+        code, report = run_cli(
+            capsys, "symext", "--input", str(path), "--delta", "0.5", "--strict"
+        )
+        assert code == 1
+        assert report["verdict"]["outcome"] == "Entangled"
 
     def test_zero_iteration_budget_is_input_error(self, capsys, maxmixed_path):
         code, report = run_cli(
@@ -191,6 +216,7 @@ class TestWoptCommand:
         assert report["guarantee"] == pytest.approx(2 * 0.2 * 2.0)
         assert report["stats"]["scanned"] == report["config"]["net_size"]
         assert report["stats"]["evaluated"] == report["stats"]["scanned"]  # n = 2: closed form
+        assert report["stats"]["bounded"] == report["stats"]["scanned"]
 
     def test_reports_pruned_scan(self, capsys, tmp_path):
         a = states.random_hermitian_unit(6, 0)
@@ -200,6 +226,34 @@ class TestWoptCommand:
         code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.02")
         assert code == 0
         assert 0 < report["stats"]["evaluated"] < report["stats"]["scanned"]
+        assert 0 < report["stats"]["bounded"] < report["stats"]["scanned"]
+
+    def test_3x2_operator_scans_the_smaller_side(self, capsys, tmp_path):
+        a = states.random_hermitian_unit(6, 4)
+        path = tmp_path / "a32.json"
+        dump_json({"m": 3, "n": 2, "matrix": matrix_to_json(a)}, path)
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.1")
+        assert code == 0
+        assert report["stats"]["scanned"] == report["config"]["net_size"] < 1000  # m = 2 net
+        assert len(report["maximizer"]["alpha"]) == 3 and len(report["maximizer"]["beta"]) == 2
+
+    def test_non_hermitian_operator_is_input_error(self, capsys, tmp_path):
+        e01 = np.zeros((4, 4))
+        e01[0, 1] = 1.0
+        path = tmp_path / "e01.json"
+        dump_json({"m": 2, "n": 2, "matrix": matrix_to_json(e01)}, path)
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.2")
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "Hermitian" in report["error"]
+
+    def test_operator_without_n_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "no_n.json"
+        dump_json({"m": 2, "matrix": matrix_to_json(np.eye(4))}, path)
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.2")
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "must carry m and n" in report["error"]
 
 
 class TestQsepCommands:

@@ -236,6 +236,23 @@ class TestPhaseFixedGrid:
         np.testing.assert_allclose(frob, chord / math.sqrt(2.0), rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_features_are_projector_coordinates(self, m):
+        # tr(xx^dagger yy^dagger) = |<x, y>|^2 = f(x).f(y) with the off-diagonal pairs halved
+        x, y = haar_unit_vectors(m, 40, 5), haar_unit_vectors(m, 40, 6)
+        fx, fy = nets.projector_features(x), nets.projector_features(y)
+        assert fx.shape == (m * m, 40)
+        weights = np.r_[np.ones(m), np.full(m * m - m, 0.5)]
+        np.testing.assert_allclose(np.einsum("j,jk,jl->kl", weights, fx, fy),
+                                   np.abs(x.conj() @ y.T) ** 2, rtol=0, atol=1e-14)
+
+    def test_net_features_are_built_once(self):
+        net = build_net(3, 0.8)
+        feats = net.features
+        assert feats is net.features and not feats.flags.writeable
+        np.testing.assert_array_equal(feats, nets.projector_features(net.points))
+
+
 class TestHaarSampling:
     def test_unit_norm_and_deterministic(self):
         a = haar_unit_vectors(3, 100, 7)

@@ -354,6 +354,29 @@ class TestWsepSolve:
                 assert res.verdict.outcome == expected, (m, n, seed, lam)
         assert tested >= 10  # the rest of the suite sits within delta of the boundary
 
+    def test_3x2_search_on_the_smaller_side_agrees_with_ppt(self, net_001):
+        # the A side is C^3; the m = 2 net scans the B side (PPT is exact at mn = 6)
+        delta = 0.1
+        tested = 0
+        for seed in range(40):
+            rho = states.random_full_rank(3, 2, seed + 707)
+            lam = float(np.min(np.linalg.eigvalsh(partial_transpose(rho.mat, 3, 2, "B"))))
+            if abs(lam) <= delta:
+                continue
+            tested += 1
+            res = wsep_solve(rho, delta, net_001)
+            assert res.verdict.outcome == (ENTANGLED if lam < 0 else SEPARABLE), (seed, lam)
+            if res.witness is not None:
+                assert res.witness.operator.shape == (6, 6)
+        assert tested >= 5
+        for seed in range(3):  # the random full-rank states far from the boundary are all NPT
+            rho = states.product_mixture(3, 2, 12, seed)
+            assert ppt_test(rho).outcome == SEPARABLE
+            res = wsep_solve(rho, delta, net_001)
+            assert res.verdict.outcome == SEPARABLE
+            assert 0 < res.oracle_evaluated < res.iterations * net_001.size  # C^3 conditioned out
+            assert 0 < res.oracle_bounded < res.iterations * net_001.size
+
     def test_consistency_at_fine_delta(self):
         # spot check at delta = 0.01 for states > 0.02 off the PT boundary
         net = build_net(2, 0.001)

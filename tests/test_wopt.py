@@ -3,18 +3,25 @@ import pytest
 
 from sepscan import states, wopt
 from sepscan.core import DimensionMismatchError, ket, proj
-from sepscan.nets import build_net
+from sepscan.nets import build_net, projector_features
 from sepscan.wopt import (
     ProductState,
     _certified_below,
+    _frobenius_bound,
     _probe,
-    conditioned_operator,
     quadratic_form,
     seesaw_max,
     wopt_max,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def conditioned_operator(a, m, n, x):
+    """B_x for one unit vector x, through the scan's own map from f(x) to the rows of B_x."""
+    cmap = wopt._conditioned_map(np.asarray(a, dtype=complex), m, n)
+    rows = cmap @ projector_features(x[None, :])
+    return wopt._stack(rows, n)[0]
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +134,17 @@ class TestWoptMax:
         with pytest.raises(DimensionMismatchError):
             wopt_max(a, 3, 3, net_04)
 
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_rejects_non_hermitian(self, net_04, mode):
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 1] = 1.0  # E_01: unit norm, Hermitian part (E_01 + E_10)/2
+        with pytest.raises(ValueError, match="Hermitian"):
+            wopt_max(a, 2, 2, net_04, mode=mode)
+        b = states.random_hermitian_unit(6, 2)
+        b[0, 1] += 1e-9  # well inside the norm check, outside the Hermiticity check
+        with pytest.raises(ValueError, match="Hermitian"):
+            wopt_max(b / np.linalg.norm(b), 2, 3, net_04)
+
     def test_deterministic(self, net_04):
         a = states.random_hermitian_unit(6, 9)
         r1 = wopt_max(a, 2, 3, net_04)
@@ -145,6 +163,62 @@ def exhaustive_max(a, m, n, net, mode):
         top = np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1]
         best = max(best, float(top.max()))
     return best
+
+
+def swapped(a, m, n):
+    """SWAP A SWAP for A on C^m (x) C^n."""
+    return a.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
+
+
+def hermitian_rows(bx):
+    """The (n^2, K) rows of a Hermitian (K, n, n) stack: the diagonal, then
+    Re and Im of the upper triangle."""
+    i, j = np.triu_indices(bx.shape[-1], 1)
+    return np.concatenate([np.einsum("kjj->jk", bx.real), bx[:, i, j].real.T, bx[:, i, j].imag.T])
+
+
+@pytest.fixture(scope="module")
+def small_nets():
+    return {2: build_net(2, 0.1), 3: build_net(3, 0.8)}
+
+
+class TestExhaustiveAgreement:
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    @pytest.mark.parametrize("chunk", [wopt.SCAN_CHUNK, 64])
+    def test_matches_exhaustive_scan(self, small_nets, monkeypatch, m, n, mode, chunk):
+        monkeypatch.setattr(wopt, "SCAN_CHUNK", chunk)
+        net = small_nets[m]
+        for seed in range(2):
+            a = states.random_hermitian_unit(m * n, seed + 30)
+            res = wopt_max(a, m, n, net, mode=mode)
+            assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
+            at = quadratic_form(a, m, n, res.maximizer.alpha, res.maximizer.beta)
+            assert abs((abs(at) if mode == "abs" else at) - res.value) <= 1e-12
+            if n <= 2:
+                assert res.evaluated == res.bounded == net.size
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 1), (8, 2), (4, 3)])
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_net_on_the_smaller_side(self, small_nets, m, n, mode):
+        net = small_nets[n] if n > 1 else build_net(1, 2.0)
+        for seed in range(2):
+            a = states.random_hermitian_unit(m * n, seed + 40)
+            res = wopt_max(a, m, n, net, mode=mode)
+            assert res.maximizer.alpha.shape == (m,) and res.maximizer.beta.shape == (n,)
+            assert abs(res.value - exhaustive_max(swapped(a, m, n), n, m, net, mode)) <= 1e-12
+            at = quadratic_form(a, m, n, res.maximizer.alpha, res.maximizer.beta)
+            assert abs((abs(at) if mode == "abs" else at) - res.value) <= 1e-12
+            assert res.guarantee == 2.0 * net.delta
+
+    def test_swapped_scan_is_the_scan_of_the_swapped_operator(self, small_nets):
+        net = small_nets[2]
+        a = states.random_hermitian_unit(6, 3)
+        direct = wopt_max(swapped(a, 3, 2), 2, 3, net)
+        swap = wopt_max(a, 3, 2, net)
+        assert swap.value == pytest.approx(direct.value, abs=1e-14)
+        np.testing.assert_array_equal(swap.maximizer.beta, direct.maximizer.alpha)
+        assert (swap.evaluated, swap.bounded) == (direct.evaluated, direct.bounded)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +245,7 @@ class TestScanPruning:
             res = wopt_max(a, m, n, net, mode=mode)
             assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
             assert res.evaluated < net.size
+            assert res.bounded < net.size
 
     def test_closed_form_evaluates_every_point(self, pruning_nets):
         net = pruning_nets[(2, 0.4)]
@@ -178,6 +253,7 @@ class TestScanPruning:
         for mode in ("signed", "abs"):
             res = wopt_max(a, 2, 2, net, mode=mode)
             assert res.evaluated == net.size
+            assert res.bounded == net.size
             assert abs(res.value - exhaustive_max(a, 2, 2, net, mode)) <= 1e-12
 
     def test_abs_mode_negative_dominant(self, pruning_nets):
@@ -220,25 +296,71 @@ def _hermitian_with_spectrum(rng, spectra):
 class TestProbe:
     @staticmethod
     def reference(bx, mode):
-        """_probe with t from np.trace."""
+        """The bound and the probe from a Hermitian stack, t from np.trace."""
         n = bx.shape[-1]
         t = np.trace(bx, axis1=1, axis2=2).real / n
-        fro2 = np.einsum("kjl,kjl->k", bx.real, bx.real)
-        fro2 = fro2 + np.einsum("kjl,kjl->k", bx.imag, bx.imag)
+        dev = bx - t[:, None, None] * np.eye(n)
+        fro2 = np.einsum("kjl,kjl->k", dev.real, dev.real)
+        fro2 = fro2 + np.einsum("kjl,kjl->k", dev.imag, dev.imag)
         lead = np.abs(t) if mode == "abs" else t
-        bound = lead + np.sqrt((n - 1) / n * np.maximum(fro2 - n * t * t, 0.0))
+        bound = lead + np.sqrt((n - 1) / n * fro2)
         top = np.argpartition(bound, -wopt.PROBE_POINTS)[-wopt.PROBE_POINTS:]
-        return t, np.union1d(top, np.arange(0, bound.size, wopt.PROBE_STRIDE))
+        return t, bound, np.union1d(top, np.arange(0, bound.size, wopt.PROBE_STRIDE))
 
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3)])
     @pytest.mark.parametrize("mode", ["signed", "abs"])
     def test_matches_trace_reference(self, m, n, mode):
         a = states.random_hermitian_unit(m * n, 7)
-        x = build_net(m, 0.1 if m == 2 else 0.4, method="grid").points
-        bx = wopt._conditioned_batch(wopt._regrouped(a, m, n), x, n)
-        t_ref, probe_ref = self.reference(bx, mode)
-        np.testing.assert_allclose(np.einsum("kjj->k", bx.real), n * t_ref, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(_probe(bx, mode), probe_ref)
+        net = build_net(m, 0.1 if m == 2 else 0.4, method="grid")
+        rows = wopt._conditioned_map(a, m, n) @ net.features
+        bx = wopt._stack(rows, n)
+        direct = np.einsum("ka,ajbl,kb->kjl", net.points.conj(), a.reshape(m, n, m, n), net.points)
+        np.testing.assert_allclose(bx, direct, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(hermitian_rows(bx), rows)
+        t_ref, bound_ref, probe_ref = self.reference(bx, mode)
+        np.testing.assert_allclose(rows[:n].sum(axis=0), n * t_ref, rtol=0, atol=1e-14)
+        bound = _frobenius_bound(rows, n, mode)
+        np.testing.assert_allclose(bound, bound_ref, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(_probe(bound), probe_ref)
+
+
+class TestFrobeniusPrefilter:
+    """u = t + sqrt((n-1)/n) ||B - tI||_F equals lambda_max on spectra (lam, mu, ..., mu),
+    so a point just above the level tests the rounding of the bound itself."""
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("gap", ["spread", "near_scalar"])
+    @pytest.mark.parametrize("eps", [1e-10, 1e-14, -1e-14, -1e-10])
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_never_skips_at_or_above_level(self, n, gap, eps, mode):
+        rng = np.random.default_rng([n, len(gap)])
+        count = 2000
+        top = rng.uniform(0.05, 0.95, count)
+        if gap == "spread":
+            mu = top - rng.uniform(0.01, 1.0, count)
+        else:  # B close to a multiple of I: ||B - tI||^2 far below the rounding of n t^2
+            mu = top - 10.0 ** rng.uniform(-9, -6, count)
+        mu = np.maximum(mu, 0.0)
+        bx = _hermitian_with_spectrum(rng, np.column_stack([np.repeat(mu[:, None], n - 1, 1), top]))
+        if mode == "abs":  # spectrum (-lam, -mu, ..., -mu): the bottom decides, through |t|
+            bx = -bx
+        spectra = np.linalg.eigvalsh(bx)
+        value = np.maximum(spectra[:, -1], -spectra[:, 0]) if mode == "abs" else spectra[:, -1]
+        level = value - eps
+        kept = _frobenius_bound(hermitian_rows(bx), n, mode) > level
+        if eps > 0:  # at or above the level: never skipped
+            assert kept.all()
+        elif eps <= -1e-10:  # the bound is tight, so the prefilter prunes here
+            assert not kept.any()
+
+    def test_bound_is_exact_for_two_levels(self):
+        rng = np.random.default_rng(3)
+        bx = _hermitian_with_spectrum(rng, rng.uniform(-1, 1, (500, 2)))
+        vals = np.linalg.eigvalsh(bx)
+        rows = hermitian_rows(bx)
+        np.testing.assert_allclose(_frobenius_bound(rows, 2, "signed"), vals[:, -1], atol=1e-15)
+        np.testing.assert_allclose(_frobenius_bound(rows, 2, "abs"),
+                                   np.maximum(vals[:, -1], -vals[:, 0]), atol=1e-15)
 
 
 class TestCholeskyCertificate:
@@ -259,17 +381,17 @@ class TestCholeskyCertificate:
             rest = np.zeros((count, n - 1))
         bx = _hermitian_with_spectrum(rng, np.column_stack([rest, top]))
         # shift so every matrix is tested against its own level at once
-        certified = _certified_below(bx - level[:, None, None] * np.eye(n), 0.0)
+        certified = _certified_below(hermitian_rows(bx - level[:, None, None] * np.eye(n)), n, 0.0)
         if eps > 0:
             assert not certified.any()
         elif eps <= -1e-10:  # far enough below to be certified
             assert certified.all()
 
     def test_sign_tests_the_bottom_of_the_spectrum(self):
-        bx = np.diag([-0.9, 0.1, 0.2]).astype(complex)[None]
-        assert _certified_below(bx, 0.5).all()
-        assert not _certified_below(bx, 0.5, -1.0).any()
-        assert _certified_below(bx, 0.95, -1.0).all()
+        rows = hermitian_rows(np.diag([-0.9, 0.1, 0.2]).astype(complex)[None])
+        assert _certified_below(rows, 3, 0.5).all()
+        assert not _certified_below(rows, 3, 0.5, -1.0).any()
+        assert _certified_below(rows, 3, 0.95, -1.0).all()
 
 
 def random_starts(m, n, count, seed):
