@@ -9,6 +9,7 @@ internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -101,14 +102,7 @@ def cmd_witness(args, started: float) -> int:
         ).to_json(),
         "verdict": result.verdict.to_json(),
         "iterations": result.iterations,
-        "stats": {
-            "stop": result.stop,
-            "newton_steps": result.newton_steps,
-            "lp_calls": result.lp_calls,
-            "unconverged_centerings": result.unconverged_centerings,
-            "oracle_evaluated": result.oracle_evaluated,
-            "oracle_bounded": result.oracle_bounded,
-        },
+        "stats": {"stop": result.stop, **dataclasses.asdict(result.stats)},
     }
     if result.witness is not None:
         witness_json = {
@@ -296,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepscan",
         description="Deterministic bipartite separability testing with certificates",
     )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="cap BLAS threads (needs threadpoolctl)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="run the one-sided test pipeline")
@@ -374,17 +365,6 @@ def main(argv=None) -> int:
     started = time.time()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            return _fail(
-                "--threads needs the threadpoolctl package, which is not installed;"
-                " cap BLAS threads with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) instead",
-                "input",
-                EXIT_BAD_INPUT,
-            )
-        threadpool_limits(args.threads)
     try:
         return args.func(args, started)
     except (InputFormatError,) as exc:

@@ -30,11 +30,10 @@ def dagger(x: Array) -> Array:
     return x.conj().T
 
 
-def hermitize(x: Array) -> tuple[Array, float]:
-    """Symmetrize to (X + X†)/2 and report the symmetrization residual."""
+def hermitize(x: Array) -> Array:
+    """The Hermitian part (X + X†)/2."""
     x = np.asarray(x, dtype=complex)
-    h = 0.5 * (x + dagger(x))
-    return h, float(np.linalg.norm(x - h))
+    return 0.5 * (x + dagger(x))
 
 
 def is_hermitian(x: Array, tol: float | None = None) -> bool:
@@ -67,7 +66,7 @@ class DensityMatrix:
         return self.m * self.n
 
     @staticmethod
-    def make(m: int, n: int, mat: Array, *, validate: bool = True) -> "DensityMatrix":
+    def make(m: int, n: int, mat: Array) -> "DensityMatrix":
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (m * n, m * n):
             raise DimensionMismatchError(
@@ -75,14 +74,13 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix has non-finite entries")
-        h, _resid = hermitize(mat)
-        if validate:
-            tr = h.trace().real
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
-            lo = float(np.linalg.eigvalsh(h)[0])
-            if lo < -PSD_TOL:
-                raise ValueError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
+        h = hermitize(mat)
+        tr = h.trace().real
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
+        lo = float(np.linalg.eigvalsh(h)[0])
+        if lo < -PSD_TOL:
+            raise ValueError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
         return DensityMatrix(m, n, h)
 
 
@@ -219,8 +217,7 @@ def eig_hermitian(h: Array) -> EigDecomposition:
         raise ValueError("matrix has non-finite entries")
     if not is_hermitian(a, 1e-8 * max(d, 1)):
         raise ValueError("input is not Hermitian within tolerance")
-    a, _ = hermitize(a)
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(hermitize(a))
     return EigDecomposition(vals[::-1], vecs[:, ::-1])
 
 

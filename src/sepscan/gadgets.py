@@ -38,6 +38,8 @@ from .nets import DeltaNet
 from .wopt import seesaw_max, wopt_max
 
 MAX_EXACT_CLIQUE = 12
+RSDF_STARTS = 32  # random starts of the projected ascent, besides the basis vectors
+RSDF_ITERS = 400
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,11 @@ class CliqueQuadraticReport:
     grid_steps: int
 
 
-def motzkin_straus_value(g: Graph, steps: int | None = None) -> CliqueQuadraticReport:
+def motzkin_straus_value(g: Graph) -> CliqueQuadraticReport:
     """Exact clique number against the simplex quadratic maximum."""
     kappa = max_clique(g)
     value = 1.0 - 1.0 / kappa if kappa else 0.0
-    if steps is None:
-        steps = 40 if g.n <= 4 else 20
+    steps = 40 if g.n <= 4 else 20
     grid = simplex_grid_max(g.adjacency.astype(float), steps)
     return CliqueQuadraticReport(kappa, value, grid, steps)
 
@@ -181,20 +182,12 @@ def wmqs_to_rsdf(inst: WmqsInstance) -> RsdfInstance:
     return RsdfInstance(tuple(blocks), inst.zeta, inst.eta)
 
 
-def rsdf_value(
-    blocks,
-    *,
-    starts: int = 32,
-    iters: int = 400,
-    seed: int = 0,
-    init: Array | None = None,
-) -> tuple[float, Array]:
+def rsdf_value(blocks, *, seed: int = 0) -> tuple[float, Array]:
     """F = max over the unit sphere of sum_i (x^T B_i x)^2, by projected ascent."""
     blocks = np.stack(blocks)
     dim = blocks.shape[1]
     rng = np.random.default_rng(seed)
-    seeds = [init] if init is not None else []
-    seeds.extend(rng.standard_normal(dim) for _ in range(starts))
+    seeds = [rng.standard_normal(dim) for _ in range(RSDF_STARTS)]
     seeds.extend(np.eye(dim))
     best_val, best_x = -np.inf, None
     for x0 in seeds:
@@ -205,7 +198,7 @@ def rsdf_value(
         x = x / nx
         step = 0.5
         val = float(np.sum((x @ blocks @ x) ** 2))
-        for _ in range(iters):
+        for _ in range(RSDF_ITERS):
             w = x @ blocks @ x  # (k,)
             grad = 4.0 * np.einsum("k,kij,j->i", w, blocks, x)
             cand = x + step * grad
@@ -253,13 +246,8 @@ def _sqrt_bracket(t: Fraction, scale: int = 2**48) -> tuple[Fraction, Fraction]:
     return Fraction(max(r - 1, 0), scale), Fraction(r + 2, scale)
 
 
-def rsdf_to_wval(inst: RsdfInstance, *, pad_square: bool = False) -> WvalInstance:
-    """Assemble the block operator and map thresholds through the square root.
-
-    With pad_square, both sides get dimension k+1 (blocks zero-padded),
-    which keeps the reduction inside the regime where neither side is
-    smaller than the other.
-    """
+def rsdf_to_wval(inst: RsdfInstance) -> WvalInstance:
+    """Assemble the block operator and map thresholds through the square root."""
     blocks = inst.blocks
     if not blocks:
         raise ValueError("at least one block required")
@@ -267,17 +255,6 @@ def rsdf_to_wval(inst: RsdfInstance, *, pad_square: bool = False) -> WvalInstanc
     if len(dims) != 1:
         raise ValueError("all blocks must share one dimension")
     n = dims.pop()
-    if pad_square:
-        target = len(blocks) + 1
-        if target < n:
-            raise ValueError("padding cannot shrink the block dimension")
-        padded = []
-        for b in blocks:
-            nb = np.zeros((target, target))
-            nb[:n, :n] = b
-            padded.append(nb)
-        blocks = tuple(padded)
-        n = target
     m = len(blocks) + 1
     b = np.zeros((m * n, m * n))
     for i, blk in enumerate(blocks, start=1):
@@ -380,7 +357,6 @@ def verify_chain(
     c: int,
     net_delta: float | None = None,
     *,
-    net: DeltaNet | None = None,
     seed: int = 0,
 ) -> ChainReport:
     """Run all three transformations and compare the final decision with
@@ -392,13 +368,13 @@ def verify_chain(
     rsdf = wmqs_to_rsdf(wmqs)
     f_val, x = rsdf_value(rsdf.blocks, seed=seed)
     wval = rsdf_to_wval(rsdf)
-    use_net = net
-    if use_net is None and net_delta is not None and wval.m == 2:
+    net = None
+    if net_delta is not None and wval.m == 2:
         from .nets import build_net
 
-        use_net = build_net(2, net_delta)
+        net = build_net(2, net_delta)
     # wval's blocks are rsdf's, so the ascent above already found the seesaw start
-    value = _wval_value(wval, use_net, seed, x)
+    value = _wval_value(wval, net, seed, x)
     decided = value > float(wval.gamma)
     return ChainReport(
         kappa=kappa,

@@ -137,10 +137,16 @@ def _estimate_grid_size(m: int, delta: float) -> float:
     return total
 
 
-def _band_level_points(level_delta: float, safety: float = 0.95) -> Array:
+def _band_step(d: float) -> float:
+    """Ring and longitude spacing on the Bloch sphere for phase-quotient radius d:
+    the sphere angle 4 asin(d/2) with safety factors 0.95 and 0.98."""
+    gamma = 4.0 * math.asin(min(d, 2.0) / 2.0) * 0.95
+    return gamma * math.sqrt(2.0) * 0.98
+
+
+def _band_level_points(level_delta: float) -> Array:
     """Covering of the m=2 state space modulo phase, via its 2-sphere chart."""
-    gamma = 4.0 * math.asin(min(level_delta, 2.0) / 2.0) * safety
-    step = gamma * math.sqrt(2.0) * 0.98
+    step = _band_step(level_delta)
     n_rings = max(int(math.ceil(math.pi / step)), 1)
     dtheta = math.pi / n_rings
     thetas, phis = [], []
@@ -164,8 +170,7 @@ def _band_level_points(level_delta: float, safety: float = 0.95) -> Array:
 def _estimate_band_size(delta: float) -> float:
     total = 0.0
     for d in _ladder_levels(delta):
-        gamma = 4.0 * math.asin(min(d, 2.0) / 2.0) * 0.95
-        total += 4.0 * math.pi / (gamma * math.sqrt(2.0) * 0.98) ** 2 + 4
+        total += 4.0 * math.pi / _band_step(d) ** 2 + 4
     return total
 
 

@@ -67,9 +67,6 @@ class QRat:
     def scale(self, c: Fraction) -> "QRat":
         return QRat(self.re * c, self.im * c)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
 
 QZERO = QRat(ZERO, ZERO)
 

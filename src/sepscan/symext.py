@@ -44,11 +44,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import Array, DensityMatrix, partial_transpose
+from .core import Array, DensityMatrix, hermitize, partial_transpose
 from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 
-DEFAULT_MAX_DIM = 512
-DEFAULT_SPLIT_MAX_DIM = 2048
+MAX_DIM = 512  # ambient dimension d_sk n of an extension
+SPLIT_MAX_DIM = 2048  # dimension of a branched, partially transposed copy
 # over-relaxation of the Douglas-Rachford step
 RELAXATION = 1.7
 
@@ -133,28 +133,22 @@ class ExtensionProblem:
     rho: DensityMatrix
     k: int
     ppt: bool = True
-    max_dim: int = DEFAULT_MAX_DIM
-    split_max_dim: int = DEFAULT_SPLIT_MAX_DIM
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("extension depth k must be >= 2")
         dsk = sym_dim(self.rho.m, self.k)
-        if dsk * self.rho.n > self.max_dim:
+        if dsk * self.rho.n > MAX_DIM:
             raise DimensionGuardError(
-                f"ambient dimension {dsk * self.rho.n} exceeds limit {self.max_dim}"
+                f"ambient dimension {dsk * self.rho.n} exceeds limit {MAX_DIM}"
             )
         if self.ppt:
             for l in range(1, self.k):
                 split = sym_dim(self.rho.m, l) * sym_dim(self.rho.m, self.k - l) * self.rho.n
-                if split > self.split_max_dim:
+                if split > SPLIT_MAX_DIM:
                     raise DimensionGuardError(
-                        f"transposed block dimension {split} exceeds limit {self.split_max_dim}"
+                        f"transposed block dimension {split} exceeds limit {SPLIT_MAX_DIM}"
                     )
-
-    @property
-    def ambient_dim(self) -> int:
-        return sym_dim(self.rho.m, self.k) * self.rho.n
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,7 @@ class _ExtensionMaps:
         return _unpaired(self.coeffs.T @ _paired(y, self.m, self.n), self.dsk, self.n)
 
     def transpose_b(self, x: Array) -> Array:
-        x4 = x.reshape(self.dsk, self.n, self.dsk, self.n)
-        return x4.transpose(0, 3, 2, 1).reshape(self.dim, self.dim)
+        return partial_transpose(x, self.dsk, self.n, "B")
 
     def transpose_copies(self, x: Array, l: int) -> Array:
         """Branch to Sym_l (x) Sym_(k-l) (x) B, then transpose the Sym_l factor."""
@@ -228,18 +221,14 @@ class _ExtensionMaps:
         return lift.T @ t @ lift
 
 
-def _hermitian(x: Array) -> Array:
-    return 0.5 * (x + x.conj().T)
-
-
 def _psd_clip(x: Array) -> Array:
-    vals, vecs = np.linalg.eigh(_hermitian(x))
+    vals, vecs = np.linalg.eigh(hermitize(x))
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
 
 
 def _lowest(x: Array) -> float:
-    return float(np.linalg.eigvalsh(_hermitian(x))[0])
+    return float(np.linalg.eigvalsh(hermitize(x))[0])
 
 
 def _npt_certificate(rho: DensityMatrix, gram: Array, tol: float) -> ExtensionResult | None:
@@ -318,9 +307,9 @@ def find_extension(
         residual = math.sqrt(sum(float(np.linalg.norm(ai - ci)) ** 2 for ai, ci in zip(a, c)))
         if it % 10 == 0 or residual < tol:
             if min(_lowest(y) for y in a) >= -tol:
-                return ExtensionResult(True, _hermitian(a[0]), residual, it)
+                return ExtensionResult(True, hermitize(a[0]), residual, it)
             if residual < tol:
-                cand = _hermitian(c[0])
+                cand = hermitize(c[0])
                 trace_defect = float(np.linalg.norm(maps.reduce_one(cand) - rho.mat))
                 if trace_defect <= tol and all(_lowest(t(cand)) >= -tol for t, _ in ops[1:]):
                     return ExtensionResult(True, cand, residual, it)
@@ -329,7 +318,7 @@ def find_extension(
     norm = float(np.linalg.norm(defect_dir))
     witness = None
     if norm > 1e-12:
-        w = _hermitian(maps.reduce_one(defect_dir / norm))
+        w = hermitize(maps.reduce_one(defect_dir / norm))
         w -= np.trace(w) / rho.dim * np.eye(rho.dim)
         wn = float(np.linalg.norm(w))
         if wn > 1e-12:
@@ -370,28 +359,30 @@ def separability_scan(
     """Climb the extension hierarchy up to the trace-norm-delta depth.
 
     Entangled (exact=False) comes only from a proof that no extension
-    exists, the NPT presolve of `find_extension`; its value is the certified
-    residual, and in strict mode the callable `strict_confirm` must agree
-    before it is emitted.  A search that runs out of iterations proves
-    nothing and yields Unknown with the last residual as its value.
-    Reaching the bound with an extension in hand certifies trace-norm
-    delta-closeness to the separable set.
+    exists, the NPT presolve of `find_extension`, which holds at every
+    depth and so runs once, first; its value is the certified residual, and
+    in strict mode the callable `strict_confirm` must agree before it is
+    emitted.  Then every depth's size guard is checked, before any
+    iteration.  A search that runs out of iterations proves nothing and
+    yields Unknown with the last residual as its value.  Reaching the bound
+    with an extension in hand certifies trace-norm delta-closeness to the
+    separable set.
     """
     kbar = copies_bound(rho.m, delta)
     if kbar < 2:
         # the bound is vacuous: every state is within delta in trace norm
         return Verdict(SEPARABLE, "symext_trivial_bound", False, float(kbar))
     top = min(kbar, kmax) if kmax is not None else kbar
-    for k in range(2, top + 1):
-        prob = ExtensionProblem(rho, k, ppt=ppt)
-        res = find_extension(prob, max_iters=max_iters, tol=tol)
-        if res.found:
-            continue
-        if res.budget_exhausted:
-            return Verdict(UNKNOWN, f"symext_stalled_k{k}", False, res.residual)
+    cert = _npt_certificate(rho, _ExtensionMaps(rho.m, rho.n, 2).gram, tol) if ppt else None
+    if cert is not None:
         if strict_confirm is not None and not strict_confirm(rho):
-            return Verdict(UNKNOWN, f"symext_unconfirmed_k{k}", False, res.residual)
-        return Verdict(ENTANGLED, f"symext_infeasible_k{k}", False, res.residual)
+            return Verdict(UNKNOWN, "symext_unconfirmed_k2", False, cert.residual)
+        return Verdict(ENTANGLED, "symext_infeasible_k2", False, cert.residual)
+    problems = [ExtensionProblem(rho, k, ppt=ppt) for k in range(2, top + 1)]
+    for prob in problems:
+        res = find_extension(prob, max_iters=max_iters, tol=tol)
+        if not res.found:  # the presolve passed, so the budget ran out
+            return Verdict(UNKNOWN, f"symext_stalled_k{prob.k}", False, res.residual)
     if top == kbar:
         return Verdict(SEPARABLE, f"symext_depth_k{kbar}", False, extension_gap(rho.m, kbar))
     return Verdict(UNKNOWN, f"symext_kmax_k{top}", False, None)

@@ -75,6 +75,8 @@ class SearchStats:  # work counters of one search, filled in as it runs
     newton_steps: int = 0  # accepted damped-Newton steps
     lp_calls: int = 0
     unconverged_centerings: int = 0  # centerings left with decrement >= 1/2
+    oracle_evaluated: int = 0  # sum of WoptResult.evaluated
+    oracle_bounded: int = 0  # sum of WoptResult.bounded
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,7 @@ class WsepResult:
     iterations: int
     region: SearchRegion
     stop: str  # witness, dikin_radius, region_empty, cap or budget
-    newton_steps: int
-    lp_calls: int
-    unconverged_centerings: int
-    oracle_evaluated: int  # sum of WoptResult.evaluated
-    oracle_bounded: int  # sum of WoptResult.bounded
+    stats: SearchStats
 
 
 def _barrier_parts(normals: Array, x: Array):
@@ -270,15 +268,15 @@ def wsep_solve(
     stats = SearchStats()
     region = initial_region(rho, stats)
     fallback = np.eye(dim)[0]
-    cert, evaluated, bounded = None, 0, 0
+    cert = None
     for iterations in range(1, cap + 1):
         a = region.center
         na = float(np.linalg.norm(a))
         a_hat = a / na if na > 1e-12 else fallback
         candidate = from_bloch(a_hat, 0.0, basis)
         oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
-        evaluated += oracle.evaluated
-        bounded += oracle.bounded
+        stats.oracle_evaluated += oracle.evaluated
+        stats.oracle_bounded += oracle.bounded
         margin = float(region.rho_bloch @ a_hat) - oracle.value
         if margin > 2.0 * eps:
             cert, stop = WitnessCert(candidate, a_hat, margin, delta), "witness"
@@ -297,10 +295,7 @@ def wsep_solve(
         verdict = Verdict(UNKNOWN, "witness_budget", False, region.radius_proxy)
     else:
         verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
-    return WsepResult(
-        verdict, cert, iterations, region, stop, stats.newton_steps, stats.lp_calls,
-        stats.unconverged_centerings, evaluated, bounded,
-    )
+    return WsepResult(verdict, cert, iterations, region, stop, stats)
 
 
 def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:

@@ -13,15 +13,18 @@ search needs; "abs" mode maximizes |<x j|A|x j>| instead, and its
 guarantee follows by applying the signed bound to both A and -A.
 
 The scan works in real coordinates.  B_x is linear in xx^dagger, whose
-m^2 real coordinates f(x) every net keeps (`DeltaNet.features`), so one
-real GEMM of a chunk's features against the (n^2, m^2) matrix C(A) gives
-the n^2 real parameters of every B_x, one contiguous row each: the
-diagonal, then Re and Im of the upper triangle.  The rows give the
-Frobenius bound u(x) = t + sqrt((n-1)/n) ||B_x - tI||_F >= lambda_max,
-t = tr(B_x)/n (|t| in abs mode), with equality for n <= 2, where it is
-the scan's value.  For n >= 3 the incumbent is the best exact value
-among a few first-chunk points (the PROBE_POINTS largest u, and every
-PROBE_STRIDE-th point), and from then on the running best.  A point
+m^2 real coordinates f(x) every net keeps (`DeltaNet.features`), so
+B_x = sum_g f_g(x) G_g for m^2 Hermitian n x n blocks G_g, built once per
+call from A.  Both forms the scan uses are read off these blocks.  Their
+diagonal and the Re and Im of their upper triangle make the (n^2, m^2)
+matrix C(A): one real GEMM of a chunk's features against it gives the n^2
+real parameters of every B_x, one contiguous row each.  And every stack
+that reaches an eigensolver is the same features times the blocks.  The
+rows give the Frobenius bound u(x) = t + sqrt((n-1)/n) ||B_x - tI||_F >=
+lambda_max, t = tr(B_x)/n (|t| in abs mode), with equality for n <= 2,
+where it is the scan's value.  For n >= 3 the incumbent is the best exact
+value among a few first-chunk points (the PROBE_POINTS largest u, and
+every PROBE_STRIDE-th point), and from then on the running best.  A point
 whose u is at most the level inc - PRUNE_TAU is skipped outright:
 ||B_x - tI||_F is summed from the centered entries, so u carries a
 rounding error of a few ulps of ||B_x|| <= ||A||_HS = 1, far below
@@ -31,10 +34,10 @@ mode also of level I + B_x), run on its rows, completes with positive
 pivots.  Cholesky's backward error is at most c n^2 u ||M|| with
 ||M|| <= 2, again far below PRUNE_TAU, so a completed factorization
 proves that the point's value is below the incumbent, itself an actual
-net value.  Only the points left over are built as Hermitian stacks for
-`eigvalsh` (the probe first takes its own level from the probe point of
-largest u, which spares most of the probe its eigensolve).  The maximum
-returned is the exhaustive scan's, and ties go to the first net index.
+net value.  Only the points left over reach `eigvalsh` (the probe first
+takes its own level from the probe point of largest u, which spares most
+of the probe its eigensolve).  The maximum returned is the exhaustive
+scan's, and ties go to the first net index.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ HERMITIAN_TOL = 1e-10
 PROBE_POINTS = 64
 PROBE_STRIDE = 256
 PRUNE_TAU = 1e-12
+SEESAW_ITERS = 120
 
 
 @dataclass(frozen=True)
@@ -78,54 +82,41 @@ class WoptResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _map_tables(m: int, n: int) -> tuple[Array, Array, Array, Array]:
-    """Flat indices into A and weights with C(A)^T = Re(WU * A.flat[IU] + WL * A.flat[IL]).
-
-    Generator g of B_x is (A_ab + A_ba)/2 for the features |x_a|^2 (a = b)
-    and 2 Re(conj(x_a) x_b), and i (A_ab - A_ba)/2 for 2 Im(conj(x_a) x_b),
-    A_ab being the n x n block A[a., b.]; row r reads its diagonal entry,
-    or Re or Im of an upper entry (Im z = Re(-i z)).
-    """
-    da, (ia, ja) = np.arange(m), np.triu_indices(m, 1)
-    dn, (i_n, j_n) = np.arange(n), np.triu_indices(n, 1)
-    ga, gb = np.concatenate([da, ia, ia]), np.concatenate([da, ja, ja])
-    rj, rl = np.concatenate([dn, i_n, i_n]), np.concatenate([dn, j_n, j_n])
-
-    def flat(first, second):  # A[first * n + rj, second * n + rl] per generator and row
-        return (first[:, None] * n + rj) * (m * n) + second[:, None] * n + rl
-
-    w_gen = np.concatenate([np.full(m + ia.size, 0.5), np.full(ia.size, 0.5j)])
-    w_row = np.concatenate([np.ones(n + i_n.size), np.full(i_n.size, -1j)])
-    return (flat(ga, gb), flat(gb, ga), np.outer(w_gen, w_row), np.outer(w_gen.conj(), w_row))
+def _pairs(k: int) -> tuple[Array, Array, Array]:
+    """0..k-1, then the row and column indices of the upper triangle of a k x k
+    matrix in `np.triu_indices` order."""
+    i, j = np.triu_indices(k, 1)
+    return np.arange(k), i, j
 
 
-def _conditioned_map(a: Array, m: int, n: int) -> Array:
-    """C(A), the real (n^2, m^2) matrix with C(A) @ f(x) = the rows of B_x."""
-    iu, il, wu, wl = _map_tables(m, n)
-    flat = a.ravel()
-    return np.ascontiguousarray((wu * flat[iu] + wl * flat[il]).real.T)
+def _conditioned_blocks(a: Array, m: int, n: int) -> Array:
+    """The (m^2, n, n) blocks G with B_x = sum_g f_g(x) G_g, f(x) the
+    `projector_features` of x: A_aa, then (A_ab + A_ba)/2 and i (A_ab - A_ba)/2
+    for a < b, A_ab being the n x n block A[a., b.]."""
+    a4 = a.reshape(m, n, m, n)
+    d, i, j = _pairs(m)
+    upper, lower = a4[i, :, j], a4[j, :, i]
+    return np.concatenate([a4[d, :, d], (upper + lower) / 2, 1j * (upper - lower) / 2])
 
 
-@functools.lru_cache(maxsize=None)
-def _stack_order(n: int) -> Array:
-    """For each flat position of an n x n matrix, its row in [diagonal; upper; lower]."""
-    d, (i, j) = np.arange(n), np.triu_indices(n, 1)
-    order = np.empty(n * n, dtype=np.intp)
-    order[d * (n + 1)] = d
-    order[i * n + j] = n + np.arange(i.size)
-    order[j * n + i] = n + i.size + np.arange(i.size)
-    return order
+def _conditioned_map(blocks: Array) -> Array:
+    """C(A), the real (n^2, m^2) matrix with C(A) @ f(x) = the rows of B_x: the
+    blocks' diagonal, then Re and Im of their upper triangle."""
+    d, i, j = _pairs(blocks.shape[-1])
+    upper = blocks[:, i, j]
+    return np.ascontiguousarray(
+        np.concatenate([blocks[:, d, d].real, upper.real, upper.imag], axis=1).T
+    )
 
 
-def _stack(rows: Array, n: int) -> Array:
-    """The Hermitian (K, n, n) stack whose parameters are the (n^2, K) rows."""
-    q = (rows.shape[0] - n) // 2
-    entries = np.empty((n + 2 * q, rows.shape[1]), dtype=complex)
-    entries[:n] = rows[:n]
-    entries[n : n + q].real = rows[n : n + q]
-    entries[n : n + q].imag = rows[n + q :]
-    np.conj(entries[n : n + q], out=entries[n + q :])
-    return entries[_stack_order(n)].T.reshape(-1, n, n)
+def _conditioned(feats: Array, blocks: Array) -> Array:
+    """The (K, n, n) stack of B_x = sum_g f_g G_g for the (m^2, K) features f,
+    one real GEMM against the blocks' (Re, Im) pairs.  Only its upper triangle
+    is read (UPLO="U"): that is the operator the rows describe, also when A is
+    Hermitian only to within HERMITIAN_TOL."""
+    g, n = blocks.shape[0], blocks.shape[-1]
+    flat = blocks.reshape(g, n * n).view(float)
+    return (feats.T @ flat).view(complex).reshape(-1, n, n)
 
 
 def _swapped(a: Array, m: int, n: int) -> Array:
@@ -141,7 +132,7 @@ def quadratic_form(a: Array, m: int, n: int, alpha: Array, beta: Array) -> float
 def _scan_values(bx: Array, mode: str) -> Array:
     """lambda_max of each matrix in a Hermitian (K, n, n) stack; in abs mode
     max(lambda_max, -lambda_min), read from the same spectrum."""
-    vals = np.linalg.eigvalsh(bx)
+    vals = np.linalg.eigvalsh(bx, UPLO="U")
     return np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1]
 
 
@@ -235,7 +226,8 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
     if swap:
         a, m, n = _swapped(a, m, n), n, m
 
-    cmap = _conditioned_map(a, m, n)
+    blocks = _conditioned_blocks(a, m, n)
+    cmap = _conditioned_map(blocks)
     feats = net.features
     best_val, best_idx = -np.inf, -1
     evaluated = bounded = 0
@@ -251,9 +243,9 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
                 # the level that spares most of the probe its eigensolve
                 probe = _probe(bound)
                 first = probe[np.argmax(bound[probe])]
-                level = _scan_values(_stack(rows[:, first : first + 1], n), mode)[0]
+                level = _scan_values(_conditioned(feats[:, first : first + 1], blocks), mode)[0]
                 idx = probe[_survivors(rows[:, probe], n, level - PRUNE_TAU, mode)]
-                vals = _scan_values(_stack(rows[:, idx], n), mode)
+                vals = _scan_values(_conditioned(feats[:, idx], blocks), mode)
                 evaluated += vals.size
                 i = int(np.argmax(vals))
                 best_val, best_idx = float(vals[i]), int(idx[i])
@@ -272,15 +264,16 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
             live = _survivors(rows, n, level, mode)
             if live.size == 0:
                 continue
-            vals = _scan_values(_stack(rows[:, live], n), mode)
             idx = idx[live]
+            vals = _scan_values(_conditioned(feats[:, start + idx], blocks), mode)
         evaluated += vals.size
         i = int(np.argmax(vals))
         j = start + (i if idx is None else int(idx[i]))
         if vals[i] > best_val or (vals[i] == best_val and j < best_idx):
             best_val, best_idx = float(vals[i]), j
     x_star = net.points[best_idx]
-    vals, vecs = np.linalg.eigh(_stack(cmap @ feats[:, best_idx : best_idx + 1], n)[0])
+    top = _conditioned(feats[:, best_idx : best_idx + 1], blocks)[0]
+    vals, vecs = np.linalg.eigh(top, UPLO="U")
     if mode == "abs" and -vals[0] > vals[-1]:
         other = vecs[:, 0]
     else:
@@ -292,14 +285,7 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
     return WoptResult(maximizer, value, 2.0 * net.delta, evaluated, bounded)
 
 
-def seesaw_max(
-    a: Array,
-    m: int,
-    n: int,
-    init: list[tuple[Array, Array]],
-    *,
-    iters: int = 120,
-) -> WoptResult:
+def seesaw_max(a: Array, m: int, n: int, init: list[tuple[Array, Array]]) -> WoptResult:
     """Alternating top-eigenvector ascent over product states from each start in `init`.
 
     Local refinement: each step conditions one side out and takes the top
@@ -313,7 +299,7 @@ def seesaw_max(
         alpha = np.asarray(alpha, dtype=complex)
         beta = np.asarray(beta, dtype=complex)
         prev = -np.inf
-        for _ in range(iters):
+        for _ in range(SEESAW_ITERS):
             bx = np.einsum("a,ajbl,b->jl", np.conj(alpha), a4, alpha)
             beta = np.linalg.eigh(bx)[1][:, -1]
             cy = np.einsum("j,ajbl,l->ab", np.conj(beta), a4, beta)

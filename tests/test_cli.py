@@ -1,5 +1,5 @@
 import json
-import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +193,27 @@ class TestSymextCommand:
         assert code == 1
         assert report["verdict"]["outcome"] == "Entangled"
 
+    def test_separable_3x2_fails_the_size_guard_before_iterating(self, capsys, tmp_path):
+        # depth bound 24 at delta 0.5: a guard fires before any Douglas-Rachford step
+        path = tmp_path / "mixture32.json"
+        dump_json(density_to_json(states.product_mixture(3, 2, 12, 0)), path)
+        started = time.perf_counter()
+        code, report = run_cli(capsys, "symext", "--input", str(path), "--delta", "0.5")
+        assert code == 65
+        assert report["kind"] == "infeasible"
+        assert time.perf_counter() - started < 10.0
+
+    def test_npt_3x2_state_is_entangled_at_fine_delta(self, capsys, tmp_path):
+        # the NPT presolve runs before the guards, which fire at this depth bound (120)
+        v = np.zeros(6, dtype=complex)
+        v[[0, 5]] = 1.0 / np.sqrt(2.0)
+        rho = 0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(6) / 6.0
+        path = tmp_path / "ent32.json"
+        dump_json({"m": 3, "n": 2, "matrix": matrix_to_json(rho)}, path)
+        code, report = run_cli(capsys, "symext", "--input", str(path), "--delta", "0.1")
+        assert code == 1
+        assert report["verdict"]["reason"] == "symext_infeasible_k2"
+
     def test_zero_iteration_budget_is_input_error(self, capsys, maxmixed_path):
         code, report = run_cli(
             capsys, "symext", "--input", maxmixed_path, "--delta", "2.0", "--max-iters", "0"
@@ -340,16 +361,6 @@ class TestStateCommand:
     def test_unknown_name_is_input_error(self, capsys):
         code, report = run_cli(capsys, "state", "--name", "nonsense")
         assert code == 64
-
-
-class TestThreads:
-    def test_missing_threadpoolctl_is_input_error(self, capsys, monkeypatch, bell_path):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
-        code, report = run_cli(capsys, "--threads", "1", "test", "--input", bell_path)
-        assert code == 64
-        assert report["kind"] == "input"
-        assert "threadpoolctl" in report["error"]
-        assert "OPENBLAS_NUM_THREADS" in report["error"]
 
 
 class TestDeterminism:

@@ -350,8 +350,6 @@ class TestDensityMatrix:
         mat[where] = bad
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix.make(2, 2, mat)
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix.make(2, 2, mat, validate=False)
 
     def test_symmetrized(self):
         mat = np.eye(4) / 4

@@ -181,13 +181,6 @@ class TestRsdfToWval:
         attained = float((v.conj() @ wval.b @ v).real)
         assert attained == pytest.approx(math.sqrt(f_val), abs=1e-8)
 
-    def test_pad_square_regime(self):
-        rsdf = wmqs_to_rsdf(clique_to_wmqs(K3, 3))
-        wval = rsdf_to_wval(rsdf, pad_square=True)
-        assert wval.m == wval.n == len(rsdf.blocks) + 1
-        plain = rsdf_to_wval(rsdf)
-        assert abs(wval_value(wval) - wval_value(plain)) < 1e-6
-
 
 class TestVerifyChain:
     def test_triangle_yes(self):

@@ -133,7 +133,7 @@ class TestProblemValidation:
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuardError):
-            ExtensionProblem(states.maximally_mixed(3, 3), 40, max_dim=512)
+            ExtensionProblem(states.maximally_mixed(3, 3), 40)
 
 
 class TestExtensionMaps:

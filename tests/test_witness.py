@@ -305,8 +305,8 @@ class TestWsepSolve:
 
     def test_stats_of_a_detection(self, net_0005):
         res = wsep_solve(states.werner(0.9), 0.05, net_0005)
-        assert res.stop == "witness" and res.lp_calls == 0 and res.newton_steps > 0
-        assert res.oracle_evaluated == res.iterations * net_0005.size  # n = 2: closed form
+        assert res.stop == "witness" and res.stats.lp_calls == 0 and res.stats.newton_steps > 0
+        assert res.stats.oracle_evaluated == res.iterations * net_0005.size  # n = 2: closed form
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_2x3_search_uses_at_most_two_lps(self, linprog_calls, seed):
@@ -315,11 +315,11 @@ class TestWsepSolve:
         res = wsep_solve(states.product_mixture(2, 3, 24, seed), delta, net)
         assert res.verdict.outcome == SEPARABLE
         assert res.stop in ("dikin_radius", "region_empty")
-        assert res.lp_calls == len(linprog_calls) <= 2
+        assert res.stats.lp_calls == len(linprog_calls) <= 2
         if res.stop == "region_empty":
-            assert res.lp_calls >= 1
-        assert res.iterations < res.newton_steps
-        assert 0 < res.oracle_evaluated < res.iterations * net.size  # pruned scans
+            assert res.stats.lp_calls >= 1
+        assert res.iterations < res.stats.newton_steps
+        assert 0 < res.stats.oracle_evaluated < res.iterations * net.size  # pruned scans
 
     def test_net_too_coarse_rejected(self, net_001):
         with pytest.raises(NetTooCoarseError):
@@ -374,8 +374,8 @@ class TestWsepSolve:
             assert ppt_test(rho).outcome == SEPARABLE
             res = wsep_solve(rho, delta, net_001)
             assert res.verdict.outcome == SEPARABLE
-            assert 0 < res.oracle_evaluated < res.iterations * net_001.size  # C^3 conditioned out
-            assert 0 < res.oracle_bounded < res.iterations * net_001.size
+            assert 0 < res.stats.oracle_evaluated < res.iterations * net_001.size  # C^3 conditioned out
+            assert 0 < res.stats.oracle_bounded < res.iterations * net_001.size
 
     def test_consistency_at_fine_delta(self):
         # spot check at delta = 0.01 for states > 0.02 off the PT boundary

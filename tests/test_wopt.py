@@ -3,7 +3,7 @@ import pytest
 
 from sepscan import states, wopt
 from sepscan.core import DimensionMismatchError, ket, proj
-from sepscan.nets import build_net, projector_features
+from sepscan.nets import build_net, haar_unit_vectors, projector_features
 from sepscan.wopt import (
     ProductState,
     _certified_below,
@@ -18,10 +18,9 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def conditioned_operator(a, m, n, x):
-    """B_x for one unit vector x, through the scan's own map from f(x) to the rows of B_x."""
-    cmap = wopt._conditioned_map(np.asarray(a, dtype=complex), m, n)
-    rows = cmap @ projector_features(x[None, :])
-    return wopt._stack(rows, n)[0]
+    """B_x for one unit vector x, through the scan's own blocks."""
+    blocks = wopt._conditioned_blocks(np.asarray(a, dtype=complex), m, n)
+    return wopt._conditioned(projector_features(x[None, :]), blocks)[0]
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +52,19 @@ class TestConditionedOperator:
             direct = quadratic_form(a, 2, 3, x, b)
             via_block = float((b.conj() @ bx @ b).real)
             assert abs(direct - via_block) < 1e-10
+
+
+class TestConditionedBlocks:
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (3, 2), (3, 3), (2, 8)])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_matches_einsum(self, m, n, swap):
+        a = states.random_hermitian_unit(m * n, 11)
+        if swap:  # SWAP A SWAP, the operator the scan sees for a net on C^n
+            a, m, n = swapped(a, m, n), n, m
+        x = haar_unit_vectors(m, 200, seed=m + n)
+        bx = np.einsum("gjl,gk->kjl", wopt._conditioned_blocks(a, m, n), projector_features(x))
+        direct = np.einsum("ka,ajbl,kb->kjl", x.conj(), a.reshape(m, n, m, n), x)
+        np.testing.assert_allclose(bx, direct, rtol=0, atol=1e-14)
 
 
 class TestWoptMax:
@@ -312,11 +324,12 @@ class TestProbe:
     def test_matches_trace_reference(self, m, n, mode):
         a = states.random_hermitian_unit(m * n, 7)
         net = build_net(m, 0.1 if m == 2 else 0.4, method="grid")
-        rows = wopt._conditioned_map(a, m, n) @ net.features
-        bx = wopt._stack(rows, n)
+        blocks = wopt._conditioned_blocks(a, m, n)
+        np.testing.assert_array_equal(wopt._conditioned_map(blocks), hermitian_rows(blocks))
+        rows = wopt._conditioned_map(blocks) @ net.features
+        bx = wopt._conditioned(net.features, blocks)
         direct = np.einsum("ka,ajbl,kb->kjl", net.points.conj(), a.reshape(m, n, m, n), net.points)
         np.testing.assert_allclose(bx, direct, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(hermitian_rows(bx), rows)
         t_ref, bound_ref, probe_ref = self.reference(bx, mode)
         np.testing.assert_allclose(rows[:n].sum(axis=0), n * t_ref, rtol=0, atol=1e-14)
         bound = _frobenius_bound(rows, n, mode)
