@@ -36,7 +36,7 @@ from .serialize import (
     qsep_instance_to_json,
     rational_density_from_json,
 )
-from .symext import DimensionGuardError, separability_scan
+from .symext import DimensionGuardError, ScanStats, separability_scan
 from .witness import NumericalBreakdownError, wsep_solve
 from .wopt import wopt_max
 
@@ -127,6 +127,7 @@ def cmd_symext(args, started: float) -> int:
             net = build_net(min(state.m, state.n), args.delta / 10.0)
             return wsep_solve(state, args.delta, net).verdict.outcome == ENTANGLED
 
+    stats = ScanStats()
     verdict = separability_scan(
         rho,
         args.delta,
@@ -135,6 +136,7 @@ def cmd_symext(args, started: float) -> int:
         max_iters=args.max_iters,
         tol=args.tol,
         strict_confirm=confirm,
+        stats=stats,
     )
     report = {
         "config": RunConfig(
@@ -150,6 +152,7 @@ def cmd_symext(args, started: float) -> int:
             },
         ).to_json(),
         "verdict": verdict.to_json(),
+        "stats": dataclasses.asdict(stats),
     }
     _emit(report, started)
     return _verdict_exit(verdict)
@@ -309,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--ppt", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--ppt", action=argparse.BooleanOptionalAction, default=True,
+                   help="run the exact NPT presolve")
     p.add_argument("--max-iters", type=int, default=3000)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--strict", action="store_true")

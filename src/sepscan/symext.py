@@ -29,15 +29,18 @@ iteration: every PPT extension satisfies E(T_B X) = rho^Gamma with
 T_B X >= 0, so a negative eigenvalue of rho^Gamma rules out every depth k.
 
 The trace-distance bound 4m/k for states with a k-copy Bose-symmetric
-extension turns the hierarchy into a weak membership test: scanning up to
-ceil(4m/delta) copies decides delta-closeness to the separable set in
-trace norm.
+extension (the quantum de Finetti bound of Christandl, Koenig, Mitchison
+and Renner, quant-ph/0602130) needs Bose symmetry alone, so
+`separability_scan` climbs the hierarchy without PPT cones: each
+iteration clips one cone.  Scanning up to ceil(4m/delta) copies decides
+delta-closeness to the separable set in trace norm, and the scan's only
+route to Entangled is the exact NPT presolve, which runs once, first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -168,6 +171,7 @@ class ExtensionResult:
     iterations: int
     witness: Array | None = None  # state-space functional; separating only if certified
     budget_exhausted: bool = False
+    residuals: tuple[float, ...] = ()  # the residual at every 10th iteration
 
 
 def _paired(x: Array, a: int, b: int) -> Array:
@@ -261,14 +265,16 @@ def find_extension(
     certified residual (see `_npt_certificate`).  Otherwise each iteration
     clips z onto the cones (c), projects 2c - z onto the affine set (a) and
     moves z by RELAXATION * (a - c), starting from the affine point nearest
-    the origin, so a problem feasible there is accepted at iteration 1.
+    the origin; a problem feasible there is accepted at iteration 1 without
+    iterating.
 
     Success requires the affine iterate (extension property exact to
     machine precision) to be PSD within tol on every required cone, or
     the cone iterate (PSD exactly) to trace back and pass the transposed
     cones within tol.  The residual is ||a - c|| over all cones; if the
     budget runs out it is reported with `budget_exhausted`, and the
-    witness is the defect a - c of X traced back to the state space.
+    witness is the defect a - c of X traced back to the state space.  The
+    residual of every 10th iteration is kept in `residuals`.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -301,18 +307,28 @@ def find_extension(
         return affine_point(sum(t_adj(y) for (_, t_adj), y in zip(ops, w)) / len(ops))
 
     z = affine_point(np.zeros((maps.dim, maps.dim), dtype=complex))
+    spectra = [np.linalg.eigvalsh(hermitize(y)) for y in z]
+    if min(v[0] for v in spectra) >= -tol:
+        # z is on the affine set, so this is the loop's test on its affine
+        # iterate; the residual is the distance from z to the cones
+        residual = math.sqrt(sum(float(np.sum(np.minimum(v, 0.0) ** 2)) for v in spectra))
+        return ExtensionResult(True, hermitize(z[0]), residual, 1)
+    history: list[float] = []
     for it in range(1, max_iters + 1):
         c = [_psd_clip(y) for y in z]
         a = affine_project([2.0 * ci - zi for ci, zi in zip(c, z)])
         residual = math.sqrt(sum(float(np.linalg.norm(ai - ci)) ** 2 for ai, ci in zip(a, c)))
+        if it % 10 == 0:
+            history.append(residual)
         if it % 10 == 0 or residual < tol:
             if min(_lowest(y) for y in a) >= -tol:
-                return ExtensionResult(True, hermitize(a[0]), residual, it)
+                return ExtensionResult(True, hermitize(a[0]), residual, it,
+                                       residuals=tuple(history))
             if residual < tol:
                 cand = hermitize(c[0])
                 trace_defect = float(np.linalg.norm(maps.reduce_one(cand) - rho.mat))
                 if trace_defect <= tol and all(_lowest(t(cand)) >= -tol for t, _ in ops[1:]):
-                    return ExtensionResult(True, cand, residual, it)
+                    return ExtensionResult(True, cand, residual, it, residuals=tuple(history))
         z = [zi + RELAXATION * (ai - ci) for zi, ai, ci in zip(z, a, c)]
     defect_dir = a[0] - c[0]
     norm = float(np.linalg.norm(defect_dir))
@@ -323,7 +339,8 @@ def find_extension(
         wn = float(np.linalg.norm(w))
         if wn > 1e-12:
             witness = w / wn
-    return ExtensionResult(False, None, residual, max_iters, witness, budget_exhausted=True)
+    return ExtensionResult(False, None, residual, max_iters, witness, budget_exhausted=True,
+                           residuals=tuple(history))
 
 
 def verify_extension(result: ExtensionResult, prob: ExtensionProblem) -> dict:
@@ -346,6 +363,25 @@ def verify_extension(result: ExtensionResult, prob: ExtensionProblem) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class DepthStats:
+    """The `find_extension` outcome at one depth of `separability_scan`."""
+
+    k: int
+    iterations: int
+    found: bool
+    residual: float
+    residuals: tuple[float, ...]  # every 10th iteration
+
+
+@dataclass
+class ScanStats:  # filled in by separability_scan as it runs
+    presolve_ran: bool = False
+    presolve_decided: bool = False  # rho^Gamma has a negative eigenvalue
+    depths: list[DepthStats] = field(default_factory=list)
+    stop: str = ""  # trivial_bound, presolve, unconfirmed, stalled, kmax or depth
+
+
 def separability_scan(
     rho: DensityMatrix,
     delta: float,
@@ -355,34 +391,49 @@ def separability_scan(
     max_iters: int = 3000,
     tol: float = 1e-7,
     strict_confirm=None,
+    stats: ScanStats | None = None,
 ) -> Verdict:
-    """Climb the extension hierarchy up to the trace-norm-delta depth.
+    """Climb the Bose-symmetric extension hierarchy up to the trace-norm-delta depth.
 
-    Entangled (exact=False) comes only from a proof that no extension
-    exists, the NPT presolve of `find_extension`, which holds at every
-    depth and so runs once, first; its value is the certified residual, and
-    in strict mode the callable `strict_confirm` must agree before it is
-    emitted.  Then every depth's size guard is checked, before any
+    The 4m/k bound needs Bose symmetry alone, so every depth is searched
+    without PPT cones.  Entangled (exact=False) comes only from the exact
+    NPT presolve (`ppt=True`), which rules out PPT extensions at every
+    depth and so runs once, first; its value is the certified residual,
+    and in strict mode the callable `strict_confirm` must agree before it
+    is emitted.  Then every depth's size guard is checked, before any
     iteration.  A search that runs out of iterations proves nothing and
-    yields Unknown with the last residual as its value.  Reaching the bound
-    with an extension in hand certifies trace-norm delta-closeness to the
-    separable set.
+    yields Unknown with the last residual as its value.  Reaching the
+    bound with an extension in hand certifies trace-norm delta-closeness
+    to the separable set.  `stats`, when given, records the presolve,
+    each depth's iterations and residuals, and the stop reason.
     """
+    stats = ScanStats() if stats is None else stats
     kbar = copies_bound(rho.m, delta)
     if kbar < 2:
         # the bound is vacuous: every state is within delta in trace norm
+        stats.stop = "trivial_bound"
         return Verdict(SEPARABLE, "symext_trivial_bound", False, float(kbar))
     top = min(kbar, kmax) if kmax is not None else kbar
+    stats.presolve_ran = ppt
     cert = _npt_certificate(rho, _ExtensionMaps(rho.m, rho.n, 2).gram, tol) if ppt else None
     if cert is not None:
+        stats.presolve_decided = True
         if strict_confirm is not None and not strict_confirm(rho):
+            stats.stop = "unconfirmed"
             return Verdict(UNKNOWN, "symext_unconfirmed_k2", False, cert.residual)
+        stats.stop = "presolve"
         return Verdict(ENTANGLED, "symext_infeasible_k2", False, cert.residual)
-    problems = [ExtensionProblem(rho, k, ppt=ppt) for k in range(2, top + 1)]
+    problems = [ExtensionProblem(rho, k, ppt=False) for k in range(2, top + 1)]
     for prob in problems:
         res = find_extension(prob, max_iters=max_iters, tol=tol)
-        if not res.found:  # the presolve passed, so the budget ran out
+        stats.depths.append(
+            DepthStats(prob.k, res.iterations, res.found, res.residual, res.residuals)
+        )
+        if not res.found:  # without PPT cones only the budget ends a search unfound
+            stats.stop = "stalled"
             return Verdict(UNKNOWN, f"symext_stalled_k{prob.k}", False, res.residual)
     if top == kbar:
+        stats.stop = "depth"
         return Verdict(SEPARABLE, f"symext_depth_k{kbar}", False, extension_gap(rho.m, kbar))
+    stats.stop = "kmax"
     return Verdict(UNKNOWN, f"symext_kmax_k{top}", False, None)

@@ -363,23 +363,43 @@ class TestStateCommand:
         assert code == 64
 
 
+def run_twice(capsys, *argv):
+    """Run a command twice; assert equal exit codes and JSON bytes apart from `timings`."""
+    runs = []
+    for _ in range(2):
+        code, report = run_cli(capsys, *argv)
+        report.pop("timings")
+        runs.append((code, json.dumps(report, sort_keys=True)))
+    assert runs[0] == runs[1]
+    return code, report
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timing(self, capsys, bell_path):
-        code1, rep1 = run_cli(capsys, "test", "--input", bell_path)
-        code2, rep2 = run_cli(capsys, "test", "--input", bell_path)
-        rep1.pop("timings")
-        rep2.pop("timings")
-        assert code1 == code2 and rep1 == rep2
+        run_twice(capsys, "test", "--input", bell_path)
 
     def test_symext_reports_identical_modulo_timing(self, capsys, tmp_path):
         # a mixture whose search stalls within the budget, so the residual is reported
         path = tmp_path / "mixture.json"
         dump_json(density_to_json(states.product_mixture(2, 2, 3, 1)), path)
-        argv = ("symext", "--input", str(path), "--delta", "1.0", "--kmax", "3",
-                "--max-iters", "50")
-        code1, rep1 = run_cli(capsys, *argv)
-        code2, rep2 = run_cli(capsys, *argv)
-        assert rep1["verdict"]["reason"].startswith("symext_stalled")
-        rep1.pop("timings")
-        rep2.pop("timings")
-        assert code1 == code2 == 2 and rep1 == rep2
+        code, rep = run_twice(capsys, "symext", "--input", str(path), "--delta", "1.0",
+                              "--kmax", "3", "--max-iters", "50")
+        assert code == 2 and rep["verdict"]["reason"] == "symext_stalled_k2"
+        assert rep["stats"]["stop"] == "stalled"
+        assert [d["k"] for d in rep["stats"]["depths"]] == [2]
+        assert rep["stats"]["depths"][0]["residual"] == rep["verdict"]["detail"]
+        assert len(rep["stats"]["depths"][0]["residuals"]) == 5
+
+    @pytest.mark.parametrize("w,expected", [(0.2, 0), (0.9, 1)])
+    def test_witness_reports_identical_modulo_timing(self, capsys, tmp_path, w, expected):
+        path = tmp_path / "werner.json"
+        dump_json(density_to_json(states.werner(w)), path)
+        code, rep = run_twice(capsys, "witness", "--input", str(path), "--delta", "0.5")
+        assert code == expected and rep["stats"]["oracle_evaluated"] > 0
+
+    def test_wopt_reports_identical_modulo_timing(self, capsys, tmp_path):
+        path = tmp_path / "a23.json"
+        dump_json({"m": 2, "n": 3, "matrix": matrix_to_json(states.random_hermitian_unit(6, 0))},
+                  path)
+        code, rep = run_twice(capsys, "wopt", "--op", str(path), "--delta", "0.1")
+        assert code == 0 and rep["stats"]["evaluated"] > 0

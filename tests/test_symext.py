@@ -11,6 +11,7 @@ from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN
 from sepscan.symext import (
     DimensionGuardError,
     ExtensionProblem,
+    ScanStats,
     _ExtensionMaps,
     copies_bound,
     extension_gap,
@@ -54,6 +55,13 @@ def reduce_one_reference(x, m, n, k):
     v = np.kron(sym_subspace(m, k).isometry, np.eye(n))
     big = (v @ x @ v.conj().T).reshape(m, m ** (k - 1), n, m, m ** (k - 1), n)
     return np.einsum("arbcrd->abcd", big).reshape(m * n, m * n)
+
+
+def agrees_with_ppt(rho, verdict):
+    """At mn <= 6 PPT is exact: no PPT state is Entangled, no NPT state SeparableAssured."""
+    assert rho.m * rho.n <= 6
+    ppt = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.m, rho.n, "B"))[0] >= -1e-9
+    return verdict.outcome != (ENTANGLED if ppt else SEPARABLE)
 
 
 def random_complex(rng, d):
@@ -188,6 +196,11 @@ class TestFindExtension:
             res = find_extension(ExtensionProblem(rho, k, ppt=True))
             assert res.found and res.iterations == 1
 
+    def test_feasible_start_skips_the_iteration(self, monkeypatch):
+        monkeypatch.setattr(symext, "_psd_clip", lambda x: pytest.fail("iterated"))
+        res = find_extension(ExtensionProblem(states.maximally_mixed(3, 3), 4, ppt=True))
+        assert res.found and res.iterations == 1 and res.residual == 0.0
+
     def test_maximally_mixed_extends(self):
         prob = ExtensionProblem(states.maximally_mixed(2, 2), 4, ppt=True)
         res = find_extension(prob)
@@ -317,15 +330,22 @@ class TestScan:
         assert v.reason == "symext_kmax_k3"
 
     def test_small_product_mixtures_never_entangled(self):
-        reasons = [
-            separability_scan(states.product_mixture(m, n, terms, seed), 1.0, kmax=3)
+        mixtures = [
+            states.product_mixture(m, n, terms, seed)
             for m, n in ((2, 2), (2, 3))
             for terms in (2, 3, 4)
             for seed in range(4)
         ]
+        reasons = [separability_scan(rho, 1.0, kmax=3) for rho in mixtures]
         assert len(reasons) == 24
         assert not [v for v in reasons if v.outcome == ENTANGLED]
         assert sum(v.reason == "symext_kmax_k3" for v in reasons) >= 20
+        assert all(agrees_with_ppt(rho, v) for rho, v in zip(mixtures, reasons))
+
+    @pytest.mark.parametrize("w", [0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.4])
+    def test_werner_verdicts_agree_with_ppt(self, w):
+        rho = states.werner(w)
+        assert agrees_with_ppt(rho, separability_scan(rho, 0.5))
 
     def test_stall_is_unknown_with_residual(self):
         v = separability_scan(states.product_mixture(2, 2, 3, 1), 1.0, kmax=3, max_iters=20)
@@ -337,3 +357,81 @@ class TestScan:
         v = separability_scan(states.bell(), 0.5, ppt=False, max_iters=500)
         assert v.outcome == UNKNOWN
         assert v.reason == "symext_stalled_k2"
+
+    def test_scan_builds_no_ppt_problem(self, monkeypatch):
+        built = []
+        real = symext.find_extension
+
+        def spy(prob, **kwargs):
+            built.append(prob.ppt)
+            return real(prob, **kwargs)
+
+        monkeypatch.setattr(symext, "find_extension", spy)
+        assert separability_scan(states.bell(), 0.5).reason == "symext_infeasible_k2"
+        assert built == []
+        separability_scan(states.werner(0.2), 1.0)
+        separability_scan(states.product_mixture(2, 3, 4, 0), 1.0, kmax=3)
+        assert built and not any(built)
+
+    def test_separable_3x3_passes_every_guard(self):
+        # with PPT cones, k = 12 would branch into a transposed block over SPLIT_MAX_DIM
+        v = separability_scan(states.product_mixture(3, 3, 12, 0), 1.0, max_iters=1)
+        assert v.outcome == UNKNOWN
+        assert v.reason == "symext_stalled_k2"
+
+    def test_guards_run_before_any_iteration(self, monkeypatch):
+        monkeypatch.setattr(symext, "find_extension", lambda *a, **k: pytest.fail("iterated"))
+        with pytest.raises(DimensionGuardError):
+            separability_scan(states.product_mixture(3, 2, 12, 0), 0.5)
+
+
+class TestScanStats:
+    @staticmethod
+    def scan(monkeypatch, rho, delta, **kwargs):
+        """Scan with a fresh record; also return the iterations find_extension reported."""
+        spent = []
+        real = symext.find_extension
+
+        def count(prob, **kw):
+            res = real(prob, **kw)
+            spent.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(symext, "find_extension", count)
+        stats = ScanStats()
+        verdict = separability_scan(rho, delta, stats=stats, **kwargs)
+        return verdict, stats, sum(spent)
+
+    def test_stall_is_the_last_depth(self, monkeypatch):
+        v, stats, spent = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0), 2.0,
+                                    max_iters=100)
+        last = stats.depths[-1]
+        assert v.reason == f"symext_stalled_k{last.k}" == "symext_stalled_k4"
+        assert stats.stop == "stalled" and stats.presolve_ran and not stats.presolve_decided
+        assert [d.k for d in stats.depths] == [2, 3, 4]
+        assert [d.found for d in stats.depths] == [True, True, False]
+        assert last.iterations == 100 and last.residual == v.detail
+        assert len(last.residuals) == 10 and last.residuals[-1] == last.residual
+        assert sum(d.iterations for d in stats.depths) == spent
+
+    def test_depth_reached(self, monkeypatch):
+        v, stats, spent = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0), 2.0)
+        assert v.outcome == SEPARABLE and v.reason == "symext_depth_k4"
+        assert stats.stop == "depth"
+        assert [d.k for d in stats.depths] == [2, 3, 4] and all(d.found for d in stats.depths)
+        assert all(len(d.residuals) == d.iterations // 10 for d in stats.depths)
+        assert sum(d.iterations for d in stats.depths) == spent > 0
+
+    @pytest.mark.parametrize("rho,delta,kwargs,stop,ran,decided", [
+        (states.bell(), 0.5, {}, "presolve", True, True),
+        (states.bell(), 0.5, {"strict_confirm": lambda rho: False}, "unconfirmed", True, True),
+        (states.bell(), 0.5, {"ppt": False, "max_iters": 10}, "stalled", False, False),
+        (states.bell(), 9.0, {}, "trivial_bound", False, False),
+        (states.werner(0.2), 0.5, {"kmax": 3}, "kmax", True, False),
+    ])
+    def test_stop_reasons(self, monkeypatch, rho, delta, kwargs, stop, ran, decided):
+        v, stats, spent = self.scan(monkeypatch, rho, delta, **kwargs)
+        assert (stats.stop, stats.presolve_ran, stats.presolve_decided) == (stop, ran, decided)
+        assert sum(d.iterations for d in stats.depths) == spent
+        if decided:
+            assert stats.depths == [] and v.reason.endswith("_k2")
