@@ -75,12 +75,14 @@ def _load_state(path: str) -> DensityMatrix:
 
 def cmd_test(args, started: float) -> int:
     rho = _load_state(args.input)
-    verdict = onesided.pipeline(rho, eig_tol=args.eig_tol, norm_tol=args.norm_tol)
-    config = RunConfig(
-        "test",
-        {"input": args.input, "eig_tol": args.eig_tol, "norm_tol": args.norm_tol},
-    )
-    _emit({"config": config.to_json(), "verdict": verdict.to_json()}, started)
+    tests: list[Verdict] = []
+    verdict = onesided.pipeline(rho, stats=tests)
+    report = {
+        "config": RunConfig("test", {"input": args.input}).to_json(),
+        "verdict": verdict.to_json(),
+        "stats": {"tests": [v.to_json() for v in tests]},
+    }
+    _emit(report, started)
     return _verdict_exit(verdict)
 
 
@@ -297,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run the one-sided test pipeline")
     p.add_argument("--input", required=True)
-    p.add_argument("--eig-tol", type=float, default=onesided.EIG_TOL)
-    p.add_argument("--norm-tol", type=float, default=onesided.NORM_TOL)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("witness", help="cutting-plane witness search")

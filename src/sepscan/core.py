@@ -221,10 +221,6 @@ def eig_hermitian(h: Array) -> EigDecomposition:
     return EigDecomposition(vals[::-1], vecs[:, ::-1])
 
 
-def eigvals_descending(h: Array) -> Array:
-    return eig_hermitian(h).values
-
-
 def lambda_min(h: Array) -> float:
     return float(eig_hermitian(h).values[-1])
 

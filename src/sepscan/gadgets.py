@@ -217,26 +217,6 @@ def rsdf_value(blocks, *, seed: int = 0) -> tuple[float, Array]:
     return best_val, best_x
 
 
-def rsdf_sphere_grid(blocks, resolution: int = 400) -> float:
-    """Angle-grid lower bound of F for 2- and 3-dimensional blocks."""
-    blocks = np.stack(blocks)
-    dim = blocks.shape[1]
-    if dim == 2:
-        t = np.linspace(0.0, np.pi, resolution)
-        xs = np.stack([np.cos(t), np.sin(t)], axis=1)
-    elif dim == 3:
-        t = np.linspace(0.0, np.pi, resolution)
-        p = np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False)
-        tt, pp = np.meshgrid(t, p, indexing="ij")
-        xs = np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        ).reshape(-1, 3)
-    else:
-        raise ValueError("grid evaluation supports dimensions 2 and 3 only")
-    forms = np.einsum("si,kij,sj->sk", xs, blocks, xs)
-    return float(np.max(np.sum(forms**2, axis=1)))
-
-
 def _sqrt_bracket(t: Fraction, scale: int = 2**48) -> tuple[Fraction, Fraction]:
     """Rationals strictly bracketing sqrt(t) within ~2/scale."""
     if t < 0:

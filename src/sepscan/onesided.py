@@ -1,10 +1,14 @@
 """Efficient one-sided separability tests and the pipeline combining them.
 
-Necessary tests (violation proves entanglement): PPT, reduction,
-entropic (alpha in {1, 2}), majorization, CCNR.  Sufficient tests
-(success proves separability): the two balls around the maximally mixed
-state and, for m = 2, invariance under partial transposition.  PPT is
-two-sided when mn <= 6.
+Sufficient tests (success proves separability): the two balls around the
+maximally mixed state and, for m = 2, invariance under partial
+transposition.  Necessary tests (violation proves entanglement): PPT,
+two-sided when mn <= 6, and CCNR.  The reduction, majorization and
+entropic criteria are not run: PPT implies reduction (M. & P. Horodecki,
+PRA 59, 4206), reduction implies majorization (Hiroshima, PRL 91, 057902)
+and majorization implies the entropic inequalities (Schur concavity), so
+once PPT passes none of them can fire.  The tests keep them as the
+reference for that chain.
 """
 
 from __future__ import annotations
@@ -13,16 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    eig_hermitian,
-    eigvals_descending,
-    lambda_min,
-    partial_trace,
-    partial_transpose,
-    realign,
-    trace_norm,
-)
+from .core import DensityMatrix, lambda_min, partial_transpose, realign, trace_norm
 
 ENTANGLED = "Entangled"
 SEPARABLE = "SeparableAssured"
@@ -48,70 +43,20 @@ class Verdict:
         }
 
 
-def ppt_test(rho: DensityMatrix, tol: float = EIG_TOL) -> Verdict:
+def ppt_test(rho: DensityMatrix) -> Verdict:
     """Negative eigenvalue of rho^{T_B} proves entanglement; two-sided for mn <= 6."""
     lo = lambda_min(partial_transpose(rho.mat, rho.m, rho.n, "B"))
-    if lo < -tol:
+    if lo < -EIG_TOL:
         return Verdict(ENTANGLED, "ppt", True, lo)
     if rho.m * rho.n <= 6:
         return Verdict(SEPARABLE, "ppt", True, lo)
     return Verdict(UNKNOWN, "ppt", False, lo)
 
 
-def reduction_test(rho: DensityMatrix, tol: float = EIG_TOL) -> Verdict:
-    ra = partial_trace(rho.mat, rho.m, rho.n, "B")
-    rb = partial_trace(rho.mat, rho.m, rho.n, "A")
-    lo = min(
-        lambda_min(np.kron(ra, np.eye(rho.n)) - rho.mat),
-        lambda_min(np.kron(np.eye(rho.m), rb) - rho.mat),
-    )
-    if lo < -tol:
-        return Verdict(ENTANGLED, "reduction", True, lo)
-    return Verdict(UNKNOWN, "reduction", False, lo)
-
-
-def _renyi2(mat) -> float:
-    return -float(np.log(np.trace(mat @ mat).real))
-
-
-def _von_neumann(mat) -> float:
-    vals = np.clip(eig_hermitian(mat).values, 0.0, None)
-    vals = vals[vals > 1e-15]
-    return -float(np.sum(vals * np.log(vals)))
-
-
-def entropic_test(rho: DensityMatrix, alpha: int = 2, tol: float = NORM_TOL) -> Verdict:
-    """Global Renyi entropy below either marginal's proves entanglement."""
-    if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
-    s = _renyi2 if alpha == 2 else _von_neumann
-    ra = partial_trace(rho.mat, rho.m, rho.n, "B")
-    rb = partial_trace(rho.mat, rho.m, rho.n, "A")
-    gap = s(rho.mat) - max(s(ra), s(rb))
-    if gap < -tol:
-        return Verdict(ENTANGLED, f"entropic_a{alpha}", True, gap)
-    return Verdict(UNKNOWN, f"entropic_a{alpha}", False, gap)
-
-
-def majorization_test(rho: DensityMatrix, tol: float = EIG_TOL) -> Verdict:
-    """Global spectrum majorized by each marginal spectrum (zero-padded)."""
-    d = rho.dim
-    lam = eigvals_descending(rho.mat)
-    worst = 0.0
-    for which, dim in (("B", rho.m), ("A", rho.n)):
-        marg = eigvals_descending(partial_trace(rho.mat, rho.m, rho.n, which))
-        padded = np.concatenate([marg, np.zeros(d - dim)])
-        excess = float(np.max(np.cumsum(lam) - np.cumsum(padded)))
-        worst = max(worst, excess)
-    if worst > tol:
-        return Verdict(ENTANGLED, "majorization", True, worst)
-    return Verdict(UNKNOWN, "majorization", False, worst)
-
-
-def ccnr_test(rho: DensityMatrix, tol: float = NORM_TOL) -> Verdict:
+def ccnr_test(rho: DensityMatrix) -> Verdict:
     """Trace norm of the realigned matrix above 1 proves entanglement."""
     val = trace_norm(realign(rho.mat, rho.m, rho.n))
-    if val > 1.0 + tol:
+    if val > 1.0 + NORM_TOL:
         return Verdict(ENTANGLED, "ccnr", True, val)
     return Verdict(UNKNOWN, "ccnr", False, val)
 
@@ -135,40 +80,36 @@ def lambda_min_ball_test(rho: DensityMatrix) -> Verdict:
     return Verdict(UNKNOWN, "lambda_min_ball", False, lo)
 
 
-def two_by_n_pt_test(rho: DensityMatrix, tol: float = NORM_TOL) -> Verdict:
-    """For m = 2, invariance under partial transposition guarantees separability."""
+def two_by_n_pt_test(rho: DensityMatrix) -> Verdict:
+    """For m = 2, invariance under partial transposition guarantees separability.
+
+    Partial transposition only permutes entries, so the verdict is exact
+    only when the matrix equals its partial transpose bit for bit; a
+    difference within NORM_TOL still passes, as not exact.
+    """
     if rho.m != 2:
         raise ValueError("test applies only to m = 2")
     diff = float(np.linalg.norm(rho.mat - partial_transpose(rho.mat, 2, rho.n, "A")))
-    if diff <= tol:
-        return Verdict(SEPARABLE, "two_by_n_pt", True, diff)
+    if diff <= NORM_TOL:
+        return Verdict(SEPARABLE, "two_by_n_pt", diff == 0.0, diff)
     return Verdict(UNKNOWN, "two_by_n_pt", False, diff)
 
 
-def pipeline(rho: DensityMatrix, eig_tol: float = EIG_TOL, norm_tol: float = NORM_TOL) -> Verdict:
-    """Run every test in fixed order; first decisive answer wins.
+def pipeline(rho: DensityMatrix, stats: list[Verdict] | None = None) -> Verdict:
+    """Run the tests in fixed order; first decisive answer wins.
 
     Cheap sufficient tests go first so separable verdicts never lean on
-    PPT exactness when a ball test already fires.
+    PPT exactness when a ball test already fires.  `stats`, when given,
+    receives the verdict of every test run, in order.
     """
-    runners = [
-        lambda: frobenius_ball_test(rho),
-        lambda: lambda_min_ball_test(rho),
-        lambda: ppt_test(rho, eig_tol),
-    ]
+    stats = [] if stats is None else stats
+    tests = [frobenius_ball_test, lambda_min_ball_test, ppt_test]
     if rho.m == 2:
-        runners.append(lambda: two_by_n_pt_test(rho, norm_tol))
-    runners.extend(
-        [
-            lambda: reduction_test(rho, eig_tol),
-            lambda: majorization_test(rho, eig_tol),
-            lambda: entropic_test(rho, 2, norm_tol),
-            lambda: entropic_test(rho, 1, norm_tol),
-            lambda: ccnr_test(rho, norm_tol),
-        ]
-    )
-    for run in runners:
-        verdict = run()
+        tests.append(two_by_n_pt_test)
+    tests.append(ccnr_test)
+    for test in tests:
+        verdict = test(rho)
+        stats.append(verdict)
         if verdict.outcome != UNKNOWN:
             return verdict
     return Verdict(UNKNOWN, "pipeline", False, None)

@@ -172,16 +172,6 @@ def graph_from_json(obj):
         raise InputFormatError(f"graph JSON needs n and edges: {exc}") from exc
 
 
-def graph_to_json(graph) -> dict:
-    edges = [
-        [i, j]
-        for i in range(graph.n)
-        for j in range(i + 1, graph.n)
-        if graph.adjacency[i, j]
-    ]
-    return {"n": graph.n, "edges": edges}
-
-
 def load_json(path: str | Path):
     try:
         with open(path) as fh:

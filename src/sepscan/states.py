@@ -75,17 +75,6 @@ def random_hermitian_unit(d: int, seed: int) -> Array:
     return h / np.linalg.norm(h)
 
 
-def random_local_unitaries(m: int, n: int, seed: int) -> tuple[Array, Array]:
-    rng = np.random.default_rng(seed)
-
-    def haar(d):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    return haar(m), haar(n)
-
-
 def library(name: str, **params) -> DensityMatrix:
     """Named state lookup used by the CLI; deterministic given seed."""
     if name == "maxmixed":

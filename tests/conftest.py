@@ -1,4 +1,5 @@
-"""Shared helpers: exact-rational separable states with known decompositions."""
+"""Shared helpers: exact-rational separable states with known decompositions,
+Haar-random local unitaries and graph JSON."""
 
 from fractions import Fraction
 
@@ -45,3 +46,25 @@ def rational_state_of(decomp, m: int, n: int):
         acc = mat_add(acc, mat_scale(kron(outer(alpha), outer(beta)), w))
     return acc
 
+
+
+def random_local_unitaries(m: int, n: int, seed: int):
+    """Haar-random unitaries on C^m and C^n."""
+    rng = np.random.default_rng(seed)
+
+    def haar(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(g)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return haar(m), haar(n)
+
+
+def graph_to_json(graph) -> dict:
+    edges = [
+        [i, j]
+        for i in range(graph.n)
+        for j in range(i + 1, graph.n)
+        if graph.adjacency[i, j]
+    ]
+    return {"n": graph.n, "edges": edges}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rational_separable_decomposition, rational_state_of
+from conftest import graph_to_json, rational_separable_decomposition, rational_state_of
 from sepscan import states
 from sepscan.cli import main
 from sepscan.qsep import bits_required, reduce_wmem_to_qsep, truncate_decomposition
@@ -13,7 +13,6 @@ from sepscan.serialize import (
     density_from_json,
     density_to_json,
     dump_json,
-    graph_to_json,
     matrix_to_json,
     qsep_certificate_from_json,
     qsep_certificate_to_json,
@@ -73,6 +72,11 @@ class TestTestCommand:
         assert code == 1
         assert report["verdict"]["reason"] == "ppt"
         assert report["verdict"]["exact"] is True
+        tests = report["stats"]["tests"]
+        assert [t["reason"] for t in tests] == ["frobenius_ball", "lambda_min_ball", "ppt"]
+        assert tests[-1] == report["verdict"]
+        assert report["config"] == {"command": "test", "input": bell_path,
+                                    "version": report["config"]["version"]}
 
     def test_maxmixed_exits_separable(self, capsys, maxmixed_path):
         code, report = run_cli(capsys, "test", "--input", maxmixed_path)
@@ -403,3 +407,30 @@ class TestDeterminism:
                   path)
         code, rep = run_twice(capsys, "wopt", "--op", str(path), "--delta", "0.1")
         assert code == 0 and rep["stats"]["evaluated"] > 0
+
+    @pytest.mark.parametrize("command", ["net", "state", "gadget", "qsep-reduce", "qsep-verify"])
+    def test_other_commands_identical_modulo_timing(self, capsys, tmp_path, command):
+        from sepscan.gadgets import Graph
+
+        graph_path = tmp_path / "k3.json"
+        dump_json(graph_to_json(Graph.complete(3)), graph_path)
+        decomp = rational_separable_decomposition(2, 2, 5, seed=21)
+        rho = rational_state_of(decomp, 2, 2)
+        rho_path = tmp_path / "rho.rational.json"
+        dump_json({"m": 2, "n": 2, "rational": True, "matrix": rational_matrix_to_json(rho)},
+                  rho_path)
+        inst = reduce_wmem_to_qsep(rho, 2, 2, Fraction(1, 2))
+        inst_path = tmp_path / "inst.json"
+        dump_json(qsep_instance_to_json(inst), inst_path)
+        cert_path = tmp_path / "cert.json"
+        cert = truncate_decomposition(decomp, bits_required(inst.delta_p), 2, 2)
+        dump_json(qsep_certificate_to_json(cert), cert_path)
+        argv = {
+            "net": ["--m", "2", "--delta", "0.4", "--verify-samples", "2000"],
+            "state": ["--name", "product_mixture", "--param", "n=3", "--param", "seed=3"],
+            "gadget": ["--graph", str(graph_path), "--clique", "3"],
+            "qsep-reduce": ["--input", str(rho_path), "--delta", "1/2"],
+            "qsep-verify": ["--instance", str(inst_path), "--cert", str(cert_path)],
+        }[command]
+        code, _ = run_twice(capsys, command, *argv)
+        assert code == 0

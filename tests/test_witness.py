@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import random_local_unitaries
 from sepscan import states, witness
 from sepscan.core import (
     DensityMatrix,
@@ -393,7 +394,7 @@ class TestWsepSolve:
         rho = states.werner(0.8)
         base = wsep_solve(rho, 0.05, net_0005).verdict.outcome
         for seed in range(3):
-            u, v = states.random_local_unitaries(2, 2, seed)
+            u, v = random_local_unitaries(2, 2, seed)
             uv = np.kron(u, v)
             rotated = DensityMatrix.make(2, 2, uv @ rho.mat @ uv.conj().T)
             assert wsep_solve(rotated, 0.05, net_0005).verdict.outcome == base
