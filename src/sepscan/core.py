@@ -4,7 +4,9 @@ Operators on C^M (x) C^N are plain complex numpy arrays; density matrices
 carry their bipartition in a small dataclass.  An orthonormal Hermitian
 basis (normalized generalized Gell-Mann matrices, tensored A-major) maps
 traceless Hermitian operators isometrically onto real Euclidean vectors,
-which is the coordinate system every optimization module works in.
+which is the coordinate system every optimization module works in.  The
+tensored basis is never built: the maps apply one local factor on each
+side of the realigned operator.
 """
 
 from __future__ import annotations
@@ -84,25 +86,6 @@ class DensityMatrix:
         return DensityMatrix(m, n, h)
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Orthonormal Hermitian basis; element 0 is I/sqrt(mn), the rest traceless."""
-
-    m: int
-    n: int
-    elements: Array  # (m^2 n^2, mn, mn)
-
-    @property
-    def size(self) -> int:
-        return self.elements.shape[0]
-
-
-@dataclass(frozen=True)
-class EigDecomposition:
-    values: Array  # real, nonincreasing
-    vectors: Array  # orthonormal columns, vectors[:, i] pairs with values[i]
-
-
 def _su_generators(d: int) -> Array:
     """Unit-HS-norm Hermitian basis of C^{d x d}.
 
@@ -133,49 +116,35 @@ def _su_generators(d: int) -> Array:
     return np.stack(out)
 
 
-@lru_cache(maxsize=32)
-def hermitian_basis(m: int, n: int) -> HermitianBasis:
-    """Tensor basis X_a (x) Y_b, A-index major; element 0 equals I/sqrt(mn)."""
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
-    xa = _su_generators(m)
-    yb = _su_generators(n)
-    elems = np.einsum("aij,bkl->abikjl", xa, yb).reshape(
-        m * m * n * n, m * n, m * n
-    )
-    elems.setflags(write=False)
-    return HermitianBasis(m, n, elems)
+@lru_cache(maxsize=None)
+def _local_basis(d: int) -> Array:
+    """(d^2, d^2) unitary whose row a is the generator X_a flattened row-major."""
+    basis = _su_generators(d).reshape(d * d, d * d)
+    basis.setflags(write=False)
+    return basis
 
 
-def to_bloch(a: Array, basis: HermitianBasis) -> Array:
-    """Coordinates tr(X_i a) for i = 1 .. m^2 n^2 - 1 (traceless part only)."""
+def to_bloch(a: Array, m: int, n: int) -> Array:
+    """Coordinates tr((X_a (x) Y_b) a), A-index major, all but the identity's.
+
+    With l the flattened generators, tr((X (x) Y) a) = l(X) . R . l(Y),
+    R the realignment of a, so the coordinates are L_m R L_n^T.
+    """
     a = np.asarray(a, dtype=complex)
-    d = basis.m * basis.n
-    if a.shape != (d, d):
-        raise DimensionMismatchError(f"operator shape {a.shape} does not match basis dim {d}")
-    return np.einsum("kij,ji->k", basis.elements[1:], a).real
+    if a.shape != (m * n, m * n):
+        raise DimensionMismatchError(f"operator shape {a.shape} does not match {m}x{n}")
+    return (_local_basis(m) @ realign(a, m, n) @ _local_basis(n).T).real.ravel()[1:]
 
 
-def from_bloch(coords: Array, trace: float, basis: HermitianBasis) -> Array:
-    """Hermitian operator with the given Bloch coordinates and trace."""
+def from_bloch(coords: Array, m: int, n: int) -> Array:
+    """The traceless Hermitian operator with the given Bloch coordinates."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (basis.size - 1,):
-        raise DimensionMismatchError(
-            f"coordinate length {coords.shape} does not match basis size {basis.size}"
-        )
-    d = basis.m * basis.n
-    a = np.tensordot(coords, basis.elements[1:], axes=1)
-    return a + (trace / d) * np.eye(d)
-
-
-def partial_trace(mat: Array, m: int, n: int, which: str) -> Array:
-    """Trace out subsystem 'A' (result n x n) or 'B' (result m x m)."""
-    t = np.asarray(mat, dtype=complex).reshape(m, n, m, n)
-    if which == "A":
-        return np.einsum("iaib->ab", t)
-    if which == "B":
-        return np.einsum("akbk->ab", t)
-    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    if coords.shape != (m * m * n * n - 1,):
+        raise DimensionMismatchError(f"coordinate shape {coords.shape} does not match {m}x{n}")
+    c = np.concatenate(([0.0], coords)).reshape(m * m, n * n)
+    r = _local_basis(m).conj().T @ c @ _local_basis(n).conj()
+    # undo `realign`: r[j*m+i, l*n+k] is a[i*n+k, j*n+l]
+    return r.reshape(m, m, n, n).transpose(1, 3, 0, 2).reshape(m * n, m * n)
 
 
 def partial_transpose(mat: Array, m: int, n: int, which: str = "B") -> Array:
@@ -201,13 +170,12 @@ def realign(mat: Array, m: int, n: int) -> Array:
     return t.transpose(2, 0, 3, 1).reshape(m * m, n * n)
 
 
-def eig_hermitian(h: Array) -> EigDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by LAPACK (`eigh`).
+def eig_hermitian(h: Array) -> Array:
+    """Eigenvalues of a Hermitian matrix by LAPACK (`eigvalsh`), nonincreasing.
 
     Rejects non-square and non-finite input, and input further than
-    1e-8 * d from Hermitian in Frobenius norm; the Hermitian part is what
-    gets decomposed.  Values come back nonincreasing with matching
-    orthonormal columns.
+    1e-8 * d from Hermitian in Frobenius norm; the spectrum is that of
+    the Hermitian part.
     """
     a = np.asarray(h, dtype=complex)
     d = a.shape[0]
@@ -217,12 +185,11 @@ def eig_hermitian(h: Array) -> EigDecomposition:
         raise ValueError("matrix has non-finite entries")
     if not is_hermitian(a, 1e-8 * max(d, 1)):
         raise ValueError("input is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(hermitize(a))
-    return EigDecomposition(vals[::-1], vecs[:, ::-1])
+    return np.linalg.eigvalsh(hermitize(a))[::-1]
 
 
 def lambda_min(h: Array) -> float:
-    return float(eig_hermitian(h).values[-1])
+    return float(eig_hermitian(h)[-1])
 
 
 def trace_norm(x: Array) -> float:

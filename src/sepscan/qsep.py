@@ -307,28 +307,15 @@ def truncate_decomposition(
     return QsepCertificate(m, n, tuple(terms))
 
 
-def error_bound_sigma(m: int, n: int, p: int) -> float:
-    """Euclidean reconstruction error bound m^3 n^3 2^-(p-7.5)."""
-    if p < 8:
-        raise ValueError("bound needs p >= 8")
-    return (m * n) ** 3 * 2.0 ** (-(p - 7.5))
-
-
 def error_bound_sigma_sq(m: int, n: int, p: int) -> Fraction:
-    """Exact square of the reconstruction bound (2 * 7.5 is an integer)."""
+    """Exact square of the reconstruction bound m^3 n^3 2^-(p-7.5)."""
     if p < 8:
         raise ValueError("bound needs p >= 8")
     return Fraction((m * n) ** 6) * Fraction(2) ** (-(2 * p - 15))
 
 
-def error_bound_normalization(m: int, n: int, p: int) -> float:
-    """Normalization defect bound m^3 n^3 2^-(p-5)."""
-    if p < 6:
-        raise ValueError("bound needs p >= 6")
-    return (m * n) ** 3 * 2.0 ** (-(p - 5))
-
-
 def error_bound_normalization_exact(m: int, n: int, p: int) -> Fraction:
+    """Normalization defect bound m^3 n^3 2^-(p-5), the instance's eps'."""
     return Fraction((m * n) ** 3) * Fraction(2) ** (-(p - 5))
 
 
@@ -356,7 +343,7 @@ def reduce_wmem_to_qsep(
         n,
         rho,
         delta_p=Fraction(1, 2**p),
-        eps_prime=cube * Fraction(2) ** (5 - p),
+        eps_prime=error_bound_normalization_exact(m, n, p),
         delta_prime=cube * Fraction(2) ** (8 - p),
     )
 

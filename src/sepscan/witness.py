@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DensityMatrix, from_bloch, hermitian_basis, to_bloch
+from .core import Array, DensityMatrix, from_bloch, to_bloch
 from .nets import DeltaNet, NetTooCoarseError
 from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 from .wopt import ProductState, WoptResult, wopt_max
@@ -171,7 +171,7 @@ def analytic_center(
 
 def initial_region(rho: DensityMatrix, stats: SearchStats | None = None) -> SearchRegion:
     """Unit Bloch ball, cut by v(rho) . x >= 0 when v(rho) is nonzero."""
-    v = to_bloch(rho.mat, hermitian_basis(rho.m, rho.n))
+    v = to_bloch(rho.mat, rho.m, rho.n)
     nv = float(np.linalg.norm(v))
     if nv < 1e-12:
         normals, x0 = np.empty((0, v.shape[0])), np.zeros(v.shape[0])
@@ -260,9 +260,8 @@ def wsep_solve(
         raise NetTooCoarseError(
             f"net covering radius {net.delta} exceeds delta/10 = {delta / 10}"
         )
-    basis = hermitian_basis(rho.m, rho.n)
     eps = delta / 5.0
-    dim = basis.size - 1
+    dim = rho.dim**2 - 1
     cap = iteration_cap(dim, delta) if max_iters is None else max_iters
     stop = "cap" if cap >= iteration_cap(dim, delta) else "budget"
     stats = SearchStats()
@@ -273,7 +272,7 @@ def wsep_solve(
         a = region.center
         na = float(np.linalg.norm(a))
         a_hat = a / na if na > 1e-12 else fallback
-        candidate = from_bloch(a_hat, 0.0, basis)
+        candidate = from_bloch(a_hat, rho.m, rho.n)
         oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
         stats.oracle_evaluated += oracle.evaluated
         stats.oracle_bounded += oracle.bounded
@@ -301,5 +300,4 @@ def wsep_solve(
 def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:
     """Margin of a previously emitted witness against a (finer) net."""
     oracle = wopt_max(cert.operator, rho.m, rho.n, net)
-    basis = hermitian_basis(rho.m, rho.n)
-    return float(to_bloch(rho.mat, basis) @ cert.bloch) - oracle.value
+    return float(to_bloch(rho.mat, rho.m, rho.n) @ cert.bloch) - oracle.value

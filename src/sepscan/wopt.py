@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DimensionMismatchError, hermitian_basis, proj, to_bloch
+from .core import Array, DimensionMismatchError, proj, to_bloch
 from .nets import DeltaNet
 
 SCAN_CHUNK = 262_144
@@ -68,8 +68,7 @@ class ProductState:
         return np.kron(proj(self.alpha), proj(self.beta))
 
     def bloch(self) -> Array:
-        m, n = self.alpha.shape[0], self.beta.shape[0]
-        return to_bloch(self.matrix(), hermitian_basis(m, n))
+        return to_bloch(self.matrix(), self.alpha.shape[0], self.beta.shape[0])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,33 @@
 """Shared helpers: exact-rational separable states with known decompositions,
-Haar-random local unitaries and graph JSON."""
+Haar-random local unitaries, graph JSON, partial traces and the dense
+product basis that Bloch coordinates refer to."""
 
 from fractions import Fraction
 
 import numpy as np
 
+from sepscan.core import _su_generators
 from sepscan.qsep import QRat, QZERO, kron, mat_add, mat_scale, outer
+
+
+def dense_bloch_basis(m: int, n: int) -> np.ndarray:
+    """All m^2 n^2 elements X_a (x) Y_b, A-index major, as one (m^2 n^2, mn, mn) array.
+
+    The reference `to_bloch` and `from_bloch` are checked against; element 0
+    is I/sqrt(mn) and has no coordinate.
+    """
+    xa, yb = _su_generators(m), _su_generators(n)
+    return np.stack([np.kron(x, y) for x in xa for y in yb])
+
+
+def partial_trace(mat, m: int, n: int, which: str) -> np.ndarray:
+    """Trace out subsystem 'A' (result n x n) or 'B' (result m x m)."""
+    t = np.asarray(mat, dtype=complex).reshape(m, n, m, n)
+    if which == "A":
+        return np.einsum("iaib->ab", t)
+    if which == "B":
+        return np.einsum("akbk->ab", t)
+    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
 
 
 def rational_unit_vector(m: int, rng: np.random.Generator, q: int = 7) -> tuple[QRat, ...]:
@@ -45,7 +67,6 @@ def rational_state_of(decomp, m: int, n: int):
     for w, alpha, beta in decomp:
         acc = mat_add(acc, mat_scale(kron(outer(alpha), outer(beta)), w))
     return acc
-
 
 
 def random_local_unitaries(m: int, n: int, seed: int):

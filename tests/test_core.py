@@ -1,17 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_bloch_basis, partial_trace
 from sepscan import core
 from sepscan.core import (
     DensityMatrix,
     eig_hermitian,
     from_bloch,
-    hermitian_basis,
     is_unnormalized_pure,
     ket,
-    partial_trace,
     partial_transpose,
     proj,
     realign,
@@ -30,89 +31,130 @@ def bell_state():
     return proj(v)
 
 
+def random_traceless(d, rng):
+    h = random_hermitian(d, rng)
+    return h - np.trace(h).real / d * np.eye(d)
+
+
+SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)]
+
+
 class TestHermitianBasis:
+    """The basis as the maps see it: from_bloch of unit vectors."""
+
     def test_trivial_dimension(self):
-        b = hermitian_basis(1, 1)
-        assert b.size == 1
-        np.testing.assert_allclose(b.elements[0], [[1.0]])
+        assert to_bloch(np.array([[0.7]]), 1, 1).shape == (0,)
+        np.testing.assert_array_equal(from_bloch(np.zeros(0), 1, 1), [[0.0]])
 
     def test_two_qubits(self):
-        b = hermitian_basis(2, 2)
-        assert b.size == 16
-        np.testing.assert_allclose(b.elements[0], np.eye(4) / 2, atol=1e-12)
-        for x in b.elements[1:]:
+        ref = dense_bloch_basis(2, 2)
+        assert ref.shape == (16, 4, 4)
+        np.testing.assert_allclose(ref[0], np.eye(4) / 2, atol=1e-12)
+        for k, e in enumerate(np.eye(15)):
+            x = from_bloch(e, 2, 2)
+            np.testing.assert_allclose(x, ref[k + 1], atol=1e-15)
+            np.testing.assert_allclose(x, x.conj().T, atol=1e-15)
             assert abs(np.trace(x)) < 1e-12
             assert abs(np.trace(x @ x).real - 1.0) < 1e-12
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
     def test_gram_matrix(self, m, n):
-        b = hermitian_basis(m, n)
-        flat = b.elements.reshape(b.size, -1)
+        k = m * m * n * n - 1
+        flat = np.stack([from_bloch(e, m, n).ravel() for e in np.eye(k)])
         gram = (flat.conj() @ flat.T).real
-        np.testing.assert_allclose(gram, np.eye(b.size), atol=1e-9)
+        np.testing.assert_allclose(gram, np.eye(k), atol=1e-9)
 
     def test_deterministic(self):
-        hermitian_basis.cache_clear()
-        a = hermitian_basis(2, 3).elements.copy()
-        hermitian_basis.cache_clear()
-        assert np.array_equal(a, hermitian_basis(2, 3).elements)
+        x = random_hermitian(6, np.random.default_rng(2))
+        core._local_basis.cache_clear()
+        a = to_bloch(x, 2, 3)
+        core._local_basis.cache_clear()
+        assert np.array_equal(a, to_bloch(x, 2, 3))
 
 
 class TestBlochMapping:
     def test_maximally_mixed_maps_to_origin(self):
-        b = hermitian_basis(2, 2)
-        np.testing.assert_allclose(to_bloch(np.eye(4) / 4, b), 0.0, atol=1e-12)
+        np.testing.assert_allclose(to_bloch(np.eye(4) / 4, 2, 2), 0.0, atol=1e-12)
 
     def test_basis_element_maps_to_unit_vector(self):
-        b = hermitian_basis(2, 2)
-        coords = to_bloch(b.elements[3], b)
+        coords = to_bloch(dense_bloch_basis(2, 2)[3], 2, 2)
         expected = np.zeros(15)
         expected[2] = 1.0
         np.testing.assert_allclose(coords, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_matches_dense_reference(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        ref = dense_bloch_basis(m, n)[1:]
+        x = random_hermitian(m * n, rng)
+        x /= np.linalg.norm(x)
+        expected = np.einsum("kij,ji->k", ref, x).real
+        np.testing.assert_allclose(to_bloch(x, m, n), expected, rtol=0, atol=1e-14)
+        c = rng.standard_normal(ref.shape[0])
+        c /= np.linalg.norm(c)
+        np.testing.assert_allclose(
+            from_bloch(c, m, n), np.tensordot(c, ref, axes=1), rtol=0, atol=1e-14
+        )
 
     def test_isometry_identity(self):
         # tr(AB) = v(A).v(B) + tr(A)tr(B)/(mn) on 100 random pairs
         rng = np.random.default_rng(7)
         for m, n in [(2, 2), (2, 3)]:
-            b = hermitian_basis(m, n)
             for _ in range(50):
                 x = random_hermitian(m * n, rng)
                 y = random_hermitian(m * n, rng)
                 lhs = np.trace(x @ y).real
-                rhs = to_bloch(x, b) @ to_bloch(y, b) + (
+                rhs = to_bloch(x, m, n) @ to_bloch(y, m, n) + (
                     np.trace(x).real * np.trace(y).real / (m * n)
                 )
                 assert abs(lhs - rhs) < 1e-8
 
     def test_from_bloch_identity_case(self):
-        b = hermitian_basis(2, 2)
-        np.testing.assert_allclose(
-            from_bloch(np.zeros(15), 1.0, b), np.eye(4) / 4, atol=1e-12
-        )
+        # the identity has no coordinates, so it comes back as zero
+        np.testing.assert_array_equal(from_bloch(np.zeros(15), 2, 2), np.zeros((4, 4)))
+        back = from_bloch(to_bloch(np.eye(4) / 4, 2, 2), 2, 2)
+        np.testing.assert_allclose(back, 0.0, atol=1e-15)
 
     def test_from_bloch_basis_element(self):
-        b = hermitian_basis(2, 2)
         e1 = np.zeros(15)
         e1[0] = 1.0
-        np.testing.assert_allclose(from_bloch(e1, 0.0, b), b.elements[1], atol=1e-12)
+        np.testing.assert_allclose(from_bloch(e1, 2, 2), dense_bloch_basis(2, 2)[1], atol=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_round_trip(self, seed):
         rng = np.random.default_rng(seed)
-        b = hermitian_basis(2, 3)
         coords = rng.standard_normal(35)
-        tr = float(rng.standard_normal())
-        a = from_bloch(coords, tr, b)
-        np.testing.assert_allclose(to_bloch(a, b), coords, atol=1e-9)
-        assert abs(np.trace(a).real - tr) < 1e-9
+        a = from_bloch(coords, 2, 3)
+        np.testing.assert_allclose(to_bloch(a, 2, 3), coords, atol=1e-9)
+        assert abs(np.trace(a)) < 1e-9
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_round_trip_traceless_operator(self, m, n):
+        x = random_traceless(m * n, np.random.default_rng(m + 7 * n))
+        np.testing.assert_allclose(from_bloch(to_bloch(x, m, n), m, n), x, atol=1e-13)
 
     def test_dimension_mismatch(self):
-        b = hermitian_basis(2, 2)
         with pytest.raises(core.DimensionMismatchError):
-            to_bloch(np.eye(6), b)
+            to_bloch(np.eye(6), 2, 2)
         with pytest.raises(core.DimensionMismatchError):
-            from_bloch(np.zeros(35), 1.0, b)
+            to_bloch(np.eye(6), 3, 3)
+        with pytest.raises(core.DimensionMismatchError):
+            from_bloch(np.zeros(35), 2, 2)
+        with pytest.raises(core.DimensionMismatchError):
+            from_bloch(np.zeros((3, 5)), 2, 2)
+
+    def test_eight_by_eight_stays_small(self):
+        # the 4096-element product basis alone would take 268 MB
+        x = random_traceless(64, np.random.default_rng(88))
+        tracemalloc.start()
+        try:
+            back = from_bloch(to_bloch(x, 8, 8), 8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        np.testing.assert_allclose(back, x, atol=1e-12)
 
 
 class TestPartialTrace:
@@ -205,53 +247,43 @@ class TestRealign:
 
 class TestEigHermitian:
     def test_identity(self):
-        dec = eig_hermitian(np.eye(5))
-        np.testing.assert_allclose(dec.values, 1.0)
+        np.testing.assert_allclose(eig_hermitian(np.eye(5)), 1.0)
 
     def test_pauli_z_tensor_identity(self):
         z = np.diag([1.0, -1.0])
-        dec = eig_hermitian(np.kron(z, np.eye(2)))
-        np.testing.assert_allclose(dec.values, [1, 1, -1, -1], atol=1e-12)
+        np.testing.assert_allclose(eig_hermitian(np.kron(z, np.eye(2))), [1, 1, -1, -1], atol=1e-12)
 
     def test_one_by_one(self):
-        dec = eig_hermitian(np.array([[-0.25]]))
-        np.testing.assert_array_equal(dec.values, [-0.25])
-        np.testing.assert_allclose(np.abs(dec.vectors), [[1.0]])
+        np.testing.assert_array_equal(eig_hermitian(np.array([[-0.25]])), [-0.25])
 
     def test_zero_matrix(self):
-        dec = eig_hermitian(np.zeros((4, 4)))
-        np.testing.assert_array_equal(dec.values, 0.0)
-        np.testing.assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(4), atol=1e-14)
+        np.testing.assert_array_equal(eig_hermitian(np.zeros((4, 4))), np.zeros(4))
 
-    def test_degenerate_spectrum_orthonormal(self):
-        z = np.diag([1.0, -1.0])
-        h = np.kron(z, np.eye(4))
-        dec = eig_hermitian(h)
-        np.testing.assert_allclose(dec.values, [1] * 4 + [-1] * 4, atol=1e-12)
-        np.testing.assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(8), atol=1e-12)
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
-        np.testing.assert_allclose(recon, h, atol=1e-12)
+    def test_degenerate_spectrum(self):
+        h = np.kron(np.diag([1.0, -1.0]), np.eye(4))
+        np.testing.assert_allclose(eig_hermitian(h), [1] * 4 + [-1] * 4, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 5, 12, 36, 64])
     def test_reconstruction(self, d):
+        # the spectrum reproduces the power sums tr(h^k), k = 1, 2, 3
         rng = np.random.default_rng(d)
         h = random_hermitian(d, rng)
-        dec = eig_hermitian(h)
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
-        assert np.linalg.norm(h - recon) <= 1e-8 * d
-        assert np.linalg.norm(dec.vectors.conj().T @ dec.vectors - np.eye(d)) <= 1e-8 * d
-        assert abs(dec.values.sum() - np.trace(h).real) < 1e-9 * d
+        vals = eig_hermitian(h)
+        scale = np.linalg.norm(h)
+        for k in (1, 2, 3):
+            tr_k = np.trace(np.linalg.matrix_power(h, k)).real
+            assert abs(np.sum(vals**k) - tr_k) <= 1e-12 * d * scale**k
 
     def test_sorted_nonincreasing(self):
         rng = np.random.default_rng(11)
-        vals = eig_hermitian(random_hermitian(9, rng)).values
+        vals = eig_hermitian(random_hermitian(9, rng))
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_matches_lapack(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
             h = random_hermitian(8, rng)
-            ours = eig_hermitian(h).values
+            ours = eig_hermitian(h)
             lapack = np.sort(np.linalg.eigvalsh(h))[::-1]
             np.testing.assert_allclose(ours, lapack, atol=1e-9)
 

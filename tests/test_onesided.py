@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_local_unitaries
+from conftest import partial_trace, random_local_unitaries
 from sepscan import states
-from sepscan.core import (
-    DensityMatrix,
-    eig_hermitian,
-    lambda_min,
-    partial_trace,
-    partial_transpose,
-)
+from sepscan.core import DensityMatrix, eig_hermitian, lambda_min, partial_transpose
 from sepscan.onesided import (
     EIG_TOL,
     ENTANGLED,
@@ -47,7 +41,7 @@ def _renyi2(mat) -> float:
 
 
 def _von_neumann(mat) -> float:
-    vals = np.clip(eig_hermitian(mat).values, 0.0, None)
+    vals = np.clip(eig_hermitian(mat), 0.0, None)
     vals = vals[vals > 1e-15]
     return -float(np.sum(vals * np.log(vals)))
 
@@ -68,10 +62,10 @@ def entropic_test(rho: DensityMatrix, alpha: int = 2) -> Verdict:
 def majorization_test(rho: DensityMatrix) -> Verdict:
     """Global spectrum majorized by each marginal spectrum (zero-padded)."""
     d = rho.dim
-    lam = eig_hermitian(rho.mat).values
+    lam = eig_hermitian(rho.mat)
     worst = 0.0
     for which, dim in (("B", rho.m), ("A", rho.n)):
-        marg = eig_hermitian(partial_trace(rho.mat, rho.m, rho.n, which)).values
+        marg = eig_hermitian(partial_trace(rho.mat, rho.m, rho.n, which))
         padded = np.concatenate([marg, np.zeros(d - dim)])
         excess = float(np.max(np.cumsum(lam) - np.cumsum(padded)))
         worst = max(worst, excess)

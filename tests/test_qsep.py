@@ -22,9 +22,7 @@ from sepscan.qsep import (
     QsepInstance,
     bits_required,
     certificate_state,
-    error_bound_normalization,
     error_bound_normalization_exact,
-    error_bound_sigma,
     error_bound_sigma_sq,
     frobenius_sq,
     mat_sub,
@@ -177,25 +175,22 @@ class TestInstanceValidation:
 
 class TestErrorBounds:
     def test_sigma_bound_values(self):
-        assert error_bound_sigma(2, 2, 16) == pytest.approx(64 * 2**-8.5)
-        assert error_bound_sigma(2, 2, 24) == pytest.approx(64 * 2**-16.5)
-        assert error_bound_sigma(2, 3, 20) == pytest.approx(216 * 2**-12.5)
+        # (m n)^6 2^-(2p - 15), the square of (m n)^3 2^-(p - 7.5)
+        assert error_bound_sigma_sq(2, 2, 16) == Fraction(64**2, 2**17)
+        assert error_bound_sigma_sq(2, 2, 24) == Fraction(64**2, 2**33)
+        assert error_bound_sigma_sq(2, 3, 20) == Fraction(216**2, 2**25)
 
     def test_normalization_bound_values(self):
-        assert error_bound_normalization(2, 2, 16) == pytest.approx(0.03125)
-        assert error_bound_normalization(2, 2, 10) == pytest.approx(2.0)
-        assert error_bound_normalization(3, 3, 20) == pytest.approx(729 * 2**-15)
+        assert error_bound_normalization_exact(2, 2, 16) == Fraction(1, 32)
+        assert error_bound_normalization_exact(2, 2, 10) == 2
+        assert error_bound_normalization_exact(3, 3, 20) == Fraction(729, 2**15)
 
     def test_exact_squares_match_floats(self):
-        assert float(error_bound_sigma_sq(2, 2, 16)) == pytest.approx(
-            error_bound_sigma(2, 2, 16) ** 2
-        )
+        assert float(error_bound_sigma_sq(2, 2, 16)) == pytest.approx((64 * 2**-8.5) ** 2)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            error_bound_sigma(2, 2, 7)
-        with pytest.raises(ValueError):
-            error_bound_normalization(2, 2, 5)
+            error_bound_sigma_sq(2, 2, 7)
 
 
 class TestReduction:
@@ -208,6 +203,7 @@ class TestReduction:
         cube = Fraction(64)
         assert cube * (Fraction(2) ** (8 - p) + Fraction(2) ** (5 - p)) <= 1
         assert cube * (Fraction(2) ** (8 - 14) + Fraction(2) ** (5 - 14)) > 1
+        assert inst.eps_prime == error_bound_normalization_exact(2, 2, p) == cube * 2 ** (5 - p)
 
     def test_error_budget_always_fits(self):
         decomp = rational_separable_decomposition(2, 3, 4, seed=1)

@@ -6,13 +6,7 @@ import scipy.optimize
 
 from conftest import random_local_unitaries
 from sepscan import states, witness
-from sepscan.core import (
-    DensityMatrix,
-    eig_hermitian,
-    hermitian_basis,
-    partial_transpose,
-    to_bloch,
-)
+from sepscan.core import DensityMatrix, from_bloch, partial_transpose, to_bloch
 from sepscan.nets import NetTooCoarseError, build_net
 from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN, ppt_test
 from sepscan.witness import (
@@ -36,12 +30,12 @@ def ppt_witness_bloch(rho):
     region keeps at least one true witness for NPT states.
     """
     pt = partial_transpose(rho.mat, rho.m, rho.n, "B")
-    dec = eig_hermitian(pt)
-    if dec.values[-1] >= 0:
+    vals, vecs = np.linalg.eigh(pt)
+    if vals[0] >= 0:
         return None
-    vec = dec.vectors[:, -1]
+    vec = vecs[:, 0]
     w = -partial_transpose(np.outer(vec, vec.conj()), rho.m, rho.n, "B")
-    coords = to_bloch(w, hermitian_basis(rho.m, rho.n))
+    coords = to_bloch(w, rho.m, rho.n)
     return coords / np.linalg.norm(coords)
 
 
@@ -231,12 +225,9 @@ class TestInitialRegion:
 
 class TestCut:
     def _mock_maximizer(self, rho, net, region):
-        from sepscan.core import from_bloch, hermitian_basis
-
-        basis = hermitian_basis(rho.m, rho.n)
         a = region.center
         a_hat = a / np.linalg.norm(a)
-        return wopt_max(from_bloch(a_hat, 0.0, basis), rho.m, rho.n, net)
+        return wopt_max(from_bloch(a_hat, rho.m, rho.n), rho.m, rho.n, net)
 
     def test_previous_center_not_strictly_feasible(self, net_001):
         rho = states.werner(0.2)
