@@ -213,7 +213,10 @@ def cmd_qsep_verify(args, started: float) -> int:
 
 def cmd_qsep_reduce(args, started: float) -> int:
     mat, m, n = rational_density_from_json(load_json(args.input))
-    delta = Fraction(args.delta)
+    try:
+        delta = Fraction(args.delta)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"bad --delta {args.delta!r}: {exc}") from exc
     inst = reduce_wmem_to_qsep(mat, m, n, delta)
     inst_json = qsep_instance_to_json(inst)
     report = {

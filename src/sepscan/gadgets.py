@@ -183,38 +183,53 @@ def wmqs_to_rsdf(inst: WmqsInstance) -> RsdfInstance:
 
 
 def rsdf_value(blocks, *, seed: int = 0) -> tuple[float, Array]:
-    """F = max over the unit sphere of sum_i (x^T B_i x)^2, by projected ascent."""
+    """F = max over the unit sphere of sum_i (x^T B_i x)^2, by projected ascent.
+
+    All starts (RSDF_STARTS seeded Gaussians, then the basis vectors) climb
+    together as rows of one array, each with its own step size: a step that
+    does not lower the value is taken, one that does halves the step.  A
+    start leaves the batch after a gain below 1e-14 or at a step below
+    1e-12; the best start wins, the first on ties.
+    """
     blocks = np.stack(blocks)
-    dim = blocks.shape[1]
+    k, dim, _ = blocks.shape
+    flat = blocks.reshape(k * dim, dim).T  # x @ flat stacks B_1 x .. B_k x (blocks are symmetric)
     rng = np.random.default_rng(seed)
-    seeds = [rng.standard_normal(dim) for _ in range(RSDF_STARTS)]
-    seeds.extend(np.eye(dim))
-    best_val, best_x = -np.inf, None
-    for x0 in seeds:
-        x = np.asarray(x0, dtype=float)
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            continue
-        x = x / nx
-        step = 0.5
-        val = float(np.sum((x @ blocks @ x) ** 2))
-        for _ in range(RSDF_ITERS):
-            w = x @ blocks @ x  # (k,)
-            grad = 4.0 * np.einsum("k,kij,j->i", w, blocks, x)
-            cand = x + step * grad
-            cand /= np.linalg.norm(cand)
-            cand_val = float(np.sum((cand @ blocks @ cand) ** 2))
-            if cand_val >= val:
-                x, gain, val = cand, cand_val - val, cand_val
-                if gain < 1e-14:
-                    break
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if val > best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
+    x = np.vstack([rng.standard_normal((RSDF_STARTS, dim)), np.eye(dim)])
+    norms = np.linalg.norm(x, axis=1)
+    x = x[norms >= 1e-12] / norms[norms >= 1e-12, None]
+
+    def forms(x):
+        bx = (x @ flat).reshape(len(x), k, dim)
+        w = np.matmul(bx, x[:, :, None])[:, :, 0]  # w[s, i] = x_s^T B_i x_s
+        return bx, w, np.einsum("si,si->s", w, w)
+
+    bx, w, val = forms(x)
+    step = np.full(len(x), 0.5)
+    rows = np.arange(len(x))  # start index of each row still climbing
+    end_x, end_val = x.copy(), val.copy()  # where each start stopped
+    for _ in range(RSDF_ITERS):
+        if not len(rows):
+            break
+        grad = 4.0 * np.matmul(w[:, None, :], bx)[:, 0, :]
+        cand = x + step[:, None] * grad
+        cand /= np.sqrt(np.einsum("si,si->s", cand, cand))[:, None]
+        cand_bx, cand_w, cand_val = forms(cand)
+        up = cand_val >= val
+        gain = cand_val - val
+        x = np.where(up[:, None], cand, x)
+        bx = np.where(up[:, None, None], cand_bx, bx)
+        w = np.where(up[:, None], cand_w, w)
+        val = np.where(up, cand_val, val)
+        step = np.where(up, step, 0.5 * step)
+        done = np.where(up, gain < 1e-14, step < 1e-12)
+        if done.any():
+            end_x[rows[done]], end_val[rows[done]] = x[done], val[done]
+            go = ~done
+            rows, x, bx, w, val, step = rows[go], x[go], bx[go], w[go], val[go], step[go]
+    end_x[rows], end_val[rows] = x, val
+    best = int(np.argmax(end_val))
+    return float(end_val[best]), end_x[best]
 
 
 def _sqrt_bracket(t: Fraction, scale: int = 2**48) -> tuple[Fraction, Fraction]:

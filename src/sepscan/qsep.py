@@ -1,8 +1,7 @@
-"""Exact-rational certificate machinery for near-separable decompositions.
+"""Exact certificate machinery for near-separable decompositions.
 
-Everything on the verification path is integer/Fraction arithmetic: a
-certificate is a list of m^2 n^2 dyadic-rational weighted product terms,
-and acceptance checks the two requirements
+A certificate is a list of m^2 n^2 weighted product terms whose scalars
+are p-bit dyadic rationals, and acceptance checks the two requirements
 
   (1)  |1 - ||alpha_i||^2 ||beta_i||^2 sum_j p_j| < eps'   for all i
   (2)  tr((rho - sigma~)^2) < delta'^2
@@ -12,12 +11,20 @@ padding terms are exempt from (1): they carry no state and would
 otherwise force their zero vectors to look normalized.
 
 "p-bit number" means a dyadic rational a / 2^p with |a| <= 2^p (all
-certified scalars are bounded by one in magnitude); truncation is toward
-zero, matching the error budget of the closed-form bounds
-m^3 n^3 2^-(p-7.5) (reconstruction, Euclidean) and m^3 n^3 2^-(p-5)
-(normalization defect).  The weak-membership reduction picks the smallest
-p with m^3 n^3 (2^-(p-8) + 2^-(p-5)) <= delta, so a truncated exact
-decomposition always verifies.
+certified scalars are bounded by one in magnitude).  The check therefore
+runs on Python integers over a common denominator: each certificate
+scalar x becomes the integer x 2^p once, so alpha_i (x) beta_i holds
+Gaussian integers over 2^(2p) and sigma~ 2^(5p) = sum_i W_i v_i v_i† is
+an integer matrix (W_i = p_i 2^p), summed over its upper triangle.  The
+normalization gaps are integers over 2^(5p), and a `Fraction` is built
+only for each of the d(d+1)/2 entries rho_ij - sigma~_ij.  No float, no
+numpy and no `math` touch this path.
+
+Truncation is toward zero, matching the error budget of the closed-form
+bounds m^3 n^3 2^-(p-7.5) (reconstruction, Euclidean) and
+m^3 n^3 2^-(p-5) (normalization defect).  The weak-membership reduction
+picks the smallest p with m^3 n^3 (2^-(p-8) + 2^-(p-5)) <= delta, so a
+truncated exact decomposition always verifies.
 """
 
 from __future__ import annotations
@@ -25,10 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DensityMatrix
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class BitWidthError(ValueError):
@@ -79,44 +83,6 @@ def vec_norm_sq(v: tuple[QRat, ...]) -> Fraction:
     total = ZERO
     for x in v:
         total += x.abs2()
-    return total
-
-
-def outer(v: tuple[QRat, ...]) -> tuple[tuple[QRat, ...], ...]:
-    return tuple(tuple(a * b.conj() for b in v) for a in v)
-
-
-def kron(a, b) -> tuple[tuple[QRat, ...], ...]:
-    ra, rb = len(a), len(b)
-    out = []
-    for i in range(ra):
-        for k in range(rb):
-            row = []
-            for j in range(ra):
-                for l in range(rb):
-                    row.append(a[i][j] * b[k][l])
-            out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c: Fraction):
-    return tuple(tuple(x.scale(c) for x in row) for row in a)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def frobenius_sq(a) -> Fraction:
-    """tr(A A†) = sum of squared moduli; equals tr(A^2) for Hermitian A."""
-    total = ZERO
-    for row in a:
-        for x in row:
-            total += x.abs2()
     return total
 
 
@@ -187,10 +153,17 @@ def bits_required(delta_p: Fraction) -> int:
     return p
 
 
-def _check_p_bit(x: Fraction, p: int) -> None:
-    scaled = x * 2**p
-    if scaled.denominator != 1 or abs(scaled.numerator) > 2**p:
+def _scaled(x: Fraction, p: int) -> int:
+    """x 2^p as an integer, or BitWidthError unless x is a p-bit dyadic in [-1, 1]."""
+    one = 1 << p
+    scaled, rest = divmod(x.numerator * one, x.denominator)
+    if rest or abs(scaled) > one:
         raise BitWidthError(f"{x} is not a {p}-bit dyadic rational in [-1, 1]")
+    return scaled
+
+
+def _scaled_vector(v: tuple[QRat, ...], p: int) -> list[tuple[int, int]]:
+    return [(_scaled(x.re, p), _scaled(x.im, p)) for x in v]
 
 
 def truncate_toward_zero(x: Fraction, p: int) -> Fraction:
@@ -199,18 +172,6 @@ def truncate_toward_zero(x: Fraction, p: int) -> Fraction:
     scaled = abs(num) * 2**p // den
     sign = 1 if num >= 0 else -1
     return Fraction(sign * scaled, 2**p)
-
-
-def certificate_state(cert: QsepCertificate) -> tuple[tuple[QRat, ...], ...]:
-    """sigma~ = sum_i p_i alpha_i alpha_i† (x) beta_i beta_i†, exactly."""
-    d = cert.m * cert.n
-    acc = tuple(tuple(QZERO for _ in range(d)) for _ in range(d))
-    for p, alpha, beta in cert.terms:
-        if p == 0:
-            continue
-        term = mat_scale(kron(outer(alpha), outer(beta)), p)
-        acc = mat_add(acc, term)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -228,27 +189,44 @@ class VerificationResult:
 
 
 def verify_certificate(inst: QsepInstance, cert: QsepCertificate) -> VerificationResult:
-    """Exact acceptance check of requirements (1) and (2); no floating point."""
+    """Exact acceptance check of requirements (1) and (2) in integers over 2^(5p)."""
     if (inst.m, inst.n) != (cert.m, cert.n):
         raise CertificateFormatError(
             f"instance is {inst.m}x{inst.n}, certificate is {cert.m}x{cert.n}"
         )
     p = bits_required(inst.delta_p)
-    total_weight = ZERO
-    for w, alpha, beta in cert.terms:
-        _check_p_bit(w, p)
-        for x in (*alpha, *beta):
-            _check_p_bit(x.re, p)
-            _check_p_bit(x.im, p)
-        total_weight += w
-    norm_residual = ZERO
-    for w, alpha, beta in cert.terms:
+    terms = [
+        (_scaled(w, p), _scaled_vector(alpha, p), _scaled_vector(beta, p))
+        for w, alpha, beta in cert.terms
+    ]
+    one = 1 << (5 * p)
+    total_weight = sum(w for w, _, _ in terms)
+    d = inst.m * inst.n
+    # row i of the upper triangle of sigma~ 2^(5p), columns i..d-1
+    sig_re = [[0] * (d - i) for i in range(d)]
+    sig_im = [[0] * (d - i) for i in range(d)]
+    worst_gap = 0
+    for w, alpha, beta in terms:
         if w == 0:
             continue  # padding terms carry no state
-        gap = ONE - vec_norm_sq(alpha) * vec_norm_sq(beta) * total_weight
-        norm_residual = max(norm_residual, abs(gap))
-    sigma = certificate_state(cert)
-    dist_sq = frobenius_sq(mat_sub(inst.rho, sigma))
+        norm_a = sum(re * re + im * im for re, im in alpha)
+        norm_b = sum(re * re + im * im for re, im in beta)
+        worst_gap = max(worst_gap, abs(one - norm_a * norm_b * total_weight))
+        v = [(ar * br - ai * bi, ar * bi + ai * br) for ar, ai in alpha for br, bi in beta]
+        for i, (xr, xi) in enumerate(v):
+            xr, xi = w * xr, w * xi  # w v_i conj(v_j), j >= i
+            tail = v[i:]
+            sig_re[i] = [s + xr * yr + xi * yi for s, (yr, yi) in zip(sig_re[i], tail)]
+            sig_im[i] = [s + xi * yr - xr * yi for s, (yr, yi) in zip(sig_im[i], tail)]
+    dist_sq = ZERO
+    for i in range(d):
+        for k, (s_re, s_im) in enumerate(zip(sig_re[i], sig_im[i])):
+            r = inst.rho[i][i + k]
+            d_re = r.re - Fraction(s_re, one)
+            d_im = r.im - Fraction(s_im, one)
+            sq = d_re * d_re + d_im * d_im
+            dist_sq += sq if k == 0 else 2 * sq  # both (i, j) and (j, i)
+    norm_residual = Fraction(worst_gap, one)
     accepted = norm_residual < inst.eps_prime and dist_sq < inst.delta_prime**2
     return VerificationResult(accepted, norm_residual, dist_sq)
 
@@ -308,7 +286,11 @@ def truncate_decomposition(
 
 
 def error_bound_sigma_sq(m: int, n: int, p: int) -> Fraction:
-    """Exact square of the reconstruction bound m^3 n^3 2^-(p-7.5)."""
+    """Exact square of the reconstruction bound m^3 n^3 2^-(p-7.5).
+
+    No code in `src` calls it: it states the paper's truncation
+    proposition, which acceptance 6 checks on every truncated certificate.
+    """
     if p < 8:
         raise ValueError("bound needs p >= 8")
     return Fraction((m * n) ** 6) * Fraction(2) ** (-(2 * p - 15))
@@ -346,23 +328,3 @@ def reduce_wmem_to_qsep(
         eps_prime=error_bound_normalization_exact(m, n, p),
         delta_prime=cube * Fraction(2) ** (8 - p),
     )
-
-
-def wmem_out_to_wmem(rho: DensityMatrix, delta: float):
-    """Shift an out-biased membership query to a plain one.
-
-    rho0 = rho + delta (rho - I/(mn))/2 pushes the state away from the
-    maximally mixed point; delta0 = delta / (2 sqrt(mn(mn-1))).  rho0 stays
-    Hermitian with unit trace but may leave the PSD cone for boundary
-    states, so its minimum eigenvalue is reported rather than validated.
-    """
-    import numpy as np
-
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    d = rho.dim
-    eye = np.eye(d) / d
-    mat0 = rho.mat + delta * (rho.mat - eye) / 2.0
-    delta0 = delta / (2.0 * (d * (d - 1)) ** 0.5)
-    lam_min = float(np.linalg.eigvalsh(mat0)[0])
-    return mat0, delta0, lam_min

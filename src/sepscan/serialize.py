@@ -45,7 +45,7 @@ def _fraction_to_json(x: Fraction) -> dict:
 def _fraction_from_json(obj) -> Fraction:
     try:
         return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad rational scalar: {exc}") from exc
 
 

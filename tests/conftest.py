@@ -1,13 +1,22 @@
 """Shared helpers: exact-rational separable states with known decompositions,
-Haar-random local unitaries, graph JSON, partial traces and the dense
-product basis that Bloch coordinates refer to."""
+the `Fraction` reference of certificate verification, Haar-random local
+unitaries, graph JSON, partial traces and the dense product basis that
+Bloch coordinates refer to."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from sepscan.core import _su_generators
-from sepscan.qsep import QRat, QZERO, kron, mat_add, mat_scale, outer
+from sepscan.qsep import (
+    BitWidthError,
+    CertificateFormatError,
+    QRat,
+    QZERO,
+    VerificationResult,
+    bits_required,
+    vec_norm_sq,
+)
 
 
 def dense_bloch_basis(m: int, n: int) -> np.ndarray:
@@ -28,6 +37,83 @@ def partial_trace(mat, m: int, n: int, which: str) -> np.ndarray:
     if which == "B":
         return np.einsum("akbk->ab", t)
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+
+
+def outer(v):
+    return tuple(tuple(a * b.conj() for b in v) for a in v)
+
+
+def kron(a, b):
+    ra, rb = len(a), len(b)
+    out = []
+    for i in range(ra):
+        for k in range(rb):
+            row = []
+            for j in range(ra):
+                for l in range(rb):
+                    row.append(a[i][j] * b[k][l])
+            out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a, c: Fraction):
+    return tuple(tuple(x.scale(c) for x in row) for row in a)
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def frobenius_sq(a) -> Fraction:
+    """tr(A A†) = sum of squared moduli; equals tr(A^2) for Hermitian A."""
+    total = Fraction(0)
+    for row in a:
+        for x in row:
+            total += x.abs2()
+    return total
+
+
+def certificate_state(cert):
+    """sigma~ = sum_i p_i alpha_i alpha_i† (x) beta_i beta_i†, one Fraction per operation."""
+    d = cert.m * cert.n
+    acc = tuple(tuple(QZERO for _ in range(d)) for _ in range(d))
+    for p, alpha, beta in cert.terms:
+        if p == 0:
+            continue
+        acc = mat_add(acc, mat_scale(kron(outer(alpha), outer(beta)), p))
+    return acc
+
+
+def reference_verify(inst, cert) -> VerificationResult:
+    """`qsep.verify_certificate` in plain `Fraction` arithmetic over the full matrix."""
+    if (inst.m, inst.n) != (cert.m, cert.n):
+        raise CertificateFormatError("dimension mismatch")
+    p = bits_required(inst.delta_p)
+
+    def check_p_bit(x):
+        scaled = x * 2**p
+        if scaled.denominator != 1 or abs(scaled.numerator) > 2**p:
+            raise BitWidthError(f"{x} is not a {p}-bit dyadic rational in [-1, 1]")
+
+    total_weight = Fraction(0)
+    for w, alpha, beta in cert.terms:
+        check_p_bit(w)
+        for x in (*alpha, *beta):
+            check_p_bit(x.re)
+            check_p_bit(x.im)
+        total_weight += w
+    norm_residual = Fraction(0)
+    for w, alpha, beta in cert.terms:
+        if w != 0:
+            gap = 1 - vec_norm_sq(alpha) * vec_norm_sq(beta) * total_weight
+            norm_residual = max(norm_residual, abs(gap))
+    dist_sq = frobenius_sq(mat_sub(inst.rho, certificate_state(cert)))
+    accepted = norm_residual < inst.eps_prime and dist_sq < inst.delta_prime**2
+    return VerificationResult(accepted, norm_residual, dist_sq)
 
 
 def rational_unit_vector(m: int, rng: np.random.Generator, q: int = 7) -> tuple[QRat, ...]:

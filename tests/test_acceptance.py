@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rational_separable_decomposition, rational_state_of
+from conftest import (
+    certificate_state,
+    frobenius_sq,
+    mat_sub,
+    rational_separable_decomposition,
+    rational_state_of,
+)
 from sepscan import states
 from sepscan.core import eig_hermitian, partial_transpose, to_bloch
 from sepscan.gadgets import max_clique, motzkin_straus_value, random_graph, verify_chain
@@ -19,11 +25,8 @@ from sepscan.nets import build_net
 from sepscan.onesided import ENTANGLED, SEPARABLE, ppt_test
 from sepscan.qsep import (
     bits_required,
-    certificate_state,
     error_bound_normalization_exact,
     error_bound_sigma_sq,
-    frobenius_sq,
-    mat_sub,
     reduce_wmem_to_qsep,
     truncate_decomposition,
     vec_norm_sq,

@@ -323,6 +323,49 @@ class TestQsepCommands:
         assert report["result"]["accepted"] is False
 
 
+class TestZeroDenominator:
+    """A rational scalar with denominator 0 is malformed input (exit 64), never a verdict."""
+
+    @staticmethod
+    def rational_state(tmp_path, den):
+        scalar = {"re": {"num": "1", "den": den}, "im": {"num": "0", "den": "1"}}
+        path = tmp_path / "one.rational.json"
+        dump_json({"m": 1, "n": 1, "rational": True, "matrix": [[scalar]]}, path)
+        return str(path)
+
+    def assert_input_error(self, capsys, *argv):
+        code, report = run_cli(capsys, *argv)
+        assert code == 64
+        assert report["kind"] == "input"
+
+    def test_qsep_reduce_input(self, capsys, tmp_path):
+        path = self.rational_state(tmp_path, "0")
+        self.assert_input_error(capsys, "qsep-reduce", "--input", path, "--delta", "1/2")
+
+    def test_test_command_input(self, capsys, tmp_path):
+        self.assert_input_error(capsys, "test", "--input", self.rational_state(tmp_path, "0"))
+
+    def test_qsep_verify_certificate(self, capsys, tmp_path):
+        decomp = rational_separable_decomposition(2, 2, 5, seed=21)
+        inst = reduce_wmem_to_qsep(rational_state_of(decomp, 2, 2), 2, 2, Fraction(1, 2))
+        inst_path = tmp_path / "inst.json"
+        dump_json(qsep_instance_to_json(inst), inst_path)
+        cert = qsep_certificate_to_json(
+            truncate_decomposition(decomp, bits_required(inst.delta_p), 2, 2)
+        )
+        cert["terms"][0]["weight"]["den"] = "0"
+        cert_path = tmp_path / "cert.json"
+        dump_json(cert, cert_path)
+        self.assert_input_error(
+            capsys, "qsep-verify", "--instance", str(inst_path), "--cert", str(cert_path)
+        )
+
+    def test_qsep_reduce_delta(self, capsys, tmp_path):
+        path = self.rational_state(tmp_path, "1")
+        assert run_cli(capsys, "qsep-reduce", "--input", path, "--delta", "1/2")[0] == 0
+        self.assert_input_error(capsys, "qsep-reduce", "--input", path, "--delta", "1/0")
+
+
 class TestGadgetCommand:
     def test_triangle_chain(self, capsys, tmp_path):
         from sepscan.gadgets import Graph

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sepscan.gadgets import (
+    RSDF_ITERS,
+    RSDF_STARTS,
     Graph,
     clique_to_wmqs,
     max_clique,
@@ -38,6 +40,41 @@ def rsdf_sphere_grid(blocks, resolution: int = 400) -> float:
         raise ValueError("grid evaluation supports dimensions 2 and 3 only")
     forms = np.einsum("si,kij,sj->sk", xs, blocks, xs)
     return float(np.max(np.sum(forms**2, axis=1)))
+
+
+def rsdf_value_loop(blocks, *, seed: int = 0):
+    """`rsdf_value` one start at a time: the reference for the batched ascent."""
+    blocks = np.stack(blocks)
+    dim = blocks.shape[1]
+    rng = np.random.default_rng(seed)
+    seeds = [rng.standard_normal(dim) for _ in range(RSDF_STARTS)]
+    seeds.extend(np.eye(dim))
+    best_val, best_x = -np.inf, None
+    for x0 in seeds:
+        x = np.asarray(x0, dtype=float)
+        nx = np.linalg.norm(x)
+        if nx < 1e-12:
+            continue
+        x = x / nx
+        step = 0.5
+        val = float(np.sum((x @ blocks @ x) ** 2))
+        for _ in range(RSDF_ITERS):
+            w = x @ blocks @ x  # (k,)
+            grad = 4.0 * np.einsum("k,kij,j->i", w, blocks, x)
+            cand = x + step * grad
+            cand /= np.linalg.norm(cand)
+            cand_val = float(np.sum((cand @ blocks @ cand) ** 2))
+            if cand_val >= val:
+                x, gain, val = cand, cand_val - val, cand_val
+                if gain < 1e-14:
+                    break
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
 
 
 K2 = Graph.complete(2)
@@ -152,6 +189,31 @@ class TestWmqsToRsdf:
             f_val, _ = rsdf_value(rsdf.blocks)
             h_val = motzkin_straus_value(g).value
             assert abs(f_val - h_val) < 1e-6
+
+
+class TestBatchedAscent:
+    def test_matches_one_start_at_a_time_on_acceptance_7_graphs(self):
+        # the chain half of acceptance 7: random_graph(3 + s % 3, 0.6, s + 500), seed s
+        for seed in range(12):
+            g = random_graph(3 + seed % 3, 0.6, seed + 500)
+            blocks = wmqs_to_rsdf(clique_to_wmqs(g, 2)).blocks
+            val, x = rsdf_value(blocks, seed=seed)
+            ref_val, _ = rsdf_value_loop(blocks, seed=seed)
+            assert abs(val - ref_val) <= 1e-12, (seed, val, ref_val)
+            assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
+            forms = np.array([x @ b @ x for b in blocks])
+            assert abs(float(np.sum(forms**2)) - val) <= 1e-12
+
+    def test_matches_on_random_symmetric_blocks(self):
+        rng = np.random.default_rng(3)
+        for dim, k in [(2, 1), (3, 4), (5, 6)]:
+            blocks = []
+            for _ in range(k):
+                a = rng.standard_normal((dim, dim))
+                blocks.append((a + a.T) / 2)
+            for seed in range(3):
+                val, _ = rsdf_value(blocks, seed=seed)
+                assert abs(val - rsdf_value_loop(blocks, seed=seed)[0]) <= 1e-12 * max(1.0, val)
 
 
 class TestRsdfToWval:

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    certificate_state,
+    frobenius_sq,
+    mat_sub,
     rational_separable_decomposition,
     rational_state_of,
     rational_unit_vector,
+    reference_verify,
 )
 from sepscan import qsep, states
 from sepscan.qsep import (
@@ -21,19 +26,34 @@ from sepscan.qsep import (
     QsepCertificate,
     QsepInstance,
     bits_required,
-    certificate_state,
     error_bound_normalization_exact,
     error_bound_sigma_sq,
-    frobenius_sq,
-    mat_sub,
     qrat,
     reduce_wmem_to_qsep,
     truncate_decomposition,
     truncate_toward_zero,
     vec_norm_sq,
     verify_certificate,
-    wmem_out_to_wmem,
 )
+
+
+def wmem_out_to_wmem(rho, delta: float):
+    """Shift an out-biased membership query to a plain one.
+
+    rho0 = rho + delta (rho - I/(mn))/2 pushes the state away from the
+    maximally mixed point; delta0 = delta / (2 sqrt(mn(mn-1))).  rho0 stays
+    Hermitian with unit trace but may leave the PSD cone for boundary
+    states, so its minimum eigenvalue is reported rather than validated.
+    """
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    d = rho.dim
+    eye = np.eye(d) / d
+    mat0 = rho.mat + delta * (rho.mat - eye) / 2.0
+    delta0 = delta / (2.0 * (d * (d - 1)) ** 0.5)
+    lam_min = float(np.linalg.eigvalsh(mat0)[0])
+    return mat0, delta0, lam_min
+
 
 fractions_st = st.fractions(min_value=-1, max_value=1, max_denominator=10**6)
 
@@ -155,6 +175,186 @@ class TestVerifyCertificate:
         assert res.accepted
 
 
+def instance_for(decomp, m, n, delta=Fraction(1, 4)):
+    return reduce_wmem_to_qsep(rational_state_of(decomp, m, n), m, n, delta)
+
+
+def random_dyadic_certificate(m, n, p, seed, padding):
+    """Random p-bit scalars in [-1, 1]; the first `padding` terms get weight zero."""
+    rng = np.random.default_rng(seed)
+    one = 2**p
+
+    def scalar(lo=-one):
+        return Fraction(int(rng.integers(lo, one + 1)), one)
+
+    terms = []
+    for t in range(m * m * n * n):
+        w = Fraction(0) if t < padding else scalar(0)
+        alpha = tuple(QRat(scalar(), scalar()) for _ in range(m))
+        beta = tuple(QRat(scalar(), scalar()) for _ in range(n))
+        terms.append((w, alpha, beta))
+    # the extremes of the range, on a term that carries weight
+    w, alpha, beta = terms[padding]
+    terms[padding] = (Fraction(1), (qrat(-1, 1),) + alpha[1:], (qrat(1, -1),) + beta[1:])
+    return QsepCertificate(m, n, tuple(terms))
+
+
+def has_negative_component(cert):
+    return any(
+        x.re < 0 or x.im < 0 for _, alpha, beta in cert.terms for x in (*alpha, *beta)
+    )
+
+
+def float_rounded_state(decomp, m, n):
+    """The decomposition's state in floats, read back as exact dyadic rationals.
+
+    Hermitian with trace exactly 1 (the last diagonal entry absorbs the
+    rounding), and within ~1e-15 of the exact state, at numpy speed.
+    """
+    d = m * n
+    mat = np.zeros((d, d), dtype=complex)
+    for w, alpha, beta in decomp:
+        a = np.array([complex(float(x.re), float(x.im)) for x in alpha])
+        b = np.array([complex(float(x.re), float(x.im)) for x in beta])
+        v = np.kron(a, b)
+        mat += float(w) * np.outer(v, v.conj())
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = QRat(Fraction(float(mat[i, i].real)), Fraction(0))
+        for j in range(i + 1, d):
+            z = mat[i, j]
+            rows[i][j] = QRat(Fraction(float(z.real)), Fraction(float(z.imag)))
+            rows[j][i] = rows[i][j].conj()
+    rest = sum((rows[i][i].re for i in range(d - 1)), Fraction(0))
+    rows[d - 1][d - 1] = QRat(1 - rest, Fraction(0))
+    return tuple(tuple(r) for r in rows)
+
+
+SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]
+
+
+class TestIntegerPath:
+    """The integer check equals the Fraction reference in conftest, field for field."""
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_truncated_certificates_match_reference(self, m, n):
+        for seed in range(2):
+            decomp = rational_separable_decomposition(m, n, m * n, seed=seed)
+            inst = instance_for(decomp, m, n)
+            cert = truncate_decomposition(decomp, bits_required(inst.delta_p), m, n)
+            assert sum(1 for w, _, _ in cert.terms if w == 0) == m * m * n * n - m * n
+            assert has_negative_component(cert)
+            res = verify_certificate(inst, cert)
+            assert res == reference_verify(inst, cert)
+            assert res.accepted
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_rejected_certificates_match_reference(self, m, n):
+        decomp = rational_separable_decomposition(m, n, m * n, seed=5)
+        inst = instance_for(decomp, m, n)
+        p = bits_required(inst.delta_p)
+        other = rational_separable_decomposition(m, n, 2, seed=6)
+        cert = truncate_decomposition(other, p, m, n)
+        res = verify_certificate(inst, cert)
+        assert res == reference_verify(inst, cert)
+        assert not res.accepted
+        assert res.distance_sq >= inst.delta_prime**2
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_dyadic_certificates_match_reference(self, m, n, seed):
+        """Zero-weight padding with nonzero vectors, signs everywhere, entries of +-1."""
+        decomp = rational_separable_decomposition(m, n, 3, seed=seed)
+        rho = rational_state_of(decomp, m, n)
+        p = 5
+        inst = QsepInstance(m, n, rho, Fraction(1, 2**p), Fraction(1, 3), Fraction(5, 7))
+        cert = random_dyadic_certificate(m, n, p, seed, padding=m * n)
+        res = verify_certificate(inst, cert)
+        assert res == reference_verify(inst, cert)
+        assert res.normalization_residual > 0
+
+    def test_unit_entries_verify_exactly(self):
+        inst = diag_half_instance()
+        zero = (QZERO, QZERO)
+        e0 = (qrat(-1), QZERO)
+        e1 = (QZERO, qrat(0, 1))
+        e1_conj = (QZERO, qrat(0, -1))
+        terms = [(Fraction(1, 2), e0, e0), (Fraction(1, 2), e1, e1_conj)]
+        terms += [(Fraction(0), zero, zero)] * 14
+        cert = QsepCertificate(2, 2, tuple(terms))
+        res = verify_certificate(inst, cert)
+        assert res == reference_verify(inst, cert)
+        assert res.accepted and res.normalization_residual == 0 and res.distance_sq == 0
+
+    def test_unit_weight_verifies_exactly(self):
+        rows = tuple(
+            tuple(qrat(1) if i == j == 1 else QZERO for j in range(4)) for i in range(4)
+        )
+        inst = QsepInstance(2, 2, rows, Fraction(1, 256), Fraction(1, 8), Fraction(1, 8))
+        zero = (QZERO, QZERO)
+        alpha, beta = (qrat(0, -1), QZERO), (QZERO, qrat(-1))
+        terms = [(Fraction(1), alpha, beta)] + [(Fraction(0), zero, zero)] * 15
+        cert = QsepCertificate(2, 2, tuple(terms))
+        res = verify_certificate(inst, cert)
+        assert res == reference_verify(inst, cert)
+        assert res.accepted and res.normalization_residual == 0 and res.distance_sq == 0
+
+    def test_acceptance_bounds_are_strict(self):
+        # one half-weight term of diag(1/2, 0, 0, 1/2): gap 1/2, distance_sq 1/4
+        zero = (QZERO, QZERO)
+        e0 = (qrat(1), QZERO)
+        terms = ((Fraction(1, 2), e0, e0),) + ((Fraction(0), zero, zero),) * 15
+        cert = QsepCertificate(2, 2, terms)
+        rho = diag_half_instance().rho
+        for eps, delta, accepted in [
+            (Fraction(1, 2), Fraction(1), False),
+            (Fraction(1), Fraction(1, 2), False),
+            (Fraction(513, 1024), Fraction(513, 1024), True),
+        ]:
+            inst = QsepInstance(2, 2, rho, Fraction(1, 256), eps, delta)
+            res = verify_certificate(inst, cert)
+            assert res == reference_verify(inst, cert)
+            assert (res.normalization_residual, res.distance_sq) == (Fraction(1, 2), Fraction(1, 4))
+            assert res.accepted is accepted
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Fraction(1, 3), Fraction(1, 2**9), Fraction(3, 2), Fraction(257, 256)],
+        ids=["non_dyadic", "too_fine", "above_one", "one_step_above_one"],
+    )
+    @pytest.mark.parametrize("where", ["weight", "alpha_re", "beta_im", "alpha_re_neg"])
+    def test_bit_width_errors(self, bad, where):
+        inst = diag_half_instance()  # delta_p = 2^-8
+        w, alpha, beta = exact_diag_certificate().terms[0]
+        if where == "weight":
+            w = bad
+        elif where == "alpha_re":
+            alpha = (qrat(bad), alpha[1])
+        elif where == "alpha_re_neg":
+            alpha = (qrat(-bad), alpha[1])
+        else:
+            beta = (beta[0], qrat(0, bad))
+        cert = QsepCertificate(2, 2, ((w, alpha, beta),) + exact_diag_certificate().terms[1:])
+        with pytest.raises(BitWidthError):
+            verify_certificate(inst, cert)
+        with pytest.raises(BitWidthError):
+            reference_verify(inst, cert)
+
+    def test_full_four_by_four_certificate_accepts_quickly(self):
+        # 256 weighted terms; the Fraction reference needs seconds here, so it is not run
+        decomp = rational_separable_decomposition(4, 4, 256, seed=7)
+        rho = float_rounded_state(decomp, 4, 4)
+        inst = reduce_wmem_to_qsep(rho, 4, 4, Fraction(1, 4))
+        cert = truncate_decomposition(decomp, bits_required(inst.delta_p), 4, 4)
+        assert all(w > 0 for w, _, _ in cert.terms)
+        started = time.perf_counter()
+        res = verify_certificate(inst, cert)
+        elapsed = time.perf_counter() - started
+        assert res.accepted
+        assert res.normalization_residual < inst.eps_prime
+        assert elapsed < 1.0
+
+
 class TestInstanceValidation:
     def test_trace_must_be_exactly_one(self):
         rows = tuple(
@@ -267,21 +467,16 @@ class TestWmemOutTransform:
 class TestNoFloatAudit:
     VERIFICATION_PATH = [
         "verify_certificate",
-        "certificate_state",
+        "_scaled",
+        "_scaled_vector",
         "truncate_toward_zero",
         "truncate_decomposition",
         "bits_required",
-        "_check_p_bit",
         "vec_norm_sq",
-        "outer",
-        "kron",
-        "mat_sub",
-        "mat_scale",
-        "mat_add",
-        "frobenius_sq",
         "is_hermitian_rational",
         "rational_trace",
         "reduce_wmem_to_qsep",
+        "error_bound_normalization_exact",
     ]
 
     def test_verification_path_is_float_free(self):
@@ -302,6 +497,16 @@ class TestNoFloatAudit:
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                     if node.value.id in ("np", "numpy", "math"):
                         raise AssertionError(f"{node.value.id}.{node.attr} used in {name}")
+
+    def test_module_imports_neither_numpy_nor_math(self):
+        tree = ast.parse(inspect.getsource(qsep))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported == {"__future__", "dataclasses", "fractions"}
 
 
 class TestRationalHelpers:
