@@ -1,7 +1,7 @@
 """Command-line front end: one subcommand per pipeline, JSON reports on stdout.
 
 Exit codes: 0 separable-assured (or a successful non-verdict command),
-1 entangled, 2 unknown/unverified, 64 malformed input, 65 infeasible
+1 entangled, 2 unknown/unverified, 64 malformed input or usage, 65 infeasible
 configuration (net too coarse or too large, dimension guards), 70
 internal numerical failure.
 """
@@ -88,7 +88,7 @@ def cmd_test(args, started: float) -> int:
 
 def cmd_witness(args, started: float) -> int:
     rho = _load_state(args.input)
-    net_delta = args.net_delta if args.net_delta is not None else args.delta / 10.0
+    net_delta = args.delta / 10.0  # the coarsest net wsep_solve accepts
     net = build_net(min(rho.m, rho.n), net_delta)
     result = wsep_solve(rho, args.delta, net)
     report = {
@@ -134,24 +134,13 @@ def cmd_symext(args, started: float) -> int:
         rho,
         args.delta,
         kmax=args.kmax,
-        ppt=args.ppt,
-        max_iters=args.max_iters,
-        tol=args.tol,
         strict_confirm=confirm,
         stats=stats,
     )
     report = {
         "config": RunConfig(
             "symext",
-            {
-                "input": args.input,
-                "delta": args.delta,
-                "kmax": args.kmax,
-                "ppt": args.ppt,
-                "max_iters": args.max_iters,
-                "tol": args.tol,
-                "strict": args.strict,
-            },
+            {"input": args.input, "delta": args.delta, "kmax": args.kmax, "strict": args.strict},
         ).to_json(),
         "verdict": verdict.to_json(),
         "stats": dataclasses.asdict(stats),
@@ -162,11 +151,11 @@ def cmd_symext(args, started: float) -> int:
 
 def cmd_wopt(args, started: float) -> int:
     obj = load_json(args.op)
-    mat = matrix_from_json(obj["matrix"] if isinstance(obj, dict) else obj)
-    if isinstance(obj, dict) and "m" in obj and "n" in obj:
-        m, n = int(obj["m"]), int(obj["n"])
-    else:
-        raise InputFormatError("operator JSON must carry m and n")
+    try:
+        m, n, matrix = int(obj["m"]), int(obj["n"]), obj["matrix"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"operator JSON must carry m and n and a matrix: {exc}") from exc
+    mat = matrix_from_json(matrix)
     hs = float(np.linalg.norm(mat))
     if hs < 1e-15:
         raise InputFormatError("zero operator")
@@ -293,8 +282,13 @@ def cmd_state(args, started: float) -> int:
     return EXIT_SEPARABLE
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is malformed input, not an Unknown verdict
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sepscan",
         description="Deterministic bipartite separability testing with certificates",
     )
@@ -307,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="cutting-plane witness search")
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--net-delta", type=float, default=None)
     p.add_argument("--witness-out", default=None)
     p.set_defaults(func=cmd_witness)
 
@@ -315,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--ppt", action=argparse.BooleanOptionalAction, default=True,
-                   help="run the exact NPT presolve")
-    p.add_argument("--max-iters", type=int, default=3000)
-    p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_symext)
 
@@ -370,9 +359,8 @@ def _fail(message: str, kind: str, code: int) -> int:
 
 def main(argv=None) -> int:
     started = time.time()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, started)
     except (InputFormatError,) as exc:
         return _fail(str(exc), "input", EXIT_BAD_INPUT)

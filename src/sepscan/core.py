@@ -18,7 +18,7 @@ import numpy as np
 
 Array = np.ndarray
 
-# Default tolerances; every consumer accepts an override.
+# Input checks of DensityMatrix.make; HERMITICITY_TOL scales with the dimension.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -76,6 +76,8 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix has non-finite entries")
+        if not is_hermitian(mat):
+            raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL} x {m * n}")
         h = hermitize(mat)
         tr = h.trace().real
         if abs(tr - 1.0) > TRACE_TOL:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import Array
 
@@ -233,6 +232,8 @@ def _projector_embedding(points: Array) -> Array:
 
 def gaps_to_net(net: DeltaNet, samples: Array) -> Array:
     """Phase-quotient distance from each sample (rows, unit vectors in C^m) to the net."""
+    from scipy.spatial import cKDTree  # slow to import, and only this needs it
+
     tree = cKDTree(_projector_embedding(net.points))
     frob, _ = tree.query(_projector_embedding(samples), k=1)
     overlap = np.sqrt(np.clip(1.0 - frob**2 / 2.0, 0.0, 1.0))

@@ -99,11 +99,10 @@ def rational_matrix_from_json(obj):
 def rational_density_from_json(obj):
     """(matrix of QRat, m, n) for the exact-rational pipeline."""
     try:
-        m, n = int(obj["m"]), int(obj["n"])
-        mat = rational_matrix_from_json(obj["matrix"])
+        m, n, matrix = int(obj["m"]), int(obj["n"]), obj["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"rational density JSON needs m, n, matrix: {exc}") from exc
-    return mat, m, n
+    return rational_matrix_from_json(matrix), m, n
 
 
 def qsep_instance_to_json(inst: QsepInstance) -> dict:

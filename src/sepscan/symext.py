@@ -54,6 +54,8 @@ MAX_DIM = 512  # ambient dimension d_sk n of an extension
 SPLIT_MAX_DIM = 2048  # dimension of a branched, partially transposed copy
 # over-relaxation of the Douglas-Rachford step
 RELAXATION = 1.7
+TOL = 1e-7  # PSD slack of an accepted iterate; the NPT presolve's eigenvalue threshold
+SCAN_ITERS = 3000  # iteration budget of each depth of separability_scan
 
 
 class DimensionGuardError(ValueError):
@@ -235,7 +237,7 @@ def _lowest(x: Array) -> float:
     return float(np.linalg.eigvalsh(hermitize(x))[0])
 
 
-def _npt_certificate(rho: DensityMatrix, gram: Array, tol: float) -> ExtensionResult | None:
+def _npt_certificate(rho: DensityMatrix, gram: Array) -> ExtensionResult | None:
     """Exact infeasibility of every PPT extension when rho^Gamma has a negative eigenvalue.
 
     Any PPT extension has E(T_B X) = rho^Gamma with T_B X >= 0, and E maps
@@ -247,18 +249,14 @@ def _npt_certificate(rho: DensityMatrix, gram: Array, tol: float) -> ExtensionRe
     """
     m, n, d = rho.m, rho.n, rho.dim
     vals, vecs = np.linalg.eigh(partial_transpose(rho.mat, m, n, "B"))
-    if vals[0] >= -tol:
+    if vals[0] >= -TOL:
         return None
     bound = float(np.linalg.norm(vals[vals < 0]) / math.sqrt(np.linalg.eigvalsh(gram)[-1]))
     w = np.eye(d) / d - partial_transpose(np.outer(vecs[:, 0], vecs[:, 0].conj()), m, n, "B")
     return ExtensionResult(False, None, bound, 0, w / np.linalg.norm(w))
 
 
-def find_extension(
-    prob: ExtensionProblem,
-    max_iters: int = 20_000,
-    tol: float = 1e-7,
-) -> ExtensionResult:
+def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> ExtensionResult:
     """Douglas-Rachford feasibility search for a (PPT) Bose-symmetric extension.
 
     With PPT constraints, an NPT state is rejected at iteration 0 with a
@@ -269,9 +267,11 @@ def find_extension(
     iterating.
 
     Success requires the affine iterate (extension property exact to
-    machine precision) to be PSD within tol on every required cone, or
-    the cone iterate (PSD exactly) to trace back and pass the transposed
-    cones within tol.  The residual is ||a - c|| over all cones; if the
+    machine precision) to be PSD within TOL on every required cone.  It
+    is tested every 10th iteration and whenever the residual falls below
+    TOL, where it passes up to rounding: each c_j is PSD and
+    ||a_j - c_j|| < TOL, so Weyl's inequality bounds lambda_min(a_j) below
+    by -TOL.  The residual is ||a - c|| over all cones; if the
     budget runs out it is reported with `budget_exhausted`, and the
     witness is the defect a - c of X traced back to the state space.  The
     residual of every 10th iteration is kept in `residuals`.
@@ -281,7 +281,7 @@ def find_extension(
     rho = prob.rho
     maps = _ExtensionMaps(rho.m, rho.n, prob.k)
     if prob.ppt:
-        cert = _npt_certificate(rho, maps.gram, tol)
+        cert = _npt_certificate(rho, maps.gram)
         if cert is not None:
             return cert
     # each cone is the image of X under one isometry: (map, adjoint)
@@ -308,7 +308,7 @@ def find_extension(
 
     z = affine_point(np.zeros((maps.dim, maps.dim), dtype=complex))
     spectra = [np.linalg.eigvalsh(hermitize(y)) for y in z]
-    if min(v[0] for v in spectra) >= -tol:
+    if min(v[0] for v in spectra) >= -TOL:
         # z is on the affine set, so this is the loop's test on its affine
         # iterate; the residual is the distance from z to the cones
         residual = math.sqrt(sum(float(np.sum(np.minimum(v, 0.0) ** 2)) for v in spectra))
@@ -320,15 +320,8 @@ def find_extension(
         residual = math.sqrt(sum(float(np.linalg.norm(ai - ci)) ** 2 for ai, ci in zip(a, c)))
         if it % 10 == 0:
             history.append(residual)
-        if it % 10 == 0 or residual < tol:
-            if min(_lowest(y) for y in a) >= -tol:
-                return ExtensionResult(True, hermitize(a[0]), residual, it,
-                                       residuals=tuple(history))
-            if residual < tol:
-                cand = hermitize(c[0])
-                trace_defect = float(np.linalg.norm(maps.reduce_one(cand) - rho.mat))
-                if trace_defect <= tol and all(_lowest(t(cand)) >= -tol for t, _ in ops[1:]):
-                    return ExtensionResult(True, cand, residual, it, residuals=tuple(history))
+        if (it % 10 == 0 or residual < TOL) and min(_lowest(y) for y in a) >= -TOL:
+            return ExtensionResult(True, hermitize(a[0]), residual, it, residuals=tuple(history))
         z = [zi + RELAXATION * (ai - ci) for zi, ai, ci in zip(z, a, c)]
     defect_dir = a[0] - c[0]
     norm = float(np.linalg.norm(defect_dir))
@@ -376,7 +369,6 @@ class DepthStats:
 
 @dataclass
 class ScanStats:  # filled in by separability_scan as it runs
-    presolve_ran: bool = False
     presolve_decided: bool = False  # rho^Gamma has a negative eigenvalue
     depths: list[DepthStats] = field(default_factory=list)
     stop: str = ""  # trivial_bound, presolve, unconfirmed, stalled, kmax or depth
@@ -387,24 +379,22 @@ def separability_scan(
     delta: float,
     kmax: int | None = None,
     *,
-    ppt: bool = True,
-    max_iters: int = 3000,
-    tol: float = 1e-7,
     strict_confirm=None,
     stats: ScanStats | None = None,
 ) -> Verdict:
     """Climb the Bose-symmetric extension hierarchy up to the trace-norm-delta depth.
 
     The 4m/k bound needs Bose symmetry alone, so every depth is searched
-    without PPT cones.  Entangled (exact=False) comes only from the exact
-    NPT presolve (`ppt=True`), which rules out PPT extensions at every
-    depth and so runs once, first; its value is the certified residual,
-    and in strict mode the callable `strict_confirm` must agree before it
-    is emitted.  Then every depth's size guard is checked, before any
-    iteration.  A search that runs out of iterations proves nothing and
-    yields Unknown with the last residual as its value.  Reaching the
-    bound with an extension in hand certifies trace-norm delta-closeness
-    to the separable set.  `stats`, when given, records the presolve,
+    without PPT cones, each within SCAN_ITERS iterations.  Entangled
+    (exact=False) comes only from the exact NPT presolve, which rules out
+    PPT extensions at every depth and so runs once, first, unless the
+    bound is trivial; its value is the certified residual, and in strict
+    mode the callable `strict_confirm` must agree before it is emitted.
+    Then every depth's size guard is checked, before any iteration.  A
+    search that runs out of iterations proves nothing and yields Unknown
+    with the last residual as its value.  Reaching the bound with an
+    extension in hand certifies trace-norm delta-closeness to the
+    separable set.  `stats`, when given, records the presolve's outcome,
     each depth's iterations and residuals, and the stop reason.
     """
     stats = ScanStats() if stats is None else stats
@@ -414,8 +404,7 @@ def separability_scan(
         stats.stop = "trivial_bound"
         return Verdict(SEPARABLE, "symext_trivial_bound", False, float(kbar))
     top = min(kbar, kmax) if kmax is not None else kbar
-    stats.presolve_ran = ppt
-    cert = _npt_certificate(rho, _ExtensionMaps(rho.m, rho.n, 2).gram, tol) if ppt else None
+    cert = _npt_certificate(rho, _ExtensionMaps(rho.m, rho.n, 2).gram)
     if cert is not None:
         stats.presolve_decided = True
         if strict_confirm is not None and not strict_confirm(rho):
@@ -425,7 +414,7 @@ def separability_scan(
         return Verdict(ENTANGLED, "symext_infeasible_k2", False, cert.residual)
     problems = [ExtensionProblem(rho, k, ppt=False) for k in range(2, top + 1)]
     for prob in problems:
-        res = find_extension(prob, max_iters=max_iters, tol=tol)
+        res = find_extension(prob, max_iters=SCAN_ITERS)
         stats.depths.append(
             DepthStats(prob.k, res.iterations, res.found, res.residual, res.residuals)
         )

@@ -1,13 +1,19 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import graph_to_json, rational_separable_decomposition, rational_state_of
-from sepscan import states
-from sepscan.cli import main
+import sepscan
+from sepscan import states, symext
+from sepscan.cli import build_parser, main
 from sepscan.qsep import bits_required, reduce_wmem_to_qsep, truncate_decomposition
 from sepscan.serialize import (
     density_from_json,
@@ -106,6 +112,15 @@ class TestTestCommand:
         assert report["kind"] == "input"
         assert "non-finite entries" in report["error"]
 
+    def test_non_hermitian_matrix_is_input_error(self, capsys, tmp_path):
+        # ||A - A^dagger||_F = 0.28: hermitizing it would hide a malformed input
+        path = tmp_path / "skew.json"
+        dump_json({"m": 2, "n": 1, "matrix": [[[0.5, 0], [0.1, 0]], [[0.3, 0], [0.5, 0]]]}, path)
+        code, report = run_cli(capsys, "test", "--input", str(path))
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "not Hermitian" in report["error"]
+
 
 class TestWitnessCommand:
     def test_werner_entangled_with_witness_artifact(self, capsys, tmp_path):
@@ -161,13 +176,9 @@ class TestWitnessCommand:
             assert 0 < report["stats"]["oracle_evaluated"] < scanned  # C^3 is conditioned out
             assert 0 < report["stats"]["oracle_bounded"] < scanned
 
-    def test_too_coarse_net_is_infeasible(self, capsys, bell_path):
-        code, report = run_cli(
-            capsys, "witness", "--input", bell_path, "--delta", "0.05",
-            "--net-delta", "0.2",
-        )
-        assert code == 65
-        assert report["kind"] == "infeasible"
+    def test_net_is_a_tenth_of_delta(self, capsys, bell_path):
+        code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.5")
+        assert code == 1 and report["config"]["net_delta"] == 0.05
 
 
 class TestSymextCommand:
@@ -218,13 +229,10 @@ class TestSymextCommand:
         assert code == 1
         assert report["verdict"]["reason"] == "symext_infeasible_k2"
 
-    def test_zero_iteration_budget_is_input_error(self, capsys, maxmixed_path):
-        code, report = run_cli(
-            capsys, "symext", "--input", maxmixed_path, "--delta", "2.0", "--max-iters", "0"
-        )
-        assert code == 64
-        assert report["kind"] == "input"
-        assert "max_iters" in report["error"]
+    def test_config_carries_no_solver_settings(self, capsys, maxmixed_path):
+        code, report = run_cli(capsys, "symext", "--input", maxmixed_path, "--delta", "2.0")
+        assert code == 0
+        assert set(report["config"]) == {"command", "input", "delta", "kmax", "strict", "version"}
 
 
 class TestWoptCommand:
@@ -279,6 +287,14 @@ class TestWoptCommand:
         assert code == 64
         assert report["kind"] == "input"
         assert "must carry m and n" in report["error"]
+
+    def test_operator_without_matrix_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "no_matrix.json"
+        dump_json({"m": 2, "n": 2}, path)
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.2")
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "matrix" in report["error"]
 
 
 class TestQsepCommands:
@@ -337,10 +353,12 @@ class TestZeroDenominator:
         code, report = run_cli(capsys, *argv)
         assert code == 64
         assert report["kind"] == "input"
+        return report
 
     def test_qsep_reduce_input(self, capsys, tmp_path):
         path = self.rational_state(tmp_path, "0")
-        self.assert_input_error(capsys, "qsep-reduce", "--input", path, "--delta", "1/2")
+        report = self.assert_input_error(capsys, "qsep-reduce", "--input", path, "--delta", "1/2")
+        assert report["error"].startswith("bad rational scalar")  # not the fields, all present
 
     def test_test_command_input(self, capsys, tmp_path):
         self.assert_input_error(capsys, "test", "--input", self.rational_state(tmp_path, "0"))
@@ -395,6 +413,40 @@ class TestNetCommand:
         assert report["size"] == 1 and report["max_gap"] == 0.0
 
 
+def subcommand_options(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[name]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+class TestParser:
+    def test_symext_takes_no_solver_settings(self):
+        assert subcommand_options("symext") == {"--input", "--delta", "--kmax", "--strict"}
+
+    def test_witness_takes_no_net_radius(self):
+        assert subcommand_options("witness") == {"--input", "--delta", "--witness-out"}
+
+    @pytest.mark.parametrize("argv", [
+        ("symext", "--no-ppt"),
+        ("symext", "--tol", "1e-7"),
+        ("symext", "--max-iters", "50"),
+        ("witness", "--net-delta", "0.05"),
+        ("symext", "--delta", "x"),
+        (),
+    ])
+    def test_usage_error_is_input_error(self, capsys, maxmixed_path, argv):
+        if argv:
+            argv = (argv[0], "--input", maxmixed_path, "--delta", "2.0", *argv[1:])
+        code, report = run_cli(capsys, *argv)
+        assert code == 64
+        assert report["kind"] == "input"
+
+    def test_import_leaves_scipy_spatial_out(self):
+        src = str(Path(sepscan.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, sepscan.cli; sys.exit('scipy.spatial' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestStateCommand:
     def test_emit_and_reload(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -425,12 +477,13 @@ class TestDeterminism:
     def test_reports_identical_modulo_timing(self, capsys, bell_path):
         run_twice(capsys, "test", "--input", bell_path)
 
-    def test_symext_reports_identical_modulo_timing(self, capsys, tmp_path):
+    def test_symext_reports_identical_modulo_timing(self, capsys, tmp_path, monkeypatch):
         # a mixture whose search stalls within the budget, so the residual is reported
+        monkeypatch.setattr(symext, "SCAN_ITERS", 50)
         path = tmp_path / "mixture.json"
         dump_json(density_to_json(states.product_mixture(2, 2, 3, 1)), path)
         code, rep = run_twice(capsys, "symext", "--input", str(path), "--delta", "1.0",
-                              "--kmax", "3", "--max-iters", "50")
+                              "--kmax", "3")
         assert code == 2 and rep["verdict"]["reason"] == "symext_stalled_k2"
         assert rep["stats"]["stop"] == "stalled"
         assert [d["k"] for d in rep["stats"]["depths"]] == [2]

@@ -383,6 +383,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix.make(2, 2, mat)
 
+    def test_non_hermitian_rejected(self):
+        # hermitizing this would pass trace and PSD checks, so only this check catches it
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix.make(2, 1, [[0.5, 0.1], [0.3, 0.5]])
+
     def test_symmetrized(self):
         mat = np.eye(4) / 4
         mat[0, 1] = 1e-13

@@ -1,5 +1,6 @@
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 import numpy as np
@@ -347,16 +348,12 @@ class TestScan:
         rho = states.werner(w)
         assert agrees_with_ppt(rho, separability_scan(rho, 0.5))
 
-    def test_stall_is_unknown_with_residual(self):
-        v = separability_scan(states.product_mixture(2, 2, 3, 1), 1.0, kmax=3, max_iters=20)
+    def test_stall_is_unknown_with_residual(self, monkeypatch):
+        monkeypatch.setattr(symext, "SCAN_ITERS", 20)
+        v = separability_scan(states.product_mixture(2, 2, 3, 1), 1.0, kmax=3)
         assert v.outcome == UNKNOWN
         assert v.reason.startswith("symext_stalled_k")
         assert v.detail > 0
-
-    def test_no_ppt_never_entangled(self):
-        v = separability_scan(states.bell(), 0.5, ppt=False, max_iters=500)
-        assert v.outcome == UNKNOWN
-        assert v.reason == "symext_stalled_k2"
 
     def test_scan_builds_no_ppt_problem(self, monkeypatch):
         built = []
@@ -373,11 +370,18 @@ class TestScan:
         separability_scan(states.product_mixture(2, 3, 4, 0), 1.0, kmax=3)
         assert built and not any(built)
 
-    def test_separable_3x3_passes_every_guard(self):
+    def test_separable_3x3_passes_every_guard(self, monkeypatch):
         # with PPT cones, k = 12 would branch into a transposed block over SPLIT_MAX_DIM
-        v = separability_scan(states.product_mixture(3, 3, 12, 0), 1.0, max_iters=1)
+        monkeypatch.setattr(symext, "SCAN_ITERS", 1)
+        v = separability_scan(states.product_mixture(3, 3, 12, 0), 1.0)
         assert v.outcome == UNKNOWN
         assert v.reason == "symext_stalled_k2"
+
+    def test_solver_settings_are_constants(self):
+        scan = inspect.signature(separability_scan).parameters
+        assert list(scan) == ["rho", "delta", "kmax", "strict_confirm", "stats"]
+        assert list(inspect.signature(find_extension).parameters) == ["prob", "max_iters"]
+        assert [f.name for f in fields(ScanStats)] == ["presolve_decided", "depths", "stop"]
 
     def test_guards_run_before_any_iteration(self, monkeypatch):
         monkeypatch.setattr(symext, "find_extension", lambda *a, **k: pytest.fail("iterated"))
@@ -388,26 +392,33 @@ class TestScan:
 class TestScanStats:
     @staticmethod
     def scan(monkeypatch, rho, delta, **kwargs):
-        """Scan with a fresh record; also return the iterations find_extension reported."""
-        spent = []
-        real = symext.find_extension
+        """Scan with a fresh record; also return the iterations find_extension
+        reported and the number of NPT presolves run."""
+        spent, presolves = [], []
+        real_find, real_presolve = symext.find_extension, symext._npt_certificate
 
         def count(prob, **kw):
-            res = real(prob, **kw)
+            res = real_find(prob, **kw)
             spent.append(res.iterations)
             return res
 
+        def presolve(*args):
+            presolves.append(args)
+            return real_presolve(*args)
+
         monkeypatch.setattr(symext, "find_extension", count)
+        monkeypatch.setattr(symext, "_npt_certificate", presolve)
         stats = ScanStats()
         verdict = separability_scan(rho, delta, stats=stats, **kwargs)
-        return verdict, stats, sum(spent)
+        return verdict, stats, sum(spent), len(presolves)
 
     def test_stall_is_the_last_depth(self, monkeypatch):
-        v, stats, spent = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0), 2.0,
-                                    max_iters=100)
+        monkeypatch.setattr(symext, "SCAN_ITERS", 100)
+        v, stats, spent, presolves = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0),
+                                               2.0)
         last = stats.depths[-1]
         assert v.reason == f"symext_stalled_k{last.k}" == "symext_stalled_k4"
-        assert stats.stop == "stalled" and stats.presolve_ran and not stats.presolve_decided
+        assert stats.stop == "stalled" and presolves == 1 and not stats.presolve_decided
         assert [d.k for d in stats.depths] == [2, 3, 4]
         assert [d.found for d in stats.depths] == [True, True, False]
         assert last.iterations == 100 and last.residual == v.detail
@@ -415,7 +426,7 @@ class TestScanStats:
         assert sum(d.iterations for d in stats.depths) == spent
 
     def test_depth_reached(self, monkeypatch):
-        v, stats, spent = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0), 2.0)
+        v, stats, spent, _ = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0), 2.0)
         assert v.outcome == SEPARABLE and v.reason == "symext_depth_k4"
         assert stats.stop == "depth"
         assert [d.k for d in stats.depths] == [2, 3, 4] and all(d.found for d in stats.depths)
@@ -425,13 +436,13 @@ class TestScanStats:
     @pytest.mark.parametrize("rho,delta,kwargs,stop,ran,decided", [
         (states.bell(), 0.5, {}, "presolve", True, True),
         (states.bell(), 0.5, {"strict_confirm": lambda rho: False}, "unconfirmed", True, True),
-        (states.bell(), 0.5, {"ppt": False, "max_iters": 10}, "stalled", False, False),
+        (states.werner(0.2), 2.0, {}, "depth", True, False),
         (states.bell(), 9.0, {}, "trivial_bound", False, False),
         (states.werner(0.2), 0.5, {"kmax": 3}, "kmax", True, False),
     ])
     def test_stop_reasons(self, monkeypatch, rho, delta, kwargs, stop, ran, decided):
-        v, stats, spent = self.scan(monkeypatch, rho, delta, **kwargs)
-        assert (stats.stop, stats.presolve_ran, stats.presolve_decided) == (stop, ran, decided)
+        v, stats, spent, presolves = self.scan(monkeypatch, rho, delta, **kwargs)
+        assert (stats.stop, presolves == 1, stats.presolve_decided) == (stop, ran, decided)
         assert sum(d.iterations for d in stats.depths) == spent
         if decided:
             assert stats.depths == [] and v.reason.endswith("_k2")
