@@ -123,25 +123,10 @@ def cmd_witness(args, started: float) -> int:
 
 def cmd_symext(args, started: float) -> int:
     rho = _load_state(args.input)
-    confirm = None
-    if args.strict:
-        def confirm(state):
-            net = build_net(min(state.m, state.n), args.delta / 10.0)
-            return wsep_solve(state, args.delta, net).verdict.outcome == ENTANGLED
-
     stats = ScanStats()
-    verdict = separability_scan(
-        rho,
-        args.delta,
-        kmax=args.kmax,
-        strict_confirm=confirm,
-        stats=stats,
-    )
+    verdict = separability_scan(rho, args.delta, stats=stats)
     report = {
-        "config": RunConfig(
-            "symext",
-            {"input": args.input, "delta": args.delta, "kmax": args.kmax, "strict": args.strict},
-        ).to_json(),
+        "config": RunConfig("symext", {"input": args.input, "delta": args.delta}).to_json(),
         "verdict": verdict.to_json(),
         "stats": dataclasses.asdict(stats),
     }
@@ -307,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symext", help="bounded symmetric-extension scan")
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_symext)
 
     p = sub.add_parser("wopt", help="weak optimization over the separable set")

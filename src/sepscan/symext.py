@@ -26,15 +26,17 @@ is no proof of anything: it may be slow convergence.
 
 With PPT constraints, infeasibility is also decided exactly before any
 iteration: every PPT extension satisfies E(T_B X) = rho^Gamma with
-T_B X >= 0, so a negative eigenvalue of rho^Gamma rules out every depth k.
+T_B X >= 0, so when `onesided.ppt_test` finds rho NPT, no depth k has one.
 
 The trace-distance bound 4m/k for states with a k-copy Bose-symmetric
 extension (the quantum de Finetti bound of Christandl, Koenig, Mitchison
 and Renner, quant-ph/0602130) needs Bose symmetry alone, so
-`separability_scan` climbs the hierarchy without PPT cones: each
-iteration clips one cone.  Scanning up to ceil(4m/delta) copies decides
-delta-closeness to the separable set in trace norm, and the scan's only
-route to Entangled is the exact NPT presolve, which runs once, first.
+`separability_scan` searches the hierarchy without PPT cones: each
+iteration clips one cone.  A k-extension yields every smaller one by a
+partial trace, so the scan searches the depths 2, 4, 8, ... and then
+ceil(4m/delta), whose extension decides delta-closeness to the separable
+set in trace norm.  The scan's only route to Entangled is the NPT
+presolve, which runs once, first.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .core import Array, DensityMatrix, hermitize, partial_transpose
-from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
+from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict, ppt_test
 
 MAX_DIM = 512  # ambient dimension d_sk n of an extension
 SPLIT_MAX_DIM = 2048  # dimension of a branched, partially transposed copy
 # over-relaxation of the Douglas-Rachford step
 RELAXATION = 1.7
-TOL = 1e-7  # PSD slack of an accepted iterate; the NPT presolve's eigenvalue threshold
+TOL = 1e-7  # PSD slack of an accepted iterate
 SCAN_ITERS = 3000  # iteration budget of each depth of separability_scan
 
 
@@ -160,18 +162,18 @@ class ExtensionProblem:
 class ExtensionResult:
     """Outcome of `find_extension`.
 
-    Not found with `budget_exhausted` means the iterations ran out: the
-    residual is the last distance between the iterates, evidence only.
-    Not found without it means infeasibility was proved (the NPT presolve,
-    at iteration 0): the residual is then a certified lower bound on the
-    distance between the two sets of the splitting.
+    Found: `operator` is the extension.  Not found with `budget_exhausted`
+    means the iterations ran out: the residual is the last distance
+    between the iterates, evidence only.  Not found without it means
+    infeasibility was proved (the NPT presolve, at iteration 0): the
+    residual is then a certified lower bound on the distance between the
+    two sets of the splitting.
     """
 
     found: bool
     operator: Array | None  # Bose-symmetric coordinates, (d_sk n, d_sk n)
     residual: float
     iterations: int
-    witness: Array | None = None  # state-space functional; separating only if certified
     budget_exhausted: bool = False
     residuals: tuple[float, ...] = ()  # the residual at every 10th iteration
 
@@ -238,22 +240,18 @@ def _lowest(x: Array) -> float:
 
 
 def _npt_certificate(rho: DensityMatrix, gram: Array) -> ExtensionResult | None:
-    """Exact infeasibility of every PPT extension when rho^Gamma has a negative eigenvalue.
+    """Infeasibility of every PPT extension when `ppt_test` finds rho NPT.
 
     Any PPT extension has E(T_B X) = rho^Gamma with T_B X >= 0, and E maps
     PSD operators to PSD operators, so the affine and cone sets are at least
     dist_F(rho^Gamma, PSD) / ||E|| apart; ||E||^2 is the top eigenvalue of
-    the Gram matrix of E.  The witness is the PPT witness -(|v><v|)^(T_B),
-    made traceless and unit-norm: it is larger on rho than on every product
-    state.
+    the Gram matrix of E.
     """
-    m, n, d = rho.m, rho.n, rho.dim
-    vals, vecs = np.linalg.eigh(partial_transpose(rho.mat, m, n, "B"))
-    if vals[0] >= -TOL:
+    if ppt_test(rho).outcome != ENTANGLED:
         return None
+    vals = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.m, rho.n, "B"))
     bound = float(np.linalg.norm(vals[vals < 0]) / math.sqrt(np.linalg.eigvalsh(gram)[-1]))
-    w = np.eye(d) / d - partial_transpose(np.outer(vecs[:, 0], vecs[:, 0].conj()), m, n, "B")
-    return ExtensionResult(False, None, bound, 0, w / np.linalg.norm(w))
+    return ExtensionResult(False, None, bound, 0)
 
 
 def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> ExtensionResult:
@@ -272,8 +270,7 @@ def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> Extension
     TOL, where it passes up to rounding: each c_j is PSD and
     ||a_j - c_j|| < TOL, so Weyl's inequality bounds lambda_min(a_j) below
     by -TOL.  The residual is ||a - c|| over all cones; if the
-    budget runs out it is reported with `budget_exhausted`, and the
-    witness is the defect a - c of X traced back to the state space.  The
+    budget runs out it is reported with `budget_exhausted`.  The
     residual of every 10th iteration is kept in `residuals`.
     """
     if max_iters < 1:
@@ -323,37 +320,8 @@ def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> Extension
         if (it % 10 == 0 or residual < TOL) and min(_lowest(y) for y in a) >= -TOL:
             return ExtensionResult(True, hermitize(a[0]), residual, it, residuals=tuple(history))
         z = [zi + RELAXATION * (ai - ci) for zi, ai, ci in zip(z, a, c)]
-    defect_dir = a[0] - c[0]
-    norm = float(np.linalg.norm(defect_dir))
-    witness = None
-    if norm > 1e-12:
-        w = hermitize(maps.reduce_one(defect_dir / norm))
-        w -= np.trace(w) / rho.dim * np.eye(rho.dim)
-        wn = float(np.linalg.norm(w))
-        if wn > 1e-12:
-            witness = w / wn
-    return ExtensionResult(False, None, residual, max_iters, witness, budget_exhausted=True,
+    return ExtensionResult(False, None, residual, max_iters, budget_exhausted=True,
                            residuals=tuple(history))
-
-
-def verify_extension(result: ExtensionResult, prob: ExtensionProblem) -> dict:
-    """Residuals of the extension properties for a found extension."""
-    assert result.found and result.operator is not None
-    maps = _ExtensionMaps(prob.rho.m, prob.rho.n, prob.k)
-    x = result.operator
-    reduced = maps.reduce_one(x)
-    out = {
-        "trace_back": float(np.linalg.norm(reduced - prob.rho.mat)),
-        "psd": max(0.0, -float(np.linalg.eigvalsh(x)[0])),
-        "unit_trace": abs(float(np.trace(x).real) - 1.0),
-    }
-    if prob.ppt:
-        worst = 0.0
-        for l in range(1, prob.k):
-            worst = max(worst, -float(np.linalg.eigvalsh(maps.transpose_copies(x, l))[0]))
-        worst = max(worst, -float(np.linalg.eigvalsh(maps.transpose_b(x))[0]))
-        out["ppt"] = max(0.0, worst)
-    return out
 
 
 @dataclass(frozen=True)
@@ -369,9 +337,8 @@ class DepthStats:
 
 @dataclass
 class ScanStats:  # filled in by separability_scan as it runs
-    presolve_decided: bool = False  # rho^Gamma has a negative eigenvalue
     depths: list[DepthStats] = field(default_factory=list)
-    stop: str = ""  # trivial_bound, presolve, unconfirmed, stalled, kmax or depth
+    stop: str = ""  # trivial_bound, presolve, stalled, kmax or depth
 
 
 def separability_scan(
@@ -379,23 +346,24 @@ def separability_scan(
     delta: float,
     kmax: int | None = None,
     *,
-    strict_confirm=None,
     stats: ScanStats | None = None,
 ) -> Verdict:
-    """Climb the Bose-symmetric extension hierarchy up to the trace-norm-delta depth.
+    """Search the Bose-symmetric extension hierarchy up to the trace-norm-delta depth.
 
+    The depth kbar = ceil(4m/delta), capped at `kmax`, is reached over the
+    depths 2, 4, 8, ... and then kbar itself: a k-extension yields every
+    smaller one by a partial trace, so the skipped depths add no evidence.
     The 4m/k bound needs Bose symmetry alone, so every depth is searched
     without PPT cones, each within SCAN_ITERS iterations.  Entangled
-    (exact=False) comes only from the exact NPT presolve, which rules out
-    PPT extensions at every depth and so runs once, first, unless the
-    bound is trivial; its value is the certified residual, and in strict
-    mode the callable `strict_confirm` must agree before it is emitted.
-    Then every depth's size guard is checked, before any iteration.  A
-    search that runs out of iterations proves nothing and yields Unknown
-    with the last residual as its value.  Reaching the bound with an
-    extension in hand certifies trace-norm delta-closeness to the
-    separable set.  `stats`, when given, records the presolve's outcome,
-    each depth's iterations and residuals, and the stop reason.
+    (exact=False) comes only from the NPT presolve, which rules out PPT
+    extensions at every depth and so runs once, first, unless the bound is
+    trivial; its value is the certified residual.  Then every scheduled
+    depth's size guard is checked, before any iteration.  A search that
+    runs out of iterations proves nothing and yields Unknown with the last
+    residual as its value.  An extension at kbar certifies trace-norm
+    delta-closeness to the separable set; one at a smaller cap yields
+    Unknown.  `stats`, when given, records each depth's iterations and
+    residuals, and the stop reason.
     """
     stats = ScanStats() if stats is None else stats
     kbar = copies_bound(rho.m, delta)
@@ -406,13 +374,12 @@ def separability_scan(
     top = min(kbar, kmax) if kmax is not None else kbar
     cert = _npt_certificate(rho, _ExtensionMaps(rho.m, rho.n, 2).gram)
     if cert is not None:
-        stats.presolve_decided = True
-        if strict_confirm is not None and not strict_confirm(rho):
-            stats.stop = "unconfirmed"
-            return Verdict(UNKNOWN, "symext_unconfirmed_k2", False, cert.residual)
         stats.stop = "presolve"
         return Verdict(ENTANGLED, "symext_infeasible_k2", False, cert.residual)
-    problems = [ExtensionProblem(rho, k, ppt=False) for k in range(2, top + 1)]
+    depths = [2]
+    while depths[-1] < top:
+        depths.append(min(2 * depths[-1], top))
+    problems = [ExtensionProblem(rho, k, ppt=False) for k in depths]
     for prob in problems:
         res = find_extension(prob, max_iters=SCAN_ITERS)
         stats.depths.append(

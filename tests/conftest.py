@@ -1,7 +1,7 @@
 """Shared helpers: exact-rational separable states with known decompositions,
 the `Fraction` reference of certificate verification, Haar-random local
-unitaries, graph JSON, partial traces and the dense product basis that
-Bloch coordinates refer to."""
+unitaries, graph JSON, partial traces, the dense product basis that
+Bloch coordinates refer to, and the property check of a found extension."""
 
 from fractions import Fraction
 
@@ -17,6 +17,7 @@ from sepscan.qsep import (
     bits_required,
     vec_norm_sq,
 )
+from sepscan.symext import ExtensionProblem, ExtensionResult, _ExtensionMaps
 
 
 def dense_bloch_basis(m: int, n: int) -> np.ndarray:
@@ -27,6 +28,26 @@ def dense_bloch_basis(m: int, n: int) -> np.ndarray:
     """
     xa, yb = _su_generators(m), _su_generators(n)
     return np.stack([np.kron(x, y) for x in xa for y in yb])
+
+
+def verify_extension(result: ExtensionResult, prob: ExtensionProblem) -> dict:
+    """Residuals of the extension properties for a found extension."""
+    assert result.found and result.operator is not None
+    maps = _ExtensionMaps(prob.rho.m, prob.rho.n, prob.k)
+    x = result.operator
+    reduced = maps.reduce_one(x)
+    out = {
+        "trace_back": float(np.linalg.norm(reduced - prob.rho.mat)),
+        "psd": max(0.0, -float(np.linalg.eigvalsh(x)[0])),
+        "unit_trace": abs(float(np.trace(x).real) - 1.0),
+    }
+    if prob.ppt:
+        worst = 0.0
+        for l in range(1, prob.k):
+            worst = max(worst, -float(np.linalg.eigvalsh(maps.transpose_copies(x, l))[0]))
+        worst = max(worst, -float(np.linalg.eigvalsh(maps.transpose_b(x))[0]))
+        out["ppt"] = max(0.0, worst)
+    return out
 
 
 def partial_trace(mat, m: int, n: int, which: str) -> np.ndarray:

@@ -17,6 +17,7 @@ from conftest import (
     mat_sub,
     rational_separable_decomposition,
     rational_state_of,
+    verify_extension,
 )
 from sepscan import states
 from sepscan.core import eig_hermitian, partial_transpose, to_bloch
@@ -37,7 +38,6 @@ from sepscan.symext import (
     copies_bound,
     find_extension,
     sym_dim,
-    verify_extension,
 )
 from sepscan.witness import revalidate, wsep_solve
 from sepscan.wopt import wopt_max

@@ -195,19 +195,6 @@ class TestSymextCommand:
         )
         assert code == 0
 
-    def test_strict_confirms_a_3x2_state_on_the_smaller_side(self, capsys, tmp_path):
-        # an m = 3 net at delta/10 = 0.05 would pass the net size budget
-        v = np.zeros(6, dtype=complex)
-        v[[0, 5]] = 1.0 / np.sqrt(2.0)  # |00> + |21>: entangled
-        rho = 0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(6) / 6.0
-        path = tmp_path / "ent32.json"
-        dump_json({"m": 3, "n": 2, "matrix": matrix_to_json(rho)}, path)
-        code, report = run_cli(
-            capsys, "symext", "--input", str(path), "--delta", "0.5", "--strict"
-        )
-        assert code == 1
-        assert report["verdict"]["outcome"] == "Entangled"
-
     def test_separable_3x2_fails_the_size_guard_before_iterating(self, capsys, tmp_path):
         # depth bound 24 at delta 0.5: a guard fires before any Douglas-Rachford step
         path = tmp_path / "mixture32.json"
@@ -232,7 +219,7 @@ class TestSymextCommand:
     def test_config_carries_no_solver_settings(self, capsys, maxmixed_path):
         code, report = run_cli(capsys, "symext", "--input", maxmixed_path, "--delta", "2.0")
         assert code == 0
-        assert set(report["config"]) == {"command", "input", "delta", "kmax", "strict", "version"}
+        assert set(report["config"]) == {"command", "input", "delta", "version"}
 
 
 class TestWoptCommand:
@@ -420,7 +407,7 @@ def subcommand_options(name):
 
 class TestParser:
     def test_symext_takes_no_solver_settings(self):
-        assert subcommand_options("symext") == {"--input", "--delta", "--kmax", "--strict"}
+        assert subcommand_options("symext") == {"--input", "--delta"}
 
     def test_witness_takes_no_net_radius(self):
         assert subcommand_options("witness") == {"--input", "--delta", "--witness-out"}
@@ -432,6 +419,8 @@ class TestParser:
         ("witness", "--net-delta", "0.05"),
         ("symext", "--delta", "x"),
         (),
+        ("symext", "--strict"),
+        ("symext", "--kmax", "3"),
     ])
     def test_usage_error_is_input_error(self, capsys, maxmixed_path, argv):
         if argv:
@@ -482,8 +471,7 @@ class TestDeterminism:
         monkeypatch.setattr(symext, "SCAN_ITERS", 50)
         path = tmp_path / "mixture.json"
         dump_json(density_to_json(states.product_mixture(2, 2, 3, 1)), path)
-        code, rep = run_twice(capsys, "symext", "--input", str(path), "--delta", "1.0",
-                              "--kmax", "3")
+        code, rep = run_twice(capsys, "symext", "--input", str(path), "--delta", "1.0")
         assert code == 2 and rep["verdict"]["reason"] == "symext_stalled_k2"
         assert rep["stats"]["stop"] == "stalled"
         assert [d["k"] for d in rep["stats"]["depths"]] == [2]

@@ -6,8 +6,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from conftest import verify_extension
 from sepscan import states, symext
-from sepscan.core import DensityMatrix, partial_transpose
+from sepscan.core import partial_transpose
 from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN
 from sepscan.symext import (
     DimensionGuardError,
@@ -20,7 +21,6 @@ from sepscan.symext import (
     occupations,
     separability_scan,
     sym_dim,
-    verify_extension,
 )
 
 DEFAULT_EMBED_MAX_DIM = 8192
@@ -278,24 +278,6 @@ class TestNptPresolve:
         res = find_extension(ExtensionProblem(states.bell(), 2, ppt=True))
         assert res.residual == pytest.approx(0.5 / math.sqrt(1.5), rel=1e-12)
 
-    @pytest.mark.parametrize("name,rho", NPT + [("npt_2x3", None)])
-    def test_witness_separates_from_product_states(self, name, rho):
-        if rho is None:
-            rng = np.random.default_rng(3)
-            v = rng.normal(size=6) + 1j * rng.normal(size=6)
-            rho = DensityMatrix.make(2, 3, 0.8 * np.outer(v, v.conj()) / np.vdot(v, v).real
-                                            + 0.2 * np.eye(6) / 6)
-        assert np.linalg.eigvalsh(partial_transpose(rho.mat, rho.m, rho.n, "B"))[0] < 0
-        res = find_extension(ExtensionProblem(rho, 2, ppt=True))
-        w = res.witness
-        assert np.allclose(w, w.conj().T)
-        assert abs(np.trace(w)) < 1e-12
-        assert np.linalg.norm(w) == pytest.approx(1.0)
-        on_rho = float(np.trace(w @ rho.mat).real)
-        for seed in range(200):
-            sigma = states.random_pure_product(rho.m, rho.n, seed).mat
-            assert on_rho > float(np.trace(w @ sigma).real)
-
 
 class TestScan:
     def test_maximally_mixed_at_coarse_delta(self):
@@ -318,12 +300,6 @@ class TestScan:
         v = separability_scan(states.werner(0.2), 0.5, kmax=3)
         assert v.outcome == "Unknown"
 
-    def test_strict_mode_defers_to_confirmer(self):
-        v = separability_scan(states.bell(), 0.5, strict_confirm=lambda rho: False)
-        assert v.outcome == "Unknown"
-        v = separability_scan(states.bell(), 0.5, strict_confirm=lambda rho: True)
-        assert v.outcome == ENTANGLED
-
     def test_separable_fault_state_not_entangled(self):
         # separable by construction (PPT is exact at 2x2), so never Entangled
         v = separability_scan(states.product_mixture(2, 2, 4, 0), 1.0, kmax=3)
@@ -343,7 +319,8 @@ class TestScan:
         assert sum(v.reason == "symext_kmax_k3" for v in reasons) >= 20
         assert all(agrees_with_ppt(rho, v) for rho, v in zip(mixtures, reasons))
 
-    @pytest.mark.parametrize("w", [0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.4])
+    @pytest.mark.parametrize("w", [0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.4,
+                                   1 / 3 + 1e-7, 1 / 3 + 1e-8])
     def test_werner_verdicts_agree_with_ppt(self, w):
         rho = states.werner(w)
         assert agrees_with_ppt(rho, separability_scan(rho, 0.5))
@@ -379,9 +356,20 @@ class TestScan:
 
     def test_solver_settings_are_constants(self):
         scan = inspect.signature(separability_scan).parameters
-        assert list(scan) == ["rho", "delta", "kmax", "strict_confirm", "stats"]
+        assert list(scan) == ["rho", "delta", "kmax", "stats"]
         assert list(inspect.signature(find_extension).parameters) == ["prob", "max_iters"]
-        assert [f.name for f in fields(ScanStats)] == ["presolve_decided", "depths", "stop"]
+        assert [f.name for f in fields(ScanStats)] == ["depths", "stop"]
+
+    @pytest.mark.parametrize("rho,delta,kmax,depths", [
+        (states.product_mixture(3, 3, 12, 0), 1.0, None, [2, 4, 8, 12]),
+        (states.product_mixture(2, 2, 4, 0), 1.0, 3, [2, 3]),
+    ])
+    def test_depths_double_up_to_the_bound(self, monkeypatch, rho, delta, kmax, depths):
+        found = symext.ExtensionResult(True, None, 0.0, 1)
+        monkeypatch.setattr(symext, "find_extension", lambda prob, **kw: found)
+        stats = ScanStats()
+        separability_scan(rho, delta, kmax, stats=stats)
+        assert [d.k for d in stats.depths] == depths
 
     def test_guards_run_before_any_iteration(self, monkeypatch):
         monkeypatch.setattr(symext, "find_extension", lambda *a, **k: pytest.fail("iterated"))
@@ -418,9 +406,9 @@ class TestScanStats:
                                                2.0)
         last = stats.depths[-1]
         assert v.reason == f"symext_stalled_k{last.k}" == "symext_stalled_k4"
-        assert stats.stop == "stalled" and presolves == 1 and not stats.presolve_decided
-        assert [d.k for d in stats.depths] == [2, 3, 4]
-        assert [d.found for d in stats.depths] == [True, True, False]
+        assert stats.stop == "stalled" and presolves == 1
+        assert [d.k for d in stats.depths] == [2, 4]
+        assert [d.found for d in stats.depths] == [True, False]
         assert last.iterations == 100 and last.residual == v.detail
         assert len(last.residuals) == 10 and last.residuals[-1] == last.residual
         assert sum(d.iterations for d in stats.depths) == spent
@@ -429,20 +417,20 @@ class TestScanStats:
         v, stats, spent, _ = self.scan(monkeypatch, states.product_mixture(2, 2, 4, 0), 2.0)
         assert v.outcome == SEPARABLE and v.reason == "symext_depth_k4"
         assert stats.stop == "depth"
-        assert [d.k for d in stats.depths] == [2, 3, 4] and all(d.found for d in stats.depths)
+        assert [d.k for d in stats.depths] == [2, 4] and all(d.found for d in stats.depths)
         assert all(len(d.residuals) == d.iterations // 10 for d in stats.depths)
         assert sum(d.iterations for d in stats.depths) == spent > 0
 
     @pytest.mark.parametrize("rho,delta,kwargs,stop,ran,decided", [
         (states.bell(), 0.5, {}, "presolve", True, True),
-        (states.bell(), 0.5, {"strict_confirm": lambda rho: False}, "unconfirmed", True, True),
+        (states.werner(1 / 3 + 1e-8), 0.5, {}, "presolve", True, True),
         (states.werner(0.2), 2.0, {}, "depth", True, False),
         (states.bell(), 9.0, {}, "trivial_bound", False, False),
         (states.werner(0.2), 0.5, {"kmax": 3}, "kmax", True, False),
     ])
     def test_stop_reasons(self, monkeypatch, rho, delta, kwargs, stop, ran, decided):
         v, stats, spent, presolves = self.scan(monkeypatch, rho, delta, **kwargs)
-        assert (stats.stop, presolves == 1, stats.presolve_decided) == (stop, ran, decided)
+        assert (stats.stop, presolves == 1) == (stop, ran)
         assert sum(d.iterations for d in stats.depths) == spent
         if decided:
             assert stats.depths == [] and v.reason.endswith("_k2")
