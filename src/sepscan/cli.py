@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per pipeline, JSON reports on stdout.
+"""Command-line front end: one subcommand per pipeline, one-line JSON reports on stdout.
 
 Exit codes: 0 separable-assured (or a successful non-verdict command),
 1 entangled, 2 unknown/unverified, 64 malformed input or usage, 65 infeasible
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -31,10 +32,10 @@ from .serialize import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    qsep_certificate_from_json,
     qsep_instance_from_json,
     qsep_instance_to_json,
     rational_density_from_json,
+    scaled_certificate_from_json,
 )
 from .symext import DimensionGuardError, ScanStats, separability_scan
 from .witness import NumericalBreakdownError, wsep_solve
@@ -65,8 +66,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 def _emit(report: dict, started: float) -> None:
     report["timings"] = {"total_s": round(time.time() - started, 6)}
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def _load_state(path: str) -> DensityMatrix:
@@ -172,7 +172,7 @@ def cmd_wopt(args, started: float) -> int:
 
 def cmd_qsep_verify(args, started: float) -> int:
     inst = qsep_instance_from_json(load_json(args.instance))
-    cert = qsep_certificate_from_json(load_json(args.cert))
+    cert = scaled_certificate_from_json(load_json(args.cert), inst)
     result = verify_certificate(inst, cert)
     report = {
         "config": RunConfig(
@@ -334,16 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first `main` call."""
+    return build_parser()
+
+
 def _fail(message: str, kind: str, code: int) -> int:
-    json.dump({"error": message, "kind": kind}, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps({"error": message, "kind": kind}, sort_keys=True) + "\n")
     return code
 
 
 def main(argv=None) -> int:
     started = time.time()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args, started)
     except (InputFormatError,) as exc:
         return _fail(str(exc), "input", EXIT_BAD_INPUT)

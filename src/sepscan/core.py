@@ -200,18 +200,3 @@ def trace_norm(x: Array) -> float:
     if x.size == 0:
         return 0.0
     return float(np.linalg.svd(x, compute_uv=False).sum())
-
-
-def is_unnormalized_pure(o: Array, alpha: float, tol: float) -> bool:
-    """True iff tr(o^2) and tr(o^3) match alpha^2 and alpha^3 within tol.
-
-    For Hermitian o with 0 < alpha <= 1 this characterizes o = alpha |psi><psi|.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    o = np.asarray(o, dtype=complex)
-    t2 = np.trace(o @ o).real
-    t3 = np.trace(o @ o @ o).real
-    return bool(abs(t2 - alpha**2) <= tol and abs(t3 - alpha**3) <= tol)
-
-

@@ -13,7 +13,9 @@ otherwise force their zero vectors to look normalized.
 "p-bit number" means a dyadic rational a / 2^p with |a| <= 2^p (all
 certified scalars are bounded by one in magnitude).  The check therefore
 runs on Python integers over a common denominator: each certificate
-scalar x becomes the integer x 2^p once, so alpha_i (x) beta_i holds
+scalar x becomes the integer x 2^p once (a `ScaledCertificate`; a file is
+decoded straight to that form by `serialize.scaled_certificate_from_json`,
+with no `Fraction` per scalar), so alpha_i (x) beta_i holds
 Gaussian integers over 2^(2p) and sigma~ 2^(5p) = sum_i W_i v_i v_i† is
 an integer matrix (W_i = p_i 2^p), summed over its upper triangle.  The
 normalization gaps are integers over 2^(5p), and a `Fraction` is built
@@ -124,6 +126,19 @@ class QsepInstance:
             raise CertificateFormatError("accuracy parameters must be positive")
 
 
+def _check_terms(m: int, n: int, terms) -> None:
+    want = m**2 * n**2
+    if len(terms) != want:
+        raise CertificateFormatError(
+            f"certificate must list exactly {want} terms, got {len(terms)}"
+        )
+    for p, alpha, beta in terms:
+        if p < 0:
+            raise CertificateFormatError("weights must be nonnegative")
+        if len(alpha) != m or len(beta) != n:
+            raise CertificateFormatError("component vector dimensions are wrong")
+
+
 @dataclass(frozen=True)
 class QsepCertificate:
     m: int
@@ -131,26 +146,39 @@ class QsepCertificate:
     terms: tuple[tuple[Fraction, tuple[QRat, ...], tuple[QRat, ...]], ...]
 
     def __post_init__(self):
-        want = self.m**2 * self.n**2
-        if len(self.terms) != want:
-            raise CertificateFormatError(
-                f"certificate must list exactly {want} terms, got {len(self.terms)}"
-            )
-        for p, alpha, beta in self.terms:
-            if p < 0:
-                raise CertificateFormatError("weights must be nonnegative")
-            if len(alpha) != self.m or len(beta) != self.n:
-                raise CertificateFormatError("component vector dimensions are wrong")
+        _check_terms(self.m, self.n, self.terms)
+
+
+@dataclass(frozen=True)
+class ScaledCertificate:
+    """A certificate as integers over 2^p, the form `verify_certificate` checks.
+
+    Term i is (W_i, a_i, b_i) with W_i = p_i 2^p, and a_i, b_i hold the
+    (re, im) pairs of alpha_i 2^p and beta_i 2^p.  Every scalar is a p-bit
+    dyadic in [-1, 1], so every integer lies in [-2^p, 2^p]; the two makers,
+    `scale_certificate` and `serialize.scaled_certificate_from_json`, check
+    that as they scale.
+    """
+
+    m: int
+    n: int
+    p: int
+    terms: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+
+    def __post_init__(self):
+        _check_terms(self.m, self.n, self.terms)
+
+
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest p >= 0 with 2^p >= num/den, for positive integers num and den."""
+    return (-(-num // den) - 1).bit_length()
 
 
 def bits_required(delta_p: Fraction) -> int:
     """Smallest p with 2^p >= 1/delta_p."""
     if delta_p <= 0:
         raise ValueError("delta_p must be positive")
-    p = 0
-    while Fraction(2) ** p < 1 / delta_p:
-        p += 1
-    return p
+    return _ceil_log2(delta_p.denominator, delta_p.numerator)
 
 
 def _scaled(x: Fraction, p: int) -> int:
@@ -162,8 +190,17 @@ def _scaled(x: Fraction, p: int) -> int:
     return scaled
 
 
-def _scaled_vector(v: tuple[QRat, ...], p: int) -> list[tuple[int, int]]:
-    return [(_scaled(x.re, p), _scaled(x.im, p)) for x in v]
+def _scaled_vector(v: tuple[QRat, ...], p: int) -> tuple[tuple[int, int], ...]:
+    return tuple((_scaled(x.re, p), _scaled(x.im, p)) for x in v)
+
+
+def scale_certificate(cert: QsepCertificate, p: int) -> ScaledCertificate:
+    """`cert` over 2^p; BitWidthError at its first scalar that is not a p-bit dyadic."""
+    terms = tuple(
+        (_scaled(w, p), _scaled_vector(alpha, p), _scaled_vector(beta, p))
+        for w, alpha, beta in cert.terms
+    )
+    return ScaledCertificate(cert.m, cert.n, p, terms)
 
 
 def truncate_toward_zero(x: Fraction, p: int) -> Fraction:
@@ -188,17 +225,24 @@ class VerificationResult:
         }
 
 
-def verify_certificate(inst: QsepInstance, cert: QsepCertificate) -> VerificationResult:
-    """Exact acceptance check of requirements (1) and (2) in integers over 2^(5p)."""
+def verify_certificate(
+    inst: QsepInstance, cert: QsepCertificate | ScaledCertificate
+) -> VerificationResult:
+    """Exact acceptance check of requirements (1) and (2) in integers over 2^(5p).
+
+    A `QsepCertificate` is scaled to p = bits_required(inst.delta_p) bits
+    first; a `ScaledCertificate` must already be over 2^p.
+    """
     if (inst.m, inst.n) != (cert.m, cert.n):
         raise CertificateFormatError(
             f"instance is {inst.m}x{inst.n}, certificate is {cert.m}x{cert.n}"
         )
     p = bits_required(inst.delta_p)
-    terms = [
-        (_scaled(w, p), _scaled_vector(alpha, p), _scaled_vector(beta, p))
-        for w, alpha, beta in cert.terms
-    ]
+    if isinstance(cert, QsepCertificate):
+        cert = scale_certificate(cert, p)
+    elif cert.p != p:
+        raise CertificateFormatError(f"certificate is over 2^{cert.p}, the instance needs 2^{p}")
+    terms = cert.terms
     one = 1 << (5 * p)
     total_weight = sum(w for w, _, _ in terms)
     d = inst.m * inst.n
@@ -316,10 +360,7 @@ def reduce_wmem_to_qsep(
     if delta <= 0:
         raise ValueError("delta must be positive")
     cube = Fraction((m * n) ** 3)
-    target = 288 * cube / delta
-    p = 1
-    while Fraction(2) ** p < target:
-        p += 1
+    p = max(1, _ceil_log2(288 * cube.numerator * delta.denominator, delta.numerator))
     return QsepInstance(
         m,
         n,

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import Array, DensityMatrix
-from .qsep import QRat, QsepCertificate, QsepInstance
+from .qsep import (
+    BitWidthError,
+    QRat,
+    QsepCertificate,
+    QsepInstance,
+    ScaledCertificate,
+    bits_required,
+)
 
 
 class InputFormatError(ValueError):
@@ -29,11 +36,13 @@ def matrix_to_json(mat: Array) -> list:
 
 def matrix_from_json(obj) -> Array:
     try:
-        rows = [[complex(cell[0], cell[1]) for cell in row] for row in obj]
-    except (TypeError, IndexError) as exc:
+        cells = np.array(obj)  # one C pass; a ragged nesting raises ValueError
+    except ValueError as exc:
         raise InputFormatError(f"bad matrix encoding: {exc}") from exc
-    mat = np.array(rows, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if cells.dtype.kind not in "biuf" or cells.ndim != 3 or cells.shape[2] != 2:
+        raise InputFormatError("bad matrix encoding: rows of [re, im] number pairs expected")
+    mat = cells.astype(float).view(complex)[..., 0]  # each [re, im] pair as one complex
+    if mat.shape[0] != mat.shape[1]:
         raise InputFormatError(f"matrix must be square, got shape {mat.shape}")
     return mat
 
@@ -162,6 +171,39 @@ def qsep_certificate_from_json(obj) -> QsepCertificate:
         raise InputFormatError(f"bad certificate JSON: {exc}") from exc
 
 
+def scaled_certificate_from_json(obj, inst: QsepInstance) -> ScaledCertificate | QsepCertificate:
+    """The certificate `obj` as integers over 2^p, p = bits_required(inst.delta_p).
+
+    A scalar {"num": a, "den": b} becomes q with divmod(a << p, b) == (q, 0);
+    no `Fraction` is built.  A file that does not read as a well-formed
+    certificate of p-bit scalars is decoded again by
+    `qsep_certificate_from_json`, so it fails as it did before that path
+    existed: that raises the InputFormatError of a malformed file, or
+    returns a `QsepCertificate`, which `verify_certificate` checks for
+    matching dimensions before it raises BitWidthError at the first scalar
+    that is not a p-bit dyadic in [-1, 1].
+    """
+    p = bits_required(inst.delta_p)
+    one = 1 << p
+
+    def scaled(x) -> int:
+        q, rest = divmod(int(x["num"]) << p, int(x["den"]))
+        if rest or not -one <= q <= one:
+            raise BitWidthError(f"not a {p}-bit dyadic rational in [-1, 1]")
+        return q
+
+    def vector(v) -> tuple[tuple[int, int], ...]:
+        return tuple((scaled(x["re"]), scaled(x["im"])) for x in v)
+
+    try:
+        terms = tuple(
+            (scaled(t["weight"]), vector(t["alpha"]), vector(t["beta"])) for t in obj["terms"]
+        )
+        return ScaledCertificate(int(obj["m"]), int(obj["n"]), p, terms)
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        return qsep_certificate_from_json(obj)
+
+
 def graph_from_json(obj):
     from .gadgets import Graph
 
@@ -182,6 +224,6 @@ def load_json(path: str | Path):
 
 
 def dump_json(obj, path: str | Path) -> None:
+    """One line of JSON with sorted keys, written by the C encoder."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -12,13 +12,14 @@ import pytest
 
 from conftest import graph_to_json, rational_separable_decomposition, rational_state_of
 import sepscan
-from sepscan import states, symext
+from sepscan import cli, states, symext
 from sepscan.cli import build_parser, main
 from sepscan.qsep import bits_required, reduce_wmem_to_qsep, truncate_decomposition
 from sepscan.serialize import (
     density_from_json,
     density_to_json,
     dump_json,
+    matrix_from_json,
     matrix_to_json,
     qsep_certificate_from_json,
     qsep_certificate_to_json,
@@ -54,6 +55,16 @@ class TestSerialization:
         again = density_from_json(density_to_json(rho))
         np.testing.assert_allclose(again.mat, rho.mat, atol=1e-12)
         assert (again.m, again.n) == (2, 2)
+
+    def test_matrix_decoding_matches_complex_per_cell(self):
+        rng = np.random.default_rng(3)
+        cells = rng.standard_normal((5, 5, 2)).tolist()
+        cells[0][0], cells[0][1], cells[1][0] = [-0.0, -0.0], [3, -0.0], [0.0, 1e-310]
+        cells[2][2] = [True, -7]
+        reference = np.array([[complex(c[0], c[1]) for c in row] for row in cells])
+        decoded = matrix_from_json(json.loads(json.dumps(cells)))
+        assert decoded.dtype == complex and decoded.shape == (5, 5)
+        assert decoded.tobytes() == reference.tobytes()  # bit for bit, signed zeros included
 
     def test_rational_round_trip(self):
         decomp = rational_separable_decomposition(2, 2, 4, seed=13)
@@ -99,6 +110,27 @@ class TestTestCommand:
         dump_json({"m": 2, "n": 2, "matrix": [[1, 2], [3]]}, path)
         code, report = run_cli(capsys, "test", "--input", str(path))
         assert code == 64
+
+    @pytest.mark.parametrize("cell", [["0.25", 0], [None, 0], [0.25], [0.25, 0, 0],
+                                      {"re": 0.25, "im": 0}, [[0.25], 0], [10**30, 0]],
+                             ids=["string", "null", "short", "long", "object", "nested",
+                                  "beyond_int64"])
+    def test_non_numeric_cell_is_input_error(self, capsys, tmp_path, cell):
+        cells = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        cells[0][0] = cell
+        path = tmp_path / "cell.json"
+        dump_json({"m": 2, "n": 2, "matrix": cells}, path)
+        code, report = run_cli(capsys, "test", "--input", str(path))
+        assert code == 64
+        assert report["kind"] == "input"
+        assert "bad matrix encoding" in report["error"]
+
+    def test_integer_and_boolean_cells_are_numbers(self, capsys, tmp_path):
+        cells = [[[1 if i == j == 0 else 0, False] for j in range(4)] for i in range(4)]
+        path = tmp_path / "pure.json"
+        dump_json({"m": 2, "n": 2, "matrix": cells}, path)
+        code, report = run_cli(capsys, "test", "--input", str(path))
+        assert code == 0 and report["verdict"]["outcome"] == "SeparableAssured"
 
     def test_nan_entry_is_input_error(self, capsys, tmp_path):
         # a bare NaN token, as Python's json module reads and writes it
@@ -430,10 +462,74 @@ class TestParser:
         assert report["kind"] == "input"
 
     def test_import_leaves_scipy_spatial_out(self):
-        src = str(Path(sepscan.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, sepscan.cli; sys.exit('scipy.spatial' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        # scipy.optimize alone adds ~41 MB of resident memory to a process that never solves an LP
+        code = ("import sys, sepscan.cli; "
+                "sys.exit(any(m in sys.modules for m in ('scipy.spatial', 'scipy.optimize')))")
+        assert subprocess.run([sys.executable, "-c", code], env=src_env()).returncode == 0
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's sepscan."""
+    src = str(Path(sepscan.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def one_line_sorted(text: str) -> dict:
+    """The JSON object of `text`, which must be one line with sorted keys."""
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True) + "\n"
+    return obj
+
+
+class TestOneParser:
+    """`main` builds its parser once per process; later calls in it reuse that parser."""
+
+    def test_calls_in_one_process_match_fresh_processes(
+        self, capsys, tmp_path, monkeypatch, maxmixed_path
+    ):
+        decomp = rational_separable_decomposition(2, 2, 5, seed=21)
+        rho = rational_state_of(decomp, 2, 2)
+        rho_path = tmp_path / "rho.rational.json"
+        dump_json({"m": 2, "n": 2, "rational": True, "matrix": rational_matrix_to_json(rho)},
+                  rho_path)
+        inst_path = tmp_path / "inst.json"
+        p = bits_required(reduce_wmem_to_qsep(rho, 2, 2, Fraction(1, 2)).delta_p)
+        cert_path = tmp_path / "cert.json"
+        dump_json(qsep_certificate_to_json(truncate_decomposition(decomp, p, 2, 2)), cert_path)
+        steps = [
+            (64, ["symext", "--input", maxmixed_path, "--delta", "2.0", "--strict"]),
+            (0, ["test", "--input", maxmixed_path]),
+            (0, ["qsep-reduce", "--input", str(rho_path), "--delta", "1/2",
+                 "--out", str(inst_path)]),
+            (0, ["qsep-verify", "--instance", str(inst_path), "--cert", str(cert_path)]),
+        ]
+
+        builds = []
+
+        def counted_build():
+            builds.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        in_process = []
+        for expected, argv in steps:
+            code = cli.main(argv)
+            report = one_line_sorted(capsys.readouterr().out)
+            report.pop("timings", None)
+            assert code == expected
+            in_process.append((code, report))
+        assert len(builds) == 1
+        artifact = inst_path.read_text()
+        one_line_sorted(artifact)
+
+        for (_, argv), (code, report) in zip(steps, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "sepscan.cli", *argv],
+                                   env=src_env(), capture_output=True, text=True)
+            fresh_report = one_line_sorted(fresh.stdout)
+            fresh_report.pop("timings", None)
+            assert (fresh.returncode, fresh_report) == (code, report)
+        assert inst_path.read_text() == artifact
 
 
 class TestStateCommand:

@@ -11,7 +11,6 @@ from sepscan.core import (
     DensityMatrix,
     eig_hermitian,
     from_bloch,
-    is_unnormalized_pure,
     ket,
     partial_transpose,
     proj,
@@ -332,38 +331,6 @@ class TestTraceNorm:
             x = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
             expected = float(np.linalg.svd(x, compute_uv=False).sum())
             assert abs(trace_norm(x) - expected) < 1e-8
-
-
-class TestUnnormalizedPurity:
-    def test_scaled_projector(self):
-        assert is_unnormalized_pure(0.5 * proj(ket(0, 2)), 0.5, 1e-10)
-
-    def test_maximally_mixed_fails(self):
-        assert not is_unnormalized_pure(np.eye(2) / 2, np.sqrt(0.5), 1e-8)
-
-    def test_random_pure(self):
-        rng = np.random.default_rng(15)
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        o = 0.3 * proj(psi)
-        assert is_unnormalized_pure(o, 0.3, 1e-8)
-        assert np.linalg.matrix_rank(o, tol=1e-8) == 1
-
-    @given(
-        c=st.floats(0.05, 1.0),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_rank_two_rejected(self, c, seed):
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        w = rng.uniform(0.2, 0.8)
-        o = c * (w * proj(q[:, 0]) + (1 - w) * proj(q[:, 1]))
-        assert not is_unnormalized_pure(o, c, 1e-8)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            is_unnormalized_pure(np.eye(2), 1.5, 1e-8)
 
 
 class TestDensityMatrix:

@@ -17,7 +17,7 @@ from conftest import (
     rational_unit_vector,
     reference_verify,
 )
-from sepscan import qsep, states
+from sepscan import qsep, serialize, states
 from sepscan.qsep import (
     BitWidthError,
     CertificateFormatError,
@@ -25,6 +25,7 @@ from sepscan.qsep import (
     QZERO,
     QsepCertificate,
     QsepInstance,
+    ScaledCertificate,
     bits_required,
     error_bound_normalization_exact,
     error_bound_sigma_sq,
@@ -34,6 +35,11 @@ from sepscan.qsep import (
     truncate_toward_zero,
     vec_norm_sq,
     verify_certificate,
+)
+from sepscan.serialize import (
+    qsep_certificate_from_json,
+    qsep_certificate_to_json,
+    scaled_certificate_from_json,
 )
 
 
@@ -421,6 +427,161 @@ class TestReduction:
             assert p2 == p1 + 1
 
 
+def looped_bits(target: Fraction, start: int) -> int:
+    """The loop that chose p before: smallest p >= start with 2^p >= target."""
+    p = start
+    while Fraction(2) ** p < target:
+        p += 1
+    return p
+
+
+positive_fractions = st.one_of(
+    st.integers(0, 70).map(lambda k: Fraction(1, 2**k)),  # dyadic, up to 1
+    st.fractions(min_value=Fraction(1, 10**12), max_value=1, max_denominator=10**12),
+    st.fractions(min_value=1, max_value=10**6, max_denominator=1000),  # above 1
+).filter(lambda x: x > 0)
+
+
+class TestBitsInIntegers:
+    """p from bit_length of a ceiling quotient equals the old power-of-two loop."""
+
+    @given(x=positive_fractions)
+    @settings(max_examples=300, deadline=None)
+    def test_bits_required_matches_the_loop(self, x):
+        assert bits_required(x) == looped_bits(1 / x, 0)
+
+    @given(delta=positive_fractions, m=st.integers(1, 4), n=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_matches_the_loop(self, delta, m, n):
+        rho = tuple(tuple(qrat(1) if i == j == 0 else QZERO for j in range(m * n))
+                    for i in range(m * n))
+        p = looped_bits(288 * Fraction((m * n) ** 3) / delta, 1)
+        assert reduce_wmem_to_qsep(rho, m, n, delta).delta_p == Fraction(1, 2**p)
+
+    @pytest.mark.parametrize("x,p", [
+        (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(1, 3), 2), (Fraction(1, 4), 2),
+        (Fraction(1, 5), 3), (Fraction(3, 2), 0), (Fraction(10**6), 0),
+        (Fraction(2, 2**40 + 1), 40),
+    ])
+    def test_boundary_values(self, x, p):
+        assert bits_required(x) == looped_bits(1 / x, 0) == p
+
+
+def encoded(x: Fraction, k: int) -> dict:
+    """x as {"num", "den"} with both parts multiplied by k (k < 0 flips both signs)."""
+    return {"num": str(x.numerator * k), "den": str(x.denominator * k)}
+
+
+def reencoded_certificate_json(cert: QsepCertificate, k: int) -> dict:
+    """The JSON of `cert` with every scalar written unreduced, as num*k / den*k."""
+
+    def vec(v):
+        return [{"re": encoded(x.re, k), "im": encoded(x.im, k)} for x in v]
+
+    terms = [{"weight": encoded(w, k), "alpha": vec(a), "beta": vec(b)} for w, a, b in cert.terms]
+    return {"m": cert.m, "n": cert.n, "terms": terms}
+
+
+def fraction_path(inst, obj):
+    """What `qsep-verify` did before: Fraction decoding, then the check; or its error."""
+    try:
+        return verify_certificate(inst, qsep_certificate_from_json(obj))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def scaled_path(inst, obj):
+    try:
+        return verify_certificate(inst, scaled_certificate_from_json(obj, inst))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestScaledDecoder:
+    """`scaled_certificate_from_json` against the Fraction decoder it replaces."""
+
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+        p=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        k=st.sampled_from([1, 1, 2, 3, -1, -6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_certificates_give_identical_results(self, shape, p, seed, k):
+        m, n = shape
+        rho = rational_state_of(rational_separable_decomposition(m, n, 2, seed=seed % 50), m, n)
+        inst = QsepInstance(m, n, rho, Fraction(1, 2**p), Fraction(1, 3), Fraction(5, 7))
+        cert = random_dyadic_certificate(m, n, p, seed, padding=seed % (m * n))
+        obj = reencoded_certificate_json(cert, k)
+        scaled = scaled_certificate_from_json(obj, inst)
+        assert isinstance(scaled, ScaledCertificate)
+        assert scaled == qsep.scale_certificate(cert, p)
+        res = scaled_path(inst, obj)
+        assert res == fraction_path(inst, obj) == verify_certificate(inst, cert)
+
+    @staticmethod
+    def certificate():
+        decomp = rational_separable_decomposition(2, 2, 4, seed=21)
+        inst = reduce_wmem_to_qsep(rational_state_of(decomp, 2, 2), 2, 2, Fraction(1, 2))
+        cert = truncate_decomposition(decomp, bits_required(inst.delta_p), 2, 2)
+        return inst, qsep_certificate_to_json(cert)
+
+    @pytest.mark.parametrize("where", ["weight", "alpha", "beta"])
+    @pytest.mark.parametrize("tamper,error", [
+        (lambda x: x.update(den="0"), serialize.InputFormatError),
+        (lambda x: x.update(num="1", den="3"), BitWidthError),  # in [-1, 1], not dyadic
+        (lambda x: x.update(num="5", den="4"), BitWidthError),  # |x| > 1
+        # a negative weight is a shape error, found before any bit width
+        (lambda x: x.update(num="-5", den="4"), {"weight": serialize.InputFormatError,
+                                                "alpha": BitWidthError, "beta": BitWidthError}),
+        (lambda x: x.update(num=str(2 * int(x["num"])), den=str(2 * int(x["den"]))), None),
+        (lambda x: x.update(num=str(-int(x["num"])), den=str(-int(x["den"]))), None),
+        (lambda x: x.pop("den"), serialize.InputFormatError),
+        (lambda x: x.update(num="one"), serialize.InputFormatError),
+    ], ids=["den0", "den3", "above_one", "below_minus_one", "unreduced", "negative_den",
+            "missing_den", "not_an_integer"])
+    def test_tampered_scalar(self, tamper, error, where):
+        inst, obj = self.certificate()
+        term = obj["terms"][0]
+        tamper(term["weight"] if where == "weight" else term[where][1]["im"])
+        res = scaled_path(inst, obj)
+        assert res == fraction_path(inst, obj)
+        if error is None:  # an equal scalar written another way verifies as the original
+            _, original = self.certificate()
+            assert res == verify_certificate(inst, qsep_certificate_from_json(original))
+        else:
+            assert res[0] is (error[where] if isinstance(error, dict) else error)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda c: c.pop("terms"),
+        lambda c: c.pop("m"),
+        lambda c: c["terms"].pop(),
+        lambda c: c["terms"][3]["alpha"].pop(),
+        lambda c: c["terms"][3]["beta"][0].pop("re"),
+        lambda c: c["terms"][3]["weight"].update(num="-1"),
+        lambda c: c.update(m=3),
+        lambda c: c.update(terms={"a": 1}),
+        lambda c: (c["terms"][0]["alpha"][0]["re"].update(den="3"), c.update(n=3)),
+        lambda c: (c["terms"][0]["alpha"][0]["re"].update(den="3"),
+                   c["terms"][5]["beta"][0]["im"].update(den="0")),
+    ], ids=["no_terms", "no_m", "term_missing", "short_alpha", "scalar_without_re",
+            "negative_weight", "wrong_m", "terms_not_a_list", "non_dyadic_and_wrong_n",
+            "non_dyadic_then_den0"])
+    def test_tampered_shape(self, tamper):
+        inst, obj = self.certificate()
+        tamper(obj)
+        res = scaled_path(inst, obj)
+        assert isinstance(res, tuple) and issubclass(res[0], ValueError)
+        assert res == fraction_path(inst, obj)
+
+    def test_scale_must_match_the_instance(self):
+        inst, obj = self.certificate()
+        p = bits_required(inst.delta_p)
+        cert = qsep.scale_certificate(qsep_certificate_from_json(obj), p + 1)
+        with pytest.raises(CertificateFormatError):
+            verify_certificate(inst, cert)
+
+
 class TestPropositionsEndToEnd:
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
     @pytest.mark.parametrize("p", [12, 16, 20])
@@ -464,13 +625,36 @@ class TestWmemOutTransform:
         assert lhs <= delta / 2 + 1e-12
 
 
+def assert_float_free(module, names):
+    tree = ast.parse(inspect.getsource(module))
+    defs = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    missing = [f for f in names if f not in defs]
+    assert not missing, f"functions vanished: {missing}"
+    for name in names:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                raise AssertionError(f"float literal {node.value} in {name}")
+            if isinstance(node, ast.Name) and node.id == "float":
+                raise AssertionError(f"float() call in {name}")
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("np", "numpy", "math"):
+                    raise AssertionError(f"{node.value.id}.{node.attr} used in {name}")
+
+
 class TestNoFloatAudit:
     VERIFICATION_PATH = [
         "verify_certificate",
+        "_check_terms",
         "_scaled",
         "_scaled_vector",
+        "scale_certificate",
         "truncate_toward_zero",
         "truncate_decomposition",
+        "_ceil_log2",
         "bits_required",
         "vec_norm_sq",
         "is_hermitian_rational",
@@ -478,25 +662,18 @@ class TestNoFloatAudit:
         "reduce_wmem_to_qsep",
         "error_bound_normalization_exact",
     ]
+    # the decoder of `sepscan qsep-verify`, with its nested `scaled` and `vector`
+    DECODER_PATH = ["scaled_certificate_from_json"]
 
     def test_verification_path_is_float_free(self):
-        tree = ast.parse(inspect.getsource(qsep))
-        defs = {
-            node.name: node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        missing = [f for f in self.VERIFICATION_PATH if f not in defs]
-        assert not missing, f"functions vanished: {missing}"
-        for name in self.VERIFICATION_PATH:
-            for node in ast.walk(defs[name]):
-                if isinstance(node, ast.Constant) and isinstance(node.value, float):
-                    raise AssertionError(f"float literal {node.value} in {name}")
-                if isinstance(node, ast.Name) and node.id == "float":
-                    raise AssertionError(f"float() call in {name}")
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    if node.value.id in ("np", "numpy", "math"):
-                        raise AssertionError(f"{node.value.id}.{node.attr} used in {name}")
+        assert_float_free(qsep, self.VERIFICATION_PATH)
+
+    def test_certificate_decoder_is_float_free(self):
+        assert_float_free(serialize, self.DECODER_PATH)
+
+    def test_audit_catches_numpy(self):
+        with pytest.raises(AssertionError, match="np.array used in matrix_from_json"):
+            assert_float_free(serialize, ["matrix_from_json"])
 
     def test_module_imports_neither_numpy_nor_math(self):
         tree = ast.parse(inspect.getsource(qsep))
