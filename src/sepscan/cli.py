@@ -209,11 +209,10 @@ def cmd_gadget(args, started: float) -> int:
     from .gadgets import verify_chain
 
     graph = graph_from_json(load_json(args.graph))
-    report_obj = verify_chain(graph, args.clique, net_delta=args.delta, seed=args.seed)
+    report_obj = verify_chain(graph, args.clique, seed=args.seed)
     report = {
         "config": RunConfig(
-            "gadget",
-            {"graph": args.graph, "clique": args.clique, "delta": args.delta, "seed": args.seed},
+            "gadget", {"graph": args.graph, "clique": args.clique, "seed": args.seed}
         ).to_json(),
         "chain": report_obj.to_json(),
     }
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="clique reduction chain verification")
     p.add_argument("--graph", required=True)
     p.add_argument("--clique", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gadget)
 

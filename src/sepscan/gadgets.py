@@ -34,8 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Array
-from .nets import DeltaNet
-from .wopt import seesaw_max, wopt_max
+from .wopt import seesaw_max
 
 MAX_EXACT_CLIQUE = 12
 RSDF_STARTS = 32  # random starts of the projected ascent, besides the basis vectors
@@ -122,7 +121,12 @@ def max_clique(g: Graph) -> int:
 
 
 def simplex_grid_max(a: Array, steps: int) -> float:
-    """max y^T A y over the grid of denominator-`steps` points of the simplex."""
+    """max y^T A y over the grid of denominator-`steps` points of the simplex.
+
+    No code in `src` calls it but `motzkin_straus_value`: it is the grid side
+    of the Motzkin-Straus theorem, max over the simplex of y^T A y =
+    1 - 1/kappa, which acceptance 7 checks on 100 random graphs.
+    """
     n = a.shape[0]
     best = -np.inf
     stack = [(0, steps, ())]
@@ -146,7 +150,12 @@ class CliqueQuadraticReport:
 
 
 def motzkin_straus_value(g: Graph) -> CliqueQuadraticReport:
-    """Exact clique number against the simplex quadratic maximum."""
+    """Exact clique number against the simplex quadratic maximum.
+
+    No code in `src` calls it: it states the Motzkin-Straus theorem that the
+    first reduction rests on, max over the simplex of y^T A y = 1 - 1/kappa,
+    which acceptance 7 checks on 100 random graphs.
+    """
     kappa = max_clique(g)
     value = 1.0 - 1.0 / kappa if kappa else 0.0
     steps = 40 if g.n <= 4 else 20
@@ -284,28 +293,14 @@ def product_state_from_block_vector(blocks, x: Array) -> tuple[Array, Array]:
     return alpha, x.astype(complex)
 
 
-def wval_value(
-    inst: WvalInstance,
-    *,
-    net: DeltaNet | None = None,
-    seed: int = 0,
-) -> float:
-    """max over separable states of tr(B sigma), by the certified net scan
-    when the A-side matches the net, otherwise by seeded ascent."""
-    return _wval_value(inst, net, seed, None)
-
-
-def _wval_value(inst: WvalInstance, net: DeltaNet | None, seed: int, x: Array | None) -> float:
-    """`wval_value`, given the sphere point of `rsdf_value(blocks, seed=seed)`
-    on the instance's blocks when the caller already has it (None: run it)."""
+def wval_value(inst: WvalInstance, *, seed: int = 0, x: Array | None = None) -> float:
+    """max over separable states of tr(B sigma), by a seesaw ascent seeded with
+    the product state built from x, the sphere point of
+    `rsdf_value(blocks, seed=seed)` on the instance's blocks (None: run it)."""
     b = inst.b
     hs = float(np.linalg.norm(b))
     if hs < 1e-15:
         return 0.0
-    if net is not None and net.m == inst.m:
-        res = wopt_max(b / hs, inst.m, inst.n, net)
-        return res.value * hs
-    # seed the seesaw with the constructive optimum from the block form
     blocks = [
         b[0 : inst.n, i * inst.n : (i + 1) * inst.n] for i in range(1, inst.m)
     ]
@@ -347,13 +342,7 @@ class ChainReport:
         }
 
 
-def verify_chain(
-    g: Graph,
-    c: int,
-    net_delta: float | None = None,
-    *,
-    seed: int = 0,
-) -> ChainReport:
+def verify_chain(g: Graph, c: int, *, seed: int = 0) -> ChainReport:
     """Run all three transformations and compare the final decision with
     exact clique enumeration."""
     if g.n > 6:
@@ -363,13 +352,8 @@ def verify_chain(
     rsdf = wmqs_to_rsdf(wmqs)
     f_val, x = rsdf_value(rsdf.blocks, seed=seed)
     wval = rsdf_to_wval(rsdf)
-    net = None
-    if net_delta is not None and wval.m == 2:
-        from .nets import build_net
-
-        net = build_net(2, net_delta)
     # wval's blocks are rsdf's, so the ascent above already found the seesaw start
-    value = _wval_value(wval, net, seed, x)
+    value = wval_value(wval, seed=seed, x=x)
     decided = value > float(wval.gamma)
     return ChainReport(
         kappa=kappa,

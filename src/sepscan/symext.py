@@ -66,8 +66,8 @@ class DimensionGuardError(ValueError):
 
 def copies_bound(m: int, delta: float) -> int:
     """Extension depth ceil(4m/delta) that certifies trace-norm delta-closeness."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:  # also false for nan
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     return int(math.ceil(Fraction(4 * m) / Fraction(delta)))
 
 

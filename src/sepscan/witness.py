@@ -24,8 +24,7 @@ may certify that the region is empty.
 Termination declares the state delta-close to the separable set when the
 largest semi-axis of the Dikin ellipsoid at the analytic center drops
 below delta/4, when the region empties, or when the iteration cap
-4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.  A smaller caller cap asserts
-nothing: it ends in Unknown.
+4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .core import Array, DensityMatrix, from_bloch, to_bloch
 from .nets import DeltaNet, NetTooCoarseError
-from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
+from .onesided import ENTANGLED, SEPARABLE, Verdict
 from .wopt import ProductState, WoptResult, wopt_max
 
 NEWTON_DECREMENT_TOL = 1e-12
@@ -60,14 +59,6 @@ class SearchRegion:
     center: Array
     radius_proxy: float  # largest Dikin semi-axis at the center
     rho_bloch: Array
-
-    def slacks(self, x: Array) -> Array:
-        return self.normals @ x
-
-    def strictly_feasible(self, x: Array, margin: float = 0.0) -> bool:
-        if np.linalg.norm(x) >= 1.0 - margin:
-            return False
-        return bool(np.all(self.slacks(x) > margin))
 
 
 @dataclass
@@ -97,7 +88,7 @@ class WsepResult:
     witness: WitnessCert | None
     iterations: int
     region: SearchRegion
-    stop: str  # witness, dikin_radius, region_empty, cap or budget
+    stop: str  # witness, dikin_radius, region_empty or cap
     stats: SearchStats
 
 
@@ -121,9 +112,7 @@ def _barrier_grad_hess(normals: Array, x: Array):
     return g - w.sum(axis=0), h + w.T @ w
 
 
-def analytic_center(
-    normals: Array, x0: Array, *, stats: SearchStats | None = None
-) -> tuple[Array, float]:
+def analytic_center(normals: Array, x0: Array, stats: SearchStats) -> tuple[Array, float]:
     """Damped-Newton minimizer of the log barrier; returns (center, dikin radius).
 
     Newton stops once the decrement lambda^2 = g . H^-1 g <= NEWTON_DECREMENT_TOL.
@@ -147,8 +136,7 @@ def analytic_center(
             val = _barrier_value(normals, cand)
             if val < base + 0.25 * t * slope:
                 x, base = cand, val
-                if stats is not None:
-                    stats.newton_steps += 1
+                stats.newton_steps += 1
                 break
             t *= 0.5
         else:
@@ -163,13 +151,12 @@ def analytic_center(
     w = np.maximum(w, 2.0 / ball)
     lam = math.sqrt(float(np.sum((v.T @ g) ** 2 / w)))
     if lam >= 0.5:
-        if stats is not None:
-            stats.unconverged_centerings += 1
+        stats.unconverged_centerings += 1
         return x, math.inf
     return x, 1.0 / math.sqrt(float(w[0])) / (1.0 - lam / (1.0 - lam))
 
 
-def initial_region(rho: DensityMatrix, stats: SearchStats | None = None) -> SearchRegion:
+def initial_region(rho: DensityMatrix, stats: SearchStats) -> SearchRegion:
     """Unit Bloch ball, cut by v(rho) . x >= 0 when v(rho) is nonzero."""
     v = to_bloch(rho.mat, rho.m, rho.n)
     nv = float(np.linalg.norm(v))
@@ -177,11 +164,11 @@ def initial_region(rho: DensityMatrix, stats: SearchStats | None = None) -> Sear
         normals, x0 = np.empty((0, v.shape[0])), np.zeros(v.shape[0])
     else:
         normals, x0 = (v / nv)[None, :], v / (2.0 * nv)
-    center, radius = analytic_center(normals, x0, stats=stats)
+    center, radius = analytic_center(normals, x0, stats)
     return SearchRegion(normals, center, radius, v)
 
 
-def _feasible_start(normals: Array, stats: SearchStats | None = None) -> Array:
+def _feasible_start(normals: Array, stats: SearchStats) -> Array:
     """Strictly interior point of {x : N x >= 0, ||x|| < 1}, or RegionEmptyError.
 
     The LDP min ||d|| s.t. N d >= 1 is the NNLS on E = [N^T; 1^T], f = e_last
@@ -202,8 +189,7 @@ def _feasible_start(normals: Array, stats: SearchStats | None = None) -> Array:
     nd = float(np.linalg.norm(d))
     if nd > 0.0 and np.min(normals @ d) > 1e-9 * nd:
         return 0.5 * d / nd
-    if stats is not None:
-        stats.lp_calls += 1
+    stats.lp_calls += 1
     # variables (d, t): maximize t subject to n_i . d >= t, -1 <= d_j <= 1
     a_ub = np.hstack([-normals, np.ones((k, 1))])
     bounds = [(-1.0, 1.0)] * dim + [(None, None)]
@@ -213,9 +199,7 @@ def _feasible_start(normals: Array, stats: SearchStats | None = None) -> Array:
     return 0.5 * res.x[:dim] / np.linalg.norm(res.x[:dim])
 
 
-def cut(
-    region: SearchRegion, a: Array, sigma_a: ProductState, stats: SearchStats | None = None
-) -> SearchRegion:
+def cut(region: SearchRegion, a: Array, sigma_a: ProductState, stats: SearchStats) -> SearchRegion:
     """Halfspace through the origin (and through a when its margin was >= 0).
 
     a is the tested center (unnormalized Bloch position); sigma_a the
@@ -234,7 +218,7 @@ def cut(
         raise NumericalBreakdownError("cut normal vanished")
     normals = np.vstack([region.normals, normal[None, :] / norm])
     start = _feasible_start(normals, stats)
-    center, radius = analytic_center(normals, start, stats=stats)
+    center, radius = analytic_center(normals, start, stats)
     return SearchRegion(normals, center, radius, region.rho_bloch)
 
 
@@ -242,33 +226,24 @@ def iteration_cap(dim: int, delta: float) -> int:
     return int(math.ceil(4.0 * dim * math.log(8.0 / delta))) + 64
 
 
-def wsep_solve(
-    rho: DensityMatrix,
-    delta: float,
-    net: DeltaNet,
-    *,
-    max_iters: int | None = None,
-) -> WsepResult:
+def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     """Weak separation: a detecting witness, or the assertion that rho is
     within delta of the separable set in Euclidean norm.  The net may cover
     either side; the smaller side, C^min(m, n), gives the smallest net."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if max_iters is not None and max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if net.delta > delta / 10.0 + 1e-12:
         raise NetTooCoarseError(
             f"net covering radius {net.delta} exceeds delta/10 = {delta / 10}"
         )
     eps = delta / 5.0
     dim = rho.dim**2 - 1
-    cap = iteration_cap(dim, delta) if max_iters is None else max_iters
-    stop = "cap" if cap >= iteration_cap(dim, delta) else "budget"
+    stop = "cap"
     stats = SearchStats()
     region = initial_region(rho, stats)
     fallback = np.eye(dim)[0]
     cert = None
-    for iterations in range(1, cap + 1):
+    for iterations in range(1, iteration_cap(dim, delta) + 1):
         a = region.center
         na = float(np.linalg.norm(a))
         a_hat = a / na if na > 1e-12 else fallback
@@ -290,14 +265,18 @@ def wsep_solve(
             break
     if cert is not None:
         verdict = Verdict(ENTANGLED, "witness_search", False, cert.margin)
-    elif stop == "budget":
-        verdict = Verdict(UNKNOWN, "witness_budget", False, region.radius_proxy)
     else:
         verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
     return WsepResult(verdict, cert, iterations, region, stop, stats)
 
 
 def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:
-    """Margin of a previously emitted witness against a (finer) net."""
+    """Margin of a previously emitted witness against a (finer) net.
+
+    No code in `src` calls it: it states the search's soundness claim that a
+    detected margin above 2*epsilon leaves a strictly positive true margin, so
+    the witness re-validates on any finer net; acceptance 2 checks it on every
+    witness the search emits.
+    """
     oracle = wopt_max(cert.operator, rho.m, rho.n, net)
     return float(to_bloch(rho.mat, rho.m, rho.n) @ cert.bloch) - oracle.value

@@ -123,7 +123,7 @@ def _swapped(a: Array, m: int, n: int) -> Array:
     return a.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
 
 
-def quadratic_form(a: Array, m: int, n: int, alpha: Array, beta: Array) -> float:
+def quadratic_form(a: Array, alpha: Array, beta: Array) -> float:
     v = np.kron(alpha, beta)
     return float((np.conj(v) @ np.asarray(a, dtype=complex) @ v).real)
 
@@ -277,7 +277,7 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
         other = vecs[:, 0]
     else:
         other = vecs[:, -1]
-    value = quadratic_form(a, m, n, x_star, other)
+    value = quadratic_form(a, x_star, other)
     if mode == "abs":
         value = abs(value)
     maximizer = ProductState(other, x_star) if swap else ProductState(x_star, other)
@@ -303,11 +303,11 @@ def seesaw_max(a: Array, m: int, n: int, init: list[tuple[Array, Array]]) -> Wop
             beta = np.linalg.eigh(bx)[1][:, -1]
             cy = np.einsum("j,ajbl,l->ab", np.conj(beta), a4, beta)
             alpha = np.linalg.eigh(cy)[1][:, -1]
-            cur = quadratic_form(a, m, n, alpha, beta)
+            cur = quadratic_form(a, alpha, beta)
             if cur - prev < 1e-13:
                 break
             prev = cur
-        val = quadratic_form(a, m, n, alpha, beta)
+        val = quadratic_form(a, alpha, beta)
         if best is None or val > best[0]:
             best = (val, alpha, beta)
     assert best is not None

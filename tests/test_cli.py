@@ -253,6 +253,12 @@ class TestSymextCommand:
         assert code == 0
         assert set(report["config"]) == {"command", "input", "delta", "version"}
 
+    @pytest.mark.parametrize("delta", ["inf", "1e400", "nan"])
+    def test_non_finite_delta_is_input_error(self, capsys, maxmixed_path, delta):
+        code, report = run_cli(capsys, "symext", "--input", maxmixed_path, "--delta", delta)
+        assert code == 64
+        assert report["kind"] == "input" and "delta" in report["error"]
+
 
 class TestWoptCommand:
     def test_reports_value_and_guarantee(self, capsys, tmp_path):
@@ -415,6 +421,7 @@ class TestGadgetCommand:
         assert code == 0
         assert report["chain"]["consistent"] is True
         assert report["chain"]["decided_yes"] is True
+        assert set(report["config"]) == {"command", "graph", "clique", "seed", "version"}
 
 
 class TestNetCommand:
@@ -443,6 +450,9 @@ class TestParser:
 
     def test_witness_takes_no_net_radius(self):
         assert subcommand_options("witness") == {"--input", "--delta", "--witness-out"}
+
+    def test_gadget_takes_no_net_radius(self):
+        assert subcommand_options("gadget") == {"--graph", "--clique", "--seed"}
 
     @pytest.mark.parametrize("argv", [
         ("symext", "--no-ppt"),

@@ -19,7 +19,6 @@ from sepscan.gadgets import (
     wmqs_to_rsdf,
     wval_value,
 )
-from sepscan.nets import build_net
 
 
 def rsdf_sphere_grid(blocks, resolution: int = 400) -> float:
@@ -244,16 +243,6 @@ class TestRsdfToWval:
         assert math.sqrt(lo) < float(wval.gamma - wval.epsilon)
         assert float(wval.gamma + wval.epsilon) < math.sqrt(hi)
 
-    def test_k2_end_to_end_value_via_net(self):
-        rsdf = wmqs_to_rsdf(clique_to_wmqs(K2, 2))
-        wval = rsdf_to_wval(rsdf)
-        net = build_net(2, 0.05)
-        value = wval_value(wval, net=net)
-        # separable maximum is sqrt(F) = sqrt(1/2)
-        assert abs(value - math.sqrt(0.5)) <= 2 * 0.05
-        norm = float(np.linalg.norm(wval.b))
-        assert value <= math.sqrt(0.5) + 1e-8 * norm
-
     def test_constructed_product_state_attains_sqrt_f(self):
         rsdf = wmqs_to_rsdf(clique_to_wmqs(K3, 3))
         f_val, x = rsdf_value(rsdf.blocks)
@@ -266,7 +255,7 @@ class TestRsdfToWval:
 
 class TestVerifyChain:
     def test_triangle_yes(self):
-        rep = verify_chain(K3, 3, net_delta=None)
+        rep = verify_chain(K3, 3)
         assert rep.expected_yes and rep.decided_yes and rep.consistent
 
     def test_triangle_plus_isolated_no(self):
@@ -279,10 +268,6 @@ class TestVerifyChain:
         rep = verify_chain(P3, 3)
         assert rep.kappa == 2
         assert rep.consistent and not rep.decided_yes
-
-    def test_k2_with_net(self):
-        rep = verify_chain(K2, 2, net_delta=0.05)
-        assert rep.consistent and rep.decided_yes
 
     def test_yes_no_matches_enumeration_on_random_pairs(self):
         checked = 0

@@ -124,6 +124,11 @@ class TestBounds:
         assert copies_bound(2, 8.0) == 1
         assert copies_bound(3, 0.1) == 120
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.inf, float("1e400"), math.nan])
+    def test_copies_bound_rejects_a_nonpositive_or_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            copies_bound(2, delta)
+
     def test_extension_gap_values(self):
         assert extension_gap(2, 16) == pytest.approx(0.5)
         assert extension_gap(2, 8) == pytest.approx(1.0)

@@ -8,7 +8,7 @@ from conftest import random_local_unitaries
 from sepscan import states, witness
 from sepscan.core import DensityMatrix, from_bloch, partial_transpose, to_bloch
 from sepscan.nets import NetTooCoarseError, build_net
-from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN, ppt_test
+from sepscan.onesided import ENTANGLED, SEPARABLE, ppt_test
 from sepscan.witness import (
     RegionEmptyError,
     SearchStats,
@@ -39,14 +39,14 @@ def ppt_witness_bloch(rho):
     return coords / np.linalg.norm(coords)
 
 
+def strictly_inside(region, x, margin=0.0):
+    """x lies in the open region: every cut slack and the ball slack exceed margin."""
+    return bool(np.all(region.normals @ x > margin)) and np.linalg.norm(x) < 1.0 - margin
+
+
 @pytest.fixture(scope="module")
 def net_0005():
     return build_net(2, 0.005)
-
-
-@pytest.fixture(scope="module")
-def net_005():
-    return build_net(2, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +56,13 @@ def net_001():
 
 class TestAnalyticCenter:
     def test_plain_ball_centers_at_origin(self):
-        x, radius = analytic_center(np.empty((0, 3)), np.zeros(3))
+        x, radius = analytic_center(np.empty((0, 3)), np.zeros(3), SearchStats())
         np.testing.assert_allclose(x, 0.0, atol=1e-10)
         assert radius == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
     def test_single_halfspace(self):
         normals = np.array([[1.0, 0.0, 0.0]])
-        x, _ = analytic_center(normals, np.array([0.5, 0.0, 0.0]))
+        x, _ = analytic_center(normals, np.array([0.5, 0.0, 0.0]), SearchStats())
         assert x[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-7)
         np.testing.assert_allclose(x[1:], 0.0, atol=1e-8)
 
@@ -71,10 +71,10 @@ class TestAnalyticCenter:
         # stopped early, the returned radius still bounds the one at the true center
         normals = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
         x0 = np.array([0.05, 0.3, 0.02])
-        _, exact = analytic_center(normals, x0)
+        _, exact = analytic_center(normals, x0, SearchStats())
         monkeypatch.setattr(witness, "NEWTON_MAX_STEPS", steps)
         stats = SearchStats()
-        _, radius = analytic_center(normals, x0, stats=stats)
+        _, radius = analytic_center(normals, x0, stats)
         assert radius >= exact
         # after 3 steps the decrement is still >= 1/2: no bound, so no radius
         assert (radius == math.inf) == (steps == 3) == (stats.unconverged_centerings == 1)
@@ -87,10 +87,10 @@ class TestAnalyticCenter:
             normals = rng.standard_normal((4, 3))
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             try:
-                x0 = _feasible_start(normals)
+                x0 = _feasible_start(normals, SearchStats())
             except RegionEmptyError:
                 continue
-            x, _ = analytic_center(normals, x0)
+            x, _ = analytic_center(normals, x0, SearchStats())
             ax = np.linspace(-0.99, 0.99, 41)
             grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
             grid = grid[np.linalg.norm(grid, axis=1) < 0.999]
@@ -164,16 +164,18 @@ class TestFeasibleStart:
         accepted = empty = 0
         for normals in random_cones(400, 3):
             linprog_calls.clear()
+            stats = SearchStats()
             try:
-                x = _feasible_start(normals)
+                x = _feasible_start(normals, stats)
             except RegionEmptyError:
                 # emptiness is declared by the LP alone, and HiGHS agrees
-                assert linprog_calls
+                assert linprog_calls and stats.lp_calls == 1
                 assert lp_slack(normals) <= 1e-9
                 empty += 1
                 continue
             assert np.linalg.norm(x) == pytest.approx(0.5)
             assert np.min(normals @ x) > 0.0
+            assert stats.lp_calls == len(linprog_calls)
             if not linprog_calls:
                 accepted += 1
                 assert np.min(normals @ x) > 0.5e-9
@@ -183,7 +185,7 @@ class TestFeasibleStart:
     def test_pair_of_opposite_normals_is_empty(self, linprog_calls):
         n = np.array([[0.6, 0.8, 0.0]])
         with pytest.raises(RegionEmptyError):
-            _feasible_start(np.vstack([n, -n]))
+            _feasible_start(np.vstack([n, -n]), SearchStats())
         assert len(linprog_calls) == 1
 
     def test_nnls_failure_falls_back_to_lp(self, linprog_calls, monkeypatch):
@@ -192,35 +194,36 @@ class TestFeasibleStart:
 
         monkeypatch.setattr(scipy.optimize, "nnls", failing)
         normals = np.eye(3)[:2]
-        x = _feasible_start(normals)
+        x = _feasible_start(normals, SearchStats())
         assert len(linprog_calls) == 1
         assert np.min(normals @ x) > 0.0 and np.linalg.norm(x) < 1.0
 
     def test_no_normals_gives_origin(self, linprog_calls):
-        np.testing.assert_array_equal(_feasible_start(np.empty((0, 4))), np.zeros(4))
+        x = _feasible_start(np.empty((0, 4)), SearchStats())
+        np.testing.assert_array_equal(x, np.zeros(4))
         assert not linprog_calls
 
 
 class TestInitialRegion:
     def test_half_bloch_vector_is_feasible(self):
         rho = states.werner(0.7)
-        region = initial_region(rho)
+        region = initial_region(rho, SearchStats())
         v = region.rho_bloch
         probe = v / (2.0 * np.linalg.norm(v))
-        assert region.strictly_feasible(probe)
+        assert strictly_inside(region, probe)
 
     def test_maximally_mixed_gives_full_ball(self):
-        region = initial_region(states.maximally_mixed(2, 2))
+        region = initial_region(states.maximally_mixed(2, 2), SearchStats())
         assert region.normals.shape[0] == 0
         np.testing.assert_allclose(region.center, 0.0, atol=1e-9)
 
     def test_contains_ppt_witness_for_npt_state(self):
         for rho in [states.bell(), states.werner(0.8)]:
-            region = initial_region(rho)
+            region = initial_region(rho, SearchStats())
             w = ppt_witness_bloch(rho)
             assert w is not None
             # scaled inside the ball, the true witness satisfies every cut
-            assert region.strictly_feasible(0.9 * w)
+            assert strictly_inside(region, 0.9 * w)
 
 
 class TestCut:
@@ -231,28 +234,29 @@ class TestCut:
 
     def test_previous_center_not_strictly_feasible(self, net_001):
         rho = states.werner(0.2)
-        region = initial_region(rho)
+        region = initial_region(rho, SearchStats())
         res = self._mock_maximizer(rho, net_001, region)
-        new = cut(region, region.center, res.maximizer)
-        assert not new.strictly_feasible(region.center, margin=1e-12)
-        assert new.strictly_feasible(new.center)
+        new = cut(region, region.center, res.maximizer, SearchStats())
+        assert not strictly_inside(new, region.center, margin=1e-12)
+        assert strictly_inside(new, new.center)
 
     def test_origin_remains_on_boundary(self, net_001):
         rho = states.werner(0.2)
-        region = initial_region(rho)
+        region = initial_region(rho, SearchStats())
         res = self._mock_maximizer(rho, net_001, region)
-        new = cut(region, region.center, res.maximizer)
+        new = cut(region, region.center, res.maximizer, SearchStats())
         # every cut passes through the origin: it satisfies each with equality
-        assert np.all(new.slacks(np.zeros_like(new.center)) >= -1e-12)
+        assert np.all(new.normals @ np.zeros_like(new.center) >= -1e-12)
 
     def test_radius_proxy_nonincreasing(self, net_001):
         rho = states.random_full_rank(2, 2, 5)
-        region = initial_region(rho)
+        stats = SearchStats()
+        region = initial_region(rho, stats)
         radii = [region.radius_proxy]
         for _ in range(20):
             res = self._mock_maximizer(rho, net_001, region)
             try:
-                region = cut(region, region.center, res.maximizer)
+                region = cut(region, region.center, res.maximizer, stats)
             except RegionEmptyError:
                 break
             radii.append(region.radius_proxy)
@@ -276,24 +280,11 @@ class TestWsepSolve:
         res = wsep_solve(states.werner(0.2), 0.05, net_0005)
         assert res.verdict.outcome == SEPARABLE
 
-    @pytest.mark.parametrize("max_iters", [0, -3])
-    def test_nonpositive_max_iters_rejected(self, net_005, max_iters):
-        with pytest.raises(ValueError, match="max_iters"):
-            wsep_solve(states.bell(), 0.5, net_005, max_iters=max_iters)
-
-    def test_budget_below_cap_is_unknown(self, net_0005):
-        # werner(0.2) needs 15 cuts at delta 0.05; 3 prove nothing
-        res = wsep_solve(states.werner(0.2), 0.05, net_0005, max_iters=3)
-        assert (res.verdict.outcome, res.verdict.reason) == (UNKNOWN, "witness_budget")
-        assert res.stop == "budget" and res.iterations == 3 and res.witness is None
-
     def test_theoretical_cap_asserts_closeness(self, net_0005, monkeypatch):
         monkeypatch.setattr(witness, "iteration_cap", lambda dim, delta: 3)
         res = wsep_solve(states.werner(0.2), 0.05, net_0005)
         assert (res.verdict.outcome, res.verdict.reason) == (SEPARABLE, "witness_search")
         assert res.stop == "cap" and res.iterations == 3
-        res = wsep_solve(states.werner(0.2), 0.05, net_0005, max_iters=5)
-        assert res.stop == "cap" and res.verdict.outcome == SEPARABLE
 
     def test_stats_of_a_detection(self, net_0005):
         res = wsep_solve(states.werner(0.9), 0.05, net_0005)

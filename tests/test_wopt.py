@@ -49,7 +49,7 @@ class TestConditionedOperator:
             x = states.random_unit_vector(2, rng)
             b = states.random_unit_vector(3, rng)
             bx = conditioned_operator(a, 2, 3, x)
-            direct = quadratic_form(a, 2, 3, x, b)
+            direct = quadratic_form(a, x, b)
             via_block = float((b.conj() @ bx @ b).real)
             assert abs(direct - via_block) < 1e-10
 
@@ -93,7 +93,7 @@ class TestWoptMax:
         for seed in range(5):
             a = states.random_hermitian_unit(6, seed)
             res = wopt_max(a, 2, 3, net_04)
-            redo = quadratic_form(a, 2, 3, res.maximizer.alpha, res.maximizer.beta)
+            redo = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
             assert abs(redo - res.value) < 1e-9
 
     def test_two_delta_guarantee_and_monotonicity(self, net_04, net_01):
@@ -205,7 +205,7 @@ class TestExhaustiveAgreement:
             a = states.random_hermitian_unit(m * n, seed + 30)
             res = wopt_max(a, m, n, net, mode=mode)
             assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
-            at = quadratic_form(a, m, n, res.maximizer.alpha, res.maximizer.beta)
+            at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
             assert abs((abs(at) if mode == "abs" else at) - res.value) <= 1e-12
             if n <= 2:
                 assert res.evaluated == res.bounded == net.size
@@ -219,7 +219,7 @@ class TestExhaustiveAgreement:
             res = wopt_max(a, m, n, net, mode=mode)
             assert res.maximizer.alpha.shape == (m,) and res.maximizer.beta.shape == (n,)
             assert abs(res.value - exhaustive_max(swapped(a, m, n), n, m, net, mode)) <= 1e-12
-            at = quadratic_form(a, m, n, res.maximizer.alpha, res.maximizer.beta)
+            at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
             assert abs((abs(at) if mode == "abs" else at) - res.value) <= 1e-12
             assert res.guarantee == 2.0 * net.delta
 
@@ -278,7 +278,7 @@ class TestScanPruning:
         signed = wopt_max(a, 3, 3, net, mode="signed")
         assert res.value > signed.value + 0.1  # the negative end decides
         assert abs(res.value - exhaustive_max(a, 3, 3, net, "abs")) <= 1e-12
-        at = quadratic_form(a, 3, 3, res.maximizer.alpha, res.maximizer.beta)
+        at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
         assert at < 0 and abs(abs(at) - res.value) < 1e-12
 
     def test_fully_pruned_chunks(self, pruning_nets, monkeypatch):
@@ -441,7 +441,7 @@ class TestSeesaw:
         a = states.random_hermitian_unit(6, 7)
         alpha = np.array([1.0, 0.0], dtype=complex)
         beta = np.array([1.0, 0.0, 0.0], dtype=complex)
-        start_val = quadratic_form(a, 2, 3, alpha, beta)
+        start_val = quadratic_form(a, alpha, beta)
         res = seesaw_max(a, 2, 3, init=[(alpha, beta)])
         assert res.value >= start_val - 1e-12
 
