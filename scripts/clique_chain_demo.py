@@ -1,7 +1,11 @@
 """Run the clique reduction chain end to end on a few small graphs.
 
 Usage: python scripts/clique_chain_demo.py
+
+Exits 1 when any chain's decision disagrees with exact clique enumeration.
 """
+
+import sys
 
 from sepscan.gadgets import Graph, random_graph, verify_chain
 
@@ -14,7 +18,8 @@ CASES = [
 ]
 
 
-def main():
+def main() -> int:
+    inconsistent = 0
     for label, graph, c in CASES:
         rep = verify_chain(graph, c)
         print(f"{label}:")
@@ -25,7 +30,9 @@ def main():
         )
         print(f"  decided {'YES' if rep.decided_yes else 'NO'} -> "
               f"{'consistent' if rep.consistent else 'INCONSISTENT'}")
+        inconsistent += not rep.consistent
+    return 1 if inconsistent else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,5 +1,8 @@
 """Command-line front end: one subcommand per pipeline, one-line JSON reports on stdout.
 
+Each `cmd_*` returns (config, report, exit code); `main` adds the `config`
+and `timings` keys to the report and encodes it.
+
 Exit codes: 0 separable-assured (or a successful non-verdict command),
 1 entangled, 2 unknown/unverified, 64 malformed input or usage, 65 infeasible
 configuration (net too coarse or too large, dimension guards), 70
@@ -14,7 +17,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,60 +51,38 @@ EXIT_INFEASIBLE = 65
 EXIT_NUMERICAL = 70
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: dict
-
-    def to_json(self) -> dict:
-        return {"command": self.command, **self.args, "version": __version__}
-
-
 def _verdict_exit(verdict: Verdict) -> int:
     return {SEPARABLE: EXIT_SEPARABLE, ENTANGLED: EXIT_ENTANGLED, UNKNOWN: EXIT_UNKNOWN}[
         verdict.outcome
     ]
 
 
-def _emit(report: dict, started: float) -> None:
-    report["timings"] = {"total_s": round(time.time() - started, 6)}
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-
-
 def _load_state(path: str) -> DensityMatrix:
     return density_from_json(load_json(path))
 
 
-def cmd_test(args, started: float) -> int:
+def cmd_test(args) -> tuple[dict, dict, int]:
     rho = _load_state(args.input)
     tests: list[Verdict] = []
     verdict = onesided.pipeline(rho, stats=tests)
-    report = {
-        "config": RunConfig("test", {"input": args.input}).to_json(),
-        "verdict": verdict.to_json(),
-        "stats": {"tests": [v.to_json() for v in tests]},
-    }
-    _emit(report, started)
-    return _verdict_exit(verdict)
+    report = {"verdict": verdict, "stats": {"tests": tests}}
+    return {"input": args.input}, report, _verdict_exit(verdict)
 
 
-def cmd_witness(args, started: float) -> int:
+def cmd_witness(args) -> tuple[dict, dict, int]:
     rho = _load_state(args.input)
     net_delta = args.delta / 10.0  # the coarsest net wsep_solve accepts
     net = build_net(min(rho.m, rho.n), net_delta)
     result = wsep_solve(rho, args.delta, net)
+    config = {
+        "input": args.input,
+        "delta": args.delta,
+        "net_delta": net_delta,
+        "net_size": net.size,
+        "net_method": net.method,
+    }
     report = {
-        "config": RunConfig(
-            "witness",
-            {
-                "input": args.input,
-                "delta": args.delta,
-                "net_delta": net_delta,
-                "net_size": net.size,
-                "net_method": net.method,
-            },
-        ).to_json(),
-        "verdict": result.verdict.to_json(),
+        "verdict": result.verdict,
         "iterations": result.iterations,
         "stats": {"stop": result.stop, **dataclasses.asdict(result.stats)},
     }
@@ -117,24 +97,18 @@ def cmd_witness(args, started: float) -> int:
         if args.witness_out:
             dump_json(witness_json, args.witness_out)
             report["artifacts"] = {"witness": args.witness_out}
-    _emit(report, started)
-    return _verdict_exit(result.verdict)
+    return config, report, _verdict_exit(result.verdict)
 
 
-def cmd_symext(args, started: float) -> int:
+def cmd_symext(args) -> tuple[dict, dict, int]:
     rho = _load_state(args.input)
     stats = ScanStats()
     verdict = separability_scan(rho, args.delta, stats=stats)
-    report = {
-        "config": RunConfig("symext", {"input": args.input, "delta": args.delta}).to_json(),
-        "verdict": verdict.to_json(),
-        "stats": dataclasses.asdict(stats),
-    }
-    _emit(report, started)
-    return _verdict_exit(verdict)
+    report = {"verdict": verdict, "stats": stats}
+    return {"input": args.input, "delta": args.delta}, report, _verdict_exit(verdict)
 
 
-def cmd_wopt(args, started: float) -> int:
+def cmd_wopt(args) -> tuple[dict, dict, int]:
     obj = load_json(args.op)
     try:
         m, n, matrix = int(obj["m"]), int(obj["n"]), obj["matrix"]
@@ -146,17 +120,14 @@ def cmd_wopt(args, started: float) -> int:
         raise InputFormatError("zero operator")
     net = build_net(min(m, n), args.delta)
     res = wopt_max(mat / hs, m, n, net, mode=args.mode)
+    config = {
+        "op": args.op,
+        "delta": args.delta,
+        "mode": args.mode,
+        "net_size": net.size,
+        "hs_norm": hs,
+    }
     report = {
-        "config": RunConfig(
-            "wopt",
-            {
-                "op": args.op,
-                "delta": args.delta,
-                "mode": args.mode,
-                "net_size": net.size,
-                "hs_norm": hs,
-            },
-        ).to_json(),
         "value_normalized": res.value,
         "value": res.value * hs,
         "guarantee": res.guarantee * hs,
@@ -166,26 +137,19 @@ def cmd_wopt(args, started: float) -> int:
             "beta": [[z.real, z.imag] for z in res.maximizer.beta],
         },
     }
-    _emit(report, started)
-    return EXIT_SEPARABLE
+    return config, report, EXIT_SEPARABLE
 
 
-def cmd_qsep_verify(args, started: float) -> int:
+def cmd_qsep_verify(args) -> tuple[dict, dict, int]:
     inst = qsep_instance_from_json(load_json(args.instance))
     cert = scaled_certificate_from_json(load_json(args.cert), inst)
     result = verify_certificate(inst, cert)
-    report = {
-        "config": RunConfig(
-            "qsep-verify", {"instance": args.instance, "cert": args.cert}
-        ).to_json(),
-        "result": result.to_json(),
-        "bits": bits_required(inst.delta_p),
-    }
-    _emit(report, started)
-    return EXIT_SEPARABLE if result.accepted else EXIT_UNKNOWN
+    config = {"instance": args.instance, "cert": args.cert}
+    report = {"result": result, "bits": bits_required(inst.delta_p)}
+    return config, report, EXIT_SEPARABLE if result.accepted else EXIT_UNKNOWN
 
 
-def cmd_qsep_reduce(args, started: float) -> int:
+def cmd_qsep_reduce(args) -> tuple[dict, dict, int]:
     mat, m, n = rational_density_from_json(load_json(args.input))
     try:
         delta = Fraction(args.delta)
@@ -193,56 +157,37 @@ def cmd_qsep_reduce(args, started: float) -> int:
         raise InputFormatError(f"bad --delta {args.delta!r}: {exc}") from exc
     inst = reduce_wmem_to_qsep(mat, m, n, delta)
     inst_json = qsep_instance_to_json(inst)
-    report = {
-        "config": RunConfig("qsep-reduce", {"input": args.input, "delta": str(delta)}).to_json(),
-        "instance": inst_json,
-        "bits": bits_required(inst.delta_p),
-    }
+    report = {"instance": inst_json, "bits": bits_required(inst.delta_p)}
     if args.out:
         dump_json(inst_json, args.out)
         report["artifacts"] = {"instance": args.out}
-    _emit(report, started)
-    return EXIT_SEPARABLE
+    return {"input": args.input, "delta": delta}, report, EXIT_SEPARABLE
 
 
-def cmd_gadget(args, started: float) -> int:
+def cmd_gadget(args) -> tuple[dict, dict, int]:
     from .gadgets import verify_chain
 
     graph = graph_from_json(load_json(args.graph))
-    report_obj = verify_chain(graph, args.clique, seed=args.seed)
-    report = {
-        "config": RunConfig(
-            "gadget", {"graph": args.graph, "clique": args.clique, "seed": args.seed}
-        ).to_json(),
-        "chain": report_obj.to_json(),
-    }
-    _emit(report, started)
-    return EXIT_SEPARABLE if report_obj.consistent else EXIT_UNKNOWN
+    chain = verify_chain(graph, args.clique, seed=args.seed)
+    config = {"graph": args.graph, "clique": args.clique, "seed": args.seed}
+    report = {"chain": {**dataclasses.asdict(chain), "consistent": chain.consistent}}
+    return config, report, EXIT_SEPARABLE if chain.consistent else EXIT_UNKNOWN
 
 
-def cmd_net(args, started: float) -> int:
+def cmd_net(args) -> tuple[dict, dict, int]:
     net = build_net(args.m, args.delta)
     coverage = verify_coverage(net, args.verify_samples, args.seed)
+    config = {"m": args.m, "delta": args.delta, "samples": args.verify_samples, "seed": args.seed}
     report = {
-        "config": RunConfig(
-            "net",
-            {
-                "m": args.m,
-                "delta": args.delta,
-                "samples": args.verify_samples,
-                "seed": args.seed,
-            },
-        ).to_json(),
         "size": net.size,
         "method": net.method,
         "max_gap": coverage.max_gap,
         "passed": coverage.passed,
     }
-    _emit(report, started)
-    return EXIT_SEPARABLE if coverage.passed else EXIT_INFEASIBLE
+    return config, report, EXIT_SEPARABLE if coverage.passed else EXIT_INFEASIBLE
 
 
-def cmd_state(args, started: float) -> int:
+def cmd_state(args) -> tuple[dict, dict, int]:
     params = {}
     for kv in args.param or []:
         key, _, value = kv.partition("=")
@@ -251,19 +196,13 @@ def cmd_state(args, started: float) -> int:
     from .serialize import density_to_json
 
     obj = density_to_json(rho)
+    report = {"m": rho.m, "n": rho.n}
     if args.out:
         dump_json(obj, args.out)
-    report = {
-        "config": RunConfig("state", {"name": args.name, "params": params}).to_json(),
-        "m": rho.m,
-        "n": rho.n,
-    }
-    if args.out:
         report["artifacts"] = {"state": args.out}
     else:
         report["state"] = obj
-    _emit(report, started)
-    return EXIT_SEPARABLE
+    return {"name": args.name, "params": params}, report, EXIT_SEPARABLE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,11 +282,20 @@ def _fail(message: str, kind: str, code: int) -> int:
     return code
 
 
+def _encode(obj):
+    """JSON form of the report values `json` does not know: dataclasses and Fractions."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def main(argv=None) -> int:
     started = time.time()
     try:
         args = _parser().parse_args(argv)
-        return args.func(args, started)
+        config, report, code = args.func(args)
     except (InputFormatError,) as exc:
         return _fail(str(exc), "input", EXIT_BAD_INPUT)
     except (NetTooCoarseError, NetTooLargeError, DimensionGuardError) as exc:
@@ -356,6 +304,10 @@ def main(argv=None) -> int:
         return _fail(str(exc), "numerical", EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(str(exc), "input", EXIT_BAD_INPUT)
+    report["config"] = {"command": args.command, **config, "version": __version__}
+    report["timings"] = {"total_s": round(time.time() - started, 6)}
+    sys.stdout.write(json.dumps(report, sort_keys=True, default=_encode) + "\n")
+    return code
 
 
 if __name__ == "__main__":

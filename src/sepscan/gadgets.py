@@ -327,20 +327,6 @@ class ChainReport:
     def consistent(self) -> bool:
         return self.expected_yes == self.decided_yes
 
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "clique_threshold": self.clique_threshold,
-            "expected_yes": self.expected_yes,
-            "decided_yes": self.decided_yes,
-            "simplex_value": self.simplex_value,
-            "rsdf_value": self.rsdf_value,
-            "wval_value": self.wval_value,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "consistent": self.consistent,
-        }
-
 
 def verify_chain(g: Graph, c: int, *, seed: int = 0) -> ChainReport:
     """Run all three transformations and compare the final decision with

@@ -66,8 +66,6 @@ class DeltaNet:
 @dataclass(frozen=True)
 class CoverageReport:
     max_gap: float
-    samples: int
-    seed: int
     delta: float
 
     @property
@@ -251,4 +249,4 @@ def verify_coverage(net: DeltaNet, samples: int, seed: int) -> CoverageReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     gaps = gaps_to_net(net, haar_unit_vectors(net.m, samples, seed))
-    return CoverageReport(float(gaps.max()), samples, seed, net.delta)
+    return CoverageReport(float(gaps.max()), net.delta)

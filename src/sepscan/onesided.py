@@ -34,14 +34,6 @@ class Verdict:
     exact: bool
     detail: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "exact": self.exact,
-            "detail": self.detail,
-        }
-
 
 def ppt_test(rho: DensityMatrix) -> Verdict:
     """Negative eigenvalue of rho^{T_B} proves entanglement; two-sided for mn <= 6."""

@@ -217,13 +217,6 @@ class VerificationResult:
     normalization_residual: Fraction  # max over nonzero terms of |1 - ...|
     distance_sq: Fraction  # tr((rho - sigma~)^2)
 
-    def to_json(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "normalization_residual": str(self.normalization_residual),
-            "distance_sq": str(self.distance_sq),
-        }
-
 
 def verify_certificate(
     inst: QsepInstance, cert: QsepCertificate | ScaledCertificate

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -198,8 +198,13 @@ class _ExtensionMaps:
         self.coeffs = _single_copy_coeffs(m, k)
         # E E* acts as gram (x) I_(n^2) on the paired layout
         self.gram = self.coeffs @ self.coeffs.T
-        # branch isometries lifted to Sym_k (x) B; real, so the adjoint is the transpose
-        self.lifts = {l: np.kron(_branch_isometry(m, k, l), np.eye(n)) for l in range(1, k)}
+
+    @cached_property
+    def lifts(self) -> dict[int, Array]:
+        # branch isometries lifted to Sym_k (x) B; real, so the adjoint is the transpose.
+        # Built on first use: only the PPT cones read them (39 MB at m = n = 3, k = 12).
+        return {l: np.kron(_branch_isometry(self.m, self.k, l), np.eye(self.n))
+                for l in range(1, self.k)}
 
     def reduce_one(self, x: Array) -> Array:
         """Partial trace E down to one A copy plus B."""

@@ -87,7 +87,6 @@ class WsepResult:
     verdict: Verdict
     witness: WitnessCert | None
     iterations: int
-    region: SearchRegion
     stop: str  # witness, dikin_radius, region_empty or cap
     stats: SearchStats
 
@@ -267,7 +266,7 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
         verdict = Verdict(ENTANGLED, "witness_search", False, cert.margin)
     else:
         verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
-    return WsepResult(verdict, cert, iterations, region, stop, stats)
+    return WsepResult(verdict, cert, iterations, stop, stats)
 
 
 def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:

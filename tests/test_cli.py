@@ -558,14 +558,31 @@ class TestStateCommand:
 
 
 def run_twice(capsys, *argv):
-    """Run a command twice; assert equal exit codes and JSON bytes apart from `timings`."""
+    """Run a command twice; assert equal exit codes and JSON bytes apart from `timings`,
+    and the frame `main` puts on every report."""
     runs = []
     for _ in range(2):
         code, report = run_cli(capsys, *argv)
-        report.pop("timings")
+        total = report.pop("timings")["total_s"]
+        assert isinstance(total, (int, float)) and total >= 0
+        assert report["config"]["command"] == argv[0]
+        assert report["config"]["version"] == sepscan.__version__
         runs.append((code, json.dumps(report, sort_keys=True)))
     assert runs[0] == runs[1]
     return code, report
+
+
+class TestEncoder:
+    def test_dataclasses_and_fractions_encode_other_objects_raise(self):
+        from sepscan.onesided import Verdict
+
+        assert cli._encode(Verdict("Unknown", "ccnr", False, 0.5)) == {
+            "outcome": "Unknown", "reason": "ccnr", "exact": False, "detail": 0.5}
+        assert cli._encode(Fraction(-3, 4)) == "-3/4"
+        with pytest.raises(TypeError):
+            cli._encode(object())
+        with pytest.raises(TypeError):
+            cli._encode(np.int64(1))
 
 
 class TestDeterminism:

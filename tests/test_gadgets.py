@@ -308,3 +308,30 @@ class TestVerifyChain:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             verify_chain(Graph(7, np.zeros((7, 7), dtype=np.int8)), 2)
+
+
+class TestCliqueChainDemo:
+    @staticmethod
+    def load_demo():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "clique_chain_demo.py"
+        spec = importlib.util.spec_from_file_location("clique_chain_demo", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_exit_status_follows_consistency(self, monkeypatch, capsys):
+        import dataclasses
+
+        demo = self.load_demo()
+        assert demo.main() == 0
+
+        def flipped(g, c, **kwargs):
+            rep = verify_chain(g, c, **kwargs)
+            return dataclasses.replace(rep, decided_yes=not rep.decided_yes)
+
+        monkeypatch.setattr(demo, "verify_chain", flipped)
+        assert demo.main() == 1
+        assert "INCONSISTENT" in capsys.readouterr().out
