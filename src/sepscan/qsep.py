@@ -18,9 +18,10 @@ decoded straight to that form by `serialize.scaled_certificate_from_json`,
 with no `Fraction` per scalar), so alpha_i (x) beta_i holds
 Gaussian integers over 2^(2p) and sigma~ 2^(5p) = sum_i W_i v_i v_i† is
 an integer matrix (W_i = p_i 2^p), summed over its upper triangle.  The
-normalization gaps are integers over 2^(5p), and a `Fraction` is built
-only for each of the d(d+1)/2 entries rho_ij - sigma~_ij.  No float, no
-numpy and no `math` touch this path.
+normalization gaps are integers over 2^(5p), and so is the distance
+tr((rho - sigma~)^2), over (D 2^(5p))^2 with D the common denominator of
+rho's entries: one `Fraction` holds it.  No float, no numpy and no `math`
+touch this path.
 
 Truncation is toward zero, matching the error budget of the closed-form
 bounds m^3 n^3 2^-(p-7.5) (reconstruction, Euclidean) and
@@ -255,14 +256,19 @@ def verify_certificate(
             tail = v[i:]
             sig_re[i] = [s + xr * yr + xi * yi for s, (yr, yi) in zip(sig_re[i], tail)]
             sig_im[i] = [s + xi * yr - xr * yi for s, (yr, yi) in zip(sig_im[i], tail)]
-    dist_sq = ZERO
-    for i in range(d):
-        for k, (s_re, s_im) in enumerate(zip(sig_re[i], sig_im[i])):
-            r = inst.rho[i][i + k]
-            d_re = r.re - Fraction(s_re, one)
-            d_im = r.im - Fraction(s_im, one)
+    # rho_ij - sigma~_ij = (a_ij one - s_ij den) / (den one), den the lcm of rho's denominators
+    upper = [inst.rho[i][i:] for i in range(d)]
+    den = 1
+    for q in {x.denominator for row in upper for r in row for x in (r.re, r.im)}:
+        den *= Fraction(den, q).denominator  # lcm(den, q) = den q / gcd(den, q)
+    dist_num = 0
+    for row, row_re, row_im in zip(upper, sig_re, sig_im):
+        for k, (r, s_re, s_im) in enumerate(zip(row, row_re, row_im)):
+            d_re = r.re.numerator * (den // r.re.denominator) * one - s_re * den
+            d_im = r.im.numerator * (den // r.im.denominator) * one - s_im * den
             sq = d_re * d_re + d_im * d_im
-            dist_sq += sq if k == 0 else 2 * sq  # both (i, j) and (j, i)
+            dist_num += sq if k == 0 else 2 * sq  # both (i, j) and (j, i)
+    dist_sq = Fraction(dist_num, (den * one) ** 2)
     norm_residual = Fraction(worst_gap, one)
     accepted = norm_residual < inst.eps_prime and dist_sq < inst.delta_prime**2
     return VerificationResult(accepted, norm_residual, dist_sq)

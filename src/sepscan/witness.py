@@ -16,10 +16,17 @@ the center; the projection can erode witnesses by at most the observed
 margin (<= 2*epsilon), which the detection threshold already absorbs.
 
 Interior points: all cuts pass through the origin, so the region is a
-cone in the unit ball.  Each cut starts Newton at d/(2||d||), d the
-least-distance point of {N d >= 1} (one NNLS), once min N d/||d|| > 1e-9
-is checked; only when that fails does a HiGHS LP run, and only the LP
-may certify that the region is empty.
+cone in the unit ball, and by Gordan's theorem the cone {x : N x >= 0}
+has an interior exactly when p, the point of least norm in the convex
+hull of the cut normals, is nonzero; then p/||p|| is its deepest unit
+direction, with every slack n_i . p/||p|| >= ||p||.  Wolfe's algorithm
+(Math. Programming 11, 1976) finds p and its weights lambda, each cut
+starting from the previous cut's weights with a 0 on the new row.  It
+stops on one of two checked certificates: interior, min N p/||p|| > 1e-9,
+where Newton starts at sqrt(k/(k+2)) p/||p|| (k normals; the barrier's
+minimum along every ray from the origin); or empty, ||N^T lambda|| <= 1e-9,
+so every unit x has min_i n_i . x <= 1e-9 (a Euclidean thickness, which
+unlike a box slack does not depend on the generator basis).
 
 Termination declares the state delta-close to the separable set when the
 largest semi-axis of the Dikin ellipsoid at the analytic center drops
@@ -41,10 +48,19 @@ from .wopt import ProductState, WoptResult, wopt_max
 
 NEWTON_DECREMENT_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
+THICKNESS_TOL = 1e-9  # cones no thicker than this are empty
 
 
 class RegionEmptyError(RuntimeError):
-    """The feasible region has no interior left."""
+    """The feasible region has no interior left.
+
+    From the cut-cone solve, `weights` is the certificate: lambda >= 0,
+    sum 1, with ||N^T lambda|| <= THICKNESS_TOL.
+    """
+
+    def __init__(self, message: str, weights: Array | None = None):
+        super().__init__(message)
+        self.weights = weights
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -56,6 +72,8 @@ class SearchRegion:
     """Unit Bloch ball cut by halfspaces {x : n . x >= 0}."""
 
     normals: Array  # (k, dim) unit rows
+    weights: Array  # (k,) convex weights of least_norm
+    least_norm: Array  # the point of least norm in conv(normals); 0 without normals
     center: Array
     radius_proxy: float  # largest Dikin semi-axis at the center
     rho_bloch: Array
@@ -64,7 +82,7 @@ class SearchRegion:
 @dataclass
 class SearchStats:  # work counters of one search, filled in as it runs
     newton_steps: int = 0  # accepted damped-Newton steps
-    lp_calls: int = 0
+    ldp_steps: int = 0  # min-norm-point affine solves (major plus minor cycles)
     unconverged_centerings: int = 0  # centerings left with decrement >= 1/2
     oracle_evaluated: int = 0  # sum of WoptResult.evaluated
     oracle_bounded: int = 0  # sum of WoptResult.bounded
@@ -91,24 +109,11 @@ class WsepResult:
     stats: SearchStats
 
 
-def _barrier_parts(normals: Array, x: Array):
-    return normals @ x, 1.0 - float(x @ x)
-
-
-def _barrier_value(normals: Array, x: Array) -> float:
-    s, ball = _barrier_parts(normals, x)
-    if ball <= 0.0 or (s.size and np.min(s) <= 0.0):
-        return np.inf
-    return -float(np.sum(np.log(s))) - math.log(ball)
-
-
-def _barrier_grad_hess(normals: Array, x: Array):
-    s, ball = _barrier_parts(normals, x)
-    dim = x.shape[0]
-    g = 2.0 * x / ball
-    h = (2.0 / ball) * np.eye(dim) + (4.0 / ball**2) * np.outer(x, x)
+def _barrier_grad_hess(normals: Array, x: Array, s: Array, ball: float):
     w = normals / s[:, None]
-    return g - w.sum(axis=0), h + w.T @ w
+    h = w.T @ w + (4.0 / ball**2) * np.outer(x, x)
+    h.flat[:: x.shape[0] + 1] += 2.0 / ball
+    return 2.0 * x / ball - w.sum(axis=0), h
 
 
 def analytic_center(normals: Array, x0: Array, stats: SearchStats) -> tuple[Array, float]:
@@ -120,30 +125,34 @@ def analytic_center(normals: Array, x0: Array, stats: SearchStats) -> tuple[Arra
     true center x*.  For lambda >= 1/2 there is no bound, and the radius is inf.
     """
     x = np.asarray(x0, dtype=float).copy()
-    base = _barrier_value(normals, x)
-    if base == np.inf:
+    s, ball = normals @ x, 1.0 - float(x @ x)  # slacks of the current iterate
+    if ball <= 0.0 or (s.size and np.min(s) <= 0.0):
         raise RegionEmptyError("starting point is not strictly feasible")
+    base = -float(np.sum(np.log(s))) - math.log(ball)
     for _ in range(NEWTON_MAX_STEPS):
-        g, h = _barrier_grad_hess(normals, x)
+        g, h = _barrier_grad_hess(normals, x, s, ball)
         dx = -np.linalg.solve(h, g)
         slope = float(g @ dx)  # -lambda^2
         if -slope <= NEWTON_DECREMENT_TOL:
             break
+        # along x + t dx the slacks are s + t N dx and ball - 2t x.dx - t^2 dx.dx
+        sdx, xdx, dxdx = normals @ dx, float(x @ dx), float(dx @ dx)
         t = 1.0
         while t > 1e-14:
-            cand = x + t * dx
-            val = _barrier_value(normals, cand)
-            if val < base + 0.25 * t * slope:
-                x, base = cand, val
-                stats.newton_steps += 1
-                break
+            s_t, ball_t = s + t * sdx, ball - t * (2.0 * xdx + t * dxdx)
+            if ball_t > 0.0 and not (s_t.size and np.min(s_t) <= 0.0):
+                val = -float(np.sum(np.log(s_t))) - math.log(ball_t)
+                if val < base + 0.25 * t * slope:
+                    x, s, ball, base = x + t * dx, s_t, ball_t, val
+                    stats.newton_steps += 1
+                    break
             t *= 0.5
         else:
             break
-    s, ball = _barrier_parts(normals, x)
+    else:  # the last step moved x
+        g, h = _barrier_grad_hess(normals, x, s, ball)
     if ball <= 1e-30 or (s.size and np.min(s) <= 1e-30):
         raise RegionEmptyError("interior collapsed during centering")
-    g, h = _barrier_grad_hess(normals, x)
     w, v = np.linalg.eigh(h)
     # H >= (2/ball) I exactly, so anything smaller is roundoff from the
     # huge slack terms; flooring keeps the radius conservative
@@ -155,47 +164,94 @@ def analytic_center(normals: Array, x0: Array, stats: SearchStats) -> tuple[Arra
     return x, 1.0 / math.sqrt(float(w[0])) / (1.0 - lam / (1.0 - lam))
 
 
+def _affine_min_norm(points: Array) -> tuple[Array, Array]:
+    """Least-norm point y of the affine hull of the rows, and its affine weights.
+
+    With D the rows minus the first, p0, and D^T = QR, y = p0 - Q Q^T p0.
+    Projecting twice makes Q^T y roundoff of y rather than of p0, so the
+    rows' slacks n_i . y stay equal even when y is tiny.
+    """
+    p0 = points[0]
+    if len(points) == 1:
+        return p0.copy(), np.ones(1)
+    q, r = np.linalg.qr((points[1:] - p0).T)
+    c = q.T @ p0
+    y = p0 - q @ c
+    c2 = q.T @ y
+    y -= q @ c2
+    beta = np.linalg.solve(r, -(c + c2))
+    return y, np.concatenate(([1.0 - beta.sum()], beta))
+
+
+def _major_cycle(normals: Array, lam: Array, j: int, stats: SearchStats) -> tuple[Array, Array]:
+    """One major cycle of Wolfe's algorithm: row j joins the corral (the rows
+    with weight).  Each minor cycle solves for the corral's affine least-norm
+    point y; while some affine weight is <= 0, the weights move toward y's
+    until one drops to 0 and its row leaves.  Returns the new weights and y."""
+    lam = lam.copy()
+    corral = np.append(np.flatnonzero(lam), j)
+    while True:
+        stats.ldp_steps += 1
+        y, mu = _affine_min_norm(normals[corral])
+        if np.all(mu > 0.0):
+            lam[corral] = mu
+            return lam, y
+        cur = lam[corral]
+        out = np.flatnonzero(mu <= 0.0)
+        ratios = cur[out] / (cur[out] - mu[out])
+        step = np.maximum(cur + float(np.min(ratios)) * (mu - cur), 0.0)
+        step[out[np.argmin(ratios)]] = 0.0
+        lam[corral] = step
+        corral = corral[step > 0.0]
+
+
+def _feasible_start(
+    normals: Array, weights: Array, point: Array, stats: SearchStats
+) -> tuple[Array, Array, Array]:
+    """Strictly interior point of {x : N x >= 0, ||x|| < 1}, with p, the
+    least-norm point of conv{n_i}, and its weights; or RegionEmptyError with
+    weights whose combination has norm <= THICKNESS_TOL.
+
+    Wolfe's algorithm from `weights` (>= 0, sum 1) and their `point` (kept
+    from the solve that found them: N^T weights in floats loses the direction
+    of a tiny point), or from the last row when all weights are 0.  While the
+    row of least slack n_j . x improves on x, a major cycle brings it in.  In
+    exact arithmetic ||x|| falls with every cycle and the entering row keeps
+    its weight, so the loop is finite; it stops on the first certificate.
+    """
+    k, dim = normals.shape
+    if k == 0:
+        return np.zeros(dim), weights, point
+    lam, x = np.array(weights, dtype=float), point
+    if not lam.any():
+        lam[-1], x = 1.0, normals[-1]
+    while True:
+        nx = math.sqrt(float(x @ x))
+        s = normals @ x
+        j = int(np.argmin(s))
+        if s[j] < nx * (nx - 1e-12) and lam[j] == 0.0:
+            new_lam, new_x = _major_cycle(normals, lam, j, stats)
+            if new_lam[j] > 0.0:  # else roundoff undid the cycle, and x stays
+                lam, x = new_lam, new_x
+                corral = np.flatnonzero(lam)
+                size = float(np.linalg.norm(normals[corral].T @ lam[corral]))
+                if size <= THICKNESS_TOL:
+                    raise RegionEmptyError(f"cut cone is empty: ||N^T lambda|| = {size:.3g}", lam)
+                continue
+        # no row outside the corral improves on x, so x is p up to roundoff
+        if s[j] > THICKNESS_TOL * nx:
+            return math.sqrt(k / (k + 2.0)) * x / nx, lam, x
+        raise NumericalBreakdownError(f"least-norm point of norm {nx:.3g} is at the threshold")
+
+
 def initial_region(rho: DensityMatrix, stats: SearchStats) -> SearchRegion:
     """Unit Bloch ball, cut by v(rho) . x >= 0 when v(rho) is nonzero."""
     v = to_bloch(rho.mat, rho.m, rho.n)
     nv = float(np.linalg.norm(v))
-    if nv < 1e-12:
-        normals, x0 = np.empty((0, v.shape[0])), np.zeros(v.shape[0])
-    else:
-        normals, x0 = (v / nv)[None, :], v / (2.0 * nv)
+    normals = (v / nv)[None, :] if nv >= 1e-12 else np.empty((0, v.shape[0]))
+    x0, weights, point = _feasible_start(normals, np.zeros(len(normals)), np.zeros_like(v), stats)
     center, radius = analytic_center(normals, x0, stats)
-    return SearchRegion(normals, center, radius, v)
-
-
-def _feasible_start(normals: Array, stats: SearchStats) -> Array:
-    """Strictly interior point of {x : N x >= 0, ||x|| < 1}, or RegionEmptyError.
-
-    The LDP min ||d|| s.t. N d >= 1 is the NNLS on E = [N^T; 1^T], f = e_last
-    (Lawson-Hanson): d = -r[:dim] / r[dim], r = E u - f.  Its acceptance implies
-    the LP's t > 1e-9 too, since d/||d|| lies in the LP's box.
-    """
-    from scipy.optimize import linprog, nnls
-
-    k, dim = normals.shape
-    if k == 0:
-        return np.zeros(dim)
-    e_last = np.eye(dim + 1)[-1]
-    try:
-        u, _ = nnls(np.vstack([normals.T, np.ones(k)]), e_last)
-    except RuntimeError:  # NNLS iteration limit: the LP decides
-        u = np.zeros(k)
-    d = np.sign(1.0 - u.sum()) * (normals.T @ u)  # -r[:dim] / r[dim] up to a positive factor
-    nd = float(np.linalg.norm(d))
-    if nd > 0.0 and np.min(normals @ d) > 1e-9 * nd:
-        return 0.5 * d / nd
-    stats.lp_calls += 1
-    # variables (d, t): maximize t subject to n_i . d >= t, -1 <= d_j <= 1
-    a_ub = np.hstack([-normals, np.ones((k, 1))])
-    bounds = [(-1.0, 1.0)] * dim + [(None, None)]
-    res = linprog(-e_last, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
-    if not res.success or res.x is None or res.x[-1] <= 1e-9:
-        raise RegionEmptyError("cut cone has no interior")
-    return 0.5 * res.x[:dim] / np.linalg.norm(res.x[:dim])
+    return SearchRegion(normals, weights, point, center, radius, v)
 
 
 def cut(region: SearchRegion, a: Array, sigma_a: ProductState, stats: SearchStats) -> SearchRegion:
@@ -216,9 +272,11 @@ def cut(region: SearchRegion, a: Array, sigma_a: ProductState, stats: SearchStat
     if norm < 1e-12:
         raise NumericalBreakdownError("cut normal vanished")
     normals = np.vstack([region.normals, normal[None, :] / norm])
-    start = _feasible_start(normals, stats)
+    start, weights, point = _feasible_start(
+        normals, np.append(region.weights, 0.0), region.least_norm, stats
+    )
     center, radius = analytic_center(normals, start, stats)
-    return SearchRegion(normals, center, radius, region.rho_bloch)
+    return SearchRegion(normals, weights, point, center, radius, region.rho_bloch)
 
 
 def iteration_cap(dim: int, delta: float) -> int:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DimensionMismatchError, proj, to_bloch
+from .core import Array, DimensionMismatchError, _local_basis, proj
 from .nets import DeltaNet
 
 SCAN_CHUNK = 262_144
@@ -64,11 +64,13 @@ class ProductState:
     alpha: Array  # unit vector in C^m
     beta: Array  # unit vector in C^n
 
-    def matrix(self) -> Array:
-        return np.kron(proj(self.alpha), proj(self.beta))
-
     def bloch(self) -> Array:
-        return to_bloch(self.matrix(), self.alpha.shape[0], self.beta.shape[0])
+        """Bloch coordinates of P_alpha (x) P_beta, built without the product:
+        its realignment is v(P_alpha) v(P_beta)^T (v stacks columns), so the
+        coordinates are the outer product of the two local ones."""
+        a = _local_basis(self.alpha.shape[0]) @ proj(self.alpha).ravel(order="F")
+        b = _local_basis(self.beta.shape[0]) @ proj(self.beta).ravel(order="F")
+        return np.outer(a.real, b.real).ravel()[1:]
 
 
 @dataclass(frozen=True)

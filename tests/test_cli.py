@@ -178,14 +178,31 @@ class TestWitnessCommand:
         code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.3")
         assert code == 1
         assert report["stats"]["stop"] == "witness"
-        assert report["stats"]["lp_calls"] == 0
+        assert report["stats"]["ldp_steps"] == 0  # detected before any cut
         assert report["stats"]["unconverged_centerings"] == 0
         assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
         code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3")
         assert report["verdict"]["outcome"] == "SeparableAssured"
         assert report["stats"]["stop"] in ("dikin_radius", "region_empty")
         assert report["stats"]["newton_steps"] > report["iterations"]
-        assert 0 <= report["stats"]["lp_calls"] <= 2
+        assert 0 < report["stats"]["ldp_steps"] <= 2 * report["iterations"]
+
+    def test_separable_search_does_not_import_scipy_optimize(self, tmp_path):
+        # the cut cones are solved in numpy: a search ending on an empty region
+        # (the certificate only HiGHS could give before) leaves scipy.optimize out
+        path = tmp_path / "mixture23.json"
+        dump_json(density_to_json(states.product_mixture(2, 3, 8, 3)), path)
+        code = (
+            "import sys; from sepscan.cli import main; "
+            f"main(['witness', '--input', {str(path)!r}, '--delta', '0.3']); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, check=True)
+        report, loaded = proc.stdout.splitlines()
+        assert json.loads(report)["verdict"]["outcome"] == "SeparableAssured"
+        assert json.loads(report)["stats"]["stop"] == "region_empty"
+        assert loaded == "False"
 
     def test_default_m2_net_is_band(self, capsys, tmp_path):
         path = tmp_path / "werner02.json"

@@ -87,7 +87,7 @@ class TestAnalyticCenter:
             normals = rng.standard_normal((4, 3))
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             try:
-                x0 = _feasible_start(normals, SearchStats())
+                x0, _, _ = cold_start(normals)
             except RegionEmptyError:
                 continue
             x, _ = analytic_center(normals, x0, SearchStats())
@@ -105,34 +105,30 @@ class TestAnalyticCenter:
             assert mine >= best / 5.0
 
 
-REAL_LINPROG = scipy.optimize.linprog
-
-
 def lp_slack(normals):
-    """max t subject to N d >= t, |d_j| <= 1, from HiGHS (the independent oracle)."""
+    """max t subject to N d >= t, |d_j| <= 1, from HiGHS (the independent oracle).
+
+    At HiGHS's default tolerances (1e-7) the nearly degenerate cones of
+    `random_cones` stop short: slacks 3e-10..8e-10 reported where a unit point
+    has exact slack 2e-9..5e-9.  Tolerances of 1e-10 resolve them.
+    """
     k, dim = normals.shape
-    res = REAL_LINPROG(
+    res = scipy.optimize.linprog(
         -np.eye(dim + 1)[-1],
         A_ub=np.hstack([-normals, np.ones((k, 1))]),
         b_ub=np.zeros(k),
         bounds=[(-1.0, 1.0)] * dim + [(None, None)],
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.success
     return float(res.x[-1])
 
 
-@pytest.fixture()
-def linprog_calls(monkeypatch):
-    """Counts the LP solves the search makes; they still run HiGHS."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return REAL_LINPROG(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
-    return calls
+def cold_start(normals, stats=None):
+    """`_feasible_start` from no weights: Wolfe's algorithm starts at the last row."""
+    k, dim = normals.shape
+    return _feasible_start(normals, np.zeros(k), np.zeros(dim), stats or SearchStats())
 
 
 def random_cones(count, seed):
@@ -160,57 +156,95 @@ def random_cones(count, seed):
 
 
 class TestFeasibleStart:
-    def test_least_distance_point_is_interior(self, linprog_calls):
-        accepted = empty = 0
+    def test_least_distance_point_is_interior(self):
+        # each outcome carries its certificate, checked here; HiGHS agrees with it
+        interior = empty = 0
         for normals in random_cones(400, 3):
-            linprog_calls.clear()
+            k, dim = normals.shape
             stats = SearchStats()
             try:
-                x = _feasible_start(normals, stats)
-            except RegionEmptyError:
-                # emptiness is declared by the LP alone, and HiGHS agrees
-                assert linprog_calls and stats.lp_calls == 1
-                assert lp_slack(normals) <= 1e-9
+                x, weights, p = cold_start(normals, stats)
+            except RegionEmptyError as exc:
+                lam = exc.weights
+                assert np.all(lam >= 0.0) and lam.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(normals.T @ lam) <= 1e-9
+                # Euclidean thickness <= 1e-9, so the box slack is <= sqrt(dim) 1e-9
+                assert lp_slack(normals) <= math.sqrt(dim) * 1e-9
                 empty += 1
                 continue
-            assert np.linalg.norm(x) == pytest.approx(0.5)
-            assert np.min(normals @ x) > 0.0
-            assert stats.lp_calls == len(linprog_calls)
-            if not linprog_calls:
-                accepted += 1
-                assert np.min(normals @ x) > 0.5e-9
-                assert lp_slack(normals) > 1e-9
-        assert accepted >= 100 and empty >= 100
+            assert np.linalg.norm(x) == pytest.approx(math.sqrt(k / (k + 2.0)))
+            assert np.min(normals @ x) > 1e-9 * np.linalg.norm(x)
+            assert lp_slack(normals) > 1e-9
+            assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(normals.T @ weights, p, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(x / np.linalg.norm(x), p / np.linalg.norm(p), atol=1e-12)
+            assert stats.ldp_steps > 0 or k == 1
+            interior += 1
+        assert interior >= 100 and empty >= 100
 
-    def test_pair_of_opposite_normals_is_empty(self, linprog_calls):
+    def test_warm_start_equals_cold_start(self):
+        # rows added one at a time, each solve warm-started from the previous one
+        solves = 0
+        for normals in random_cones(60, 5):
+            k, dim = normals.shape
+            weights, point = np.zeros(0), np.zeros(dim)
+            for rows in range(1, k + 1):
+                cut_normals = normals[:rows]
+                try:
+                    _, weights, warm = _feasible_start(
+                        cut_normals, np.append(weights, 0.0), point, SearchStats()
+                    )
+                except RegionEmptyError:
+                    with pytest.raises(RegionEmptyError):
+                        cold_start(cut_normals)
+                    break
+                _, _, cold = cold_start(cut_normals)
+                np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12)
+                point = warm
+                solves += 1
+        assert solves >= 500
+
+    def test_warm_start_in_a_thin_cone_resumes_from_its_point(self):
+        # N^T weights in floats loses the direction of a least-norm point of
+        # norm 1e-8, so a warm start resumes from the point the last solve kept
+        rng = np.random.default_rng(11)
+        dim = 35
+        for trial in range(200):
+            v, w = rng.standard_normal((2, dim))
+            v /= np.linalg.norm(v)
+            w -= (w @ v) * v
+            w /= np.linalg.norm(w)
+            tilt = (1e-7, 3e-8, 1e-8)[trial % 3]
+            pair = np.array([v + tilt * w, -v + tilt * w]) / math.sqrt(1.0 + tilt**2)
+            _, weights, point = cold_start(pair)
+            new = w + 0.3 * rng.standard_normal(dim) / math.sqrt(dim)
+            normals = np.vstack([pair, new / np.linalg.norm(new)])
+            _, _, warm = _feasible_start(normals, np.append(weights, 0.0), point, SearchStats())
+            _, _, cold = cold_start(normals)
+            np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12)
+
+    def test_pair_of_opposite_normals_is_empty(self):
         n = np.array([[0.6, 0.8, 0.0]])
-        with pytest.raises(RegionEmptyError):
-            _feasible_start(np.vstack([n, -n]), SearchStats())
-        assert len(linprog_calls) == 1
+        with pytest.raises(RegionEmptyError) as info:
+            cold_start(np.vstack([n, -n]))
+        np.testing.assert_allclose(info.value.weights, [0.5, 0.5])
 
-    def test_nnls_failure_falls_back_to_lp(self, linprog_calls, monkeypatch):
-        def failing(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", failing)
-        normals = np.eye(3)[:2]
-        x = _feasible_start(normals, SearchStats())
-        assert len(linprog_calls) == 1
-        assert np.min(normals @ x) > 0.0 and np.linalg.norm(x) < 1.0
-
-    def test_no_normals_gives_origin(self, linprog_calls):
-        x = _feasible_start(np.empty((0, 4)), SearchStats())
+    def test_no_normals_gives_origin(self):
+        x, _, _ = _feasible_start(np.empty((0, 4)), np.empty(0), np.zeros(4), SearchStats())
         np.testing.assert_array_equal(x, np.zeros(4))
-        assert not linprog_calls
 
 
 class TestInitialRegion:
     def test_half_bloch_vector_is_feasible(self):
         rho = states.werner(0.7)
-        region = initial_region(rho, SearchStats())
+        stats = SearchStats()
+        region = initial_region(rho, stats)
         v = region.rho_bloch
         probe = v / (2.0 * np.linalg.norm(v))
         assert strictly_inside(region, probe)
+        # one halfspace: Newton starts at its analytic center, v/(sqrt(3) ||v||)
+        np.testing.assert_allclose(region.center, v / (math.sqrt(3.0) * np.linalg.norm(v)))
+        assert stats.newton_steps == 0
 
     def test_maximally_mixed_gives_full_ball(self):
         region = initial_region(states.maximally_mixed(2, 2), SearchStats())
@@ -288,19 +322,36 @@ class TestWsepSolve:
 
     def test_stats_of_a_detection(self, net_0005):
         res = wsep_solve(states.werner(0.9), 0.05, net_0005)
-        assert res.stop == "witness" and res.stats.lp_calls == 0 and res.stats.newton_steps > 0
+        # no cut: the single halfspace v(rho) . x >= 0 starts at its analytic center
+        assert res.stop == "witness" and res.stats.ldp_steps == 0 and res.stats.newton_steps == 0
         assert res.stats.oracle_evaluated == res.iterations * net_0005.size  # n = 2: closed form
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_2x3_search_uses_at_most_two_lps(self, linprog_calls, seed):
+    def test_2x3_search_certifies_every_cut(self, monkeypatch, seed):
+        outcomes = []
+        solve = witness._feasible_start
+
+        def checked(normals, weights, point, stats):
+            try:
+                x, lam, p = solve(normals, weights, point, stats)
+            except RegionEmptyError as exc:
+                assert np.all(exc.weights >= 0.0) and exc.weights.sum() == pytest.approx(1.0)
+                assert np.linalg.norm(normals.T @ exc.weights) <= 1e-9
+                outcomes.append("empty")
+                raise
+            assert np.min(normals @ x) > 1e-9 * np.linalg.norm(x)
+            outcomes.append("interior")
+            return x, lam, p
+
+        monkeypatch.setattr(witness, "_feasible_start", checked)
         delta = 0.1
         net = build_net(2, delta / 10.0, method="band")
         res = wsep_solve(states.product_mixture(2, 3, 24, seed), delta, net)
         assert res.verdict.outcome == SEPARABLE
         assert res.stop in ("dikin_radius", "region_empty")
-        assert res.stats.lp_calls == len(linprog_calls) <= 2
-        if res.stop == "region_empty":
-            assert res.stats.lp_calls >= 1
+        assert len(outcomes) == res.iterations + 1  # the initial region, then one per cut
+        assert outcomes.count("empty") == (res.stop == "region_empty")
+        assert 0 < res.stats.ldp_steps <= 2 * res.iterations
         assert res.iterations < res.stats.newton_steps
         assert 0 < res.stats.oracle_evaluated < res.iterations * net.size  # pruned scans
 

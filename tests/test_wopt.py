@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepscan import states, wopt
-from sepscan.core import DimensionMismatchError, ket, proj
+from sepscan.core import DimensionMismatchError, from_bloch, ket, proj, to_bloch
 from sepscan.nets import build_net, haar_unit_vectors, projector_features
 from sepscan.wopt import (
     ProductState,
@@ -449,7 +449,17 @@ class TestSeesaw:
 class TestProductState:
     def test_bloch_round_trip(self):
         ps = ProductState(ket(0, 2), ket(1, 2))
-        mat = ps.matrix()
+        mat = np.kron(proj(ps.alpha), proj(ps.beta))
         assert abs(np.trace(mat) - 1.0) < 1e-12
         assert mat[1, 1] == pytest.approx(1.0)
         assert ps.bloch().shape == (15,)
+        np.testing.assert_allclose(from_bloch(ps.bloch(), 2, 2), mat - np.eye(4) / 4, atol=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 2)])
+    def test_bloch_equals_that_of_the_dense_product(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for _ in range(10):
+            alpha, beta = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (m, n))
+            ps = ProductState(alpha / np.linalg.norm(alpha), beta / np.linalg.norm(beta))
+            dense = to_bloch(np.kron(proj(ps.alpha), proj(ps.beta)), m, n)
+            np.testing.assert_allclose(ps.bloch(), dense, rtol=0.0, atol=1e-15)
