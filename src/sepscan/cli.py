@@ -34,10 +34,10 @@ from .serialize import (
     load_json,
     matrix_from_json,
     matrix_to_json,
+    qsep_certificate_from_json,
     qsep_instance_from_json,
     qsep_instance_to_json,
     rational_density_from_json,
-    scaled_certificate_from_json,
 )
 from .symext import DimensionGuardError, ScanStats, separability_scan
 from .witness import NumericalBreakdownError, wsep_solve
@@ -142,7 +142,7 @@ def cmd_wopt(args) -> tuple[dict, dict, int]:
 
 def cmd_qsep_verify(args) -> tuple[dict, dict, int]:
     inst = qsep_instance_from_json(load_json(args.instance))
-    cert = scaled_certificate_from_json(load_json(args.cert), inst)
+    cert = qsep_certificate_from_json(load_json(args.cert), inst)
     result = verify_certificate(inst, cert)
     config = {"instance": args.instance, "cert": args.cert}
     report = {"result": result, "bits": bits_required(inst.delta_p)}

@@ -293,10 +293,10 @@ def product_state_from_block_vector(blocks, x: Array) -> tuple[Array, Array]:
     return alpha, x.astype(complex)
 
 
-def wval_value(inst: WvalInstance, *, seed: int = 0, x: Array | None = None) -> float:
+def wval_value(inst: WvalInstance, x: Array) -> float:
     """max over separable states of tr(B sigma), by a seesaw ascent seeded with
-    the product state built from x, the sphere point of
-    `rsdf_value(blocks, seed=seed)` on the instance's blocks (None: run it)."""
+    the product state built from x, a sphere point of `rsdf_value` on the
+    instance's blocks."""
     b = inst.b
     hs = float(np.linalg.norm(b))
     if hs < 1e-15:
@@ -304,8 +304,6 @@ def wval_value(inst: WvalInstance, *, seed: int = 0, x: Array | None = None) -> 
     blocks = [
         b[0 : inst.n, i * inst.n : (i + 1) * inst.n] for i in range(1, inst.m)
     ]
-    if x is None:
-        _, x = rsdf_value(blocks, seed=seed)
     alpha, beta = product_state_from_block_vector(blocks, x)
     res = seesaw_max(b / hs, inst.m, inst.n, init=[(alpha, beta)])
     return res.value * hs
@@ -339,7 +337,7 @@ def verify_chain(g: Graph, c: int, *, seed: int = 0) -> ChainReport:
     f_val, x = rsdf_value(rsdf.blocks, seed=seed)
     wval = rsdf_to_wval(rsdf)
     # wval's blocks are rsdf's, so the ascent above already found the seesaw start
-    value = wval_value(wval, seed=seed, x=x)
+    value = wval_value(wval, x)
     decided = value > float(wval.gamma)
     return ChainReport(
         kappa=kappa,

@@ -185,11 +185,15 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
     if method == "band":
         if m != 2:
             raise ValueError("band construction is only defined for m = 2")
-        estimate, level_points = _estimate_band_size(delta), _band_level_points
+        size_bound, level_points = _estimate_band_size, _band_level_points
     elif method == "grid":
-        estimate, level_points = _estimate_grid_size(m, delta), partial(_grid_level_points, m)
+        size_bound, level_points = partial(_estimate_grid_size, m), partial(_grid_level_points, m)
     else:
         raise ValueError(f"unknown method {method!r}")
+    try:
+        estimate = size_bound(delta)
+    except (OverflowError, ZeroDivisionError):  # beyond float range, so beyond MAX_POINTS
+        estimate = math.inf
 
     if delta >= 2.0 or m == 1:
         # CP^0 is a single point, and the sphere has diameter 2: any single point covers it

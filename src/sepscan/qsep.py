@@ -11,17 +11,16 @@ padding terms are exempt from (1): they carry no state and would
 otherwise force their zero vectors to look normalized.
 
 "p-bit number" means a dyadic rational a / 2^p with |a| <= 2^p (all
-certified scalars are bounded by one in magnitude).  The check therefore
-runs on Python integers over a common denominator: each certificate
-scalar x becomes the integer x 2^p once (a `ScaledCertificate`; a file is
-decoded straight to that form by `serialize.scaled_certificate_from_json`,
-with no `Fraction` per scalar), so alpha_i (x) beta_i holds
-Gaussian integers over 2^(2p) and sigma~ 2^(5p) = sum_i W_i v_i v_i† is
-an integer matrix (W_i = p_i 2^p), summed over its upper triangle.  The
-normalization gaps are integers over 2^(5p), and so is the distance
-tr((rho - sigma~)^2), over (D 2^(5p))^2 with D the common denominator of
-rho's entries: one `Fraction` holds it.  No float, no numpy and no `math`
-touch this path.
+certified scalars are bounded by one in magnitude).  A `QsepCertificate`
+therefore holds each scalar x as the integer x 2^p: `truncate_decomposition`
+makes it so, and `serialize.qsep_certificate_from_json` decodes a file
+straight to it, with no `Fraction` per scalar.  The check runs on those
+Python integers: alpha_i (x) beta_i holds Gaussian integers over 2^(2p)
+and sigma~ 2^(5p) = sum_i W_i v_i v_i† is an integer matrix (W_i = p_i 2^p),
+summed over its upper triangle.  The normalization gaps are integers over
+2^(5p), and so is the distance tr((rho - sigma~)^2), over (D 2^(5p))^2 with
+D the common denominator of rho's entries: one `Fraction` holds it.  No
+float, no numpy and no `math` touch this path.
 
 Truncation is toward zero, matching the error budget of the closed-form
 bounds m^3 n^3 2^-(p-7.5) (reconstruction, Euclidean) and
@@ -142,32 +141,32 @@ def _check_terms(m: int, n: int, terms) -> None:
 
 @dataclass(frozen=True)
 class QsepCertificate:
-    m: int
-    n: int
-    terms: tuple[tuple[Fraction, tuple[QRat, ...], tuple[QRat, ...]], ...]
-
-    def __post_init__(self):
-        _check_terms(self.m, self.n, self.terms)
-
-
-@dataclass(frozen=True)
-class ScaledCertificate:
     """A certificate as integers over 2^p, the form `verify_certificate` checks.
 
-    Term i is (W_i, a_i, b_i) with W_i = p_i 2^p, and a_i, b_i hold the
-    (re, im) pairs of alpha_i 2^p and beta_i 2^p.  Every scalar is a p-bit
+    Term i of `scaled` is (W_i, a_i, b_i) with W_i = p_i 2^p, and a_i, b_i hold
+    the (re, im) pairs of alpha_i 2^p and beta_i 2^p.  Every scalar is a p-bit
     dyadic in [-1, 1], so every integer lies in [-2^p, 2^p]; the two makers,
-    `scale_certificate` and `serialize.scaled_certificate_from_json`, check
+    `truncate_decomposition` and `serialize.qsep_certificate_from_json`, check
     that as they scale.
     """
 
     m: int
     n: int
     p: int
-    terms: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+    scaled: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self):
-        _check_terms(self.m, self.n, self.terms)
+        _check_terms(self.m, self.n, self.scaled)
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, tuple[QRat, ...], tuple[QRat, ...]], ...]:
+        """The terms as (weight, alpha, beta) with `Fraction` and `QRat` scalars."""
+        one = 1 << self.p
+
+        def vector(v) -> tuple[QRat, ...]:
+            return tuple(QRat(Fraction(re, one), Fraction(im, one)) for re, im in v)
+
+        return tuple((Fraction(w, one), vector(a), vector(b)) for w, a, b in self.scaled)
 
 
 def _ceil_log2(num: int, den: int) -> int:
@@ -182,36 +181,6 @@ def bits_required(delta_p: Fraction) -> int:
     return _ceil_log2(delta_p.denominator, delta_p.numerator)
 
 
-def _scaled(x: Fraction, p: int) -> int:
-    """x 2^p as an integer, or BitWidthError unless x is a p-bit dyadic in [-1, 1]."""
-    one = 1 << p
-    scaled, rest = divmod(x.numerator * one, x.denominator)
-    if rest or abs(scaled) > one:
-        raise BitWidthError(f"{x} is not a {p}-bit dyadic rational in [-1, 1]")
-    return scaled
-
-
-def _scaled_vector(v: tuple[QRat, ...], p: int) -> tuple[tuple[int, int], ...]:
-    return tuple((_scaled(x.re, p), _scaled(x.im, p)) for x in v)
-
-
-def scale_certificate(cert: QsepCertificate, p: int) -> ScaledCertificate:
-    """`cert` over 2^p; BitWidthError at its first scalar that is not a p-bit dyadic."""
-    terms = tuple(
-        (_scaled(w, p), _scaled_vector(alpha, p), _scaled_vector(beta, p))
-        for w, alpha, beta in cert.terms
-    )
-    return ScaledCertificate(cert.m, cert.n, p, terms)
-
-
-def truncate_toward_zero(x: Fraction, p: int) -> Fraction:
-    """Nearest dyadic a/2^p between 0 and x; |error| < 2^-p."""
-    num, den = x.numerator, x.denominator
-    scaled = abs(num) * 2**p // den
-    sign = 1 if num >= 0 else -1
-    return Fraction(sign * scaled, 2**p)
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     accepted: bool
@@ -219,24 +188,19 @@ class VerificationResult:
     distance_sq: Fraction  # tr((rho - sigma~)^2)
 
 
-def verify_certificate(
-    inst: QsepInstance, cert: QsepCertificate | ScaledCertificate
-) -> VerificationResult:
+def verify_certificate(inst: QsepInstance, cert: QsepCertificate) -> VerificationResult:
     """Exact acceptance check of requirements (1) and (2) in integers over 2^(5p).
 
-    A `QsepCertificate` is scaled to p = bits_required(inst.delta_p) bits
-    first; a `ScaledCertificate` must already be over 2^p.
+    `cert` must be over 2^p, p = bits_required(inst.delta_p).
     """
     if (inst.m, inst.n) != (cert.m, cert.n):
         raise CertificateFormatError(
             f"instance is {inst.m}x{inst.n}, certificate is {cert.m}x{cert.n}"
         )
     p = bits_required(inst.delta_p)
-    if isinstance(cert, QsepCertificate):
-        cert = scale_certificate(cert, p)
-    elif cert.p != p:
+    if cert.p != p:
         raise CertificateFormatError(f"certificate is over 2^{cert.p}, the instance needs 2^{p}")
-    terms = cert.terms
+    terms = cert.scaled
     one = 1 << (5 * p)
     total_weight = sum(w for w, _, _ in terms)
     d = inst.m * inst.n
@@ -280,10 +244,12 @@ def truncate_decomposition(
     m: int,
     n: int,
 ) -> QsepCertificate:
-    """p-bit truncation of a normalized product decomposition.
+    """p-bit truncation of a normalized product decomposition, toward zero.
 
     Input terms are (weight, alpha, beta) with exact Fraction/QRat scalars
-    or floats (floats convert exactly before truncating).  Shorter
+    or floats (floats convert exactly before truncating).  Each scalar x
+    becomes the integer x 2^p truncated toward zero, so it moves by less
+    than 2^-p; one above 1 in magnitude raises BitWidthError.  Shorter
     decompositions are padded with zero terms up to m^2 n^2.
     """
     if p < 1:
@@ -299,6 +265,18 @@ def truncate_decomposition(
             return QRat(Fraction(x.real), Fraction(x.imag))
         return QRat(Fraction(x), ZERO)
 
+    one = 1 << p
+
+    def truncated(x: Fraction) -> int:
+        """x 2^p truncated toward zero; BitWidthError when that leaves [-2^p, 2^p]."""
+        q = (abs(x.numerator) << p) // x.denominator
+        if q > one:
+            raise BitWidthError(f"{x} exceeds 1 in magnitude")
+        return q if x.numerator >= 0 else -q
+
+    def vector(v: tuple[QRat, ...]) -> tuple[tuple[int, int], ...]:
+        return tuple((truncated(x.re), truncated(x.im)) for x in v)
+
     terms = []
     weight_sum = ZERO
     for w, alpha, beta in decomp:
@@ -312,20 +290,12 @@ def truncate_decomposition(
             vec_norm_sq(tb) - 1
         ) > Fraction(1, 10**9):
             raise ValueError("decomposition vectors must be unit within 1e-9")
-        trunc_a = tuple(
-            QRat(truncate_toward_zero(x.re, p), truncate_toward_zero(x.im, p)) for x in ta
-        )
-        trunc_b = tuple(
-            QRat(truncate_toward_zero(x.re, p), truncate_toward_zero(x.im, p)) for x in tb
-        )
-        terms.append((truncate_toward_zero(wf, p), trunc_a, trunc_b))
+        terms.append((truncated(wf), vector(ta), vector(tb)))
     if abs(weight_sum - 1) > Fraction(1, 10**9):
         raise ValueError("weights must sum to 1 within 1e-9")
-    zero_a = tuple(QZERO for _ in range(m))
-    zero_b = tuple(QZERO for _ in range(n))
-    while len(terms) < want:
-        terms.append((ZERO, zero_a, zero_b))
-    return QsepCertificate(m, n, tuple(terms))
+    padding = (0, ((0, 0),) * m, ((0, 0),) * n)
+    terms.extend([padding] * (want - len(terms)))
+    return QsepCertificate(m, n, p, tuple(terms))
 
 
 def error_bound_sigma_sq(m: int, n: int, p: int) -> Fraction:

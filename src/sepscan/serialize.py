@@ -20,7 +20,6 @@ from .qsep import (
     QRat,
     QsepCertificate,
     QsepInstance,
-    ScaledCertificate,
     bits_required,
 )
 
@@ -156,32 +155,14 @@ def qsep_certificate_to_json(cert: QsepCertificate) -> dict:
     }
 
 
-def qsep_certificate_from_json(obj) -> QsepCertificate:
-    try:
-        terms = tuple(
-            (
-                _fraction_from_json(t["weight"]),
-                tuple(_qrat_from_json(x) for x in t["alpha"]),
-                tuple(_qrat_from_json(x) for x in t["beta"]),
-            )
-            for t in obj["terms"]
-        )
-        return QsepCertificate(int(obj["m"]), int(obj["n"]), terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad certificate JSON: {exc}") from exc
-
-
-def scaled_certificate_from_json(obj, inst: QsepInstance) -> ScaledCertificate | QsepCertificate:
+def qsep_certificate_from_json(obj, inst: QsepInstance) -> QsepCertificate:
     """The certificate `obj` as integers over 2^p, p = bits_required(inst.delta_p).
 
-    A scalar {"num": a, "den": b} becomes q with divmod(a << p, b) == (q, 0);
-    no `Fraction` is built.  A file that does not read as a well-formed
-    certificate of p-bit scalars is decoded again by
-    `qsep_certificate_from_json`, so it fails as it did before that path
-    existed: that raises the InputFormatError of a malformed file, or
-    returns a `QsepCertificate`, which `verify_certificate` checks for
-    matching dimensions before it raises BitWidthError at the first scalar
-    that is not a p-bit dyadic in [-1, 1].
+    A scalar {"num": a, "den": b} becomes q with divmod(a << p, b) == (q, 0)
+    and |q| <= 2^p, else BitWidthError; no `Fraction` is built.  A file that
+    does not read as a certificate (a missing or mistyped field, a zero
+    denominator, a negative weight, or vectors and terms that do not match
+    m and n) raises InputFormatError.
     """
     p = bits_required(inst.delta_p)
     one = 1 << p
@@ -189,7 +170,7 @@ def scaled_certificate_from_json(obj, inst: QsepInstance) -> ScaledCertificate |
     def scaled(x) -> int:
         q, rest = divmod(int(x["num"]) << p, int(x["den"]))
         if rest or not -one <= q <= one:
-            raise BitWidthError(f"not a {p}-bit dyadic rational in [-1, 1]")
+            raise BitWidthError(f"{x['num']}/{x['den']} is not a {p}-bit dyadic in [-1, 1]")
         return q
 
     def vector(v) -> tuple[tuple[int, int], ...]:
@@ -199,9 +180,11 @@ def scaled_certificate_from_json(obj, inst: QsepInstance) -> ScaledCertificate |
         terms = tuple(
             (scaled(t["weight"]), vector(t["alpha"]), vector(t["beta"])) for t in obj["terms"]
         )
-        return ScaledCertificate(int(obj["m"]), int(obj["n"]), p, terms)
-    except (LookupError, TypeError, ValueError, ArithmeticError):
-        return qsep_certificate_from_json(obj)
+        return QsepCertificate(int(obj["m"]), int(obj["n"]), p, terms)
+    except BitWidthError:
+        raise
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"bad certificate JSON: {exc}") from exc
 
 
 def graph_from_json(obj):

@@ -67,35 +67,27 @@ def random_full_rank(m: int, n: int, seed: int) -> DensityMatrix:
     return DensityMatrix(m, n, mat / mat.trace().real)
 
 
-def random_hermitian_unit(d: int, seed: int) -> Array:
-    """Random Hermitian operator with unit Hilbert-Schmidt norm."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = 0.5 * (g + g.conj().T)
-    return h / np.linalg.norm(h)
+def _at_least_one(params: dict, key: str, default: int) -> int:
+    value = int(params.get(key, default))
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def library(name: str, **params) -> DensityMatrix:
     """Named state lookup used by the CLI; deterministic given seed."""
-    if name == "maxmixed":
-        return maximally_mixed(int(params.get("m", 2)), int(params.get("n", 2)))
     if name == "bell":
         return bell(str(params.get("which", "phi+")))
     if name == "werner":
         return werner(float(params["w"]))
+    if name not in ("maxmixed", "product_mixture", "random_full_rank", "pure_product"):
+        raise ValueError(f"unknown state name {name!r}")
+    m, n = _at_least_one(params, "m", 2), _at_least_one(params, "n", 2)
+    if name == "maxmixed":
+        return maximally_mixed(m, n)
+    seed = int(params.get("seed", 0))
     if name == "product_mixture":
-        return product_mixture(
-            int(params.get("m", 2)),
-            int(params.get("n", 2)),
-            int(params.get("terms", 4)),
-            int(params.get("seed", 0)),
-        )
+        return product_mixture(m, n, _at_least_one(params, "terms", 4), seed)
     if name == "random_full_rank":
-        return random_full_rank(
-            int(params.get("m", 2)), int(params.get("n", 2)), int(params.get("seed", 0))
-        )
-    if name == "pure_product":
-        return random_pure_product(
-            int(params.get("m", 2)), int(params.get("n", 2)), int(params.get("seed", 0))
-        )
-    raise ValueError(f"unknown state name {name!r}")
+        return random_full_rank(m, n, seed)
+    return random_pure_product(m, n, seed)

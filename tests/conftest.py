@@ -1,7 +1,8 @@
 """Shared helpers: exact-rational separable states with known decompositions,
-the `Fraction` reference of certificate verification, Haar-random local
-unitaries, graph JSON, partial traces, the dense product basis that
-Bloch coordinates refer to, and the property check of a found extension."""
+certificates of dyadic terms, the `Fraction` reference of certificate
+verification, random Hermitian operators, Haar-random local unitaries, graph
+JSON, partial traces, the dense product basis that Bloch coordinates refer
+to, and the property check of a found extension."""
 
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from sepscan.qsep import (
     CertificateFormatError,
     QRat,
     QZERO,
+    QsepCertificate,
     VerificationResult,
     bits_required,
     vec_norm_sq,
@@ -109,6 +111,20 @@ def certificate_state(cert):
     return acc
 
 
+def dyadic_certificate(m: int, n: int, p: int, terms) -> QsepCertificate:
+    """The certificate of rational (weight, alpha, beta) terms that are p-bit dyadics."""
+
+    def scaled(x: Fraction) -> int:
+        q = x * 2**p
+        assert q.denominator == 1, f"{x} is not a {p}-bit dyadic"
+        return q.numerator
+
+    def vector(v):
+        return tuple((scaled(z.re), scaled(z.im)) for z in v)
+
+    return QsepCertificate(m, n, p, tuple((scaled(w), vector(a), vector(b)) for w, a, b in terms))
+
+
 def reference_verify(inst, cert) -> VerificationResult:
     """`qsep.verify_certificate` in plain `Fraction` arithmetic over the full matrix."""
     if (inst.m, inst.n) != (cert.m, cert.n):
@@ -174,6 +190,14 @@ def rational_state_of(decomp, m: int, n: int):
     for w, alpha, beta in decomp:
         acc = mat_add(acc, mat_scale(kron(outer(alpha), outer(beta)), w))
     return acc
+
+
+def random_hermitian_unit(d: int, seed: int) -> np.ndarray:
+    """Random Hermitian operator with unit Hilbert-Schmidt norm."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = 0.5 * (g + g.conj().T)
+    return h / np.linalg.norm(h)
 
 
 def random_local_unitaries(m: int, n: int, seed: int):

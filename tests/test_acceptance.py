@@ -15,6 +15,7 @@ from conftest import (
     certificate_state,
     frobenius_sq,
     mat_sub,
+    random_hermitian_unit,
     rational_separable_decomposition,
     rational_state_of,
     verify_extension,
@@ -118,7 +119,7 @@ def test_acceptance_3_wopt_two_delta_guarantee(announce):
     cases = 0
     for m, n in [(2, 2), (2, 3)]:
         for seed in range(25):
-            a = states.random_hermitian_unit(m * n, seed + 137 * n)
+            a = random_hermitian_unit(m * n, seed + 137 * n)
             coarse = wopt_max(a, m, n, coarse_net).value
             fine = wopt_max(a, m, n, fine_net).value
             worst_gap = max(worst_gap, fine - coarse)

@@ -10,7 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import graph_to_json, rational_separable_decomposition, rational_state_of
+from conftest import (
+    graph_to_json,
+    random_hermitian_unit,
+    rational_separable_decomposition,
+    rational_state_of,
+)
 import sepscan
 from sepscan import cli, states, symext
 from sepscan.cli import build_parser, main
@@ -76,11 +81,12 @@ class TestSerialization:
 
     def test_certificate_round_trip(self):
         decomp = rational_separable_decomposition(2, 2, 4, seed=14)
-        cert = truncate_decomposition(decomp, 12, 2, 2)
+        inst = reduce_wmem_to_qsep(rational_state_of(decomp, 2, 2), 2, 2, Fraction(1, 2))
+        cert = truncate_decomposition(decomp, bits_required(inst.delta_p), 2, 2)
         again = qsep_certificate_from_json(
-            json.loads(json.dumps(qsep_certificate_to_json(cert)))
+            json.loads(json.dumps(qsep_certificate_to_json(cert))), inst
         )
-        assert again.terms == cert.terms
+        assert again == cert
 
 
 class TestTestCommand:
@@ -294,7 +300,7 @@ class TestWoptCommand:
         assert report["stats"]["bounded"] == report["stats"]["scanned"]
 
     def test_reports_pruned_scan(self, capsys, tmp_path):
-        a = states.random_hermitian_unit(6, 0)
+        a = random_hermitian_unit(6, 0)
         path = tmp_path / "a23.json"
         dump_json({"m": 2, "n": 3, "matrix": matrix_to_json(a)}, path)
         # the band net at 0.02 has 15,630 points, more than the 11,552 of the grid at 0.4
@@ -304,7 +310,7 @@ class TestWoptCommand:
         assert 0 < report["stats"]["bounded"] < report["stats"]["scanned"]
 
     def test_3x2_operator_scans_the_smaller_side(self, capsys, tmp_path):
-        a = states.random_hermitian_unit(6, 4)
+        a = random_hermitian_unit(6, 4)
         path = tmp_path / "a32.json"
         dump_json({"m": 3, "n": 2, "matrix": matrix_to_json(a)}, path)
         code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.1")
@@ -573,6 +579,29 @@ class TestStateCommand:
         code, report = run_cli(capsys, "state", "--name", "nonsense")
         assert code == 64
 
+    @pytest.mark.parametrize("name,param", [
+        ("product_mixture", "terms=0"), ("product_mixture", "n=0"), ("maxmixed", "m=0"),
+        ("pure_product", "n=-1"), ("random_full_rank", "m=0"),
+    ])
+    def test_dimension_or_terms_below_one_is_input_error(self, capsys, name, param):
+        code, report = run_cli(capsys, "state", "--name", name, "--param", param)
+        assert (code, report["kind"]) == (64, "input")
+        assert report["error"].startswith(param.partition("=")[0] + " must be >= 1")
+
+
+class TestNetSizeGuard:
+    """A net whose size bound a float cannot hold is refused (exit 65), not a traceback."""
+
+    def test_net(self, capsys):
+        code, report = run_cli(capsys, "net", "--m", "2", "--delta", "1e-200")
+        assert (code, report["kind"]) == (65, "infeasible")
+
+    def test_witness(self, capsys, tmp_path):
+        path = tmp_path / "werner.json"
+        dump_json(density_to_json(states.werner(0.2)), path)
+        code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", "1e-200")
+        assert (code, report["kind"]) == (65, "infeasible")
+
 
 def run_twice(capsys, *argv):
     """Run a command twice; assert equal exit codes and JSON bytes apart from `timings`,
@@ -627,7 +656,7 @@ class TestDeterminism:
 
     def test_wopt_reports_identical_modulo_timing(self, capsys, tmp_path):
         path = tmp_path / "a23.json"
-        dump_json({"m": 2, "n": 3, "matrix": matrix_to_json(states.random_hermitian_unit(6, 0))},
+        dump_json({"m": 2, "n": 3, "matrix": matrix_to_json(random_hermitian_unit(6, 0))},
                   path)
         code, rep = run_twice(capsys, "wopt", "--op", str(path), "--delta", "0.1")
         assert code == 0 and rep["stats"]["evaluated"] > 0

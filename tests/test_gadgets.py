@@ -231,7 +231,7 @@ class TestRsdfToWval:
         from sepscan.gadgets import RsdfInstance
 
         wval = rsdf_to_wval(RsdfInstance((np.zeros((2, 2)),), Fraction(1, 4), Fraction(1, 8)))
-        assert wval_value(wval) == pytest.approx(0.0)
+        assert wval_value(wval, np.array([1.0, 0.0])) == pytest.approx(0.0)
 
     def test_threshold_bracket_strictly_inside(self):
         from sepscan.gadgets import RsdfInstance
@@ -300,9 +300,10 @@ class TestVerifyChain:
         monkeypatch.setattr(gadgets, "rsdf_value", counted)
         rep = verify_chain(g, c, seed=seed)
         assert calls == [seed]
-        # the reused sphere point gives wval_value's own result, bit for bit
-        wval = rsdf_to_wval(wmqs_to_rsdf(clique_to_wmqs(g, c)))
-        assert rep.wval_value == wval_value(wval, seed=seed)
+        # the reused sphere point gives a fresh ascent's result, bit for bit
+        rsdf = wmqs_to_rsdf(clique_to_wmqs(g, c))
+        _, x = gadgets.rsdf_value(rsdf.blocks, seed=seed)
+        assert rep.wval_value == wval_value(rsdf_to_wval(rsdf), x)
         assert len(calls) == 2
 
     def test_size_guard(self):

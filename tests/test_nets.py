@@ -114,6 +114,16 @@ class TestBuild:
         with pytest.raises(NetTooLargeError):
             build_net(3, 0.1)
 
+    @pytest.mark.parametrize("m,delta", [(2, 1e-200), (2, 1e-201), (20, 1e-9), (60, 0.001),
+                                         (200, 1.9)])
+    def test_size_bound_beyond_float_range_raises(self, m, delta):
+        # the bound underflows (h**dim, step**2) or overflows (gamma, (1 + d)**dim)
+        with pytest.raises(NetTooLargeError):
+            build_net(m, delta)
+
+    def test_one_point_net_needs_no_size_bound(self):
+        assert build_net(200, 2.0).size == 1  # its bound overflows, unused
+
     @pytest.mark.parametrize(
         "m,delta,method", [(2, 0.4, "band"), (2, 0.02, "band"), (2, 2.0, "band"),
                            (3, 0.8, "grid"), (3, 2.0, "grid")]

@@ -1,5 +1,7 @@
 import ast
 import inspect
+import json
+import math
 import time
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     certificate_state,
+    dyadic_certificate,
     frobenius_sq,
     mat_sub,
     rational_separable_decomposition,
@@ -17,7 +20,7 @@ from conftest import (
     rational_unit_vector,
     reference_verify,
 )
-from sepscan import qsep, serialize, states
+from sepscan import cli, qsep, serialize, states
 from sepscan.qsep import (
     BitWidthError,
     CertificateFormatError,
@@ -25,22 +28,16 @@ from sepscan.qsep import (
     QZERO,
     QsepCertificate,
     QsepInstance,
-    ScaledCertificate,
     bits_required,
     error_bound_normalization_exact,
     error_bound_sigma_sq,
     qrat,
     reduce_wmem_to_qsep,
     truncate_decomposition,
-    truncate_toward_zero,
     vec_norm_sq,
     verify_certificate,
 )
-from sepscan.serialize import (
-    qsep_certificate_from_json,
-    qsep_certificate_to_json,
-    scaled_certificate_from_json,
-)
+from sepscan.serialize import qsep_certificate_from_json, qsep_certificate_to_json
 
 
 def wmem_out_to_wmem(rho, delta: float):
@@ -83,7 +80,7 @@ def diag_half_instance():
     )
 
 
-def exact_diag_certificate():
+def exact_diag_terms():
     e0 = (qrat(1), qrat(0))
     e1 = (qrat(0), qrat(1))
     zero = (QZERO, QZERO)
@@ -93,31 +90,72 @@ def exact_diag_certificate():
     ]
     while len(terms) < 16:
         terms.append((Fraction(0), zero, zero))
-    return QsepCertificate(2, 2, tuple(terms))
+    return terms
+
+
+def exact_diag_certificate():
+    return dyadic_certificate(2, 2, 8, exact_diag_terms())
+
+
+def scalars(terms):
+    """Every scalar of (weight, alpha, beta) terms, in order."""
+    for w, alpha, beta in terms:
+        yield w
+        for z in (*alpha, *beta):
+            yield z.re
+            yield z.im
+
+
+def truncated_pairs(x: Fraction, p: int):
+    """(input, output) for each scalar of a 1x2 decomposition carrying x at
+    the weight, a real and an imaginary position, truncated at p bits."""
+    y = Fraction(math.sqrt(1.0 - float(x) ** 2))  # unit vectors within 1e-9, as truncation needs
+    decomp = [
+        (abs(x), (QRat(x, y),), (QRat(y, Fraction(0)), QRat(Fraction(0), x))),
+        (1 - abs(x), (qrat(1),), (qrat(1), QZERO)),
+    ]
+    cert = truncate_decomposition(decomp, p, 1, 2)
+    return list(zip(scalars(decomp), scalars(cert.terms)))
 
 
 class TestTruncation:
+    """`truncate_decomposition` moves each scalar toward zero by less than 2^-p."""
+
     def test_representable_unchanged(self):
-        assert truncate_toward_zero(Fraction(1, 2), 1) == Fraction(1, 2)
+        pairs = truncated_pairs(Fraction(1, 2), 1)
+        dyadic = [(s, t) for s, t in pairs if (s * 2).denominator == 1]
+        assert len(dyadic) == len(pairs) - 2  # all but sqrt(3/4), written twice
+        assert all(s == t for s, t in dyadic)
 
     def test_one_third_at_8_bits(self):
-        t = truncate_toward_zero(Fraction(1, 3), 8)
-        assert t == Fraction(85, 256)
-        assert abs(Fraction(1, 3) - t) < Fraction(1, 256)
+        for x in (Fraction(1, 3), Fraction(-1, 3)):
+            _, (s, t) = truncated_pairs(x, 8)[:2]  # the real part of alpha
+            assert s == x and t == x.numerator * Fraction(85, 256)
+            assert abs(s - t) < Fraction(1, 256)
 
     @given(x=fractions_st, p=st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
     def test_error_below_two_to_minus_p(self, x, p):
-        t = truncate_toward_zero(x, p)
-        assert abs(x - t) < Fraction(1, 2**p)
-        assert (t * 2**p).denominator == 1
-        assert abs(t) <= abs(x)  # toward zero never overshoots
+        for s, t in truncated_pairs(x, p):
+            assert t == Fraction(math.trunc(s * 2**p), 2**p)
+            assert abs(s - t) < Fraction(1, 2**p)
+            assert abs(t) <= abs(s)  # toward zero never overshoots
 
     @given(x=fractions_st, p=st.integers(1, 30))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, x, p):
-        t = truncate_toward_zero(x, p)
-        assert truncate_toward_zero(t, p) == t
+        _, (_, t) = truncated_pairs(x, p)[:2]
+        _, (_, again) = truncated_pairs(t, p)[:2]
+        assert again == t
+
+    @pytest.mark.parametrize("where", ["weight", "alpha"])
+    def test_scalar_above_one_raises(self, where):
+        over = Fraction(1) + Fraction(1, 10**10)  # within the 1e-9 tolerances
+        w, alpha = (over, (qrat(1),)) if where == "weight" else (Fraction(1), (qrat(over),))
+        decomp = [(w, alpha, (qrat(1), QZERO))]
+        truncate_decomposition(decomp, 20, 1, 2)  # 2^20 over truncates to 2^20, 2^40 over does not
+        with pytest.raises(BitWidthError):
+            truncate_decomposition(decomp, 40, 1, 2)
 
 
 class TestQRat:
@@ -143,33 +181,30 @@ class TestVerifyCertificate:
         assert res.distance_sq == 0
 
     def test_all_zero_certificate_rejected(self):
-        zero = (QZERO, QZERO)
-        terms = tuple((Fraction(0), zero, zero) for _ in range(16))
-        cert = QsepCertificate(2, 2, terms)
+        zero = ((0, 0), (0, 0))
+        cert = QsepCertificate(2, 2, 8, ((0, zero, zero),) * 16)
         res = verify_certificate(diag_half_instance(), cert)
         assert not res.accepted
         assert res.distance_sq == Fraction(1, 2)  # tr(rho^2) for the diagonal state
 
     def test_bit_width_violation_raises(self):
         inst = diag_half_instance()  # delta_p = 2^-8
-        e0 = (qrat(Fraction(1, 3)), qrat(0))  # not dyadic
-        zero = (QZERO, QZERO)
-        terms = [(Fraction(1, 2), e0, e0)] + [(Fraction(0), zero, zero)] * 15
+        obj = qsep_certificate_to_json(exact_diag_certificate())
+        obj["terms"][0]["alpha"][0]["re"] = {"num": "1", "den": "3"}  # not dyadic
         with pytest.raises(BitWidthError):
-            verify_certificate(inst, QsepCertificate(2, 2, tuple(terms)))
+            qsep_certificate_from_json(obj, inst)
 
     def test_dimension_mismatch_raises(self):
         inst = diag_half_instance()
-        zero2, zero3 = (QZERO, QZERO), (QZERO, QZERO, QZERO)
-        terms = tuple((Fraction(0), zero2, zero3) for _ in range(36))
-        cert = QsepCertificate(2, 3, terms)
+        zero2, zero3 = ((0, 0),) * 2, ((0, 0),) * 3
+        cert = QsepCertificate(2, 3, 8, ((0, zero2, zero3),) * 36)
         with pytest.raises(CertificateFormatError):
             verify_certificate(inst, cert)
 
     def test_certificate_length_enforced(self):
-        zero = (QZERO, QZERO)
+        zero = ((0, 0), (0, 0))
         with pytest.raises(CertificateFormatError):
-            QsepCertificate(2, 2, ((Fraction(1), zero, zero),))
+            QsepCertificate(2, 2, 8, ((256, zero, zero),))
 
     def test_truncated_random_decomposition_accepts(self):
         decomp = rational_separable_decomposition(2, 2, 6, seed=3)
@@ -202,7 +237,7 @@ def random_dyadic_certificate(m, n, p, seed, padding):
     # the extremes of the range, on a term that carries weight
     w, alpha, beta = terms[padding]
     terms[padding] = (Fraction(1), (qrat(-1, 1),) + alpha[1:], (qrat(1, -1),) + beta[1:])
-    return QsepCertificate(m, n, tuple(terms))
+    return dyadic_certificate(m, n, p, terms)
 
 
 def has_negative_component(cert):
@@ -287,7 +322,7 @@ class TestIntegerPath:
         e1_conj = (QZERO, qrat(0, -1))
         terms = [(Fraction(1, 2), e0, e0), (Fraction(1, 2), e1, e1_conj)]
         terms += [(Fraction(0), zero, zero)] * 14
-        cert = QsepCertificate(2, 2, tuple(terms))
+        cert = dyadic_certificate(2, 2, 8, terms)
         res = verify_certificate(inst, cert)
         assert res == reference_verify(inst, cert)
         assert res.accepted and res.normalization_residual == 0 and res.distance_sq == 0
@@ -300,7 +335,7 @@ class TestIntegerPath:
         zero = (QZERO, QZERO)
         alpha, beta = (qrat(0, -1), QZERO), (QZERO, qrat(-1))
         terms = [(Fraction(1), alpha, beta)] + [(Fraction(0), zero, zero)] * 15
-        cert = QsepCertificate(2, 2, tuple(terms))
+        cert = dyadic_certificate(2, 2, 8, terms)
         res = verify_certificate(inst, cert)
         assert res == reference_verify(inst, cert)
         assert res.accepted and res.normalization_residual == 0 and res.distance_sq == 0
@@ -310,7 +345,7 @@ class TestIntegerPath:
         zero = (QZERO, QZERO)
         e0 = (qrat(1), QZERO)
         terms = ((Fraction(1, 2), e0, e0),) + ((Fraction(0), zero, zero),) * 15
-        cert = QsepCertificate(2, 2, terms)
+        cert = dyadic_certificate(2, 2, 8, terms)
         rho = diag_half_instance().rho
         for eps, delta, accepted in [
             (Fraction(1, 2), Fraction(1), False),
@@ -331,20 +366,19 @@ class TestIntegerPath:
     @pytest.mark.parametrize("where", ["weight", "alpha_re", "beta_im", "alpha_re_neg"])
     def test_bit_width_errors(self, bad, where):
         inst = diag_half_instance()  # delta_p = 2^-8
-        w, alpha, beta = exact_diag_certificate().terms[0]
+        obj = qsep_certificate_to_json(exact_diag_certificate())
+        term = obj["terms"][0]
+        if where == "alpha_re_neg":
+            bad = -bad
+        scalar = {"num": str(bad.numerator), "den": str(bad.denominator)}
         if where == "weight":
-            w = bad
-        elif where == "alpha_re":
-            alpha = (qrat(bad), alpha[1])
-        elif where == "alpha_re_neg":
-            alpha = (qrat(-bad), alpha[1])
+            term["weight"] = scalar
+        elif where.startswith("alpha_re"):
+            term["alpha"][0]["re"] = scalar
         else:
-            beta = (beta[0], qrat(0, bad))
-        cert = QsepCertificate(2, 2, ((w, alpha, beta),) + exact_diag_certificate().terms[1:])
+            term["beta"][1]["im"] = scalar
         with pytest.raises(BitWidthError):
-            verify_certificate(inst, cert)
-        with pytest.raises(BitWidthError):
-            reference_verify(inst, cert)
+            qsep_certificate_from_json(obj, inst)
 
     def test_full_four_by_four_certificate_accepts_quickly(self):
         # 256 weighted terms; the Fraction reference needs seconds here, so it is not run
@@ -482,23 +516,60 @@ def reencoded_certificate_json(cert: QsepCertificate, k: int) -> dict:
     return {"m": cert.m, "n": cert.n, "terms": terms}
 
 
-def fraction_path(inst, obj):
-    """What `qsep-verify` did before: Fraction decoding, then the check; or its error."""
-    try:
-        return verify_certificate(inst, qsep_certificate_from_json(obj))
-    except ValueError as exc:
-        return type(exc), str(exc)
+def exact(x) -> Fraction:
+    return Fraction(int(x["num"]), int(x["den"]))
 
 
-def scaled_path(inst, obj):
-    try:
-        return verify_certificate(inst, scaled_certificate_from_json(obj, inst))
-    except ValueError as exc:
-        return type(exc), str(exc)
+def cli_verify(capsys, tmp_path, inst, obj):
+    """Exit code and report of `sepscan qsep-verify` on `inst` and the JSON value `obj`."""
+    inst_path, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    serialize.dump_json(serialize.qsep_instance_to_json(inst), inst_path)
+    cert_path.write_text(json.dumps(obj))
+    code = cli.main(["qsep-verify", "--instance", str(inst_path), "--cert", str(cert_path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+# (tamper, error) for one scalar; None marks an equal scalar written another way
+SCALAR_TAMPERS = {
+    "den0": (lambda x: x.update(den="0"), serialize.InputFormatError),
+    "den3": (lambda x: x.update(num="1", den="3"), BitWidthError),  # in [-1, 1], not dyadic
+    "too_fine": (lambda x: x.update(num="1", den=str(2**70)), BitWidthError),
+    "above_one": (lambda x: x.update(num="5", den="4"), BitWidthError),
+    "below_minus_one": (lambda x: x.update(num="-5", den="4"), BitWidthError),
+    "unreduced": (lambda x: x.update(num=str(2 * int(x["num"])), den=str(2 * int(x["den"]))),
+                  None),
+    "negative_den": (lambda x: x.update(num=str(-int(x["num"])), den=str(-int(x["den"]))),
+                     None),
+    "missing_den": (lambda x: x.pop("den"), serialize.InputFormatError),
+    "not_an_integer": (lambda x: x.update(num="one"), serialize.InputFormatError),
+    "empty": (lambda x: x.clear(), serialize.InputFormatError),
+}
+
+# (tamper, error) for the file's structure
+SHAPE_TAMPERS = {
+    "no_terms": (lambda c: c.pop("terms"), serialize.InputFormatError),
+    "no_m": (lambda c: c.pop("m"), serialize.InputFormatError),
+    "m_not_an_integer": (lambda c: c.update(m="two"), serialize.InputFormatError),
+    "term_missing": (lambda c: c["terms"].pop(), serialize.InputFormatError),
+    "extra_term": (lambda c: c["terms"].append(c["terms"][0]), serialize.InputFormatError),
+    "short_alpha": (lambda c: c["terms"][3]["alpha"].pop(), serialize.InputFormatError),
+    "scalar_without_re": (lambda c: c["terms"][3]["beta"][0].pop("re"),
+                          serialize.InputFormatError),
+    "negative_weight": (lambda c: c["terms"][3]["weight"].update(num="-1"),
+                        serialize.InputFormatError),
+    "wrong_m": (lambda c: c.update(m=3), serialize.InputFormatError),
+    "terms_not_a_list": (lambda c: c.update(terms={"a": 1}), serialize.InputFormatError),
+    # the first scalar that is not a p-bit dyadic is found before the shape is checked
+    "non_dyadic_and_wrong_n": (lambda c: (c["terms"][0]["alpha"][0]["re"].update(den="3"),
+                                          c.update(n=3)), BitWidthError),
+    "non_dyadic_then_den0": (lambda c: (c["terms"][0]["alpha"][0]["re"].update(den="3"),
+                                        c["terms"][5]["beta"][0]["im"].update(den="0")),
+                             BitWidthError),
+}
 
 
 class TestScaledDecoder:
-    """`scaled_certificate_from_json` against the Fraction decoder it replaces."""
+    """`qsep_certificate_from_json`: files to integers over 2^p, or exit 64 for `qsep-verify`."""
 
     @given(
         shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
@@ -508,16 +579,21 @@ class TestScaledDecoder:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_certificates_give_identical_results(self, shape, p, seed, k):
+        """Decoded terms equal Fraction(num, den) of the file, written unreduced or negated."""
         m, n = shape
         rho = rational_state_of(rational_separable_decomposition(m, n, 2, seed=seed % 50), m, n)
         inst = QsepInstance(m, n, rho, Fraction(1, 2**p), Fraction(1, 3), Fraction(5, 7))
         cert = random_dyadic_certificate(m, n, p, seed, padding=seed % (m * n))
         obj = reencoded_certificate_json(cert, k)
-        scaled = scaled_certificate_from_json(obj, inst)
-        assert isinstance(scaled, ScaledCertificate)
-        assert scaled == qsep.scale_certificate(cert, p)
-        res = scaled_path(inst, obj)
-        assert res == fraction_path(inst, obj) == verify_certificate(inst, cert)
+        decoded = qsep_certificate_from_json(obj, inst)
+
+        def vector(v):
+            return tuple(QRat(exact(x["re"]), exact(x["im"])) for x in v)
+
+        want = tuple((exact(t["weight"]), vector(t["alpha"]), vector(t["beta"]))
+                     for t in obj["terms"])
+        assert decoded.terms == want
+        assert decoded == cert
 
     @staticmethod
     def certificate():
@@ -526,58 +602,51 @@ class TestScaledDecoder:
         cert = truncate_decomposition(decomp, bits_required(inst.delta_p), 2, 2)
         return inst, qsep_certificate_to_json(cert)
 
+    def test_valid_certificate_is_accepted(self, capsys, tmp_path):
+        inst, obj = self.certificate()
+        code, report = cli_verify(capsys, tmp_path, inst, obj)
+        assert (code, report["result"]["accepted"]) == (0, True)
+
     @pytest.mark.parametrize("where", ["weight", "alpha", "beta"])
-    @pytest.mark.parametrize("tamper,error", [
-        (lambda x: x.update(den="0"), serialize.InputFormatError),
-        (lambda x: x.update(num="1", den="3"), BitWidthError),  # in [-1, 1], not dyadic
-        (lambda x: x.update(num="5", den="4"), BitWidthError),  # |x| > 1
-        # a negative weight is a shape error, found before any bit width
-        (lambda x: x.update(num="-5", den="4"), {"weight": serialize.InputFormatError,
-                                                "alpha": BitWidthError, "beta": BitWidthError}),
-        (lambda x: x.update(num=str(2 * int(x["num"])), den=str(2 * int(x["den"]))), None),
-        (lambda x: x.update(num=str(-int(x["num"])), den=str(-int(x["den"]))), None),
-        (lambda x: x.pop("den"), serialize.InputFormatError),
-        (lambda x: x.update(num="one"), serialize.InputFormatError),
-    ], ids=["den0", "den3", "above_one", "below_minus_one", "unreduced", "negative_den",
-            "missing_den", "not_an_integer"])
-    def test_tampered_scalar(self, tamper, error, where):
+    @pytest.mark.parametrize("name", SCALAR_TAMPERS)
+    def test_tampered_scalar(self, capsys, tmp_path, name, where):
+        tamper, error = SCALAR_TAMPERS[name]
         inst, obj = self.certificate()
         term = obj["terms"][0]
         tamper(term["weight"] if where == "weight" else term[where][1]["im"])
-        res = scaled_path(inst, obj)
-        assert res == fraction_path(inst, obj)
+        code, report = cli_verify(capsys, tmp_path, inst, obj)
         if error is None:  # an equal scalar written another way verifies as the original
             _, original = self.certificate()
-            assert res == verify_certificate(inst, qsep_certificate_from_json(original))
+            decoded = qsep_certificate_from_json(obj, inst)
+            assert decoded == qsep_certificate_from_json(original, inst)
+            assert (code, report["result"]["accepted"]) == (0, True)
         else:
-            assert res[0] is (error[where] if isinstance(error, dict) else error)
+            with pytest.raises(error):
+                qsep_certificate_from_json(obj, inst)
+            assert (code, report["kind"]) == (64, "input")
 
-    @pytest.mark.parametrize("tamper", [
-        lambda c: c.pop("terms"),
-        lambda c: c.pop("m"),
-        lambda c: c["terms"].pop(),
-        lambda c: c["terms"][3]["alpha"].pop(),
-        lambda c: c["terms"][3]["beta"][0].pop("re"),
-        lambda c: c["terms"][3]["weight"].update(num="-1"),
-        lambda c: c.update(m=3),
-        lambda c: c.update(terms={"a": 1}),
-        lambda c: (c["terms"][0]["alpha"][0]["re"].update(den="3"), c.update(n=3)),
-        lambda c: (c["terms"][0]["alpha"][0]["re"].update(den="3"),
-                   c["terms"][5]["beta"][0]["im"].update(den="0")),
-    ], ids=["no_terms", "no_m", "term_missing", "short_alpha", "scalar_without_re",
-            "negative_weight", "wrong_m", "terms_not_a_list", "non_dyadic_and_wrong_n",
-            "non_dyadic_then_den0"])
-    def test_tampered_shape(self, tamper):
+    @pytest.mark.parametrize("name", SHAPE_TAMPERS)
+    def test_tampered_shape(self, capsys, tmp_path, name):
+        tamper, error = SHAPE_TAMPERS[name]
         inst, obj = self.certificate()
         tamper(obj)
-        res = scaled_path(inst, obj)
-        assert isinstance(res, tuple) and issubclass(res[0], ValueError)
-        assert res == fraction_path(inst, obj)
+        with pytest.raises(error):
+            qsep_certificate_from_json(obj, inst)
+        code, report = cli_verify(capsys, tmp_path, inst, obj)
+        assert (code, report["kind"]) == (64, "input")
+
+    def test_not_an_object(self, capsys, tmp_path):
+        inst, obj = self.certificate()
+        with pytest.raises(serialize.InputFormatError):
+            qsep_certificate_from_json([obj], inst)
+        code, report = cli_verify(capsys, tmp_path, inst, [obj])
+        assert (code, report["kind"]) == (64, "input")
 
     def test_scale_must_match_the_instance(self):
         inst, obj = self.certificate()
-        p = bits_required(inst.delta_p)
-        cert = qsep.scale_certificate(qsep_certificate_from_json(obj), p + 1)
+        finer = QsepInstance(2, 2, inst.rho, inst.delta_p / 2, inst.eps_prime, inst.delta_prime)
+        cert = qsep_certificate_from_json(obj, finer)
+        assert cert.p == bits_required(inst.delta_p) + 1
         with pytest.raises(CertificateFormatError):
             verify_certificate(inst, cert)
 
@@ -649,10 +718,7 @@ class TestNoFloatAudit:
     VERIFICATION_PATH = [
         "verify_certificate",
         "_check_terms",
-        "_scaled",
-        "_scaled_vector",
-        "scale_certificate",
-        "truncate_toward_zero",
+        "terms",
         "truncate_decomposition",
         "_ceil_log2",
         "bits_required",
@@ -663,7 +729,7 @@ class TestNoFloatAudit:
         "error_bound_normalization_exact",
     ]
     # the decoder of `sepscan qsep-verify`, with its nested `scaled` and `vector`
-    DECODER_PATH = ["scaled_certificate_from_json"]
+    DECODER_PATH = ["qsep_certificate_from_json"]
 
     def test_verification_path_is_float_free(self):
         assert_float_free(qsep, self.VERIFICATION_PATH)

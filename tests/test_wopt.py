@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_hermitian_unit
 from sepscan import states, wopt
 from sepscan.core import DimensionMismatchError, from_bloch, ket, proj, to_bloch
 from sepscan.nets import build_net, haar_unit_vectors, projector_features
@@ -44,7 +45,7 @@ class TestConditionedOperator:
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(0)
-        a = states.random_hermitian_unit(6, 1)
+        a = random_hermitian_unit(6, 1)
         for _ in range(10):
             x = states.random_unit_vector(2, rng)
             b = states.random_unit_vector(3, rng)
@@ -58,7 +59,7 @@ class TestConditionedBlocks:
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (3, 2), (3, 3), (2, 8)])
     @pytest.mark.parametrize("swap", [False, True])
     def test_matches_einsum(self, m, n, swap):
-        a = states.random_hermitian_unit(m * n, 11)
+        a = random_hermitian_unit(m * n, 11)
         if swap:  # SWAP A SWAP, the operator the scan sees for a net on C^n
             a, m, n = swapped(a, m, n), n, m
         x = haar_unit_vectors(m, 200, seed=m + n)
@@ -91,7 +92,7 @@ class TestWoptMax:
 
     def test_maximizer_consistency(self, net_04):
         for seed in range(5):
-            a = states.random_hermitian_unit(6, seed)
+            a = random_hermitian_unit(6, seed)
             res = wopt_max(a, 2, 3, net_04)
             redo = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
             assert abs(redo - res.value) < 1e-9
@@ -99,7 +100,7 @@ class TestWoptMax:
     def test_two_delta_guarantee_and_monotonicity(self, net_04, net_01):
         for dims in [(2, 2), (2, 3)]:
             for seed in range(8):
-                a = states.random_hermitian_unit(dims[0] * dims[1], seed)
+                a = random_hermitian_unit(dims[0] * dims[1], seed)
                 coarse = wopt_max(a, *dims, net_04).value
                 fine = wopt_max(a, *dims, net_01).value
                 assert coarse <= fine + 1e-8  # nets are nested by construction
@@ -117,7 +118,7 @@ class TestWoptMax:
         # max over explicit product pairs (net x net scan) never beats the
         # conditioned-eigenvector scan on the same net
         net = build_net(2, 0.5)
-        a = states.random_hermitian_unit(4, 42)
+        a = random_hermitian_unit(4, 42)
         res = wopt_max(a, 2, 2, net)
         pts = net.points
         a4 = a.reshape(2, 2, 2, 2)
@@ -136,13 +137,13 @@ class TestWoptMax:
         a = np.full((2 * n, 2 * n), bad, dtype=complex)
         with pytest.raises(ValueError, match="Hilbert-Schmidt"):
             wopt_max(a, 2, n, net_04)
-        a = states.random_hermitian_unit(2 * n, 1)
+        a = random_hermitian_unit(2 * n, 1)
         a[0, 1] = bad
         with pytest.raises(ValueError, match="Hilbert-Schmidt"):
             wopt_max(a, 2, n, net_04, mode="abs")
 
     def test_rejects_wrong_net_dimension(self, net_04):
-        a = states.random_hermitian_unit(9, 0)
+        a = random_hermitian_unit(9, 0)
         with pytest.raises(DimensionMismatchError):
             wopt_max(a, 3, 3, net_04)
 
@@ -152,13 +153,13 @@ class TestWoptMax:
         a[0, 1] = 1.0  # E_01: unit norm, Hermitian part (E_01 + E_10)/2
         with pytest.raises(ValueError, match="Hermitian"):
             wopt_max(a, 2, 2, net_04, mode=mode)
-        b = states.random_hermitian_unit(6, 2)
+        b = random_hermitian_unit(6, 2)
         b[0, 1] += 1e-9  # well inside the norm check, outside the Hermiticity check
         with pytest.raises(ValueError, match="Hermitian"):
             wopt_max(b / np.linalg.norm(b), 2, 3, net_04)
 
     def test_deterministic(self, net_04):
-        a = states.random_hermitian_unit(6, 9)
+        a = random_hermitian_unit(6, 9)
         r1 = wopt_max(a, 2, 3, net_04)
         r2 = wopt_max(a, 2, 3, net_04)
         assert r1.value == r2.value
@@ -202,7 +203,7 @@ class TestExhaustiveAgreement:
         monkeypatch.setattr(wopt, "SCAN_CHUNK", chunk)
         net = small_nets[m]
         for seed in range(2):
-            a = states.random_hermitian_unit(m * n, seed + 30)
+            a = random_hermitian_unit(m * n, seed + 30)
             res = wopt_max(a, m, n, net, mode=mode)
             assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
             at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
@@ -215,7 +216,7 @@ class TestExhaustiveAgreement:
     def test_net_on_the_smaller_side(self, small_nets, m, n, mode):
         net = small_nets[n] if n > 1 else build_net(1, 2.0)
         for seed in range(2):
-            a = states.random_hermitian_unit(m * n, seed + 40)
+            a = random_hermitian_unit(m * n, seed + 40)
             res = wopt_max(a, m, n, net, mode=mode)
             assert res.maximizer.alpha.shape == (m,) and res.maximizer.beta.shape == (n,)
             assert abs(res.value - exhaustive_max(swapped(a, m, n), n, m, net, mode)) <= 1e-12
@@ -225,7 +226,7 @@ class TestExhaustiveAgreement:
 
     def test_swapped_scan_is_the_scan_of_the_swapped_operator(self, small_nets):
         net = small_nets[2]
-        a = states.random_hermitian_unit(6, 3)
+        a = random_hermitian_unit(6, 3)
         direct = wopt_max(swapped(a, 3, 2), 2, 3, net)
         swap = wopt_max(a, 3, 2, net)
         assert swap.value == pytest.approx(direct.value, abs=1e-14)
@@ -253,7 +254,7 @@ class TestScanPruning:
         monkeypatch.setattr(wopt, "SCAN_CHUNK", chunk)
         net = pruning_nets[(m, delta)]
         for seed in range(2):
-            a = states.random_hermitian_unit(m * n, seed)
+            a = random_hermitian_unit(m * n, seed)
             res = wopt_max(a, m, n, net, mode=mode)
             assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
             assert res.evaluated < net.size
@@ -261,7 +262,7 @@ class TestScanPruning:
 
     def test_closed_form_evaluates_every_point(self, pruning_nets):
         net = pruning_nets[(2, 0.4)]
-        a = states.random_hermitian_unit(4, 3)
+        a = random_hermitian_unit(4, 3)
         for mode in ("signed", "abs"):
             res = wopt_max(a, 2, 2, net, mode=mode)
             assert res.evaluated == net.size
@@ -272,7 +273,7 @@ class TestScanPruning:
         net = pruning_nets[(3, 0.8)]
         rng = np.random.default_rng(5)
         v = states.random_unit_vector(9, rng)
-        a = -np.outer(v, v.conj()) + 0.05 * states.random_hermitian_unit(9, 5)
+        a = -np.outer(v, v.conj()) + 0.05 * random_hermitian_unit(9, 5)
         a /= np.linalg.norm(a)
         res = wopt_max(a, 3, 3, net, mode="abs")
         signed = wopt_max(a, 3, 3, net, mode="signed")
@@ -292,7 +293,7 @@ class TestScanPruning:
 
         monkeypatch.setattr(wopt, "SCAN_CHUNK", 64)
         monkeypatch.setattr(wopt, "_scan_values", counted)
-        a = states.random_hermitian_unit(6, 1)
+        a = random_hermitian_unit(6, 1)
         res = wopt_max(a, 2, 3, net)
         chunks = -(-net.size // 64)
         assert len(calls) < chunks  # some chunk reached no eigensolve at all
@@ -322,7 +323,7 @@ class TestProbe:
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3)])
     @pytest.mark.parametrize("mode", ["signed", "abs"])
     def test_matches_trace_reference(self, m, n, mode):
-        a = states.random_hermitian_unit(m * n, 7)
+        a = random_hermitian_unit(m * n, 7)
         net = build_net(m, 0.1 if m == 2 else 0.4, method="grid")
         blocks = wopt._conditioned_blocks(a, m, n)
         np.testing.assert_array_equal(wopt._conditioned_map(blocks), hermitian_rows(blocks))
@@ -420,7 +421,7 @@ def random_starts(m, n, count, seed):
 class TestSeesaw:
     def test_matches_net_scan(self, net_01):
         for seed in range(5):
-            a = states.random_hermitian_unit(4, seed + 100)
+            a = random_hermitian_unit(4, seed + 100)
             net_val = wopt_max(a, 2, 2, net_01).value
             see_val = seesaw_max(a, 2, 2, init=random_starts(2, 2, 24, seed)).value
             assert see_val >= net_val - 1e-9  # ascent from many starts dominates the net
@@ -431,14 +432,14 @@ class TestSeesaw:
         delta = 0.4
         net = build_net(3, delta)
         for seed in range(10):
-            a = states.random_hermitian_unit(6, seed + 200)
+            a = random_hermitian_unit(6, seed + 200)
             net_val = wopt_max(a, 3, 2, net).value
             see_val = seesaw_max(a, 3, 2, init=random_starts(3, 2, 24, seed)).value
             assert net_val >= see_val - 2 * delta
             assert net_val <= np.linalg.eigvalsh(a)[-1] + 1e-12
 
     def test_monotone_ascent_from_given_start(self):
-        a = states.random_hermitian_unit(6, 7)
+        a = random_hermitian_unit(6, 7)
         alpha = np.array([1.0, 0.0], dtype=complex)
         beta = np.array([1.0, 0.0, 0.0], dtype=complex)
         start_val = quadratic_form(a, alpha, beta)
