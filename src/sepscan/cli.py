@@ -35,6 +35,7 @@ from .serialize import (
     matrix_from_json,
     matrix_to_json,
     qsep_certificate_from_json,
+    qsep_certificate_to_json,
     qsep_instance_from_json,
     qsep_instance_to_json,
     rational_density_from_json,
@@ -86,6 +87,7 @@ def cmd_witness(args) -> tuple[dict, dict, int]:
         "iterations": result.iterations,
         "stats": {"stop": result.stop, **dataclasses.asdict(result.stats)},
     }
+    artifacts = {}
     if result.witness is not None:
         witness_json = {
             "operator": matrix_to_json(result.witness.operator),
@@ -96,7 +98,16 @@ def cmd_witness(args) -> tuple[dict, dict, int]:
         report["witness"] = witness_json
         if args.witness_out:
             dump_json(witness_json, args.witness_out)
-            report["artifacts"] = {"witness": args.witness_out}
+            artifacts["witness"] = args.witness_out
+    if result.certificate is not None:
+        if args.cert_out:
+            dump_json(qsep_certificate_to_json(result.certificate), args.cert_out)
+            artifacts["certificate"] = args.cert_out
+        if args.instance_out:
+            dump_json(qsep_instance_to_json(result.instance), args.instance_out)
+            artifacts["instance"] = args.instance_out
+    if artifacts:
+        report["artifacts"] = artifacts
     return config, report, _verdict_exit(result.verdict)
 
 
@@ -225,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--witness-out", default=None)
+    p.add_argument("--cert-out", default=None, help="QSEP certificate, on the certificate stop")
+    p.add_argument("--instance-out", default=None, help="the dyadic instance it was checked on")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("symext", help="bounded symmetric-extension scan")

@@ -12,9 +12,10 @@ otherwise force their zero vectors to look normalized.
 
 "p-bit number" means a dyadic rational a / 2^p with |a| <= 2^p (all
 certified scalars are bounded by one in magnitude).  A `QsepCertificate`
-therefore holds each scalar x as the integer x 2^p: `truncate_decomposition`
-makes it so, and `serialize.qsep_certificate_from_json` decodes a file
-straight to it, with no `Fraction` per scalar.  The check runs on those
+therefore holds each scalar x as the integer x 2^p, and refuses an integer
+outside [-2^p, 2^p]: `truncate_decomposition` makes one, and
+`serialize.qsep_certificate_from_json` decodes a file straight to one, with
+no `Fraction` per scalar.  The check runs on those
 Python integers: alpha_i (x) beta_i holds Gaussian integers over 2^(2p)
 and sigma~ 2^(5p) = sum_i W_i v_i v_i† is an integer matrix (W_i = p_i 2^p),
 summed over its upper triangle.  The normalization gaps are integers over
@@ -145,9 +146,8 @@ class QsepCertificate:
 
     Term i of `scaled` is (W_i, a_i, b_i) with W_i = p_i 2^p, and a_i, b_i hold
     the (re, im) pairs of alpha_i 2^p and beta_i 2^p.  Every scalar is a p-bit
-    dyadic in [-1, 1], so every integer lies in [-2^p, 2^p]; the two makers,
-    `truncate_decomposition` and `serialize.qsep_certificate_from_json`, check
-    that as they scale.
+    dyadic in [-1, 1], so every integer lies in [-2^p, 2^p]; an integer
+    outside raises BitWidthError.
     """
 
     m: int
@@ -156,6 +156,10 @@ class QsepCertificate:
     scaled: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self):
+        one = 1 << self.p
+        for i, (w, alpha, beta) in enumerate(self.scaled):
+            if abs(w) > one or any(abs(re) > one or abs(im) > one for re, im in alpha + beta):
+                raise BitWidthError(f"term {i} has a scalar above 1 in magnitude")
         _check_terms(self.m, self.n, self.scaled)
 
     @property
@@ -249,7 +253,7 @@ def truncate_decomposition(
     Input terms are (weight, alpha, beta) with exact Fraction/QRat scalars
     or floats (floats convert exactly before truncating).  Each scalar x
     becomes the integer x 2^p truncated toward zero, so it moves by less
-    than 2^-p; one above 1 in magnitude raises BitWidthError.  Shorter
+    than 2^-p; `QsepCertificate` refuses one above 1 in magnitude.  Shorter
     decompositions are padded with zero terms up to m^2 n^2.
     """
     if p < 1:
@@ -265,13 +269,9 @@ def truncate_decomposition(
             return QRat(Fraction(x.real), Fraction(x.imag))
         return QRat(Fraction(x), ZERO)
 
-    one = 1 << p
-
     def truncated(x: Fraction) -> int:
-        """x 2^p truncated toward zero; BitWidthError when that leaves [-2^p, 2^p]."""
+        """x 2^p truncated toward zero."""
         q = (abs(x.numerator) << p) // x.denominator
-        if q > one:
-            raise BitWidthError(f"{x} exceeds 1 in magnitude")
         return q if x.numerator >= 0 else -q
 
     def vector(v: tuple[QRat, ...]) -> tuple[tuple[int, int], ...]:
@@ -314,27 +314,33 @@ def error_bound_normalization_exact(m: int, n: int, p: int) -> Fraction:
     return Fraction((m * n) ** 3) * Fraction(2) ** (-(p - 5))
 
 
+def error_bound_reconstruction(m: int, n: int, p: int) -> Fraction:
+    """Reconstruction bound m^3 n^3 2^-(p-8), the instance's delta'."""
+    return Fraction((m * n) ** 3) * Fraction(2) ** (8 - p)
+
+
+def reduction_bits(m: int, n: int, delta: Fraction) -> int:
+    """The smallest p >= 1 whose combined truncation error fits under delta:
+    m^3 n^3 (2^-(p-8) + 2^-(p-5)) <= delta, i.e. 2^p >= 288 m^3 n^3 / delta."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return max(1, _ceil_log2(288 * (m * n) ** 3 * delta.denominator, delta.numerator))
+
+
 def reduce_wmem_to_qsep(
     rho: tuple[tuple[QRat, ...], ...],
     m: int,
     n: int,
     delta: Fraction,
 ) -> QsepInstance:
-    """Choose the smallest p whose combined truncation error fits under delta.
-
-    Requires m^3 n^3 (2^-(p-8) + 2^-(p-5)) <= delta, i.e. 2^p >= 288 m^3 n^3 / delta;
-    the instance gets delta_p = 2^-p, delta' = m^3 n^3 2^-(p-8),
-    eps' = m^3 n^3 2^-(p-5).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    cube = Fraction((m * n) ** 3)
-    p = max(1, _ceil_log2(288 * cube.numerator * delta.denominator, delta.numerator))
+    """The instance of p = reduction_bits(m, n, delta): delta_p = 2^-p,
+    delta' = m^3 n^3 2^-(p-8), eps' = m^3 n^3 2^-(p-5)."""
+    p = reduction_bits(m, n, delta)
     return QsepInstance(
         m,
         n,
         rho,
         delta_p=Fraction(1, 2**p),
         eps_prime=error_bound_normalization_exact(m, n, p),
-        delta_prime=cube * Fraction(2) ** (8 - p),
+        delta_prime=error_bound_reconstruction(m, n, p),
     )

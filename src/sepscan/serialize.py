@@ -158,19 +158,19 @@ def qsep_certificate_to_json(cert: QsepCertificate) -> dict:
 def qsep_certificate_from_json(obj, inst: QsepInstance) -> QsepCertificate:
     """The certificate `obj` as integers over 2^p, p = bits_required(inst.delta_p).
 
-    A scalar {"num": a, "den": b} becomes q with divmod(a << p, b) == (q, 0)
-    and |q| <= 2^p, else BitWidthError; no `Fraction` is built.  A file that
+    A scalar {"num": a, "den": b} becomes q with divmod(a << p, b) == (q, 0),
+    else BitWidthError, as is a q outside [-2^p, 2^p] (`QsepCertificate`
+    refuses it); no `Fraction` is built.  A file that
     does not read as a certificate (a missing or mistyped field, a zero
     denominator, a negative weight, or vectors and terms that do not match
     m and n) raises InputFormatError.
     """
     p = bits_required(inst.delta_p)
-    one = 1 << p
 
     def scaled(x) -> int:
         q, rest = divmod(int(x["num"]) << p, int(x["den"]))
-        if rest or not -one <= q <= one:
-            raise BitWidthError(f"{x['num']}/{x['den']} is not a {p}-bit dyadic in [-1, 1]")
+        if rest:
+            raise BitWidthError(f"{x['num']}/{x['den']} is not a {p}-bit dyadic")
         return q
 
     def vector(v) -> tuple[tuple[int, int], ...]:

@@ -28,9 +28,27 @@ minimum along every ray from the origin); or empty, ||N^T lambda|| <= 1e-9,
 so every unit x has min_i n_i . x <= 1e-9 (a Euclidean thickness, which
 unlike a box slack does not depend on the generator basis).
 
-Termination declares the state delta-close to the separable set when the
-largest semi-axis of the Dikin ellipsoid at the analytic center drops
-below delta/4, when the region empties, or when the iteration cap
+The primal: every oracle maximizer sigma_i is a product state, so the
+least-norm point of conv{v(sigma_i) - v(rho)} (Gilbert's algorithm for
+separability, Brierley, Navascues and Vertesi, arXiv:1609.05011) measures
+how close a known separable mixture is to rho.  The atoms are the mn
+computational product states and every maximizer; after each oracle call
+that finds no witness, the same Wolfe solver runs warm on them, and stops
+as soon as the distance is at most delta', the QSEP distance of
+`qsep.reduce_wmem_to_qsep` for (m, n, delta).  Only then is the exact
+instance built (once per search), from the dyadic image of rho, and the
+corral's weights and atoms are truncated to a `QsepCertificate` and
+checked in exact arithmetic.  An accepted check stops the search on
+`certificate` with an exact `SeparableAssured`: it proves that the dyadic
+image of rho lies within delta' < delta of the certificate's sigma~, which
+is delta-closeness, not separability (an entangled state within delta of
+the separable set may get it).  A rejected check halves the distance the
+next check waits for, and the search cuts on; floats alone never give a
+verdict.
+
+Termination also declares the state delta-close to the separable set
+when the largest semi-axis of the Dikin ellipsoid at the analytic center
+drops below delta/4, when the region empties, or when the iteration cap
 4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.
 """
 
@@ -38,12 +56,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .core import Array, DensityMatrix, from_bloch, to_bloch
+from . import qsep  # called through the module, so spans installed on it time the checks
+from .core import Array, DensityMatrix, from_bloch, ket, to_bloch
 from .nets import DeltaNet, NetTooCoarseError
 from .onesided import ENTANGLED, SEPARABLE, Verdict
+from .qsep import ZERO, QRat, QsepCertificate, QsepInstance, VerificationResult
 from .wopt import ProductState, WoptResult, wopt_max
 
 NEWTON_DECREMENT_TOL = 1e-12
@@ -86,6 +107,9 @@ class SearchStats:  # work counters of one search, filled in as it runs
     unconverged_centerings: int = 0  # centerings left with decrement >= 1/2
     oracle_evaluated: int = 0  # sum of WoptResult.evaluated
     oracle_bounded: int = 0  # sum of WoptResult.bounded
+    primal_solves: int = 0  # affine solves of the primal min-norm-point problem
+    primal_distance: float | None = None  # last float distance from v(rho) to the atoms' hull
+    certificate_checks: int = 0  # exact checks of truncated primal certificates
 
 
 @dataclass(frozen=True)
@@ -105,8 +129,10 @@ class WsepResult:
     verdict: Verdict
     witness: WitnessCert | None
     iterations: int
-    stop: str  # witness, dikin_radius, region_empty or cap
+    stop: str  # witness, certificate, dikin_radius, region_empty or cap
     stats: SearchStats
+    instance: QsepInstance | None = None  # with `certificate`, on the certificate stop
+    certificate: QsepCertificate | None = None
 
 
 def _barrier_grad_hess(normals: Array, x: Array, s: Array, ball: float):
@@ -183,19 +209,21 @@ def _affine_min_norm(points: Array) -> tuple[Array, Array]:
     return y, np.concatenate(([1.0 - beta.sum()], beta))
 
 
-def _major_cycle(normals: Array, lam: Array, j: int, stats: SearchStats) -> tuple[Array, Array]:
+def _major_cycle(points: Array, lam: Array, j: int) -> tuple[Array, Array, int]:
     """One major cycle of Wolfe's algorithm: row j joins the corral (the rows
     with weight).  Each minor cycle solves for the corral's affine least-norm
     point y; while some affine weight is <= 0, the weights move toward y's
-    until one drops to 0 and its row leaves.  Returns the new weights and y."""
+    until one drops to 0 and its row leaves.  Returns the new weights, y and
+    the number of affine solves."""
     lam = lam.copy()
     corral = np.append(np.flatnonzero(lam), j)
+    solves = 0
     while True:
-        stats.ldp_steps += 1
-        y, mu = _affine_min_norm(normals[corral])
+        solves += 1
+        y, mu = _affine_min_norm(points[corral])
         if np.all(mu > 0.0):
             lam[corral] = mu
-            return lam, y
+            return lam, y, solves
         cur = lam[corral]
         out = np.flatnonzero(mu <= 0.0)
         ratios = cur[out] / (cur[out] - mu[out])
@@ -205,43 +233,65 @@ def _major_cycle(normals: Array, lam: Array, j: int, stats: SearchStats) -> tupl
         corral = corral[step > 0.0]
 
 
+def _hull_norm(points: Array, lam: Array) -> float:
+    """||P^T lam||, summed over the rows with weight."""
+    corral = np.flatnonzero(lam)
+    return float(np.linalg.norm(points[corral].T @ lam[corral]))
+
+
+def _min_norm_point(
+    points: Array, weights: Array, point: Array, floor: float
+) -> tuple[Array, Array, int]:
+    """Wolfe's algorithm for the least-norm point of the hull of the rows.
+
+    It starts from `weights` (>= 0, sum 1) and their `point` (kept from the
+    solve that found them: P^T weights in floats loses the direction of a
+    tiny point), or from the last row when all weights are 0.  While the row
+    of least slack p_j . x improves on x, a major cycle brings it in.  In
+    exact arithmetic ||x|| falls with every cycle and the entering row keeps
+    its weight, so the loop is finite.  It returns the weights, their point
+    and the number of affine solves: at the least-norm point up to roundoff,
+    or after the first cycle whose weights have ||P^T lam|| <= floor.
+    """
+    lam, x = np.array(weights, dtype=float), point
+    if not lam.any():
+        lam[-1], x = 1.0, points[-1]
+    solves = 0
+    while True:
+        nx = math.sqrt(float(x @ x))
+        s = points @ x
+        j = int(np.argmin(s))
+        if s[j] >= nx * (nx - 1e-12) or lam[j] > 0.0:
+            return lam, x, solves  # no row outside the corral improves on x
+        new_lam, new_x, steps = _major_cycle(points, lam, j)
+        solves += steps
+        if new_lam[j] <= 0.0:  # roundoff undid the cycle, and x stays
+            return lam, x, solves
+        lam, x = new_lam, new_x
+        if _hull_norm(points, lam) <= floor:
+            return lam, x, solves
+
+
 def _feasible_start(
     normals: Array, weights: Array, point: Array, stats: SearchStats
 ) -> tuple[Array, Array, Array]:
     """Strictly interior point of {x : N x >= 0, ||x|| < 1}, with p, the
-    least-norm point of conv{n_i}, and its weights; or RegionEmptyError with
-    weights whose combination has norm <= THICKNESS_TOL.
-
-    Wolfe's algorithm from `weights` (>= 0, sum 1) and their `point` (kept
-    from the solve that found them: N^T weights in floats loses the direction
-    of a tiny point), or from the last row when all weights are 0.  While the
-    row of least slack n_j . x improves on x, a major cycle brings it in.  In
-    exact arithmetic ||x|| falls with every cycle and the entering row keeps
-    its weight, so the loop is finite; it stops on the first certificate.
+    least-norm point of conv{n_i}, and its weights, from `_min_norm_point`
+    warm-started at `weights` and `point`; or RegionEmptyError with weights
+    whose combination has norm <= THICKNESS_TOL.
     """
     k, dim = normals.shape
     if k == 0:
         return np.zeros(dim), weights, point
-    lam, x = np.array(weights, dtype=float), point
-    if not lam.any():
-        lam[-1], x = 1.0, normals[-1]
-    while True:
-        nx = math.sqrt(float(x @ x))
-        s = normals @ x
-        j = int(np.argmin(s))
-        if s[j] < nx * (nx - 1e-12) and lam[j] == 0.0:
-            new_lam, new_x = _major_cycle(normals, lam, j, stats)
-            if new_lam[j] > 0.0:  # else roundoff undid the cycle, and x stays
-                lam, x = new_lam, new_x
-                corral = np.flatnonzero(lam)
-                size = float(np.linalg.norm(normals[corral].T @ lam[corral]))
-                if size <= THICKNESS_TOL:
-                    raise RegionEmptyError(f"cut cone is empty: ||N^T lambda|| = {size:.3g}", lam)
-                continue
-        # no row outside the corral improves on x, so x is p up to roundoff
-        if s[j] > THICKNESS_TOL * nx:
-            return math.sqrt(k / (k + 2.0)) * x / nx, lam, x
-        raise NumericalBreakdownError(f"least-norm point of norm {nx:.3g} is at the threshold")
+    lam, x, solves = _min_norm_point(normals, weights, point, THICKNESS_TOL)
+    stats.ldp_steps += solves
+    size = _hull_norm(normals, lam)
+    if size <= THICKNESS_TOL:
+        raise RegionEmptyError(f"cut cone is empty: ||N^T lambda|| = {size:.3g}", lam)
+    nx = math.sqrt(float(x @ x))
+    if np.min(normals @ x) > THICKNESS_TOL * nx:
+        return math.sqrt(k / (k + 2.0)) * x / nx, lam, x
+    raise NumericalBreakdownError(f"least-norm point of norm {nx:.3g} is at the threshold")
 
 
 def initial_region(rho: DensityMatrix, stats: SearchStats) -> SearchRegion:
@@ -283,6 +333,30 @@ def iteration_cap(dim: int, delta: float) -> int:
     return int(math.ceil(4.0 * dim * math.log(8.0 / delta))) + 64
 
 
+def dyadic_image(mat: Array) -> tuple[tuple[QRat, ...], ...]:
+    """The exact matrix of a float density matrix: each upper-triangle entry
+    read by `Fraction(float)`, mirrored, and the last diagonal entry set so
+    that the trace is exactly 1."""
+    d = mat.shape[0]
+    rows = [[QRat(ZERO, ZERO)] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = QRat(Fraction(float(mat[i, i].real)), ZERO)
+        for j in range(i + 1, d):
+            z = QRat(Fraction(float(mat[i, j].real)), Fraction(float(mat[i, j].imag)))
+            rows[i][j], rows[j][i] = z, z.conj()
+    rows[-1][-1] = QRat(1 - sum(rows[i][i].re for i in range(d - 1)), ZERO)
+    return tuple(map(tuple, rows))
+
+
+def _check_primal(
+    inst: QsepInstance, atoms: list[ProductState], weights: Array
+) -> tuple[QsepCertificate, VerificationResult]:
+    """The truncated certificate of the atoms with weight, and its exact check."""
+    decomp = [(w, atoms[i].alpha, atoms[i].beta) for i, w in enumerate(weights) if w > 0.0]
+    cert = qsep.truncate_decomposition(decomp, qsep.bits_required(inst.delta_p), inst.m, inst.n)
+    return cert, qsep.verify_certificate(inst, cert)
+
+
 def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     """Weak separation: a detecting witness, or the assertion that rho is
     within delta of the separable set in Euclidean norm.  The net may cover
@@ -300,6 +374,16 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     region = initial_region(rho, stats)
     fallback = np.eye(dim)[0]
     cert = None
+    # the primal: atoms (the computational product states, then every oracle
+    # maximizer) at v(sigma_i) - v(rho), their Wolfe weights and point; an
+    # exact check runs when the float distance is at most `target`
+    atoms = [ProductState(ket(i, rho.m), ket(j, rho.n)) for i in range(rho.m) for j in range(rho.n)]
+    points = np.array([atom.bloch() for atom in atoms]) - region.rho_bloch
+    lam, x = np.zeros(len(atoms)), np.zeros(dim)
+    exact_delta = Fraction(delta)
+    bits = qsep.reduction_bits(rho.m, rho.n, exact_delta)
+    target = float(qsep.error_bound_reconstruction(rho.m, rho.n, bits))  # delta'
+    inst = None
     for iterations in range(1, iteration_cap(dim, delta) + 1):
         a = region.center
         na = float(np.linalg.norm(a))
@@ -312,6 +396,20 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
         if margin > 2.0 * eps:
             cert, stop = WitnessCert(candidate, a_hat, margin, delta), "witness"
             break
+        atoms.append(oracle.maximizer)
+        points = np.vstack([points, oracle.maximizer.bloch() - region.rho_bloch])
+        lam, x, solves = _min_norm_point(points, np.append(lam, 0.0), x, target)
+        stats.primal_solves += solves
+        stats.primal_distance = _hull_norm(points, lam)
+        if stats.primal_distance <= target:
+            if inst is None:  # built on the first check only
+                inst = qsep.reduce_wmem_to_qsep(dyadic_image(rho.mat), rho.m, rho.n, exact_delta)
+            stats.certificate_checks += 1
+            qcert, check = _check_primal(inst, atoms, lam)
+            if check.accepted:
+                stop = "certificate"
+                break
+            target = stats.primal_distance / 2.0  # the next check waits for progress
         try:
             region = cut(region, a if na > 1e-12 else fallback * 1e-9, oracle.maximizer, stats)
         except RegionEmptyError:
@@ -322,6 +420,9 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
             break
     if cert is not None:
         verdict = Verdict(ENTANGLED, "witness_search", False, cert.margin)
+    elif stop == "certificate":
+        verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
+        return WsepResult(verdict, None, iterations, stop, stats, inst, qcert)
     else:
         verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
     return WsepResult(verdict, cert, iterations, stop, stats)

@@ -2,13 +2,14 @@
 certificates of dyadic terms, the `Fraction` reference of certificate
 verification, random Hermitian operators, Haar-random local unitaries, graph
 JSON, partial traces, the dense product basis that Bloch coordinates refer
-to, and the property check of a found extension."""
+to, the property check of a found extension, and the cutting-plane search
+without its primal stop."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from sepscan.core import _su_generators
+from sepscan.core import _su_generators, from_bloch
 from sepscan.qsep import (
     BitWidthError,
     CertificateFormatError,
@@ -20,6 +21,8 @@ from sepscan.qsep import (
     vec_norm_sq,
 )
 from sepscan.symext import ExtensionProblem, ExtensionResult, _ExtensionMaps
+from sepscan.witness import RegionEmptyError, SearchStats, cut, initial_region
+from sepscan.wopt import wopt_max
 
 
 def dense_bloch_basis(m: int, n: int) -> np.ndarray:
@@ -30,6 +33,31 @@ def dense_bloch_basis(m: int, n: int) -> np.ndarray:
     """
     xa, yb = _su_generators(m), _su_generators(n)
     return np.stack([np.kron(x, y) for x in xa for y in yb])
+
+
+def cutting_plane_search(rho, delta: float, net) -> tuple[str, int, SearchStats]:
+    """`wsep_solve`'s cuts from `initial_region`, `wopt_max` and `cut`, without
+    its primal stop: the stop (witness, dikin_radius or region_empty), the
+    number of oracle calls and the counters.  The region's center must stay
+    off the origin."""
+    stats = SearchStats()
+    region = initial_region(rho, stats)
+    calls = 0
+    while True:
+        calls += 1
+        a = region.center
+        a_hat = a / np.linalg.norm(a)
+        oracle = wopt_max(from_bloch(a_hat, rho.m, rho.n), rho.m, rho.n, net)
+        stats.oracle_evaluated += oracle.evaluated
+        stats.oracle_bounded += oracle.bounded
+        if float(region.rho_bloch @ a_hat) - oracle.value > 0.4 * delta:
+            return "witness", calls, stats
+        try:
+            region = cut(region, a, oracle.maximizer, stats)
+        except RegionEmptyError:
+            return "region_empty", calls, stats
+        if region.radius_proxy < delta / 4.0:
+            return "dikin_radius", calls, stats
 
 
 def verify_extension(result: ExtensionResult, prob: ExtensionProblem) -> dict:

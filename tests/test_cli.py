@@ -180,34 +180,79 @@ class TestWitnessCommand:
         emitted = json.loads(out_path.read_text())
         assert max(abs(x) for x in emitted["bloch_sup_normalized"]) == pytest.approx(1.0)
 
-    def test_stats_report_stop_reason(self, capsys, bell_path, maxmixed_path):
+    def test_stats_report_stop_reason(self, capsys, tmp_path, bell_path, maxmixed_path):
         code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.3")
         assert code == 1
         assert report["stats"]["stop"] == "witness"
         assert report["stats"]["ldp_steps"] == 0  # detected before any cut
         assert report["stats"]["unconverged_centerings"] == 0
         assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
+        # the four computational product states hold I/4: certified before any cut,
+        # as soon as the primal is within delta' = 1/4
         code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3")
+        assert (code, report["verdict"]["reason"], report["verdict"]["exact"]) == (
+            0, "closeness_certificate", True)
+        assert report["verdict"]["detail"] < 0.25 and report["stats"]["primal_distance"] < 0.25
+        assert report["stats"]["stop"] == "certificate" and report["iterations"] == 1
+        assert report["stats"]["certificate_checks"] == 1 and report["stats"]["ldp_steps"] == 0
+        # a 2x3 mixture cuts four times first
+        path = tmp_path / "mixture23.json"
+        dump_json(density_to_json(states.product_mixture(2, 3, 24, 3)), path)
+        code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", "0.1")
         assert report["verdict"]["outcome"] == "SeparableAssured"
-        assert report["stats"]["stop"] in ("dikin_radius", "region_empty")
+        assert report["stats"]["stop"] == "certificate" and report["iterations"] == 5
         assert report["stats"]["newton_steps"] > report["iterations"]
-        assert 0 < report["stats"]["ldp_steps"] <= 2 * report["iterations"]
+        assert 0 < report["stats"]["ldp_steps"] <= 2 * (report["iterations"] - 1)
+        assert report["stats"]["primal_solves"] > report["iterations"]
+        assert 0 < report["stats"]["primal_distance"] < report["verdict"]["detail"] + 1e-5
+
+    def test_certificate_artifacts_pass_qsep_verify(self, capsys, tmp_path):
+        path = tmp_path / "mixture24.json"
+        dump_json(density_to_json(states.product_mixture(2, 4, 16, 0)), path)
+        cert_path, inst_path = tmp_path / "cert.json", tmp_path / "inst.json"
+        code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", "0.5",
+                               "--cert-out", str(cert_path), "--instance-out", str(inst_path))
+        assert (code, report["stats"]["stop"]) == (0, "certificate")
+        assert report["artifacts"] == {"certificate": str(cert_path), "instance": str(inst_path)}
+        verify = ("qsep-verify", "--instance", str(inst_path), "--cert", str(cert_path))
+        code, verified = run_cli(capsys, *verify)
+        assert (code, verified["result"]["accepted"]) == (0, True)
+        obj = json.loads(cert_path.read_text())
+        weight = max((t["weight"] for t in obj["terms"]),
+                     key=lambda w: Fraction(int(w["num"]), int(w["den"])))
+        weight["num"] = "0"  # the heaviest term dropped
+        dump_json(obj, cert_path)
+        code, verified = run_cli(capsys, *verify)
+        assert (code, verified["result"]["accepted"]) == (2, False)
+
+    def test_no_certificate_artifacts_on_another_stop(self, capsys, tmp_path, bell_path):
+        cert_path, inst_path = tmp_path / "cert.json", tmp_path / "inst.json"
+        code, report = run_cli(capsys, "witness", "--input", bell_path, "--delta", "0.3",
+                               "--cert-out", str(cert_path), "--instance-out", str(inst_path))
+        assert (code, report["stats"]["stop"]) == (1, "witness")
+        assert "artifacts" not in report
+        assert not cert_path.exists() and not inst_path.exists()
 
     def test_separable_search_does_not_import_scipy_optimize(self, tmp_path):
-        # the cut cones are solved in numpy: a search ending on an empty region
-        # (the certificate only HiGHS could give before) leaves scipy.optimize out
+        # the cut cones and the primal are solved in numpy: a search ending on
+        # its certificate, and the same state's cuts run on to an empty region
+        # (the certificate only HiGHS could give before), leave scipy.optimize out
         path = tmp_path / "mixture23.json"
         dump_json(density_to_json(states.product_mixture(2, 3, 8, 3)), path)
         code = (
-            "import sys; from sepscan.cli import main; "
-            f"main(['witness', '--input', {str(path)!r}, '--delta', '0.3']); "
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "from conftest import cutting_plane_search; from sepscan import cli, nets, states; "
+            f"cli.main(['witness', '--input', {str(path)!r}, '--delta', '0.3']); "
+            "rho, net = states.product_mixture(2, 3, 8, 3), nets.build_net(2, 0.03); "
+            "print(cutting_plane_search(rho, 0.3, net)[0]); "
             "print('scipy.optimize' in sys.modules)"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, check=True)
-        report, loaded = proc.stdout.splitlines()
+        report, cuts_stop, loaded = proc.stdout.splitlines()
         assert json.loads(report)["verdict"]["outcome"] == "SeparableAssured"
-        assert json.loads(report)["stats"]["stop"] == "region_empty"
+        assert json.loads(report)["stats"]["stop"] == "certificate"
+        assert cuts_stop == "region_empty"
         assert loaded == "False"
 
     def test_default_m2_net_is_band(self, capsys, tmp_path):
@@ -472,7 +517,9 @@ class TestParser:
         assert subcommand_options("symext") == {"--input", "--delta"}
 
     def test_witness_takes_no_net_radius(self):
-        assert subcommand_options("witness") == {"--input", "--delta", "--witness-out"}
+        assert subcommand_options("witness") == {
+            "--input", "--delta", "--witness-out", "--cert-out", "--instance-out"
+        }
 
     def test_gadget_takes_no_net_radius(self):
         assert subcommand_options("gadget") == {"--graph", "--clique", "--seed"}

@@ -187,6 +187,20 @@ class TestVerifyCertificate:
         assert not res.accepted
         assert res.distance_sq == Fraction(1, 2)  # tr(rho^2) for the diagonal state
 
+    @pytest.mark.parametrize("where", ["weight", "alpha", "beta"])
+    def test_integer_above_two_to_the_p_is_refused(self, where):
+        # weight 4 (integer 1024 over 2^8) with beta (1/2, 0) would reconstruct |00><00|
+        # exactly and pass both checks; scalars above 1 are not p-bit numbers
+        weight, alpha, beta = 1024, ((256, 0), (0, 0)), ((128, 0), (0, 0))
+        if where == "alpha":
+            weight, alpha = 256, ((-257, 0), (0, 0))
+        elif where == "beta":
+            weight, beta = 256, ((256, 0), (0, 257))
+        padding = (0, ((0, 0),) * 2, ((0, 0),) * 2)
+        with pytest.raises(BitWidthError):
+            QsepCertificate(2, 2, 8, ((weight, alpha, beta),) + (padding,) * 15)
+        QsepCertificate(2, 2, 8, ((256, ((256, 0), (0, 0)), ((0, -256), (0, 0))),) + (padding,) * 15)
+
     def test_bit_width_violation_raises(self):
         inst = diag_half_instance()  # delta_p = 2^-8
         obj = qsep_certificate_to_json(exact_diag_certificate())

@@ -1,20 +1,24 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import random_local_unitaries
+from conftest import cutting_plane_search, random_local_unitaries, reference_verify
 from sepscan import states, witness
 from sepscan.core import DensityMatrix, from_bloch, partial_transpose, to_bloch
 from sepscan.nets import NetTooCoarseError, build_net
 from sepscan.onesided import ENTANGLED, SEPARABLE, ppt_test
+from sepscan.qsep import verify_certificate
 from sepscan.witness import (
     RegionEmptyError,
     SearchStats,
     _feasible_start,
+    _min_norm_point,
     analytic_center,
     cut,
+    dyadic_image,
     initial_region,
     iteration_cap,
     revalidate,
@@ -319,6 +323,8 @@ class TestWsepSolve:
         res = wsep_solve(states.werner(0.2), 0.05, net_0005)
         assert (res.verdict.outcome, res.verdict.reason) == (SEPARABLE, "witness_search")
         assert res.stop == "cap" and res.iterations == 3
+        # three atoms past the four computational ones leave the primal far from delta' = 1/32
+        assert res.stats.certificate_checks == 0 and res.stats.primal_distance > 0.1
 
     def test_stats_of_a_detection(self, net_0005):
         res = wsep_solve(states.werner(0.9), 0.05, net_0005)
@@ -328,6 +334,7 @@ class TestWsepSolve:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_2x3_search_certifies_every_cut(self, monkeypatch, seed):
+        # the cuts alone, which the primal would stop after a few oracle calls
         outcomes = []
         solve = witness._feasible_start
 
@@ -346,14 +353,13 @@ class TestWsepSolve:
         monkeypatch.setattr(witness, "_feasible_start", checked)
         delta = 0.1
         net = build_net(2, delta / 10.0, method="band")
-        res = wsep_solve(states.product_mixture(2, 3, 24, seed), delta, net)
-        assert res.verdict.outcome == SEPARABLE
-        assert res.stop in ("dikin_radius", "region_empty")
-        assert len(outcomes) == res.iterations + 1  # the initial region, then one per cut
-        assert outcomes.count("empty") == (res.stop == "region_empty")
-        assert 0 < res.stats.ldp_steps <= 2 * res.iterations
-        assert res.iterations < res.stats.newton_steps
-        assert 0 < res.stats.oracle_evaluated < res.iterations * net.size  # pruned scans
+        stop, calls, stats = cutting_plane_search(states.product_mixture(2, 3, 24, seed), delta, net)
+        assert stop in ("dikin_radius", "region_empty")
+        assert len(outcomes) == calls + 1  # the initial region, then one per cut
+        assert outcomes.count("empty") == (stop == "region_empty")
+        assert 0 < stats.ldp_steps <= 2 * calls
+        assert calls < stats.newton_steps
+        assert 0 < stats.oracle_evaluated < calls * net.size  # pruned scans
 
     def test_net_too_coarse_rejected(self, net_001):
         with pytest.raises(NetTooCoarseError):
@@ -437,3 +443,100 @@ class TestWsepSolve:
         rho = states.product_mixture(2, 3, 6, 11)
         assert ppt_test(rho).outcome == SEPARABLE
         assert wsep_solve(rho, 0.05, net_0005).verdict.outcome == SEPARABLE
+
+
+def reference_min_norm(points):
+    """Least-norm point of the hull of the rows by NNLS on [P^T; M 1^T] lam = [0; M]."""
+    k, dim = points.shape
+    big = 1e4
+    a = np.vstack([points.T, np.full((1, k), big)])
+    lam, _ = scipy.optimize.nnls(a, np.append(np.zeros(dim), big))
+    return points.T @ (lam / lam.sum())
+
+
+class TestPrimal:
+    def test_min_norm_point_matches_nnls(self):
+        rng = np.random.default_rng(4)
+        for trial in range(40):
+            dim, k = int(rng.integers(3, 36)), int(rng.integers(1, 50))
+            points = rng.standard_normal((k, dim)) + rng.standard_normal(dim)
+            lam, x, _ = _min_norm_point(points, np.zeros(k), np.zeros(dim), 0.0)
+            assert np.all(lam >= 0.0) and lam.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(points.T @ lam, x, atol=1e-12)
+            want = reference_min_norm(points)
+            assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(want), abs=1e-7)
+
+    def test_min_norm_point_stops_at_the_floor(self):
+        rng = np.random.default_rng(5)
+        points = rng.standard_normal((30, 15))  # the origin lies inside their hull
+        lam, x, _ = _min_norm_point(points, np.zeros(30), np.zeros(15), 0.0)
+        assert np.linalg.norm(x) < 1e-12
+        floor = 0.5
+        lam, x, _ = _min_norm_point(points, np.zeros(30), np.zeros(15), floor)
+        assert 1e-12 < np.linalg.norm(points.T @ lam) <= floor
+
+    def test_dyadic_image_is_exact_with_unit_trace(self):
+        rho = states.product_mixture(2, 3, 24, 7)
+        image = dyadic_image(rho.mat)
+        d = rho.dim
+        assert sum(image[i][i].re for i in range(d)) == 1
+        for i in range(d):
+            assert image[i][i].im == 0
+            for j in range(i + 1, d):
+                assert (image[i][j].re, image[i][j].im) == (rho.mat[i, j].real, rho.mat[i, j].imag)
+                assert image[j][i] == image[i][j].conj()
+        assert abs(float(image[-1][-1].re) - rho.mat[-1, -1].real) < 1e-15
+
+    def test_four_term_2x3_mixture_certified_within_a_second(self):
+        # the cuts alone need 338 oracle calls and about 12 s here
+        net = build_net(2, 0.005, method="band")
+        rho = states.product_mixture(2, 3, 4, 0)
+        started = time.perf_counter()
+        res = wsep_solve(rho, 0.05, net)
+        elapsed = time.perf_counter() - started
+        assert (res.verdict.outcome, res.verdict.reason, res.verdict.exact) == (
+            SEPARABLE, "closeness_certificate", True)
+        assert res.stop == "certificate" and elapsed < 1.0
+        assert res.verdict.detail < float(res.instance.delta_prime)
+        assert verify_certificate(res.instance, res.certificate).accepted
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_certificates_pass_the_reference_check(self, seed):
+        # mixtures shaped like the benchmark's, at its delta of 0.3
+        rng = np.random.default_rng(seed)
+        delta = 0.3
+        net = build_net(2, delta / 10.0, method="band")
+        cases = [states.werner(float(rng.uniform(0.05, 0.3)))]
+        cases += [states.product_mixture(m, n, terms, seed + 10 * terms)
+                  for m, n, terms in [(2, 2, 4), (2, 3, 12), (2, 3, 24), (3, 2, 24)]]
+        for rho in cases:
+            res = wsep_solve(rho, delta, net)
+            assert res.stop == "certificate" and res.verdict.exact
+            assert res.instance.rho == dyadic_image(rho.mat)
+            assert float(res.instance.delta_prime) <= delta
+            check = reference_verify(res.instance, res.certificate)
+            assert check.accepted
+            assert check == verify_certificate(res.instance, res.certificate)
+            assert res.verdict.detail == pytest.approx(math.sqrt(check.distance_sq))
+            assert res.stats.certificate_checks >= 1
+
+    def test_npt_state_beyond_delta_never_ends_on_the_certificate(self, net_001):
+        # ||rho - sigma|| >= |lambda_min(rho^Gamma)| for separable sigma, so no
+        # hull of product states comes within delta' < delta
+        delta = 0.1
+        tested = 0
+        for seed in range(30):
+            for m, n in [(2, 2), (2, 3), (3, 2)]:
+                rho = states.random_full_rank(m, n, seed + 31 * n + 7 * m)
+                lam = float(np.min(np.linalg.eigvalsh(partial_transpose(rho.mat, m, n, "B"))))
+                if lam >= -delta:
+                    continue
+                tested += 1
+                res = wsep_solve(rho, delta, net_001)
+                assert res.stop != "certificate" and res.certificate is None
+                assert res.stats.certificate_checks == 0
+                assert res.verdict.outcome == ENTANGLED
+        for w in (0.6, 0.8, 1.0):  # lambda_min = (1 - 3w)/4 <= -0.2
+            res = wsep_solve(states.werner(w), delta, net_001)
+            assert res.stop == "witness" and res.stats.certificate_checks == 0
+        assert tested >= 10
