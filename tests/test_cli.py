@@ -683,16 +683,19 @@ class TestDeterminism:
         run_twice(capsys, "test", "--input", bell_path)
 
     def test_symext_reports_identical_modulo_timing(self, capsys, tmp_path, monkeypatch):
-        # a mixture whose search stalls within the budget, so the residual is reported
+        # product_mixture(3, 3, 9, 0) stalls within the budget, so the residual is
+        # reported: it is full rank, with lambda_min 2e-5, so its cone stays whole
+        # (face_dims is the full 18), and its k = 2 search needs 60 iterations
         monkeypatch.setattr(symext, "SCAN_ITERS", 50)
         path = tmp_path / "mixture.json"
-        dump_json(density_to_json(states.product_mixture(2, 2, 3, 1)), path)
+        dump_json(density_to_json(states.product_mixture(3, 3, 9, 0)), path)
         code, rep = run_twice(capsys, "symext", "--input", str(path), "--delta", "1.0")
         assert code == 2 and rep["verdict"]["reason"] == "symext_stalled_k2"
         assert rep["stats"]["stop"] == "stalled"
         assert [d["k"] for d in rep["stats"]["depths"]] == [2]
         assert rep["stats"]["depths"][0]["residual"] == rep["verdict"]["detail"]
         assert len(rep["stats"]["depths"][0]["residuals"]) == 5
+        assert rep["stats"]["depths"][0]["face_dims"] == [18]
 
     @pytest.mark.parametrize("w,expected", [(0.2, 0), (0.9, 1)])
     def test_witness_reports_identical_modulo_timing(self, capsys, tmp_path, w, expected):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import verify_extension
 from sepscan import states, symext
-from sepscan.core import partial_transpose
+from sepscan.core import DensityMatrix, partial_transpose
 from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN
 from sepscan.symext import (
     DimensionGuardError,
@@ -188,10 +188,13 @@ class TestFindExtension:
         assert res.budget_exhausted
 
     def test_bell_gap_is_the_distance_between_the_sets(self):
-        # without PPT cones the search converges to the gap between the sets
+        # without PPT cones the search converges to the gap between the sets;
+        # no Bose-symmetric state has a pure Bell marginal, so the face of X
+        # is {0}, its span misses rho, and the search keeps the whole cone
         for k, gap in ((2, 1.0 / 6.0), (3, math.sqrt(5.0) / 10.0)):
             res = find_extension(ExtensionProblem(states.bell(), k, ppt=False), max_iters=3000)
             assert not res.found and res.budget_exhausted
+            assert res.face_dims == (sym_dim(2, k) * 2,)
             assert res.residual == pytest.approx(gap, rel=1e-6)
 
     def test_feasible_start_accepts_at_iteration_one(self):
@@ -258,6 +261,148 @@ class TestFindExtension:
             assert np.linalg.norm(p @ big @ p.T - big) < 1e-7
 
 
+def known_extension(m: int, n: int, k: int, terms: int, seed: int):
+    """rho = sum_i p_i a_i a_i^dag (x) b_i b_i^dag with its extension
+    X = sum_i p_i (a_i a_i^dag)^(x k) (x) b_i b_i^dag in symmetric coordinates:
+    a^(x k) has coefficient sqrt(k! / prod_i n_i!) prod_i a_i^(n_i) on the
+    occupation vector n."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(terms))
+    rho = np.zeros((m * n, m * n), dtype=complex)
+    x = np.zeros((sym_dim(m, k) * n,) * 2, dtype=complex)
+    for weight in p:
+        a, b = (v / np.linalg.norm(v) for v in (random_complex(rng, d)[0] for d in (m, n)))
+        sym = np.array([
+            math.sqrt(math.factorial(k) / math.prod(math.factorial(c) for c in occ))
+            * math.prod(ai**c for ai, c in zip(a, occ))
+            for occ in occupations(m, k)
+        ])
+        rho += weight * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        v = np.kron(sym, b)
+        x += weight * np.outer(v, v.conj())
+    return DensityMatrix.make(m, n, rho), x
+
+
+def ppt_boundary(sigma: DensityMatrix) -> DensityMatrix:
+    """(1 - t) sigma + t phi, phi maximally entangled, at the t where the
+    partial transpose of the full-rank PPT sigma first turns singular."""
+    m, n = sigma.m, sigma.n
+    phi = np.zeros(m * n)
+    phi[[i * n + i for i in range(min(m, n))]] = 1.0
+    phi = np.outer(phi, phi) / min(m, n)
+    a, b = (partial_transpose(x, m, n, "B") for x in (sigma.mat, phi))
+    w, u = np.linalg.eigh(a)
+    root = (u / np.sqrt(w)) @ u.conj().T
+    # (1 - t) a + t b = (1 - t) a^(1/2) (1 + s a^(-1/2) b a^(-1/2)) a^(1/2), s = t / (1 - t)
+    s = -1.0 / np.linalg.eigvalsh(root @ b @ root)[0]
+    return DensityMatrix.make(m, n, (sigma.mat + s * phi) / (1.0 + s))
+
+
+class TestFaces:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+    def test_known_extensions_lie_on_their_faces(self, m, n, k):
+        maps = _ExtensionMaps(m, n, k)
+        for terms in range(1, m * n):
+            rho, x = known_extension(m, n, k, terms, seed=10 * terms + k)
+            assert np.linalg.norm(maps.reduce_one(x) - rho.mat) < 1e-12
+            images = [x, maps.transpose_b(x)] + [maps.transpose_copies(x, l) for l in range(1, k)]
+            faces = symext._faces(rho, k, ppt=True)
+            assert len(faces) == len(images) and all(f is not None for f in faces)
+            for face, y in zip(faces, images):
+                assert face.shape[1] < y.shape[0]  # a proper face
+                inside = face @ (face.conj().T @ y @ face) @ face.conj().T
+                assert np.linalg.norm(y - inside) <= 1e-10
+
+    @pytest.mark.parametrize("m,n,terms,k", [(2, 2, 2, 3), (2, 3, 4, 2), (3, 3, 5, 2)])
+    def test_nearest_on_face_keeps_a_known_extension(self, m, n, terms, k):
+        rho, x = known_extension(m, n, k, terms, seed=k)
+        maps = _ExtensionMaps(m, n, k)
+        face = symext._faces(rho, k, ppt=False)[0]
+        nearest = symext._nearest_on_face(rho, maps, face)
+        np.testing.assert_allclose(nearest(x), x, atol=1e-10)
+        y = nearest(random_complex(np.random.default_rng(k), maps.dim))
+        assert np.linalg.norm(maps.reduce_one(y) - rho.mat) < 1e-10
+        assert np.linalg.norm(y - face @ (face.conj().T @ y @ face) @ face.conj().T) < 1e-10
+
+    # (m, n, terms, seed, k): iterations of the whole-cone search, which these
+    # full-rank states (with full-rank rho^Gamma) keep
+    FULL_RANK = [((2, 2, 4, 0, 2), 300), ((2, 2, 4, 1, 3), 220), ((2, 3, 6, 1, 2), 60),
+                 ((3, 3, 9, 2, 2), 30)]
+
+    @pytest.mark.parametrize("case,iterations", FULL_RANK)
+    def test_full_rank_takes_the_whole_cone_iterates(self, case, iterations):
+        m, n, terms, seed, k = case
+        prob = ExtensionProblem(states.product_mixture(m, n, terms, seed), k, ppt=True)
+        res = find_extension(prob, max_iters=1000)
+        assert res.found and res.iterations == iterations
+        maps = _ExtensionMaps(m, n, k)
+        split = [sym_dim(m, l) * sym_dim(m, k - l) * n for l in range(1, k)]
+        assert res.face_dims == (maps.dim, maps.dim, *split)
+
+    RANK_DEFICIENT = [
+        pytest.param(m, n, terms, k, seed, marks=pytest.mark.xfail(
+            strict=True, reason="its k = 3 extensions are rank 3 on 5-dimensional faces, where "
+                                "the search needs 1,350 iterations"))
+        if (m, n, terms, k, seed) == (2, 2, 3, 3, 2) else (m, n, terms, k, seed)
+        for m, n, terms in [(2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 4)]
+        for k in (2, 3) for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("m,n,terms,k,seed", RANK_DEFICIENT)
+    def test_rank_deficient_mixtures_extend_within_the_benchmark_budget(self, m, n, terms, k,
+                                                                        seed):
+        prob = ExtensionProblem(states.product_mixture(m, n, terms, seed), k, ppt=True)
+        res = find_extension(prob, max_iters=1000)
+        assert res.found and res.face_dims[0] < sym_dim(m, k) * n
+        checks = verify_extension(res, prob)
+        assert checks["trace_back"] < 1e-6 and checks["psd"] < 1e-6 and checks["ppt"] < 1e-6
+
+    # (m, n, terms, seed) of a separable full-rank state, mixed with the
+    # maximally entangled state up to the PPT boundary (rho^Gamma singular),
+    # and its iterations at k = 2 and 3 on whole cones
+    PPT_BOUNDARY = [((2, 2, 8, 0), (56, 70)), ((2, 3, 12, 0), (50, 80))]
+
+    @pytest.mark.parametrize("case,iterations", PPT_BOUNDARY)
+    def test_full_rank_rho_keeps_whole_cones_when_gamma_is_singular(self, case, iterations):
+        m, n, terms, seed = case
+        rho = ppt_boundary(states.product_mixture(m, n, terms, seed))
+        assert np.linalg.eigvalsh(partial_transpose(rho.mat, m, n, "B"))[0] < 1e-15
+        for k, count in zip((2, 3), iterations):
+            assert symext._faces(rho, k, ppt=True)[1] is not None  # a proper T_B face
+            res = find_extension(ExtensionProblem(rho, k, ppt=True), max_iters=1000)
+            assert res.found and res.iterations == count
+            split = [sym_dim(m, l) * sym_dim(m, k - l) * n for l in range(1, k)]
+            assert res.face_dims == (sym_dim(m, k) * n,) * 2 + tuple(split)
+
+    @pytest.mark.xfail(strict=True, reason="only X's face cuts the affine set, so the spans "
+                                           "of the PPT faces and of the cut affine set are "
+                                           "nearly parallel: both use all 1,000 iterations")
+    @pytest.mark.parametrize("seed,iterations", [(1, 720), (3, 420)])
+    def test_near_full_rank_mixture_within_its_whole_cone_iterations(self, seed, iterations):
+        # rank 5 of 6; on whole cones the search finds these in `iterations`
+        prob = ExtensionProblem(states.product_mixture(2, 3, 5, seed), 2, ppt=True)
+        res = find_extension(prob, max_iters=1000)
+        assert res.found and res.iterations <= iterations
+
+    def test_faces_up_to_the_size_gate(self):
+        assert 2 * 18 == symext.FACE_MAX_MN
+        res = find_extension(ExtensionProblem(states.product_mixture(2, 18, 3, 0), 2, ppt=False),
+                             max_iters=10)
+        assert res.face_dims[0] < sym_dim(2, 2) * 18  # the loop ran, on a face
+
+    def test_whole_cones_beyond_the_size_gate(self, monkeypatch):
+        monkeypatch.setattr(symext, "_faces", lambda *args: pytest.fail("faces built"))
+        res = find_extension(ExtensionProblem(states.product_mixture(2, 19, 3, 0), 2, ppt=False),
+                             max_iters=10)
+        assert res.face_dims == (sym_dim(2, 2) * 19,)  # the loop ran, on the whole cone
+
+    def test_feasible_start_builds_no_face(self, monkeypatch):
+        monkeypatch.setattr(symext, "_faces", lambda *args: pytest.fail("faces built"))
+        res = find_extension(ExtensionProblem(states.product_mixture(2, 2, 20, 6), 3, ppt=True))
+        assert res.found and res.iterations == 1 and res.face_dims == ()
+
+
 class TestNptPresolve:
     NPT = [("bell", states.bell()), ("werner_0.5", states.werner(0.5))]
 
@@ -321,7 +466,9 @@ class TestScan:
         reasons = [separability_scan(rho, 1.0, kmax=3) for rho in mixtures]
         assert len(reasons) == 24
         assert not [v for v in reasons if v.outcome == ENTANGLED]
-        assert sum(v.reason == "symext_kmax_k3" for v in reasons) >= 20
+        # every one reaches kmax; on whole cones, product_mixture(2, 3, 4, 0)
+        # stalls at k = 3
+        assert sum(v.reason == "symext_kmax_k3" for v in reasons) == 24
         assert all(agrees_with_ppt(rho, v) for rho, v in zip(mixtures, reasons))
 
     @pytest.mark.parametrize("w", [0.3, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.4,
@@ -331,8 +478,10 @@ class TestScan:
         assert agrees_with_ppt(rho, separability_scan(rho, 0.5))
 
     def test_stall_is_unknown_with_residual(self, monkeypatch):
+        # product_mixture(3, 3, 9, 0) is full rank, with lambda_min 2e-5, so its
+        # cones stay whole, and its k = 2 search needs 60 iterations
         monkeypatch.setattr(symext, "SCAN_ITERS", 20)
-        v = separability_scan(states.product_mixture(2, 2, 3, 1), 1.0, kmax=3)
+        v = separability_scan(states.product_mixture(3, 3, 9, 0), 1.0, kmax=3)
         assert v.outcome == UNKNOWN
         assert v.reason.startswith("symext_stalled_k")
         assert v.detail > 0
@@ -375,6 +524,13 @@ class TestScan:
         stats = ScanStats()
         separability_scan(rho, delta, kmax, stats=stats)
         assert [d.k for d in stats.depths] == depths
+
+    def test_two_by_three_four_term_mixture_reaches_the_bound(self):
+        # rank 4 of 6: on whole cones its search stalls at k = 4 within SCAN_ITERS
+        stats = ScanStats()
+        v = separability_scan(states.product_mixture(2, 3, 4, 0), 1.0, stats=stats)
+        assert v.outcome == SEPARABLE and v.reason == "symext_depth_k8"
+        assert all(d.face_dims[0] < sym_dim(2, d.k) * 3 for d in stats.depths if d.iterations > 1)
 
     def test_guards_run_before_any_iteration(self, monkeypatch):
         monkeypatch.setattr(symext, "find_extension", lambda *a, **k: pytest.fail("iterated"))
