@@ -50,7 +50,9 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         a = np.zeros((n, n), dtype=np.int8)
         for i, j in edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
+            # a float vertex would raise IndexError, a bool would index as a mask
+            integral = all(type(v) is int or isinstance(v, np.integer) for v in (i, j))
+            if not integral or i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j}) for {n} vertices")
             a[i, j] = a[j, i] = 1
         return Graph(n, a)

@@ -54,11 +54,11 @@ def ccnr_test(rho: DensityMatrix) -> Verdict:
 
 
 def frobenius_ball_test(rho: DensityMatrix) -> Verdict:
-    """tr(rho - I/mn)^2 <= 1/(mn(mn-1)) guarantees separability."""
+    """tr(rho - I/mn)^2 <= 1/(mn(mn-1)) guarantees separability (any radius at mn = 1)."""
     d = rho.dim
     delta = rho.mat - np.eye(d) / d
     val = float(np.trace(delta @ delta).real)
-    if val <= 1.0 / (d * (d - 1)):
+    if d == 1 or val <= 1.0 / (d * (d - 1)):
         return Verdict(SEPARABLE, "frobenius_ball", True, val)
     return Verdict(UNKNOWN, "frobenius_ball", False, val)
 

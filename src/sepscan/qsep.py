@@ -10,6 +10,10 @@ exactly, with sigma~ the unnormalized reconstruction.  Zero-weight
 padding terms are exempt from (1): they carry no state and would
 otherwise force their zero vectors to look normalized.
 
+An instance holds rho as an `ExactMatrix`, Gaussian integers over the least
+common denominator D of its entries, which `exact_matrix` builds from the
+integer ratios (num, den) every producer reads.
+
 "p-bit number" means a dyadic rational a / 2^p with |a| <= 2^p (all
 certified scalars are bounded by one in magnitude).  A `QsepCertificate`
 therefore holds each scalar x as the integer x 2^p, and refuses an integer
@@ -19,9 +23,8 @@ no `Fraction` per scalar.  The check runs on those
 Python integers: alpha_i (x) beta_i holds Gaussian integers over 2^(2p)
 and sigma~ 2^(5p) = sum_i W_i v_i v_i† is an integer matrix (W_i = p_i 2^p),
 summed over its upper triangle.  The normalization gaps are integers over
-2^(5p), and so is the distance tr((rho - sigma~)^2), over (D 2^(5p))^2 with
-D the common denominator of rho's entries: one `Fraction` holds it.  No
-float, no numpy and no `math` touch this path.
+2^(5p), and so is the distance tr((rho - sigma~)^2), over (D 2^(5p))^2:
+one `Fraction` holds it.  No float, no numpy and no `math` touch this path.
 
 Truncation is toward zero, matching the error budget of the closed-form
 bounds m^3 n^3 2^-(p-7.5) (reconstruction, Euclidean) and
@@ -35,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-ZERO = Fraction(0)
-
 
 class BitWidthError(ValueError):
     """A certificate scalar does not fit in the advertised dyadic width."""
@@ -48,81 +49,66 @@ class CertificateFormatError(ValueError):
 
 @dataclass(frozen=True)
 class QRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact real and imaginary parts: int, float or Fraction."""
 
     re: Fraction
     im: Fraction
 
-    def __add__(self, other: "QRat") -> "QRat":
-        return QRat(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "QRat") -> "QRat":
-        return QRat(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "QRat") -> "QRat":
-        return QRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "QRat":
-        return QRat(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def scale(self, c: Fraction) -> "QRat":
-        return QRat(self.re * c, self.im * c)
+def _common(ratios) -> tuple[list[int], int]:
+    """(num, den) integer ratios as integers over one positive denominator, the
+    lcm of theirs; a zero denominator raises ZeroDivisionError."""
+    den = 1
+    for _, b in ratios:
+        if den % b:  # lcm(den, b) = den |b| / gcd(den, b)
+            den *= Fraction(den, b).denominator
+    return [a * (den // b) for a, b in ratios], den
 
 
-QZERO = QRat(ZERO, ZERO)
+@dataclass(frozen=True)
+class ExactMatrix:
+    """A complex rational matrix as Gaussian integers over one denominator:
+    entry (i, j) is (re + i im) / den with (re, im) = rows[i][j], and den > 0 is
+    the least common denominator of the entries, so equal matrices compare equal."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    den: int
 
 
-def qrat(re, im=0) -> QRat:
-    return QRat(Fraction(re), Fraction(im))
-
-
-def vec_norm_sq(v: tuple[QRat, ...]) -> Fraction:
-    total = ZERO
-    for x in v:
-        total += x.abs2()
-    return total
-
-
-def is_hermitian_rational(a) -> bool:
-    d = len(a)
-    for i in range(d):
-        for j in range(d):
-            if a[i][j].re != a[j][i].re or a[i][j].im != -a[j][i].im:
-                return False
-    return True
-
-
-def rational_trace(a) -> QRat:
-    t = QZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
+def exact_matrix(rows) -> ExactMatrix:
+    """The matrix of rows of ((re_num, re_den), (im_num, im_den)) entries, in any
+    spelling (unreduced, negative denominators), with no `Fraction` per scalar;
+    a zero denominator raises ZeroDivisionError."""
+    nums, den = _common([r for row in rows for z in row for r in z])
+    g = den  # gcd(den, every numerator), which takes the lcm to lowest terms
+    for x in nums:
+        if x % g:
+            g //= Fraction(x, g).denominator  # to gcd(x, g) = g / (g / gcd(x, g))
+    nums = [x // g for x in nums] if g > 1 else nums
+    pairs = zip(nums[::2], nums[1::2])
+    return ExactMatrix(tuple(tuple(next(pairs) for _ in row) for row in rows), den // g)
 
 
 @dataclass(frozen=True)
 class QsepInstance:
     m: int
     n: int
-    rho: tuple[tuple[QRat, ...], ...]
+    rho: ExactMatrix
     delta_p: Fraction
     eps_prime: Fraction
     delta_prime: Fraction
 
     def __post_init__(self):
         d = self.m * self.n
-        if len(self.rho) != d or any(len(r) != d for r in self.rho):
+        rows = self.rho.rows
+        if len(rows) != d or any(len(r) != d for r in rows):
             raise CertificateFormatError(f"rho must be {d}x{d}")
-        if not is_hermitian_rational(self.rho):
+        if any(row[j] != (rows[j][i][0], -rows[j][i][1]) for i, row in enumerate(rows)
+               for j in range(i, d)):
             raise CertificateFormatError("rho must be Hermitian with rational entries")
-        tr = rational_trace(self.rho)
-        if tr.re != 1 or tr.im != 0:
-            raise CertificateFormatError(f"rho trace must be exactly 1, got {tr.re}")
+        trace = Fraction(sum(row[i][0] for i, row in enumerate(rows)), self.rho.den)
+        if trace != 1:
+            raise CertificateFormatError(f"rho trace must be exactly 1, got {trace}")
         if self.delta_p <= 0 or self.eps_prime <= 0 or self.delta_prime <= 0:
             raise CertificateFormatError("accuracy parameters must be positive")
 
@@ -224,16 +210,13 @@ def verify_certificate(inst: QsepInstance, cert: QsepCertificate) -> Verificatio
             tail = v[i:]
             sig_re[i] = [s + xr * yr + xi * yi for s, (yr, yi) in zip(sig_re[i], tail)]
             sig_im[i] = [s + xi * yr - xr * yi for s, (yr, yi) in zip(sig_im[i], tail)]
-    # rho_ij - sigma~_ij = (a_ij one - s_ij den) / (den one), den the lcm of rho's denominators
-    upper = [inst.rho[i][i:] for i in range(d)]
-    den = 1
-    for q in {x.denominator for row in upper for r in row for x in (r.re, r.im)}:
-        den *= Fraction(den, q).denominator  # lcm(den, q) = den q / gcd(den, q)
+    # rho_ij - sigma~_ij = (a_ij one - s_ij den) / (den one), a_ij / den the entries of rho
+    den = inst.rho.den
     dist_num = 0
-    for row, row_re, row_im in zip(upper, sig_re, sig_im):
-        for k, (r, s_re, s_im) in enumerate(zip(row, row_re, row_im)):
-            d_re = r.re.numerator * (den // r.re.denominator) * one - s_re * den
-            d_im = r.im.numerator * (den // r.im.denominator) * one - s_im * den
+    for i, (row, row_re, row_im) in enumerate(zip(inst.rho.rows, sig_re, sig_im)):
+        for k, ((a_re, a_im), s_re, s_im) in enumerate(zip(row[i:], row_re, row_im)):
+            d_re = a_re * one - s_re * den
+            d_im = a_im * one - s_im * den
             sq = d_re * d_re + d_im * d_im
             dist_num += sq if k == 0 else 2 * sq  # both (i, j) and (j, i)
     dist_sq = Fraction(dist_num, (den * one) ** 2)
@@ -250,10 +233,11 @@ def truncate_decomposition(
 ) -> QsepCertificate:
     """p-bit truncation of a normalized product decomposition, toward zero.
 
-    Input terms are (weight, alpha, beta) with exact Fraction/QRat scalars
-    or floats (floats convert exactly before truncating).  Each scalar x
-    becomes the integer x 2^p truncated toward zero, so it moves by less
-    than 2^-p; `QsepCertificate` refuses one above 1 in magnitude.  Shorter
+    Input terms are (weight, alpha, beta) with int, float or Fraction weights
+    and QRat or Python number entries, each part read by `as_integer_ratio`.
+    Each scalar x becomes the integer x 2^p truncated toward zero, so it moves
+    by less than 2^-p; `QsepCertificate` refuses one above 1 in magnitude.
+    The unit-norm and weight-sum checks run in integers.  Shorter
     decompositions are padded with zero terms up to m^2 n^2.
     """
     if p < 1:
@@ -261,37 +245,29 @@ def truncate_decomposition(
     want = m**2 * n**2
     if len(decomp) > want:
         raise ValueError(f"decomposition has {len(decomp)} > {want} terms")
+    tol = 10**9  # |x - 1| <= 1e-9 as |num - den| tol <= den
 
-    def to_qrat(x) -> QRat:
-        if isinstance(x, QRat):
-            return x
-        if isinstance(x, complex):
-            return QRat(Fraction(x.real), Fraction(x.imag))
-        return QRat(Fraction(x), ZERO)
+    def truncated(x: int, den: int) -> int:
+        """(x / den) 2^p truncated toward zero."""
+        q = (abs(x) << p) // den
+        return q if x >= 0 else -q
 
-    def truncated(x: Fraction) -> int:
-        """x 2^p truncated toward zero."""
-        q = (abs(x.numerator) << p) // x.denominator
-        return q if x.numerator >= 0 else -q
-
-    def vector(v: tuple[QRat, ...]) -> tuple[tuple[int, int], ...]:
-        return tuple((truncated(x.re), truncated(x.im)) for x in v)
-
-    terms = []
-    weight_sum = ZERO
-    for w, alpha, beta in decomp:
-        wf = w if isinstance(w, Fraction) else Fraction(w)
-        if wf < 0:
-            raise ValueError("weights must be nonnegative")
-        weight_sum += wf
-        ta = tuple(to_qrat(x) for x in alpha)
-        tb = tuple(to_qrat(x) for x in beta)
-        if abs(vec_norm_sq(ta) - 1) > Fraction(1, 10**9) or abs(
-            vec_norm_sq(tb) - 1
-        ) > Fraction(1, 10**9):
+    def unit_vector(v) -> tuple[tuple[int, int], ...]:
+        parts = [x for z in v for x in ((z.re, z.im) if isinstance(z, QRat) else (z.real, z.imag))]
+        nums, den = _common([x.as_integer_ratio() for x in parts])
+        if abs(sum(x * x for x in nums) - den * den) * tol > den * den:
             raise ValueError("decomposition vectors must be unit within 1e-9")
-        terms.append((truncated(wf), vector(ta), vector(tb)))
-    if abs(weight_sum - 1) > Fraction(1, 10**9):
+        t = [truncated(x, den) for x in nums]
+        return tuple(zip(t[::2], t[1::2]))
+
+    weights, wden = _common([w.as_integer_ratio() for w, _, _ in decomp])
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    terms = [
+        (truncated(w, wden), unit_vector(alpha), unit_vector(beta))
+        for w, (_, alpha, beta) in zip(weights, decomp)
+    ]
+    if abs(sum(weights) - wden) * tol > wden:
         raise ValueError("weights must sum to 1 within 1e-9")
     padding = (0, ((0, 0),) * m, ((0, 0),) * n)
     terms.extend([padding] * (want - len(terms)))
@@ -327,14 +303,16 @@ def reduction_bits(m: int, n: int, delta: Fraction) -> int:
     return max(1, _ceil_log2(288 * (m * n) ** 3 * delta.denominator, delta.numerator))
 
 
-def reduce_wmem_to_qsep(
-    rho: tuple[tuple[QRat, ...], ...],
-    m: int,
-    n: int,
-    delta: Fraction,
-) -> QsepInstance:
+def reduce_wmem_to_qsep(rho, m: int, n: int, delta: Fraction) -> QsepInstance:
     """The instance of p = reduction_bits(m, n, delta): delta_p = 2^-p,
-    delta' = m^3 n^3 2^-(p-8), eps' = m^3 n^3 2^-(p-5)."""
+    delta' = m^3 n^3 2^-(p-8), eps' = m^3 n^3 2^-(p-5).
+
+    rho is an `ExactMatrix`, or rows of QRat with int, float or Fraction parts.
+    """
+    if not isinstance(rho, ExactMatrix):
+        rho = exact_matrix(
+            [[(z.re.as_integer_ratio(), z.im.as_integer_ratio()) for z in row] for row in rho]
+        )
     p = reduction_bits(m, n, delta)
     return QsepInstance(
         m,

@@ -3,7 +3,9 @@
 Density matrices: {"m": int, "n": int, "matrix": [[[re, im], ...], ...]}
 row-major.  The exact-rational form marks itself with "rational": true
 and encodes each scalar part as {"num": "<int>", "den": "<int>"} strings
-so arbitrary-precision integers survive the trip.
+so arbitrary-precision integers survive the trip; any spelling of a ratio
+reads (unreduced, negative denominator), and instance files write every
+entry over the least common denominator of rho.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import numpy as np
 from .core import Array, DensityMatrix
 from .qsep import (
     BitWidthError,
+    ExactMatrix,
     QRat,
     QsepCertificate,
     QsepInstance,
     bits_required,
+    exact_matrix,
 )
 
 
@@ -50,22 +54,19 @@ def _fraction_to_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _fraction_from_json(obj) -> Fraction:
+def _ratio_from_json(obj) -> tuple[int, int]:
+    """A scalar {"num": a, "den": b} as the integers (a, b), b nonzero."""
     try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        num, den = int(obj["num"]), int(obj["den"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad rational scalar: {exc}") from exc
+    if den == 0:
+        raise InputFormatError("bad rational scalar: zero denominator")
+    return num, den
 
 
 def _qrat_to_json(x: QRat) -> dict:
     return {"re": _fraction_to_json(x.re), "im": _fraction_to_json(x.im)}
-
-
-def _qrat_from_json(obj) -> QRat:
-    try:
-        return QRat(_fraction_from_json(obj["re"]), _fraction_from_json(obj["im"]))
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad complex rational: {exc}") from exc
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -79,46 +80,39 @@ def density_from_json(obj) -> DensityMatrix:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"density matrix JSON needs m, n, matrix: {exc}") from exc
     if obj.get("rational"):
-        mat = rational_matrix_from_json(matrix)
-        dense = np.array(
-            [[float(x.re) + 1j * float(x.im) for x in row] for row in mat], dtype=complex
-        )
-        try:
-            return DensityMatrix.make(m, n, dense)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
+        exact = rational_density_from_json(obj)[0]
+        den = exact.den  # int / int rounds correctly, as float(Fraction) does
+        mat = np.array([[complex(re / den, im / den) for re, im in row] for row in exact.rows])
+    else:
+        mat = matrix_from_json(matrix)
     try:
-        return DensityMatrix.make(m, n, matrix_from_json(matrix))
+        return DensityMatrix.make(m, n, mat)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
 
-def rational_matrix_to_json(mat) -> list:
-    return [[_qrat_to_json(x) for x in row] for row in mat]
-
-
-def rational_matrix_from_json(obj):
-    try:
-        return tuple(tuple(_qrat_from_json(x) for x in row) for row in obj)
-    except TypeError as exc:
-        raise InputFormatError(f"bad rational matrix: {exc}") from exc
-
-
-def rational_density_from_json(obj):
-    """(matrix of QRat, m, n) for the exact-rational pipeline."""
+def rational_density_from_json(obj) -> tuple[ExactMatrix, int, int]:
+    """(matrix, m, n) of an exact-rational file, read with no `Fraction` per scalar."""
     try:
         m, n, matrix = int(obj["m"]), int(obj["n"]), obj["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"rational density JSON needs m, n, matrix: {exc}") from exc
-    return rational_matrix_from_json(matrix), m, n
+    try:
+        ratios = [[(_ratio_from_json(z["re"]), _ratio_from_json(z["im"])) for z in row]
+                  for row in matrix]
+    except (KeyError, TypeError) as exc:
+        raise InputFormatError(f"bad complex rational: {exc}") from exc
+    return exact_matrix(ratios), m, n
 
 
 def qsep_instance_to_json(inst: QsepInstance) -> dict:
+    den = str(inst.rho.den)  # every entry of rho over its common denominator
     return {
         "m": inst.m,
         "n": inst.n,
         "rational": True,
-        "matrix": rational_matrix_to_json(inst.rho),
+        "matrix": [[{"re": {"num": str(re), "den": den}, "im": {"num": str(im), "den": den}}
+                    for re, im in row] for row in inst.rho.rows],
         "delta_p": _fraction_to_json(inst.delta_p),
         "eps_prime": _fraction_to_json(inst.eps_prime),
         "delta_prime": _fraction_to_json(inst.delta_prime),
@@ -132,9 +126,9 @@ def qsep_instance_from_json(obj) -> QsepInstance:
             m,
             n,
             mat,
-            delta_p=_fraction_from_json(obj["delta_p"]),
-            eps_prime=_fraction_from_json(obj["eps_prime"]),
-            delta_prime=_fraction_from_json(obj["delta_prime"]),
+            delta_p=Fraction(*_ratio_from_json(obj["delta_p"])),
+            eps_prime=Fraction(*_ratio_from_json(obj["eps_prime"])),
+            delta_prime=Fraction(*_ratio_from_json(obj["delta_prime"])),
         )
     except KeyError as exc:
         raise InputFormatError(f"instance JSON missing field: {exc}") from exc
@@ -193,20 +187,24 @@ def graph_from_json(obj):
     try:
         return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"graph JSON needs n and edges: {exc}") from exc
+        raise InputFormatError(f"bad graph JSON: {exc}") from exc
 
 
 def load_json(path: str | Path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputFormatError(f"no such file: {path}") from exc
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise InputFormatError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def dump_json(obj, path: str | Path) -> None:
     """One line of JSON with sorted keys, written by the C encoder."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    text = json.dumps(obj, sort_keys=True) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc.strerror}") from exc

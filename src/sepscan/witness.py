@@ -49,7 +49,8 @@ verdict.
 Termination also declares the state delta-close to the separable set
 when the largest semi-axis of the Dikin ellipsoid at the analytic center
 drops below delta/4, when the region empties, or when the iteration cap
-4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.
+4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.  A 1x1 state has no Bloch
+coordinates: it is its one atom, certified before any oracle call.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from . import qsep  # called through the module, so spans installed on it time t
 from .core import Array, DensityMatrix, from_bloch, ket, to_bloch
 from .nets import DeltaNet, NetTooCoarseError
 from .onesided import ENTANGLED, SEPARABLE, Verdict
-from .qsep import ZERO, QRat, QsepCertificate, QsepInstance, VerificationResult
+from .qsep import QRat, QsepCertificate, QsepInstance, VerificationResult
 from .wopt import ProductState, WoptResult, wopt_max
 
 NEWTON_DECREMENT_TOL = 1e-12
@@ -334,17 +335,13 @@ def iteration_cap(dim: int, delta: float) -> int:
 
 
 def dyadic_image(mat: Array) -> tuple[tuple[QRat, ...], ...]:
-    """The exact matrix of a float density matrix: each upper-triangle entry
-    read by `Fraction(float)`, mirrored, and the last diagonal entry set so
-    that the trace is exactly 1."""
-    d = mat.shape[0]
-    rows = [[QRat(ZERO, ZERO)] * d for _ in range(d)]
-    for i in range(d):
-        rows[i][i] = QRat(Fraction(float(mat[i, i].real)), ZERO)
-        for j in range(i + 1, d):
-            z = QRat(Fraction(float(mat[i, j].real)), Fraction(float(mat[i, j].imag)))
-            rows[i][j], rows[j][i] = z, z.conj()
-    rows[-1][-1] = QRat(1 - sum(rows[i][i].re for i in range(d - 1)), ZERO)
+    """The exact matrix of a float density matrix: the upper triangle's floats,
+    mirrored, and the last diagonal entry the `Fraction` that makes the trace
+    exactly 1."""
+    upper = np.triu(mat, 1)
+    image = upper + upper.conj().T + np.diag(mat.diagonal().real)  # adds only zeros: exact
+    rows = [[QRat(z.real, z.imag) for z in row] for row in image.tolist()]
+    rows[-1][-1] = QRat(1 - sum(map(Fraction, image.diagonal().real[:-1].tolist())), 0.0)
     return tuple(map(tuple, rows))
 
 
@@ -369,18 +366,24 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
         )
     eps = delta / 5.0
     dim = rho.dim**2 - 1
-    stop = "cap"
     stats = SearchStats()
-    region = initial_region(rho, stats)
-    fallback = np.eye(dim)[0]
-    cert = None
     # the primal: atoms (the computational product states, then every oracle
     # maximizer) at v(sigma_i) - v(rho), their Wolfe weights and point; an
     # exact check runs when the float distance is at most `target`
     atoms = [ProductState(ket(i, rho.m), ket(j, rho.n)) for i in range(rho.m) for j in range(rho.n)]
+    exact_delta = Fraction(delta)
+    if dim == 0:  # a 1x1 state is its one atom: certify it without a search
+        inst = qsep.reduce_wmem_to_qsep(dyadic_image(rho.mat), 1, 1, exact_delta)
+        qcert, check = _check_primal(inst, atoms, np.ones(1))
+        stats.certificate_checks = 1
+        verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
+        return WsepResult(verdict, None, 0, "certificate", stats, inst, qcert)
+    stop = "cap"
+    region = initial_region(rho, stats)
+    fallback = np.eye(dim)[0]
+    cert = None
     points = np.array([atom.bloch() for atom in atoms]) - region.rho_bloch
     lam, x = np.zeros(len(atoms)), np.zeros(dim)
-    exact_delta = Fraction(delta)
     bits = qsep.reduction_bits(rho.m, rho.n, exact_delta)
     target = float(qsep.error_bound_reconstruction(rho.m, rho.n, bits))  # delta'
     inst = None

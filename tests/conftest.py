@@ -1,10 +1,12 @@
 """Shared helpers: exact-rational separable states with known decompositions,
 certificates of dyadic terms, the `Fraction` reference of certificate
-verification, random Hermitian operators, Haar-random local unitaries, graph
+verification with its own complex arithmetic, the parent's per-scalar
+rational matrix encoding, random Hermitian operators, Haar-random local unitaries, graph
 JSON, partial traces, the dense product basis that Bloch coordinates refer
 to, the property check of a found extension, and the cutting-plane search
 without its primal stop."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +15,12 @@ from sepscan.core import _su_generators, from_bloch
 from sepscan.qsep import (
     BitWidthError,
     CertificateFormatError,
+    ExactMatrix,
     QRat,
-    QZERO,
     QsepCertificate,
     VerificationResult,
     bits_required,
-    vec_norm_sq,
+    exact_matrix,
 )
 from sepscan.symext import ExtensionProblem, ExtensionResult, _ExtensionMaps
 from sepscan.witness import RegionEmptyError, SearchStats, cut, initial_region
@@ -90,6 +92,73 @@ def partial_trace(mat, m: int, n: int, which: str) -> np.ndarray:
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
 
 
+@dataclass(frozen=True)
+class ExactComplex(QRat):
+    """A QRat with `Fraction` parts and the arithmetic the reference needs."""
+
+    def __add__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def conj(self) -> "ExactComplex":
+        return ExactComplex(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def scale(self, c: Fraction) -> "ExactComplex":
+        return ExactComplex(self.re * c, self.im * c)
+
+
+QZERO = ExactComplex(Fraction(0), Fraction(0))
+
+
+def qrat(re, im=0) -> ExactComplex:
+    return ExactComplex(Fraction(re), Fraction(im))
+
+
+def exact_complex(z) -> ExactComplex:
+    """Any QRat (int, float or Fraction parts) as an ExactComplex."""
+    return qrat(z.re, z.im)
+
+
+def vec_norm_sq(v) -> Fraction:
+    return sum((Fraction(z.re) ** 2 + Fraction(z.im) ** 2 for z in v), Fraction(0))
+
+
+def exact_rows(rho) -> ExactMatrix:
+    """Rows of QRat as the `ExactMatrix` an instance holds."""
+    return exact_matrix(
+        [[(z.re.as_integer_ratio(), z.im.as_integer_ratio()) for z in row] for row in rho]
+    )
+
+
+def rational_rows(exact: ExactMatrix):
+    """An `ExactMatrix` as rows of ExactComplex, one `Fraction` per part."""
+    return tuple(
+        tuple(ExactComplex(Fraction(re, exact.den), Fraction(im, exact.den)) for re, im in row)
+        for row in exact.rows
+    )
+
+
+def rational_matrix_to_json(mat) -> list:
+    """Rows of QRat in the per-scalar encoding, each part in lowest terms."""
+
+    def part(x) -> dict:
+        x = Fraction(x)
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+
+    return [[{"re": part(z.re), "im": part(z.im)} for z in row] for row in mat]
+
+
 def outer(v):
     return tuple(tuple(a * b.conj() for b in v) for a in v)
 
@@ -135,6 +204,7 @@ def certificate_state(cert):
     for p, alpha, beta in cert.terms:
         if p == 0:
             continue
+        alpha, beta = tuple(map(exact_complex, alpha)), tuple(map(exact_complex, beta))
         acc = mat_add(acc, mat_scale(kron(outer(alpha), outer(beta)), p))
     return acc
 
@@ -176,12 +246,12 @@ def reference_verify(inst, cert) -> VerificationResult:
         if w != 0:
             gap = 1 - vec_norm_sq(alpha) * vec_norm_sq(beta) * total_weight
             norm_residual = max(norm_residual, abs(gap))
-    dist_sq = frobenius_sq(mat_sub(inst.rho, certificate_state(cert)))
+    dist_sq = frobenius_sq(mat_sub(rational_rows(inst.rho), certificate_state(cert)))
     accepted = norm_residual < inst.eps_prime and dist_sq < inst.delta_prime**2
     return VerificationResult(accepted, norm_residual, dist_sq)
 
 
-def rational_unit_vector(m: int, rng: np.random.Generator, q: int = 7) -> tuple[QRat, ...]:
+def rational_unit_vector(m: int, rng: np.random.Generator, q: int = 7) -> tuple[ExactComplex, ...]:
     """Exact rational unit vector in C^m via stereographic projection.
 
     A rational point t in R^(2m-1) maps to ((1-|t|^2), 2t)/(1+|t|^2),
@@ -193,7 +263,7 @@ def rational_unit_vector(m: int, rng: np.random.Generator, q: int = 7) -> tuple[
     denom = 1 + norm_sq
     coords = [(1 - norm_sq) / denom] + [2 * x / denom for x in t]
     assert sum(c * c for c in coords) == 1
-    return tuple(QRat(coords[2 * i], coords[2 * i + 1]) for i in range(m))
+    return tuple(ExactComplex(coords[2 * i], coords[2 * i + 1]) for i in range(m))
 
 
 def rational_weights(k: int, rng: np.random.Generator) -> list[Fraction]:

@@ -18,6 +18,7 @@ from conftest import (
     random_hermitian_unit,
     rational_separable_decomposition,
     rational_state_of,
+    vec_norm_sq,
     verify_extension,
 )
 from sepscan import states
@@ -31,7 +32,6 @@ from sepscan.qsep import (
     error_bound_sigma_sq,
     reduce_wmem_to_qsep,
     truncate_decomposition,
-    vec_norm_sq,
     verify_certificate,
 )
 from sepscan.symext import (

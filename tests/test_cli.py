@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     graph_to_json,
     random_hermitian_unit,
+    rational_matrix_to_json,
     rational_separable_decomposition,
     rational_state_of,
 )
@@ -30,7 +31,6 @@ from sepscan.serialize import (
     qsep_certificate_to_json,
     qsep_instance_from_json,
     qsep_instance_to_json,
-    rational_matrix_to_json,
 )
 
 
@@ -477,7 +477,60 @@ class TestZeroDenominator:
         self.assert_input_error(capsys, "qsep-reduce", "--input", path, "--delta", "1/0")
 
 
+class TestPathErrors:
+    """A path that cannot be read or written is malformed input (exit 64), never a verdict."""
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        code, report = run_cli(capsys, "test", "--input", str(tmp_path))
+        assert (code, report["kind"]) == (64, "input")
+        assert report["error"].startswith("cannot read")
+
+    def test_state_out_in_missing_directory(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        code, report = run_cli(capsys, "state", "--name", "bell", "--out", out)
+        assert (code, report["kind"]) == (64, "input")
+        assert report["error"].startswith("cannot write")
+
+    def test_witness_cert_out_in_missing_directory(self, capsys, tmp_path, maxmixed_path):
+        out = str(tmp_path / "missing" / "c.json")
+        code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.5",
+                               "--cert-out", out)
+        assert (code, report["kind"]) == (64, "input")
+
+
+class TestOneByOneState:
+    """The only 1x1 state is a product state: every decider says SeparableAssured."""
+
+    @pytest.fixture()
+    def path(self, capsys, tmp_path):
+        out = str(tmp_path / "one.json")
+        assert run_cli(capsys, "state", "--name", "maxmixed", "--param", "m=1", "--param", "n=1",
+                       "--out", out)[0] == 0
+        return out
+
+    def test_test_command(self, capsys, path):
+        code, report = run_cli(capsys, "test", "--input", path)
+        assert (code, report["verdict"]["outcome"]) == (0, "SeparableAssured")
+
+    def test_witness_certificate_verifies(self, capsys, tmp_path, path):
+        cert, inst = str(tmp_path / "c.json"), str(tmp_path / "i.json")
+        code, report = run_cli(capsys, "witness", "--input", path, "--delta", "0.5",
+                               "--cert-out", cert, "--instance-out", inst)
+        assert (code, report["verdict"]["outcome"], report["stats"]["stop"]) == (
+            0, "SeparableAssured", "certificate")
+        code, report = run_cli(capsys, "qsep-verify", "--instance", inst, "--cert", cert)
+        assert (code, report["result"]["accepted"]) == (0, True)
+
+
 class TestGadgetCommand:
+    @pytest.mark.parametrize("edge", [[0, 1.5], [2, 1.0], [True, False]])
+    def test_non_integer_vertex_is_input_error(self, capsys, tmp_path, edge):
+        path = tmp_path / "g.json"
+        dump_json({"n": 3, "edges": [edge]}, path)
+        code, report = run_cli(capsys, "gadget", "--graph", str(path), "--clique", "2")
+        assert (code, report["kind"]) == (64, "input")
+        assert "bad edge" in report["error"]
+
     def test_triangle_chain(self, capsys, tmp_path):
         from sepscan.gadgets import Graph
 

@@ -91,6 +91,15 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.5), (2, 1.0), ("0", 1), (None, 1), (True, False)])
+    def test_rejects_non_integer_vertex(self, edge):
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph.from_edges(3, [edge])
+
+    def test_numpy_integer_vertices(self):
+        g = Graph.from_edges(3, [(np.int64(0), np.int32(2))])
+        assert g.adjacency[0, 2] == g.adjacency[2, 0] == 1
+
     def test_rejects_asymmetric(self):
         a = np.zeros((2, 2), dtype=np.int8)
         a[0, 1] = 1

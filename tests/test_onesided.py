@@ -261,6 +261,11 @@ class TestPipeline:
         v = pipeline(MAXMIXED22)
         assert v.outcome == SEPARABLE and v.reason == "frobenius_ball"
 
+    def test_one_by_one_state_is_separable(self):
+        # the only 1x1 state is the product state; the ball's radius is unbounded there
+        v = pipeline(states.maximally_mixed(1, 1))
+        assert (v.outcome, v.reason, v.exact) == (SEPARABLE, "frobenius_ball", True)
+
     def test_werner_point_four(self):
         v = pipeline(states.werner(0.4))
         assert v.outcome == ENTANGLED and v.reason == "ppt" and v.exact

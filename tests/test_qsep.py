@@ -11,30 +11,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    QZERO,
+    ExactComplex,
     certificate_state,
     dyadic_certificate,
+    exact_rows,
     frobenius_sq,
     mat_sub,
+    qrat,
+    rational_matrix_to_json,
     rational_separable_decomposition,
     rational_state_of,
     rational_unit_vector,
     reference_verify,
+    vec_norm_sq,
 )
 from sepscan import cli, qsep, serialize, states
 from sepscan.qsep import (
     BitWidthError,
     CertificateFormatError,
+    ExactMatrix,
     QRat,
-    QZERO,
     QsepCertificate,
     QsepInstance,
     bits_required,
     error_bound_normalization_exact,
     error_bound_sigma_sq,
-    qrat,
+    exact_matrix,
     reduce_wmem_to_qsep,
     truncate_decomposition,
-    vec_norm_sq,
     verify_certificate,
 )
 from sepscan.serialize import qsep_certificate_from_json, qsep_certificate_to_json
@@ -73,7 +78,7 @@ def diag_half_instance():
     return QsepInstance(
         2,
         2,
-        tuple(rows),
+        exact_rows(rows),
         delta_p=Fraction(1, 256),
         eps_prime=Fraction(1, 8),
         delta_prime=Fraction(1, 8),
@@ -158,13 +163,50 @@ class TestTruncation:
             truncate_decomposition(decomp, 40, 1, 2)
 
 
-class TestQRat:
+class TestTruncationReadsExactly:
+    """Float, complex and Fraction scalars truncate to the integers of their exact values."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+    def test_numpy_atoms_truncate_like_their_fractions(self, m, n):
+        rng = np.random.default_rng(m * n)
+        decomp = []
+        for w in rng.dirichlet(np.ones(m * n)):
+            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            decomp.append((w, a / np.linalg.norm(a), b / np.linalg.norm(b)))
+        exact = [
+            (Fraction(w), tuple(QRat(Fraction(z.real), Fraction(z.imag)) for z in a),
+             tuple(QRat(Fraction(z.real), Fraction(z.imag)) for z in b))
+            for w, a, b in decomp
+        ]
+        for p in (8, 30, 60):
+            cert = truncate_decomposition(decomp, p, m, n)
+            assert cert == truncate_decomposition(exact, p, m, n)
+            for s, t in zip(scalars(exact), scalars(cert.terms)):
+                assert t == Fraction(math.trunc(s * 2**p), 2**p)
+
+    def test_tolerances_are_exact(self):
+        unit = (qrat(1), QZERO)
+        inside = 1 - Fraction(1, 10**9)
+        truncate_decomposition([(inside, unit, unit), (1 - inside, unit, unit)], 8, 2, 2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            truncate_decomposition([(inside - Fraction(1, 10**12), unit, unit)], 8, 2, 2)
+        short = (qrat(Fraction(1) - Fraction(1, 10**9)), QZERO)  # norm^2 = 1 - 2e-9 + 1e-18
+        with pytest.raises(ValueError, match="unit"):
+            truncate_decomposition([(Fraction(1), short, unit)], 8, 2, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            truncate_decomposition([(Fraction(-1), unit, unit), (2, unit, unit)], 8, 2, 2)
+
+
+class TestExactComplex:
+    """The reference's complex arithmetic is exact."""
+
     @given(
         a=fractions_st, b=fractions_st, c=fractions_st, d=fractions_st
     )
     @settings(max_examples=50, deadline=None)
     def test_multiplicative_modulus(self, a, b, c, d):
-        x, y = QRat(a, b), QRat(c, d)
+        x, y = ExactComplex(a, b), ExactComplex(c, d)
         assert (x * y).abs2() == x.abs2() * y.abs2()
 
     def test_conjugation(self):
@@ -275,13 +317,12 @@ def float_rounded_state(decomp, m, n):
         mat += float(w) * np.outer(v, v.conj())
     rows = [[None] * d for _ in range(d)]
     for i in range(d):
-        rows[i][i] = QRat(Fraction(float(mat[i, i].real)), Fraction(0))
+        rows[i][i] = qrat(float(mat[i, i].real))
         for j in range(i + 1, d):
-            z = mat[i, j]
-            rows[i][j] = QRat(Fraction(float(z.real)), Fraction(float(z.imag)))
+            rows[i][j] = qrat(float(mat[i, j].real), float(mat[i, j].imag))
             rows[j][i] = rows[i][j].conj()
     rest = sum((rows[i][i].re for i in range(d - 1)), Fraction(0))
-    rows[d - 1][d - 1] = QRat(1 - rest, Fraction(0))
+    rows[d - 1][d - 1] = qrat(1 - rest)
     return tuple(tuple(r) for r in rows)
 
 
@@ -322,7 +363,8 @@ class TestIntegerPath:
         decomp = rational_separable_decomposition(m, n, 3, seed=seed)
         rho = rational_state_of(decomp, m, n)
         p = 5
-        inst = QsepInstance(m, n, rho, Fraction(1, 2**p), Fraction(1, 3), Fraction(5, 7))
+        inst = QsepInstance(m, n, exact_rows(rho), Fraction(1, 2**p), Fraction(1, 3),
+                            Fraction(5, 7))
         cert = random_dyadic_certificate(m, n, p, seed, padding=m * n)
         res = verify_certificate(inst, cert)
         assert res == reference_verify(inst, cert)
@@ -345,7 +387,8 @@ class TestIntegerPath:
         rows = tuple(
             tuple(qrat(1) if i == j == 1 else QZERO for j in range(4)) for i in range(4)
         )
-        inst = QsepInstance(2, 2, rows, Fraction(1, 256), Fraction(1, 8), Fraction(1, 8))
+        inst = QsepInstance(2, 2, exact_rows(rows), Fraction(1, 256), Fraction(1, 8),
+                            Fraction(1, 8))
         zero = (QZERO, QZERO)
         alpha, beta = (qrat(0, -1), QZERO), (QZERO, qrat(-1))
         terms = [(Fraction(1), alpha, beta)] + [(Fraction(0), zero, zero)] * 15
@@ -416,7 +459,7 @@ class TestInstanceValidation:
             for i in range(4)
         )
         with pytest.raises(CertificateFormatError):
-            QsepInstance(2, 2, rows, Fraction(1, 16), Fraction(1), Fraction(1))
+            QsepInstance(2, 2, exact_rows(rows), Fraction(1, 16), Fraction(1), Fraction(1))
 
     def test_non_hermitian_rejected(self):
         rows = [[QZERO for _ in range(4)] for _ in range(4)]
@@ -424,7 +467,95 @@ class TestInstanceValidation:
             rows[i][i] = qrat(Fraction(1, 4))
         rows[0][1] = qrat(Fraction(1, 8))
         with pytest.raises(CertificateFormatError):
-            QsepInstance(2, 2, tuple(tuple(r) for r in rows), Fraction(1, 16), Fraction(1), Fraction(1))
+            QsepInstance(2, 2, exact_rows(rows), Fraction(1, 16), Fraction(1), Fraction(1))
+
+
+def respelled(obj, k: int):
+    """A copy of an instance JSON with every matrix scalar written as num*k / den*k."""
+    obj = json.loads(json.dumps(obj))
+    for row in obj["matrix"]:
+        for z in row:
+            for x in (z["re"], z["im"]):
+                x.update(num=str(int(x["num"]) * k), den=str(int(x["den"]) * k))
+    return obj
+
+
+class TestExactMatrix:
+    """rho as Gaussian integers over the least common denominator of its entries."""
+
+    def test_lowest_terms_from_any_spelling(self):
+        half = ExactMatrix((((1, 0), (0, 1)), ((0, -1), (1, 0))), 2)
+        for k in (1, 3, -1, -4):
+            rows = [[((k, 2 * k), (0, 5 * k)), ((0, k), (k, 2 * k))],
+                    [((0, -k), (-k, 2 * k)), ((2 * k, 4 * k), (0, -k))]]
+            assert exact_matrix(rows) == half
+        assert exact_matrix([[((0, 7), (0, -3))]]) == ExactMatrix((((0, 0),),), 1)
+
+    def test_least_common_denominator(self):
+        rows = [[((1, 6), (1, 4)), ((5, 12), (0, 1))]]
+        assert exact_matrix(rows) == ExactMatrix((((2, 3), (5, 0)),), 12)
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            exact_matrix([[((1, 2), (1, 0))]])
+
+    def test_float_and_fraction_parts_give_one_instance(self):
+        decomp = rational_separable_decomposition(2, 3, 6, seed=4)
+        rho = float_rounded_state(decomp, 2, 3)  # Fraction parts, all but the last a float's
+        floats = [[QRat(float(z.re), float(z.im)) for z in row] for row in rho]
+        floats[-1][-1] = rho[-1][-1]  # the entry that makes the trace exactly 1
+        for delta in (Fraction(1, 2), Fraction(1, 7)):
+            inst = reduce_wmem_to_qsep(rho, 2, 3, delta)
+            assert reduce_wmem_to_qsep(floats, 2, 3, delta) == inst
+            assert reduce_wmem_to_qsep(inst.rho, 2, 3, delta) == inst
+
+    @staticmethod
+    def parent_format(inst) -> dict:
+        """The instance as the per-scalar encoding writes it, each part in lowest terms."""
+        obj = serialize.qsep_instance_to_json(inst)
+        rows = [[QRat(Fraction(re, inst.rho.den), Fraction(im, inst.rho.den)) for re, im in row]
+                for row in inst.rho.rows]
+        obj["matrix"] = rational_matrix_to_json(rows)
+        return obj
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 3), (3, 4)])
+    def test_spellings_decode_to_equal_instances(self, m, n):
+        decomp = rational_separable_decomposition(m, n, m * n, seed=m + n)
+        inst = reduce_wmem_to_qsep(rational_state_of(decomp, m, n), m, n, Fraction(1, 4))
+        written = serialize.qsep_instance_to_json(inst)
+        for obj in [written, self.parent_format(inst)]:
+            for k in (1, 2, -1, -6):
+                assert serialize.qsep_instance_from_json(respelled(obj, k)) == inst
+
+    def test_parent_format_files_read_back_equal(self):
+        decomp = rational_separable_decomposition(2, 2, 4, seed=8)
+        rho = rational_state_of(decomp, 2, 2)
+        inst = reduce_wmem_to_qsep(rho, 2, 2, Fraction(1, 2))
+        obj = self.parent_format(inst)
+        assert obj["matrix"] == rational_matrix_to_json(rho)
+        assert serialize.qsep_instance_from_json(obj) == inst
+        exact, m, n = serialize.rational_density_from_json(obj)
+        assert (exact, m, n) == (inst.rho, 2, 2)
+        assert verify_certificate(inst, truncate_decomposition(decomp, 16, 2, 2)).accepted
+
+    @pytest.mark.parametrize("where", ["re", "im", "delta_p"])
+    def test_zero_denominator_is_input_error(self, where):
+        inst = diag_half_instance()
+        obj = self.parent_format(inst)
+        scalar = obj["delta_p"] if where == "delta_p" else obj["matrix"][1][2][where]
+        scalar["den"] = "0"
+        with pytest.raises(serialize.InputFormatError, match="bad rational scalar"):
+            serialize.qsep_instance_from_json(obj)
+
+    def test_unit_trace_and_hermitian_checks_in_integers(self):
+        obj = serialize.qsep_instance_to_json(diag_half_instance())
+        obj["matrix"][3][3]["re"]["num"] = "2"  # trace 3/2
+        with pytest.raises(CertificateFormatError, match="3/2"):
+            serialize.qsep_instance_from_json(obj)
+        obj = serialize.qsep_instance_to_json(diag_half_instance())
+        obj["matrix"][0][0]["im"]["num"] = "1"  # a diagonal entry off the real line
+        with pytest.raises(CertificateFormatError, match="Hermitian"):
+            serialize.qsep_instance_from_json(obj)
 
 
 class TestErrorBounds:
@@ -596,7 +727,8 @@ class TestScaledDecoder:
         """Decoded terms equal Fraction(num, den) of the file, written unreduced or negated."""
         m, n = shape
         rho = rational_state_of(rational_separable_decomposition(m, n, 2, seed=seed % 50), m, n)
-        inst = QsepInstance(m, n, rho, Fraction(1, 2**p), Fraction(1, 3), Fraction(5, 7))
+        inst = QsepInstance(m, n, exact_rows(rho), Fraction(1, 2**p), Fraction(1, 3),
+                            Fraction(5, 7))
         cert = random_dyadic_certificate(m, n, p, seed, padding=seed % (m * n))
         obj = reencoded_certificate_json(cert, k)
         decoded = qsep_certificate_from_json(obj, inst)
@@ -709,16 +841,17 @@ class TestWmemOutTransform:
 
 
 def assert_float_free(module, names):
+    """No float literal, float() or np/numpy/math attribute in any function of
+    these names (every `__post_init__`, say, not only the last)."""
     tree = ast.parse(inspect.getsource(module))
-    defs = {
-        node.name: node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+    defs = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
     missing = [f for f in names if f not in defs]
     assert not missing, f"functions vanished: {missing}"
     for name in names:
-        for node in ast.walk(defs[name]):
+        for node in (n for d in defs[name] for n in ast.walk(d)):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
                 raise AssertionError(f"float literal {node.value} in {name}")
             if isinstance(node, ast.Name) and node.id == "float":
@@ -734,21 +867,27 @@ class TestNoFloatAudit:
         "_check_terms",
         "terms",
         "truncate_decomposition",
+        "_common",
+        "exact_matrix",
+        "__post_init__",  # the instance's shape, Hermitian and trace checks, the range check
         "_ceil_log2",
         "bits_required",
-        "vec_norm_sq",
-        "is_hermitian_rational",
-        "rational_trace",
         "reduce_wmem_to_qsep",
         "error_bound_normalization_exact",
     ]
-    # the decoder of `sepscan qsep-verify`, with its nested `scaled` and `vector`
-    DECODER_PATH = ["qsep_certificate_from_json"]
+    # the decoders of `sepscan qsep-verify`: the certificate's, with its nested
+    # `scaled` and `vector`, and the instance's, down to its ratio reader
+    DECODER_PATH = [
+        "qsep_certificate_from_json",
+        "qsep_instance_from_json",
+        "rational_density_from_json",
+        "_ratio_from_json",
+    ]
 
     def test_verification_path_is_float_free(self):
         assert_float_free(qsep, self.VERIFICATION_PATH)
 
-    def test_certificate_decoder_is_float_free(self):
+    def test_decoders_are_float_free(self):
         assert_float_free(serialize, self.DECODER_PATH)
 
     def test_audit_catches_numpy(self):

@@ -1,11 +1,12 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import cutting_plane_search, random_local_unitaries, reference_verify
+from conftest import cutting_plane_search, exact_rows, random_local_unitaries, reference_verify
 from sepscan import states, witness
 from sepscan.core import DensityMatrix, from_bloch, partial_transpose, to_bloch
 from sepscan.nets import NetTooCoarseError, build_net
@@ -475,16 +476,26 @@ class TestPrimal:
         lam, x, _ = _min_norm_point(points, np.zeros(30), np.zeros(15), floor)
         assert 1e-12 < np.linalg.norm(points.T @ lam) <= floor
 
+    def test_one_by_one_state_is_certified_without_a_search(self):
+        rho = states.maximally_mixed(1, 1)
+        res = wsep_solve(rho, 0.5, build_net(1, 0.05))
+        assert (res.verdict.outcome, res.verdict.reason, res.verdict.exact) == (
+            SEPARABLE, "closeness_certificate", True)
+        assert (res.stop, res.iterations, res.verdict.detail) == ("certificate", 0, 0.0)
+        assert reference_verify(res.instance, res.certificate) == verify_certificate(
+            res.instance, res.certificate)
+        assert verify_certificate(res.instance, res.certificate).accepted
+
     def test_dyadic_image_is_exact_with_unit_trace(self):
         rho = states.product_mixture(2, 3, 24, 7)
         image = dyadic_image(rho.mat)
         d = rho.dim
-        assert sum(image[i][i].re for i in range(d)) == 1
+        assert sum(Fraction(image[i][i].re) for i in range(d)) == 1
         for i in range(d):
             assert image[i][i].im == 0
             for j in range(i + 1, d):
                 assert (image[i][j].re, image[i][j].im) == (rho.mat[i, j].real, rho.mat[i, j].imag)
-                assert image[j][i] == image[i][j].conj()
+                assert (image[j][i].re, image[j][i].im) == (image[i][j].re, -image[i][j].im)
         assert abs(float(image[-1][-1].re) - rho.mat[-1, -1].real) < 1e-15
 
     def test_four_term_2x3_mixture_certified_within_a_second(self):
@@ -512,7 +523,7 @@ class TestPrimal:
         for rho in cases:
             res = wsep_solve(rho, delta, net)
             assert res.stop == "certificate" and res.verdict.exact
-            assert res.instance.rho == dyadic_image(rho.mat)
+            assert res.instance.rho == exact_rows(dyadic_image(rho.mat))
             assert float(res.instance.delta_prime) <= delta
             check = reference_verify(res.instance, res.certificate)
             assert check.accepted
