@@ -18,8 +18,9 @@ same 2*delta as the Euclidean metric does.  One construction per dimension:
   the sphere are projected onto it; ~ (1/delta)^(2m-2) points.
 * m = 1: CP^0 is one point, [1].
 
-`method="grid"` also builds the grid at m = 2.  A net whose size bound
-passes MAX_POINTS is refused before anything is allocated.
+`method="grid"` also builds the grid at m = 2.  A net larger than
+MAX_POINTS is refused before anything is allocated: the grid's size is
+counted exactly from integer histograms, the band's is bounded.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .core import Array
 
 MAX_POINTS = 6_000_000
+COUNT_SLACK = 1e-9
 
 
 class NetTooLargeError(ValueError):
@@ -85,11 +87,17 @@ def _ladder_levels(delta: float) -> list[float]:
         l += 1
 
 
-def _grid_level_points(m: int, level_delta: float) -> Array:
+def _grid_geometry(m: int, level_delta: float) -> tuple[int, float, float, int]:
+    """dim = 2m - 1, the spacing h, half a cell diagonal, and k: each axis holds
+    the centers (i + 1/2) h for -k <= i < k."""
     dim = 2 * m - 1
     h = level_delta / math.sqrt(dim)
     half_diag = 0.5 * h * math.sqrt(dim)
-    k = int(math.ceil((1.0 + half_diag) / h))
+    return dim, h, half_diag, int(math.ceil((1.0 + half_diag) / h))
+
+
+def _grid_level_points(m: int, level_delta: float) -> Array:
+    dim, h, half_diag, k = _grid_geometry(m, level_delta)
     axis = (np.arange(-k, k) + 0.5) * h
     lead = min(dim - 2, 2)  # chunks over two leading axes (one at m = 2), Re x_0 > 0 only
     pts = []
@@ -122,15 +130,52 @@ def _grid_level_points(m: int, level_delta: float) -> Array:
     return real[:, :m] + 1j * np.pad(real[:, m:], ((0, 0), (1, 0)))
 
 
-def _estimate_grid_size(m: int, delta: float) -> float:
-    """Upper bound on the grid net's size: every kept cell lies in
-    {a0 >= 0, 1 - d <= |y| <= 1 + d}, so they number at most its volume / h^dim."""
-    dim = 2 * m - 1
-    ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)  # volume of the unit ball
-    total = 0.0
+def _grid_level_count(m: int, level_delta: float) -> int:
+    """The number of centers `_grid_level_points` keeps, counted without
+    building them; past MAX_POINTS, some larger number.
+
+    The center h (i_a + 1/2) has squared norm (h^2/4) S with the integer
+    S = sum (2 i_a + 1)^2 = dim + 8 sum T(i_a), T(i) = i (i + 1)/2 (the same
+    for i and -1 - i), and it is kept when (1 - hd)^2 <= (h^2/4) S <= (1 + hd)^2.
+    The histogram of sum T over the first dim - 1 axes (the first one i >= 0
+    only, the others both signs) is built one axis at a time; the last axis
+    then only has to land in the window.  The window is widened by the
+    relative COUNT_SLACK, so the count is never below the built size; it
+    exceeds it only by centers on the window's edge that float rounding
+    drops.  Bins are capped at MAX_POINTS + 1: a capped bin feeds only bins
+    that reach the cap too, so a total of at most MAX_POINTS is exact.
+    """
+    dim, h, half_diag, k = _grid_geometry(m, level_delta)
+    lo = math.ceil((4.0 * max(1.0 - half_diag, 0.0) ** 2 / h**2 * (1.0 - COUNT_SLACK) - dim) / 8.0)
+    hi = math.floor((4.0 * (1.0 + half_diag) ** 2 / h**2 * (1.0 + COUNT_SLACK) - dim) / 8.0)
+    if hi < 0:
+        return 0
+    lo = max(lo, 0)
+    cap = MAX_POINTS + 1
+    tri = np.arange(k, dtype=np.int64)
+    tri = tri * (tri + 1) // 2
+    tri = tri[tri <= hi]
+    hist = np.zeros(hi + 1, dtype=np.int64)  # ways to reach sum T = u over the axes so far
+    hist[0] = 1
+    for axis in range(dim - 1):
+        nxt = np.zeros_like(hist)
+        for t in tri:
+            nxt[t:] += hist[: hist.size - t]
+        hist = np.minimum(nxt if axis == 0 else 2 * nxt, cap)
+        if hist[lo:].sum() > MAX_POINTS:  # these already lie in the window, the rest at T = 0
+            return cap
+    u = np.arange(hi + 1)
+    last = np.searchsorted(tri, hi - u, "right") - np.searchsorted(tri, lo - u, "left")
+    return int(hist @ (2 * last))
+
+
+def _grid_size(m: int, delta: float) -> int:
+    """The grid net's size, counted level by level; past MAX_POINTS, some larger number."""
+    total = 0
     for d in _ladder_levels(delta):
-        h = d / math.sqrt(dim)
-        total += 0.5 * ball * ((1.0 + d) ** dim - max(1.0 - d, 0.0) ** dim) / h**dim
+        total += _grid_level_count(m, d)
+        if total > MAX_POINTS:
+            break
     return total
 
 
@@ -185,26 +230,25 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
     if method == "band":
         if m != 2:
             raise ValueError("band construction is only defined for m = 2")
-        size_bound, level_points = _estimate_band_size, _band_level_points
+        size_of, level_points = _estimate_band_size, _band_level_points
     elif method == "grid":
-        size_bound, level_points = partial(_estimate_grid_size, m), partial(_grid_level_points, m)
+        size_of, level_points = partial(_grid_size, m), partial(_grid_level_points, m)
     else:
         raise ValueError(f"unknown method {method!r}")
-    try:
-        estimate = size_bound(delta)
-    except (OverflowError, ZeroDivisionError):  # beyond float range, so beyond MAX_POINTS
-        estimate = math.inf
-
     if delta >= 2.0 or m == 1:
         # CP^0 is a single point, and the sphere has diameter 2: any single point covers it
         pts = np.zeros((1, m), dtype=complex)
         pts[0, 0] = 1.0
-    elif estimate > MAX_POINTS:
-        raise NetTooLargeError(
-            f"{method} net for m={m}, delta={delta} exceeds {MAX_POINTS} points; "
-            "use a larger delta"
-        )
     else:
+        try:
+            size = size_of(delta)
+        except (OverflowError, ZeroDivisionError):  # beyond float range, so beyond MAX_POINTS
+            size = math.inf
+        if size > MAX_POINTS:
+            raise NetTooLargeError(
+                f"{method} net for m={m}, delta={delta} exceeds {MAX_POINTS} points; "
+                "use a larger delta"
+            )
         pts = np.concatenate([level_points(d) for d in _ladder_levels(delta)], axis=0)
     pts.setflags(write=False)
     return DeltaNet(m, delta, pts, method=method)

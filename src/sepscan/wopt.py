@@ -15,20 +15,35 @@ guarantee follows by applying the signed bound to both A and -A.
 The scan works in real coordinates.  B_x is linear in xx^dagger, whose
 m^2 real coordinates f(x) every net keeps (`DeltaNet.features`), so
 B_x = sum_g f_g(x) G_g for m^2 Hermitian n x n blocks G_g, built once per
-call from A.  Both forms the scan uses are read off these blocks.  Their
-diagonal and the Re and Im of their upper triangle make the (n^2, m^2)
-matrix C(A): one real GEMM of a chunk's features against it gives the n^2
-real parameters of every B_x, one contiguous row each.  And every stack
-that reaches an eigensolver is the same features times the blocks.  The
-rows give the Frobenius bound u(x) = t + sqrt((n-1)/n) ||B_x - tI||_F >=
-lambda_max, t = tr(B_x)/n (|t| in abs mode), with equality for n <= 2,
-where it is the scan's value.  For n >= 3 the incumbent is the best exact
-value among a few first-chunk points (the PROBE_POINTS largest u, and
-every PROBE_STRIDE-th point), and from then on the running best.  A point
-whose u is at most the level inc - PRUNE_TAU is skipped outright:
-||B_x - tI||_F is summed from the centered entries, so u carries a
-rounding error of a few ulps of ||B_x|| <= ||A||_HS = 1, far below
-PRUNE_TAU.  A point that passes is skipped without an eigensolve only
+call from A.  Both forms the scan uses are read off these blocks.  The
+centered blocks G_g - tr(G_g)/n I make the (n^2 + 1, m^2) matrix C(A),
+whose rows give t = tr(B_x)/n, the diagonal deviations B_jj - t, and
+sqrt(2) Re and sqrt(2) Im of the upper triangle, so that ||rows[1:]|| =
+||B_x - tI||_F: one real GEMM of a tile's features against it gives the
+n^2 + 1 parameters of every B_x in the tile, one contiguous row each.
+And every stack that reaches an eigensolver is the same features times
+the blocks.
+
+The net is scanned in tiles of SCAN_TILE // (n^2 + 1) points, so a
+tile's rows hold at most SCAN_TILE floats and no temporary grows with the
+net: at 16,384 floats, 128 KiB, they stay below glibc's default mmap
+threshold and come from the heap, not from fresh pages on every call.
+
+The rows give the Frobenius bound u(x) = t + sqrt((n-1)/n) ||rows[1:]||
+>= lambda_max (|t| in abs mode), with equality for n <= 2, where it is
+the scan's value.  For n >= 3 the incumbent is the best exact value among
+a few points of the first tile (the PROBE_POINTS largest u, and every
+PROBE_STRIDE-th point), and from then on the running best.  A point whose
+u is at most the level inc - PRUNE_TAU is skipped outright.  The
+deviations are formed inside the GEMM from the centered blocks, so
+nothing cancels against n t^2: each row is a sum of m^2 products whose
+magnitudes add up to at most 2 (sum_g ||G_g||_F^2 <= ||A||_HS^2 = 1 and
+||f(x)|| <= sqrt(2)), so it is off by a few m^2 ulps, and the norm, being
+1-Lipschitz in the rows, passes that on without amplifying it: u is
+exact to far below PRUNE_TAU.  The points the bound keeps are gathered
+until they fill a tile and at least CERTIFY_BATCH points, or the net
+ends: a batch that wide amortizes the ~n^3/6 vectorized steps of the
+certificate.  A gathered point is skipped without an eigensolve only
 when an unpivoted Cholesky factorization of M = level I - B_x (in abs
 mode also of level I + B_x), run on its rows, completes with positive
 pivots.  Cholesky's backward error is at most c n^2 u ||M|| with
@@ -43,6 +58,7 @@ scan's, and ties go to the first net index.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +66,8 @@ import numpy as np
 from .core import Array, DimensionMismatchError, _local_basis, proj
 from .nets import DeltaNet
 
-SCAN_CHUNK = 262_144
+SCAN_TILE = 16_384  # floats of a tile's rows
+CERTIFY_BATCH = 1024  # points per Cholesky batch at least, to amortize its ~n^3/6 steps
 HS_NORM_TOL = 1e-8
 HERMITIAN_TOL = 1e-10
 PROBE_POINTS = 64
@@ -101,13 +118,15 @@ def _conditioned_blocks(a: Array, m: int, n: int) -> Array:
 
 
 def _conditioned_map(blocks: Array) -> Array:
-    """C(A), the real (n^2, m^2) matrix with C(A) @ f(x) = the rows of B_x: the
-    blocks' diagonal, then Re and Im of their upper triangle."""
+    """C(A), the real (n^2 + 1, m^2) matrix with C(A) @ f(x) = the rows of B_x:
+    t = tr(B_x)/n, the diagonal deviations B_jj - t, then sqrt(2) Re and
+    sqrt(2) Im of the upper triangle, so that ||rows[1:]|| = ||B_x - tI||_F.
+    The deviations are read off the centered blocks G_g - tr(G_g)/n I."""
     d, i, j = _pairs(blocks.shape[-1])
-    upper = blocks[:, i, j]
-    return np.ascontiguousarray(
-        np.concatenate([blocks[:, d, d].real, upper.real, upper.imag], axis=1).T
-    )
+    diag = blocks[:, d, d].real
+    t = diag.mean(axis=1, keepdims=True)
+    upper = math.sqrt(2.0) * blocks[:, i, j]
+    return np.ascontiguousarray(np.concatenate([t, diag - t, upper.real, upper.imag], axis=1).T)
 
 
 def _conditioned(feats: Array, blocks: Array) -> Array:
@@ -126,7 +145,7 @@ def _swapped(a: Array, m: int, n: int) -> Array:
 
 
 def quadratic_form(a: Array, alpha: Array, beta: Array) -> float:
-    v = np.kron(alpha, beta)
+    v = (alpha[:, None] * beta).ravel()  # kron(alpha, beta), without np.kron's overhead
     return float((np.conj(v) @ np.asarray(a, dtype=complex) @ v).real)
 
 
@@ -138,23 +157,14 @@ def _scan_values(bx: Array, mode: str) -> Array:
 
 
 def _frobenius_bound(rows: Array, n: int, mode: str) -> Array:
-    """u = t + sqrt((n-1)/n) ||B_x - tI||_F >= lambda_max (|t| + ... in abs mode),
-    t = tr(B_x)/n, from the (n^2, K) rows.  The diagonal is centered before it
-    is squared, so no cancellation against n t^2 enters the root.  For n <= 2
-    the bound is the spectrum's end itself: lambda_max (max(lambda_max,
-    -lambda_min) in abs mode)."""
-    t = rows[:n].sum(axis=0)
-    t /= n
-    dev = rows[:n] - t
-    spread = np.einsum("jk,jk->k", dev, dev)
-    del dev
-    off = np.einsum("jk,jk->k", rows[n:], rows[n:])
-    off *= 2.0
-    spread += off
-    del off
-    spread *= (n - 1) / n
+    """u = t + sqrt((n-1)/n) ||B_x - tI||_F >= lambda_max (|t| + ... in abs mode)
+    from the (n^2 + 1, K) rows of `_conditioned_map`.  For n <= 2 the bound is
+    the spectrum's end itself: lambda_max (max(lambda_max, -lambda_min) in abs
+    mode)."""
+    spread = np.einsum("jk,jk->k", rows[1:], rows[1:])
     np.sqrt(spread, out=spread)
-    spread += np.abs(t) if mode == "abs" else t
+    spread *= math.sqrt((n - 1) / n)
+    spread += np.abs(rows[0]) if mode == "abs" else rows[0]
     return spread
 
 
@@ -172,20 +182,24 @@ def _certified_below(rows: Array, n: int, level: float, sign: float = 1.0) -> Ar
     completes with all pivots > 0, which proves lambda_max(sign*B_x) < level up
     to the backward error.
 
-    Works row by row of R on the (n^2, K) rows of B_x, vectorized over K.
+    Works row by row of R on the (n^2 + 1, K) rows of B_x, vectorized over K:
+    each diagonal entry of B_x is t + (B_jj - t), each off-diagonal one the
+    scaled pair over sqrt(2).
     """
     q = n * (n - 1) // 2
     ok = np.ones(rows.shape[1], dtype=bool)
+    shifted = level - sign * rows[0]
+    off = -sign * math.sqrt(0.5)
     r: dict[tuple[int, int], Array] = {}  # entries of R above the diagonal
-    p = 0  # the rows of B_x[j, i], i > j, come in this loop's order
+    p = 1 + n  # the rows of B_x[j, i], i > j, come in this loop's order
     for j in range(n):
-        d = level - sign * rows[j]
+        d = shifted - sign * rows[1 + j]
         for k in range(j):
             d -= r[k, j].real ** 2 + r[k, j].imag ** 2
         ok &= d > 0.0
         inv_pivot = 1.0 / np.sqrt(np.where(ok, d, 1.0))
         for i in range(j + 1, n):
-            c = (-sign) * rows[n + p] + (-sign * 1j) * rows[n + q + p]
+            c = off * rows[p] + (off * 1j) * rows[q + p]
             p += 1
             for k in range(j):
                 c -= r[k, j].conj() * r[k, i]
@@ -194,7 +208,7 @@ def _certified_below(rows: Array, n: int, level: float, sign: float = 1.0) -> Ar
 
 
 def _survivors(rows: Array, n: int, level: float, mode: str) -> Array:
-    """Column indices of the (n^2, K) rows that no Cholesky certificate rules out."""
+    """Column indices of the (n^2 + 1, K) rows that no Cholesky certificate rules out."""
     below = _certified_below(rows, n, level)
     if mode == "abs":
         below &= _certified_below(rows, n, level, -1.0)
@@ -230,48 +244,59 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
     blocks = _conditioned_blocks(a, m, n)
     cmap = _conditioned_map(blocks)
     feats = net.features
+    tile = max(SCAN_TILE // cmap.shape[0], 1)
+    batch = max(tile, CERTIFY_BATCH)
     best_val, best_idx = -np.inf, -1
     evaluated = bounded = 0
-    for start in range(0, net.size, SCAN_CHUNK):
-        rows = cmap @ feats[:, start : start + SCAN_CHUNK]
+    held: list[tuple[Array, Array]] = []  # net indices and rows the bound kept
+    count = 0
+    for start in range(0, net.size, tile):
+        rows = cmap @ feats[:, start : start + tile]
         bound = _frobenius_bound(rows, n, mode)
         if n <= 2:  # the bound is exact
-            vals, idx = bound, None
-            bounded += vals.size
+            evaluated += bound.size
+            bounded += bound.size
+            i = int(np.argmax(bound))
+            if bound[i] > best_val:
+                best_val, best_idx = float(bound[i]), start + i
+            continue
+        if start == 0:
+            # the probe's best value; the probe point of largest bound gives
+            # the level that spares most of the probe its eigensolve
+            probe = _probe(bound)
+            first = probe[np.argmax(bound[probe])]
+            level = _scan_values(_conditioned(feats[:, first : first + 1], blocks), mode)[0]
+            idx = probe[_survivors(rows[:, probe], n, level - PRUNE_TAU, mode)]
+            vals = _scan_values(_conditioned(feats[:, idx], blocks), mode)
+            evaluated += vals.size
+            i = int(np.argmax(vals))
+            best_val, best_idx = float(vals[i]), int(idx[i])
+        keep = bound > best_val - PRUNE_TAU
+        bounded += int(np.count_nonzero(keep))
+        if start == 0:
+            keep[probe] = False  # already evaluated or ruled out
+        idx = np.flatnonzero(keep)
+        if idx.size:
+            held.append((start + idx, rows if idx.size == rows.shape[1] else rows[:, idx]))
+            count += idx.size
+        # certify what the bound kept once it fills a batch, or at the end
+        if count == 0 or (count < batch and start + tile < net.size):
+            continue
+        if len(held) == 1:
+            idx, rows = held[0]
         else:
-            if start == 0:
-                # the probe's best value; the probe point of largest bound gives
-                # the level that spares most of the probe its eigensolve
-                probe = _probe(bound)
-                first = probe[np.argmax(bound[probe])]
-                level = _scan_values(_conditioned(feats[:, first : first + 1], blocks), mode)[0]
-                idx = probe[_survivors(rows[:, probe], n, level - PRUNE_TAU, mode)]
-                vals = _scan_values(_conditioned(feats[:, idx], blocks), mode)
-                evaluated += vals.size
-                i = int(np.argmax(vals))
-                best_val, best_idx = float(vals[i]), int(idx[i])
-            level = best_val - PRUNE_TAU
-            keep = bound > level
-            del bound
-            bounded += int(np.count_nonzero(keep))
-            if start == 0:
-                keep[probe] = False  # already evaluated or ruled out
-            idx = np.flatnonzero(keep)
-            del keep
-            if idx.size == 0:
-                continue
-            if idx.size < rows.shape[1]:
-                rows = rows[:, idx]  # the kept columns only, from here on
-            live = _survivors(rows, n, level, mode)
-            if live.size == 0:
-                continue
-            idx = idx[live]
-            vals = _scan_values(_conditioned(feats[:, start + idx], blocks), mode)
+            idx = np.concatenate([h[0] for h in held])
+            rows = np.concatenate([h[1] for h in held], axis=1)
+        held, count = [], 0
+        live = _survivors(rows, n, best_val - PRUNE_TAU, mode)
+        if live.size == 0:
+            continue
+        idx = idx[live]
+        vals = _scan_values(_conditioned(feats[:, idx], blocks), mode)
         evaluated += vals.size
         i = int(np.argmax(vals))
-        j = start + (i if idx is None else int(idx[i]))
-        if vals[i] > best_val or (vals[i] == best_val and j < best_idx):
-            best_val, best_idx = float(vals[i]), j
+        if vals[i] > best_val or (vals[i] == best_val and idx[i] < best_idx):
+            best_val, best_idx = float(vals[i]), int(idx[i])
     x_star = net.points[best_idx]
     top = _conditioned(feats[:, best_idx : best_idx + 1], blocks)[0]
     vals, vecs = np.linalg.eigh(top, UPLO="U")

@@ -222,17 +222,48 @@ class TestPhaseFixedGrid:
         net = build_net(3, 0.4)
         assert np.all(net.points[:, 0].real > 0) and np.all(net.points[:, 0].imag == 0)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_size_estimate_bounds_built_size(self, m):
-        # build_net concatenates the levels, so its size is the running sum
-        built = 0
-        for level in nets._ladder_levels(1e-3):
-            estimate = nets._estimate_grid_size(m, level)
-            if estimate > nets.MAX_POINTS:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_level_count_brackets_built_size(self, monkeypatch, m):
+        # every ladder level that is cheap to build: the count over the widened
+        # window is never below the built size, over the narrowed one never above
+        levels, wide = [], []
+        for d in nets._ladder_levels(1e-3):
+            wide.append(nets._grid_level_count(m, d))
+            if wide[-1] > 250_000:
+                wide.pop()
                 break
-            built += nets._grid_level_points(m, level).shape[0]
-            assert estimate >= built
-        assert built > 0
+            levels.append(d)
+        monkeypatch.setattr(nets, "COUNT_SLACK", -nets.COUNT_SLACK)
+        narrow = [nets._grid_level_count(m, d) for d in levels]
+        built = [nets._grid_level_points(m, d).shape[0] for d in levels]
+        assert len(levels) >= 2
+        for l, (lo, size, hi) in enumerate(zip(narrow, built, wide)):
+            assert lo <= size <= hi
+            if l % 2:  # delta irrational: no center on the window's edge, so the count is exact
+                assert lo == size == hi
+
+    @pytest.mark.parametrize("m,delta,size", [(4, 0.5, 1_606_080), (5, 1.0, 1_762_816)])
+    def test_counted_size_admits(self, monkeypatch, m, delta, size):
+        # both fit MAX_POINTS, though the volume bound on their shells does not
+        # (6,112,822 and 21,865,561); checked without allocating the nets
+        built = []
+
+        def level_points(m, d):
+            built.append(d)
+            return np.ones((1, m), dtype=complex)
+
+        monkeypatch.setattr(nets, "_grid_level_points", level_points)
+        assert build_net(m, delta).size == len(nets._ladder_levels(delta)) == len(built)
+        assert size <= nets._grid_size(m, delta) <= 1.01 * size
+
+    @pytest.mark.parametrize("m,delta", [(2, 0.002), (3, 0.1), (4, 0.35), (5, 0.7), (60, 0.001)])
+    def test_counted_size_refuses_before_building(self, monkeypatch, m, delta):
+        def level_points(m, d):
+            raise AssertionError("a level of a refused net was built")
+
+        monkeypatch.setattr(nets, "_grid_level_points", level_points)
+        with pytest.raises(NetTooLargeError):
+            build_net(m, delta, method="grid")
 
     def test_projector_embedding_matches_bloch_chord(self):
         # at m = 2 the embedding is the Bloch chord over sqrt(2)

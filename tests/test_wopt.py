@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,11 +185,22 @@ def swapped(a, m, n):
     return a.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
 
 
-def hermitian_rows(bx):
-    """The (n^2, K) rows of a Hermitian (K, n, n) stack: the diagonal, then
-    Re and Im of the upper triangle."""
+def centered_rows(bx):
+    """The (n^2 + 1, K) rows of a Hermitian (K, n, n) stack: t = tr/n, the
+    diagonal minus t, then sqrt(2) Re and sqrt(2) Im of the upper triangle."""
     i, j = np.triu_indices(bx.shape[-1], 1)
-    return np.concatenate([np.einsum("kjj->jk", bx.real), bx[:, i, j].real.T, bx[:, i, j].imag.T])
+    diag = np.einsum("kjj->jk", bx.real)
+    t = diag.mean(axis=0)
+    upper = np.sqrt(2.0) * bx[:, i, j].T
+    return np.concatenate([t[None], diag - t, upper.real, upper.imag])
+
+
+def use_tiles(monkeypatch, points, n):
+    """Scan in tiles, and certify in batches, of `points` net points (None: the
+    module's own sizes)."""
+    if points is not None:
+        monkeypatch.setattr(wopt, "SCAN_TILE", points * (n * n + 1))
+        monkeypatch.setattr(wopt, "CERTIFY_BATCH", points)
 
 
 @pytest.fixture(scope="module")
@@ -198,9 +211,9 @@ def small_nets():
 class TestExhaustiveAgreement:
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3)])
     @pytest.mark.parametrize("mode", ["signed", "abs"])
-    @pytest.mark.parametrize("chunk", [wopt.SCAN_CHUNK, 64])
-    def test_matches_exhaustive_scan(self, small_nets, monkeypatch, m, n, mode, chunk):
-        monkeypatch.setattr(wopt, "SCAN_CHUNK", chunk)
+    @pytest.mark.parametrize("tile", [None, 64])
+    def test_matches_exhaustive_scan(self, small_nets, monkeypatch, m, n, mode, tile):
+        use_tiles(monkeypatch, tile, n)
         net = small_nets[m]
         for seed in range(2):
             a = random_hermitian_unit(m * n, seed + 30)
@@ -238,7 +251,7 @@ class TestExhaustiveAgreement:
 def pruning_nets():
     # each case keeps its label (m, delta) and scans a net at least as large as
     # the Euclidean grid of that radius: 11,552, 91,088 and 75,968 points.
-    # Grid nets at m = 2: the band nets are too small to leave chunks to prune
+    # Grid nets at m = 2: the band nets are too small to leave tiles to prune
     return {(2, 0.4): build_net(2, 0.05, method="grid"),
             (2, 0.2): build_net(2, 0.03, method="grid"),
             (3, 0.8): build_net(3, 0.3)}
@@ -249,9 +262,9 @@ class TestScanPruning:
         "m,n,delta", [(2, 3, 0.4), (2, 3, 0.2), (2, 4, 0.4), (2, 4, 0.2), (3, 3, 0.8)]
     )
     @pytest.mark.parametrize("mode", ["signed", "abs"])
-    @pytest.mark.parametrize("chunk", [wopt.SCAN_CHUNK, 4096])
-    def test_matches_exhaustive_scan(self, pruning_nets, monkeypatch, m, n, delta, mode, chunk):
-        monkeypatch.setattr(wopt, "SCAN_CHUNK", chunk)
+    @pytest.mark.parametrize("tile", [None, 4096])
+    def test_matches_exhaustive_scan(self, pruning_nets, monkeypatch, m, n, delta, mode, tile):
+        use_tiles(monkeypatch, tile, n)
         net = pruning_nets[(m, delta)]
         for seed in range(2):
             a = random_hermitian_unit(m * n, seed)
@@ -282,7 +295,7 @@ class TestScanPruning:
         at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
         assert at < 0 and abs(abs(at) - res.value) < 1e-12
 
-    def test_fully_pruned_chunks(self, pruning_nets, monkeypatch):
+    def test_fully_pruned_tiles(self, pruning_nets, monkeypatch):
         net = pruning_nets[(2, 0.4)]
         calls = []
         spectra = wopt._scan_values
@@ -291,12 +304,12 @@ class TestScanPruning:
             calls.append(bx.shape[0])
             return spectra(bx, mode)
 
-        monkeypatch.setattr(wopt, "SCAN_CHUNK", 64)
+        use_tiles(monkeypatch, 64, 3)
         monkeypatch.setattr(wopt, "_scan_values", counted)
         a = random_hermitian_unit(6, 1)
         res = wopt_max(a, 2, 3, net)
-        chunks = -(-net.size // 64)
-        assert len(calls) < chunks  # some chunk reached no eigensolve at all
+        tiles = -(-net.size // 64)
+        assert len(calls) < tiles  # some tile reached no eigensolve at all
         assert abs(res.value - exhaustive_max(a, 2, 3, net, "signed")) <= 1e-12
 
 
@@ -326,13 +339,14 @@ class TestProbe:
         a = random_hermitian_unit(m * n, 7)
         net = build_net(m, 0.1 if m == 2 else 0.4, method="grid")
         blocks = wopt._conditioned_blocks(a, m, n)
-        np.testing.assert_array_equal(wopt._conditioned_map(blocks), hermitian_rows(blocks))
+        np.testing.assert_allclose(wopt._conditioned_map(blocks), centered_rows(blocks),
+                                   rtol=0, atol=1e-15)
         rows = wopt._conditioned_map(blocks) @ net.features
         bx = wopt._conditioned(net.features, blocks)
         direct = np.einsum("ka,ajbl,kb->kjl", net.points.conj(), a.reshape(m, n, m, n), net.points)
         np.testing.assert_allclose(bx, direct, rtol=0, atol=1e-14)
         t_ref, bound_ref, probe_ref = self.reference(bx, mode)
-        np.testing.assert_allclose(rows[:n].sum(axis=0), n * t_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rows[0], t_ref, rtol=0, atol=1e-14)
         bound = _frobenius_bound(rows, n, mode)
         np.testing.assert_allclose(bound, bound_ref, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(_probe(bound), probe_ref)
@@ -361,17 +375,35 @@ class TestFrobeniusPrefilter:
         spectra = np.linalg.eigvalsh(bx)
         value = np.maximum(spectra[:, -1], -spectra[:, 0]) if mode == "abs" else spectra[:, -1]
         level = value - eps
-        kept = _frobenius_bound(hermitian_rows(bx), n, mode) > level
+        kept = _frobenius_bound(centered_rows(bx), n, mode) > level
         if eps > 0:  # at or above the level: never skipped
             assert kept.all()
         elif eps <= -1e-10:  # the bound is tight, so the prefilter prunes here
             assert not kept.any()
 
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_map_rows_of_a_near_scalar_operator(self, net_01, mode):
+        # every B_x within ~1e-10 of a multiple of I: ||B_x||_F^2 - n t^2 would
+        # lose ~1e-8 to rounding, the deviations formed inside the GEMM do not
+        a = np.eye(6) + 1e-10 * random_hermitian_unit(6, 4)
+        a = a / np.linalg.norm(a)
+        if mode == "abs":
+            a = -a
+        blocks = wopt._conditioned_blocks(a, 2, 3)
+        bound = _frobenius_bound(wopt._conditioned_map(blocks) @ net_01.features, 3, mode)
+        x = net_01.points
+        vals = np.linalg.eigvalsh(np.einsum("ka,ajbl,kb->kjl", x.conj(), a.reshape(2, 3, 2, 3), x))
+        value = np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1]
+        spread = vals[:, -1] - vals[:, 0]
+        assert spread.max() < 1e-9
+        assert np.all(bound >= value - 1e-15)
+        assert np.all(bound <= value + np.sqrt(2.0) * spread + 1e-15)
+
     def test_bound_is_exact_for_two_levels(self):
         rng = np.random.default_rng(3)
         bx = _hermitian_with_spectrum(rng, rng.uniform(-1, 1, (500, 2)))
         vals = np.linalg.eigvalsh(bx)
-        rows = hermitian_rows(bx)
+        rows = centered_rows(bx)
         np.testing.assert_allclose(_frobenius_bound(rows, 2, "signed"), vals[:, -1], atol=1e-15)
         np.testing.assert_allclose(_frobenius_bound(rows, 2, "abs"),
                                    np.maximum(vals[:, -1], -vals[:, 0]), atol=1e-15)
@@ -395,17 +427,44 @@ class TestCholeskyCertificate:
             rest = np.zeros((count, n - 1))
         bx = _hermitian_with_spectrum(rng, np.column_stack([rest, top]))
         # shift so every matrix is tested against its own level at once
-        certified = _certified_below(hermitian_rows(bx - level[:, None, None] * np.eye(n)), n, 0.0)
+        certified = _certified_below(centered_rows(bx - level[:, None, None] * np.eye(n)), n, 0.0)
         if eps > 0:
             assert not certified.any()
         elif eps <= -1e-10:  # far enough below to be certified
             assert certified.all()
 
     def test_sign_tests_the_bottom_of_the_spectrum(self):
-        rows = hermitian_rows(np.diag([-0.9, 0.1, 0.2]).astype(complex)[None])
+        rows = centered_rows(np.diag([-0.9, 0.1, 0.2]).astype(complex)[None])
         assert _certified_below(rows, 3, 0.5).all()
         assert not _certified_below(rows, 3, 0.5, -1.0).any()
         assert _certified_below(rows, 3, 0.95, -1.0).all()
+
+
+@pytest.fixture(scope="class")
+def memory_nets():
+    nets = [build_net(3, 0.4), build_net(3, 0.3)]  # 72,896 and 276,096 points
+    for net in nets:
+        net.features  # built and kept by the net, before any scan is measured
+    return nets
+
+
+class TestScanMemory:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_peak_does_not_grow_with_the_net(self, memory_nets, n, mode):
+        a = random_hermitian_unit(3 * n, 0)
+        wopt_max(a, 3, n, memory_nets[0], mode=mode)  # numpy's first eigensolve allocates once
+        peaks = []
+        for net in memory_nets:
+            tracemalloc.start()
+            try:
+                wopt_max(a, 3, n, net, mode=mode)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        tile = 8 * wopt.SCAN_TILE  # bytes of a tile's rows
+        assert max(peaks) <= 8 * tile
+        assert abs(peaks[1] - peaks[0]) <= tile
 
 
 def random_starts(m, n, count, seed):
