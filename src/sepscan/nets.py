@@ -257,14 +257,15 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
 def projector_features(points: Array) -> Array:
     """Real coordinates f(x) of xx^dagger for each row x of a (K, m) array, as
     an (m^2, K) array: |x_a|^2, then 2 Re and 2 Im of conj(x_a) x_b for a < b
-    (pairs in `np.triu_indices` order)."""
+    (pairs in `np.triu_indices` order), filled a row at a time."""
     m = points.shape[1]
     i, j = np.triu_indices(m, 1)
     feats = np.empty((m * m, points.shape[0]))
-    feats[:m] = (points.real**2 + points.imag**2).T
-    off = (2.0 * points[:, i].conj() * points[:, j]).T
-    feats[m : m + i.size] = off.real
-    feats[m + i.size :] = off.imag
+    for a in range(m):
+        feats[a] = points[:, a].real ** 2 + points[:, a].imag ** 2
+    for row, (a, b) in enumerate(zip(i, j), m):
+        off = 2.0 * points[:, a].conj() * points[:, b]
+        feats[row], feats[row + i.size] = off.real, off.imag
     return feats
 
 

@@ -8,11 +8,10 @@ by construction.  Feasibility asks for
   or l = 1..k-1 copies of A (the k inequivalent choices), and
 * the extension property E(X) = rho, where E traces out k-1 copies of A.
 
-Transposed copies are handled without ever materializing (C^m)^(x k):
-transposing l copies acts as an ordinary transpose of the Sym_l factor
-after branching Sym_k into Sym_l (x) Sym_(k-l), and the branching is an
-isometry with closed-form binomial coefficients in the occupation basis.
-E itself is one matrix product with an (m^2, d_sk^2) coefficient matrix.
+Transposing l copies acts as an ordinary transpose of the Sym_l factor
+after branching Sym_k into Sym_l (x) Sym_(k-l), an isometry with
+closed-form binomial coefficients in the occupation basis, so (C^m)^(x k)
+is never formed; E is one product with an (m^2, d_sk^2) coefficient matrix.
 
 The search works in the product space (X, Y_1, ..., Y_J).  One set is the
 product of PSD cones (projection: an eigenvalue clip per component), the
@@ -21,34 +20,30 @@ least-squares correction through the pseudo-inverse of E E*).  Relaxed
 Douglas-Rachford (the ADMM of this splitting) alternates them; the
 residual is the distance between the cone and affine iterates, which
 tends to zero on feasible problems and to the gap between the two sets on
-infeasible ones.  A positive residual when the iteration budget runs out
-is no proof of anything: it may be slow convergence.
+infeasible ones, but a positive residual at the end of the budget may
+just be slow convergence.
 
 Rank-deficient states put every extension on the boundary of each cone,
-where the splitting crawls, so the cone step clips onto a face instead
-(facial reduction: Borwein and Wolkowicz 1981; Drusvyatskiy and
-Wolkowicz, "The many faces of degeneracy in conic optimization", 2017).
-E_j, the partial trace of Sym_j (x) B down to A (x) B (E_1 = id), and its
-adjoint E_j^* are positive, so an extension X is orthogonal to PSD
-operators fixed by the kernels of rho and rho^Gamma:
+where the splitting crawls, so the search moves onto faces (facial
+reduction: Borwein and Wolkowicz 1981; Drusvyatskiy and Wolkowicz, "The
+many faces of degeneracy in conic optimization", 2017).  E_j, the partial
+trace of Sym_j (x) B down to A (x) B (E_1 = id), and E_j^* are positive,
+so every extension has T_j(X) orthogonal to a PSD Q_j fixed by the
+kernels of rho and rho^Gamma, so on the face of PSD operators on ker Q_j:
+Q_0 = E_k^*(P_ker rho), for T_B X E_k^*(P_ker rho^Gamma), and for T_l X
+(its Sym_l and Sym_(k-l) traces are the (k-l)-copy marginal and the
+transposed l-copy marginal) I (x) E_(k-l)^*(P_ker rho) plus
+E_l^*(P_ker rho^(T_A)) (x) I, where rho^(T_A) = conj(rho^Gamma).
 
-* X to E_k^*(P_ker rho), and T_B X to E_k^*(P_ker rho^Gamma);
-* T_l X on Sym_l (x) Sym_(k-l) (x) B, whose Sym_l trace is the (k-l)-copy
-  marginal of X, to I (x) E_(k-l)^*(P_ker rho); and, since its
-  Sym_(k-l) trace is the transposed l-copy marginal, to
-  E_l^*(P_ker rho^(T_A)) on Sym_l (x) B, tensored with I on Sym_(k-l).
-  rho^(T_A) is the complex conjugate of rho^Gamma, and so is its kernel.
-
-A PSD operator orthogonal to a PSD Q lives on ker Q, so each cone
-iterate is clipped onto the face {V S V^dag : S >= 0}, V an orthonormal
-basis of ker Q_j, and the affine set is cut down to X in the span of X's
-face.  Clipping onto small faces while projecting onto the whole affine
-set would leave two nearly parallel subspaces, between which the
-splitting crawls as before, so the faces are used only when X's face is
-proper and its span reaches rho; otherwise (every full-rank rho) all
-cones stay whole.  The spans of the PPT faces do not cut the affine set,
-so a few near-full-rank mixtures converge more slowly than on whole
-cones.  The faces hold every extension: the feasible set is unchanged.
+With V_j an orthonormal basis of ker Q_j, cone j's variable is S_j for
+T_j(X) = V_j S_j V_j^dag (a whole cone keeps its full variable), X =
+V_0 S_0 V_0^dag, and the cone step clips every S_j.  Every face cuts the
+affine set, now {E(X) = rho, T_j(X) in the span of face j}, on which each
+S_0 -> S_j is an isometry, so the splitting is the one above; one
+projector per problem projects onto it in S_0 (`_face_search`).  The faces
+hold every extension, so the feasible set is unchanged.  They are used
+when X's face is proper, the set-up fits FACE_MAX_ENTRIES and the cut set
+reaches rho; otherwise (every full-rank rho) all cones stay whole.
 
 With PPT constraints, infeasibility is also decided exactly before any
 iteration: every PPT extension satisfies E(T_B X) = rho^Gamma with
@@ -57,12 +52,10 @@ T_B X >= 0, so when `onesided.ppt_test` finds rho NPT, no depth k has one.
 The trace-distance bound 4m/k for states with a k-copy Bose-symmetric
 extension (the quantum de Finetti bound of Christandl, Koenig, Mitchison
 and Renner, quant-ph/0602130) needs Bose symmetry alone, so
-`separability_scan` searches the hierarchy without PPT cones: each
-iteration clips one cone.  A k-extension yields every smaller one by a
-partial trace, so the scan searches the depths 2, 4, 8, ... and then
+`separability_scan` searches without PPT cones, over the depths 2, 4, 8,
+... (a k-extension yields every smaller one by a partial trace) and then
 ceil(4m/delta), whose extension decides delta-closeness to the separable
-set in trace norm.  The scan's only route to Entangled is the NPT
-presolve, which runs once, first.
+set in trace norm.  Its only route to Entangled is the NPT presolve.
 """
 
 from __future__ import annotations
@@ -80,14 +73,14 @@ from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict, ppt_test
 
 MAX_DIM = 512  # ambient dimension d_sk n of an extension
 SPLIT_MAX_DIM = 2048  # dimension of a branched, partially transposed copy
-# over-relaxation of the Douglas-Rachford step
-RELAXATION = 1.7
+RELAXATION = 1.7  # over-relaxation of the Douglas-Rachford step
 TOL = 1e-7  # PSD slack of an accepted iterate
 FACE_TOL = 1e-10  # eigenvalue counted as zero when the cone faces are built (see _faces)
-# largest mn searched on faces: the (mn)^2-square Gram of _nearest_on_face
-# takes 4-5 s and 220-260 MB peak RSS to build at mn = 36 (2x18, 3x12, 4x9
-# and 6x6 at their largest k; one Xeon core), growing as (mn)^6 and (mn)^4
-FACE_MAX_MN = 36
+# largest face set-up in matrix entries: r^2 x f^2 for E on X's face (rank-r rho,
+# f = dim of X's face), plus f^4 for the Gram of the PPT spans.  On one Xeon core
+# near it: 1.3 s and 91 MB traced at 3.2M (3x3 rank 7, k = 6, PPT), 1.5 s and
+# 86 MB at 2.6M (2x18 rank 30, k = 3), 0.4 s at 3.2M (3x3 rank 8, k = 13)
+FACE_MAX_ENTRIES = 1 << 22
 SCAN_ITERS = 3000  # iteration budget of each depth of separability_scan
 
 
@@ -114,13 +107,8 @@ def sym_dim(m: int, k: int) -> int:
 @lru_cache(maxsize=128)
 def occupations(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Occupation vectors of Sym_k(C^m) in deterministic order."""
-    out = []
-    for combo in combinations_with_replacement(range(m), k):
-        n = [0] * m
-        for c in combo:
-            n[c] += 1
-        out.append(tuple(n))
-    return tuple(out)
+    return tuple(tuple(combo.count(i) for i in range(m))
+                 for combo in combinations_with_replacement(range(m), k))
 
 
 @lru_cache(maxsize=128)
@@ -135,11 +123,8 @@ def _single_copy_coeffs(m: int, k: int) -> Array:
             if n[i] == 0:
                 continue
             for j in range(m):
-                p = list(n)
-                p[i] -= 1
-                p[j] += 1
-                b = index[tuple(p)]
-                gs[i, j, a, b] = math.sqrt(n[i] * p[j]) / k
+                p = tuple(c - (t == i) + (t == j) for t, c in enumerate(n))
+                gs[i, j, a, index[p]] = math.sqrt(n[i] * p[j]) / k
     g = gs.reshape(m * m, len(occ) ** 2)
     g.setflags(write=False)
     return g
@@ -148,11 +133,8 @@ def _single_copy_coeffs(m: int, k: int) -> Array:
 @lru_cache(maxsize=128)
 def _branch_isometry(m: int, k: int, l: int) -> Array:
     """Sym_k -> Sym_l (x) Sym_(k-l) branching, sqrt(prod C(n_i, q_i)/C(k, l))."""
-    occ_k = occupations(m, k)
-    occ_l = occupations(m, l)
-    occ_r = occupations(m, k - l)
-    idx_l = {n: a for a, n in enumerate(occ_l)}
-    idx_r = {n: a for a, n in enumerate(occ_r)}
+    occ_k, occ_l, occ_r = (occupations(m, j) for j in (k, l, k - l))
+    idx_l, idx_r = ({n: a for a, n in enumerate(occ)} for occ in (occ_l, occ_r))
     out = np.zeros((len(occ_l) * len(occ_r), len(occ_k)))
     denom = math.comb(k, l)
     for col, n in enumerate(occ_k):
@@ -177,16 +159,14 @@ class ExtensionProblem:
             raise ValueError("extension depth k must be >= 2")
         dsk = sym_dim(self.rho.m, self.k)
         if dsk * self.rho.n > MAX_DIM:
-            raise DimensionGuardError(
-                f"ambient dimension {dsk * self.rho.n} exceeds limit {MAX_DIM}"
-            )
+            raise DimensionGuardError(f"ambient dimension {dsk * self.rho.n} exceeds limit "
+                                      f"{MAX_DIM}")
         if self.ppt:
             for l in range(1, self.k):
                 split = sym_dim(self.rho.m, l) * sym_dim(self.rho.m, self.k - l) * self.rho.n
                 if split > SPLIT_MAX_DIM:
                     raise DimensionGuardError(
-                        f"transposed block dimension {split} exceeds limit {SPLIT_MAX_DIM}"
-                    )
+                        f"transposed block dimension {split} exceeds limit {SPLIT_MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +187,8 @@ class ExtensionResult:
     iterations: int
     budget_exhausted: bool = False
     residuals: tuple[float, ...] = ()  # the residual at every 10th iteration
-    # dimension of the face each cone was clipped onto (the cone's own
-    # dimension where it stayed whole), when the loop ran
+    # dimension of each cone's variable when the loop ran: its face's, or the
+    # cone's own where it stayed whole
     face_dims: tuple[int, ...] = ()
 
 
@@ -220,6 +200,31 @@ def _paired(x: Array, a: int, b: int) -> Array:
 def _unpaired(y: Array, a: int, b: int) -> Array:
     """Inverse of `_paired`."""
     return y.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+
+
+@dataclass(frozen=True)
+class _Cone:
+    """One cone variable as the image of X: face^dag tau(lift X lift^dag) face,
+    tau the partial transpose `which` of the factors `dims`; None is an identity."""
+
+    lift: Array | None = None
+    dims: tuple[int, int] = (0, 0)
+    which: str | None = None
+    face: Array | None = None
+
+    def image(self, x: Array) -> Array:
+        if self.lift is not None:
+            x = self.lift @ x @ self.lift.conj().T
+        if self.which is not None:
+            x = partial_transpose(x, *self.dims, self.which)
+        return x if self.face is None else self.face.conj().T @ x @ self.face
+
+    def adjoint(self, y: Array) -> Array:
+        if self.face is not None:
+            y = self.face @ y @ self.face.conj().T
+        if self.which is not None:
+            y = partial_transpose(y, *self.dims, self.which)
+        return y if self.lift is None else self.lift.conj().T @ y @ self.lift
 
 
 class _ExtensionMaps:
@@ -247,41 +252,19 @@ class _ExtensionMaps:
     def reduce_one_adjoint(self, y: Array) -> Array:
         return _marginal_adjoint(y, self.m, self.n, self.k)
 
-    def transpose_b(self, x: Array) -> Array:
-        return partial_transpose(x, self.dsk, self.n, "B")
-
-    def transpose_copies(self, x: Array, l: int) -> Array:
-        """Branch to Sym_l (x) Sym_(k-l) (x) B, then transpose the Sym_l factor."""
-        lift = self.lifts[l]
-        dl = sym_dim(self.m, l)
-        dr = sym_dim(self.m, self.k - l)
-        big = lift @ x @ lift.T
-        t = big.reshape(dl, dr * self.n, dl, dr * self.n).transpose(2, 1, 0, 3)
-        return t.reshape(dl * dr * self.n, dl * dr * self.n)
-
-    def transpose_copies_adjoint(self, y: Array, l: int) -> Array:
-        lift = self.lifts[l]
-        dl = sym_dim(self.m, l)
-        dr = sym_dim(self.m, self.k - l)
-        t = y.reshape(dl, dr * self.n, dl, dr * self.n).transpose(2, 1, 0, 3)
-        t = t.reshape(dl * dr * self.n, dl * dr * self.n)
-        return lift.T @ t @ lift
+    def cones(self, ppt: bool) -> list[_Cone]:
+        """X, then with `ppt` T_B X and T_l X (Sym_l transposed in Sym_l (x) Sym_(k-l) (x) B)."""
+        out = [_Cone()]
+        if ppt:
+            out.append(_Cone(dims=(self.dsk, self.n), which="B"))
+            out.extend(_Cone(self.lifts[l], (sym_dim(self.m, l), sym_dim(self.m, self.k - l)
+                                             * self.n), "A") for l in range(1, self.k))
+        return out
 
 
 def _psd_clip(x: Array) -> Array:
     vals, vecs = np.linalg.eigh(hermitize(x))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.conj().T
-
-
-def _face_clip(y: Array, face: Array | None) -> Array:
-    """Nearest point to y on the PSD face {V S V^dag : S >= 0}, V = `face`;
-    None stands for the whole cone."""
-    if face is None:
-        return _psd_clip(y)
-    vals, vecs = np.linalg.eigh(hermitize(face.conj().T @ y @ face))
-    w = face @ vecs
-    return (w * np.clip(vals, 0.0, None)) @ w.conj().T
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
 
 def _kernel(mat: Array) -> Array:
@@ -296,23 +279,17 @@ def _marginal_adjoint(y: Array, m: int, n: int, j: int) -> Array:
 
 
 def _faces(rho: DensityMatrix, k: int, ppt: bool) -> list[Array | None]:
-    """Orthonormal basis of the face of each cone of `find_extension` on which
-    every extension's image lies (None: the whole cone), in the order of its cones.
-
-    Each face is the kernel of a PSD operator Q_j with tr(T_j(X) Q_j) = 0 for
-    every extension X, built from kernel projectors of rho and rho^Gamma
-    through the positive adjoints E_j^* of the partial traces.
+    """Orthonormal basis of the face of each cone of `find_extension` that
+    holds every extension's image (None: the whole cone): the kernel of Q_j
+    of the module docstring, built through the positive adjoints E_j^*.
 
     FACE_TOL = 1e-10 is the one threshold, for the kernels of rho and
-    rho^Gamma (unit trace) and for those of the Q_j (0 <= Q_j <= 2I, as
-    each E_j^* is unital).  Rounding leaves the zero eigenvalues of the
-    float states in the tests and benchmark below 1e-15, and their least
-    nonzero ones are above 1e-5 (above 1e-4 for the Q_j), so the cut sits
-    far from both.  Counting a tiny true eigenvalue as zero cuts the faces
-    off the extensions by about that much, far below TOL, which the
-    acceptance test absorbs; a cut far too loose removes directions an
-    extension needs, which costs a stall, never a wrong `found`, because
-    acceptance reads the full cones.  A cut too tight leaves a cone whole.
+    rho^Gamma (unit trace) and of the Q_j (0 <= Q_j <= 2I, each E_j^* being
+    unital).  The zero eigenvalues of the float states in the tests and
+    benchmark round to below 1e-15 and their least nonzero ones are above
+    1e-5 (1e-4 for the Q_j), far from the cut.  A cut too loose costs a
+    stall, never a wrong `found`, as acceptance reads the full cones; one
+    too tight leaves a cone whole.
     """
     m, n = rho.m, rho.n
     ker = _kernel(rho.mat)
@@ -334,43 +311,104 @@ def _faces(rho: DensityMatrix, k: int, ppt: bool) -> list[Array | None]:
     return [_kernel(q) if q.any() else None for q in blocks]
 
 
-def _nearest_on_face(rho: DensityMatrix, maps: _ExtensionMaps, face: Array):
-    """The map g -> nearest X = V S V^dag to g with E(X) = rho in least
-    squares, V = `face`: the affine set of `find_extension` cut down to the
-    span of the face of X.
+def _hermitian(a: Array) -> Array:
+    """The Hermitian S with real coordinates A = Re S + Im S (an isometry), on axes 0, 1."""
+    return 0.5 * ((1 + 1j) * a + (1 - 1j) * np.swapaxes(a, 0, 1))
 
-    With R(S) = E(V S V^dag), X = V (S_0 + R^*(lam)) V^dag for S_0 = V^dag g V
-    and lam = G^+ (rho - R(S_0)), where G = R R^*: Y -> E(P E^*(Y) P), P = V V^dag,
-    is an (mn)^2 square whatever the face's dimension.  E^* is completely
-    positive and V^dag E^*(|psi><psi|) V = 0 for psi in ker rho, so R^*
-    vanishes off operators on the range of rho: G has rank r^2 for rank-r
-    rho.  Its other eigenvalues are rounding and are cut at FACE_TOL of the
-    largest: on the rank-deficient product mixtures of the tests and the
-    benchmark the cut ones are below 2e-15 of it and the kept ones above 6e-5.
+
+def _span_basis(v0: Array, spans: list[tuple[_Cone, Array]]) -> Array:
+    """Orthonormal basis, in the coordinates of `_hermitian`, of the Hermitian S
+    with T_j(V_0 S V_0^dag) in the span of face V_j, (T_j, V_j) in `spans`: the
+    null space of the Gram of S -> (I - V_j V_j^dag) T_j(V_0 S V_0^dag), contracted
+    on each cone's factors.  Its eigenvalues lie in [0, 2 len(spans)]; at 2x2 to 3x3,
+    k = 2 to 4, those of the null space are below 6e-15, the others above 3e-4.
     """
-    m, n, dsk = rho.m, rho.n, maps.dsk
-    k_ac = maps.coeffs.reshape(m, m, dsk, dsk)
-    # P E^*(|a><c| (x) |b><d|) = P (K_ac (x) |b><d|), K_ac the (a, c) row of the coefficients
-    pk = np.einsum("vbsB,acst->acvbtB", (face @ face.conj().T).reshape(dsk, n, dsk, n), k_ac,
-                   optimize=True)
-    # G[(abcd), (ABCD)] = tr(E^*(|ab><cd|)^dag P E^*(|AB><CD|) P)
-    gram = np.einsum("ACvbtB,catDvd->abcdABCD", pk, pk, optimize=True)
-    vals, vecs = np.linalg.eigh(hermitize(gram.reshape((m * n) ** 2, -1)))
-    keep = vals > FACE_TOL * vals[-1]
-    vals, vecs = vals[keep], vecs[:, keep]
-    face_h = face.conj().T
+    f = v0.shape[1]
+    real = np.zeros((f, f, f, f))
+    for cone, face in spans:
+        w = (v0 if cone.lift is None else cone.lift @ v0).reshape(*cone.dims, f)
+        perp = (np.eye(len(face)) - face @ face.conj().T).reshape(cone.dims * 2)
+        swap = cone.dims[0] < cone.dims[1]  # keep the smaller factor second
+        if swap:
+            w, perp = w.transpose(1, 0, 2), perp.transpose(1, 0, 3, 2)
+        if (cone.which == "A") != swap:  # T_1 Y = (T_2 Y)^T has T_2's condition with conj(Q)
+            perp = perp.conj()
+        # t[p, P, q, Q] = tr(Y_pq^dag Q Y_PQ), Y_pq = T_2(w_p w_q^dag): Q contracted with
+        # both copies of w over the first factor, through the smaller intermediate
+        if min(cone.dims) ** 3 <= max(cone.dims) * f:
+            left = np.tensordot(w.conj(), np.tensordot(perp, w, axes=(2, 0)),
+                                axes=([0, 1], [0, 3]))
+        else:
+            left = np.tensordot(np.tensordot(w.conj(), w, axes=(1, 1)), perp,
+                                axes=([0, 2], [0, 2])).transpose(0, 2, 3, 1)
+        t = np.tensordot(left, np.tensordot(w, w.conj(), axes=(0, 0)), axes=([1, 2], [0, 2]))
+        t = t.transpose(0, 2, 1, 3)  # rows (p, q); summed into twice its form on _hermitian
+        real += t.real
+        real += t.real.transpose(1, 0, 3, 2)
+        real -= t.imag.transpose(1, 0, 2, 3)
+        real += t.imag.transpose(0, 1, 3, 2)
+        del t  # before the next cone's
+    vals, vecs = np.linalg.eigh(real.reshape(f * f, f * f))
+    return vecs[:, vals <= FACE_TOL]
 
-    def nearest(g: Array) -> Array:
-        s = face_h @ g @ face
-        off = (rho.mat - maps.reduce_one(face @ s @ face_h)).ravel()
-        lam = (vecs @ ((vecs.conj().T @ off) / vals)).reshape(m * n, m * n)
-        return face @ (s + face_h @ maps.reduce_one_adjoint(lam) @ face) @ face_h
 
-    return nearest
+def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
+                 faces: list[Array | None]):
+    """The search in face coordinates: (its cones, the projection onto its
+    affine set, that set's point nearest 0, V_0), or None where X's face is
+    whole or empty, the set-up exceeds FACE_MAX_ENTRIES, or the set misses rho.
 
+    X = V_0 S V_0^dag, and R(S) = z^dag E(X) z holds all of E(X), on the range
+    of rho (orthonormal basis z).  With P the projection onto the spans
+    (`_span_basis`), S projects to y + P R^*(G^+ (z^dag rho z - R(y))), y =
+    P(S), G = R P R^*: one real matrix on the spans' coordinates, or R and R^*
+    in Kronecker form without proper PPT faces (P = I).  G^+ comes from the
+    SVD of the R-factor of (R P)^*, singular values cut at FACE_TOL of the
+    largest: on the mixtures of the tests (2x2 to 3x3, k = 2 to 12) the cut
+    ones are below 1.2e-13 of it, the kept ones above 4.3e-7 (5.7e-7 against
+    1.32 at rank 4, 3x3, k = 12, where a cut at FACE_TOL on G drops four).
+    """
+    v0, (vals, vecs) = faces[0], np.linalg.eigh(rho.mat)
+    z = vecs[:, vals > FACE_TOL]
+    spans = [(cone, face) for cone, face in zip(cones[1:], faces[1:]) if face is not None]
+    f, r, (m, n, dsk) = 0 if v0 is None else v0.shape[1], z.shape[1], (rho.m, rho.n, maps.dsk)
+    if f == 0 or f * f * (r * r + f * f * bool(spans)) > FACE_MAX_ENTRIES:
+        return None
+    v0h, w0 = v0.conj().T, v0.reshape(dsk, n, f)
+    half = np.tensordot(w0.conj(), maps.coeffs.reshape(m, m, dsk, dsk), axes=(0, 2))
+    # rows (p, q) of R^*, z^dag E(V_0 |p><q| V_0^dag) z conjugated, in blocks of about r^4
+    step = max(1, r * r // f)
+    rows = (z.T @ np.tensordot(half[:, lo:lo + step], w0, axes=(4, 0))  # (b, p, i, j, d, q)
+            .transpose(1, 5, 2, 0, 3, 4).reshape(-1, m * n, m * n) @ z.conj()
+            for lo in range(0, f, step))
+    if spans:
+        basis = _span_basis(v0, spans)
+        # M^* = (R C B)^*, C the map of `_hermitian`, whose adjoint is conj(C(conj))
+        rows = [basis.T @ _hermitian(np.concatenate(list(rows)).reshape(f, f, -1).conj()).conj()
+                .reshape(f * f, -1)]
+    tri = np.zeros((0, r * r))
+    for block in rows:
+        tri = np.linalg.qr(np.vstack([tri, block.reshape(len(block), -1)]), mode="r")
+    _, sig, wh = np.linalg.svd(tri, full_matrices=False)
+    keep = sig > FACE_TOL * sig.max(initial=0.0)
+    u, sig = wh[keep].conj().T, sig[keep]
+    if spans:  # explicit on the spans' coordinates, where M^+ M and M^+ rho are real
+        zs = rows[0] @ u / sig  # the right singular vectors of M = R C B
+        pi = basis @ (np.eye(basis.shape[1]) - (zs @ zs.conj().T).real) @ basis.T
+        a0 = basis @ (zs @ ((u.conj().T @ (z.conj().T @ rho.mat @ z).ravel()) / sig)).real
 
-def _lowest(x: Array) -> float:
-    return float(np.linalg.eigvalsh(hermitize(x))[0])
+    def project(s: Array) -> Array:
+        if spans:
+            return _hermitian((pi @ (s.real + s.imag).ravel() + a0).reshape(f, f))
+        off = (z.conj().T @ (rho.mat - maps.reduce_one(v0 @ s @ v0h)) @ z).ravel()
+        lam = z @ (u @ ((u.conj().T @ off) / sig ** 2)).reshape(r, r) @ z.conj().T
+        return s + v0h @ maps.reduce_one_adjoint(lam) @ v0
+
+    start = project(np.zeros((f, f), dtype=complex))
+    if np.linalg.norm(maps.reduce_one(v0 @ start @ v0h) - rho.mat) > FACE_TOL:
+        return None
+    return [_Cone(), *(_Cone(v0 if c.lift is None else c.lift @ v0, c.dims, c.which, face)
+                       for c, face in zip(cones[1:], faces[1:]))], project, start, v0
 
 
 def _npt_certificate(rho: DensityMatrix, gram: Array) -> ExtensionResult | None:
@@ -394,95 +432,65 @@ def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> Extension
     With PPT constraints, an NPT state is rejected at iteration 0 with a
     certified residual (see `_npt_certificate`).  Otherwise each iteration
     clips z onto the cones (c), projects 2c - z onto the affine set (a) and
-    moves z by RELAXATION * (a - c), starting from the affine point nearest
-    the origin; a problem feasible there is accepted at iteration 1 without
-    iterating.
+    moves z by RELAXATION * (a - c), from the affine point nearest the
+    origin, which is accepted at iteration 1 if feasible.  Else the search
+    moves to face coordinates where `_face_search` allows (module
+    docstring), or keeps every cone whole; `face_dims` gives the dimensions.
 
-    Success requires the affine iterate (extension property exact to
-    machine precision, or within FACE_TOL on a face, below) to be PSD
-    within TOL on every required cone.  It
-    is tested every 10th iteration and whenever the residual falls below
-    TOL, where it passes up to rounding: each c_j is PSD and
-    ||a_j - c_j|| < TOL, so Weyl's inequality bounds lambda_min(a_j) below
-    by -TOL.  The residual is ||a - c|| over all cones; if the
-    budget runs out it is reported with `budget_exhausted`.  The
+    Success requires X of the affine iterate to have a marginal within
+    FACE_TOL of rho (exact to rounding on whole cones) and every full cone
+    image PSD within TOL, tested every 10th iteration and whenever the
+    residual ||a - c|| falls below TOL, where it passes up to rounding: each
+    c_j is PSD, so Weyl's inequality bounds lambda_min(a_j) below by -TOL,
+    and a_j is the full image on its face.  So a face too small can cost a
+    stall, never a wrong `found`.  If the budget runs out the last residual
+    is reported with `budget_exhausted`; on infeasible problems it tends to
+    the gap between the sets (on faces, at least the gap to the cones).  The
     residual of every 10th iteration is kept in `residuals`.
-
-    When the start fails and mn <= FACE_MAX_MN, the search moves onto the
-    faces (module docstring; `_faces`, `_nearest_on_face`) if X's face is
-    proper and its span reaches rho within FACE_TOL; a cone whose face is
-    whole is clipped as before.  Otherwise every cone stays whole and the
-    iterates are those without faces.  `face_dims` gives the dimensions.
-    Acceptance still tests the full cones, each face lies in its cone, and
-    the affine iterate's marginal must be within FACE_TOL of rho, so the
-    Weyl argument above holds as it stands: a face that is too small can
-    cost a stall, never a wrong `found`.  On infeasible problems searched
-    on faces the residual tends to the gap between the cut-down affine set
-    and the faces, which is at least the gap to the cones.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rho = prob.rho
-    maps = _ExtensionMaps(rho.m, rho.n, prob.k)
-    if prob.ppt:
-        cert = _npt_certificate(rho, maps.gram)
-        if cert is not None:
-            return cert
-    # each cone is the image of X under one isometry: (map, adjoint)
-    ops = [(lambda x: x, lambda y: y)]
-    if prob.ppt:
-        ops.append((maps.transpose_b, maps.transpose_b))
-        ops.extend(
-            (lambda x, l=l: maps.transpose_copies(x, l),
-             lambda y, l=l: maps.transpose_copies_adjoint(y, l))
-            for l in range(1, prob.k)
-        )
-    gram_pinv = np.linalg.pinv(maps.gram)
-    m, n = rho.m, rho.n
+    rho, maps = prob.rho, _ExtensionMaps(prob.rho.m, prob.rho.n, prob.k)
+    cert = _npt_certificate(rho, maps.gram) if prob.ppt else None
+    if cert is not None:
+        return cert
+    cones, gram_pinv, m, n = maps.cones(prob.ppt), np.linalg.pinv(maps.gram), rho.m, rho.n
 
     def nearest(g: Array) -> Array:
         """Nearest X to g with E(X) = rho."""
         lam = _unpaired(gram_pinv @ _paired(rho.mat - maps.reduce_one(g), m, n), m, n)
         return g + maps.reduce_one_adjoint(lam)
 
-    def lift(x: Array) -> list[Array]:
-        return [t(x) for t, _ in ops]
-
-    def average(w: list[Array]) -> Array:
-        # the T_j are isometries, so the product-space projection averages their adjoints
-        return sum(t_adj(y) for (_, t_adj), y in zip(ops, w)) / len(ops)
-
-    def off_marginal(x: Array) -> float:
-        return float(np.linalg.norm(maps.reduce_one(x) - rho.mat))
-
-    origin = np.zeros((maps.dim, maps.dim), dtype=complex)
-    z = lift(nearest(origin))
+    start = nearest(np.zeros((maps.dim, maps.dim), dtype=complex))
+    z = [cone.image(start) for cone in cones]
     spectra = [np.linalg.eigvalsh(hermitize(y)) for y in z]
     if min(v[0] for v in spectra) >= -TOL:
         # z is on the affine set, so this is the loop's test on its affine
         # iterate; the residual is the distance from z to the cones
         residual = math.sqrt(sum(float(np.sum(np.minimum(v, 0.0) ** 2)) for v in spectra))
         return ExtensionResult(True, hermitize(z[0]), residual, 1)
-    faces: list[Array | None] = [None] * len(ops)
-    if m * n <= FACE_MAX_MN:
-        found_faces = _faces(rho, prob.k, prob.ppt)
-        if found_faces[0] is not None:
-            on_face = _nearest_on_face(rho, maps, found_faces[0])
-            start = on_face(origin)
-            if off_marginal(start) <= FACE_TOL:  # the face's span reaches rho
-                faces, nearest, z = found_faces, on_face, lift(start)
-    face_dims = tuple(y.shape[0] if f is None else f.shape[1] for y, f in zip(z, faces))
+    search = _face_search(rho, maps, cones, _faces(rho, prob.k, prob.ppt))
+    variables, nearest, start, v0 = search or (cones, nearest, start, None)  # v0: X's face
+    z = [cone.image(start) for cone in variables]
+    face_dims = tuple(y.shape[0] for y in z)
     history: list[float] = []
     for it in range(1, max_iters + 1):
-        c = [_face_clip(y, f) for y, f in zip(z, faces)]
-        a = lift(nearest(average([2.0 * ci - zi for ci, zi in zip(c, z)])))
+        c = [_psd_clip(y) for y in z]
+        # the images are isometric on the affine set, so the product-space
+        # projection projects the average of their adjoints
+        mean = sum(cone.adjoint(2.0 * ci - zi) for cone, ci, zi in zip(variables, c, z))
+        x = nearest(mean / len(variables))
+        a = [cone.image(x) for cone in variables]
         residual = math.sqrt(sum(float(np.linalg.norm(ai - ci)) ** 2 for ai, ci in zip(a, c)))
         if it % 10 == 0:
             history.append(residual)
-        if ((it % 10 == 0 or residual < TOL) and off_marginal(a[0]) <= FACE_TOL
-                and min(_lowest(y) for y in a) >= -TOL):
-            return ExtensionResult(True, hermitize(a[0]), residual, it,
-                                   residuals=tuple(history), face_dims=face_dims)
+        if it % 10 == 0 or residual < TOL:  # X and its full cone images
+            x = x if v0 is None else v0 @ x @ v0.conj().T
+            full = a if v0 is None else [cone.image(x) for cone in cones]
+            if np.linalg.norm(maps.reduce_one(full[0]) - rho.mat) <= FACE_TOL and min(
+                    np.linalg.eigvalsh(hermitize(y))[0] for y in full) >= -TOL:
+                return ExtensionResult(True, hermitize(full[0]), residual, it,
+                                       residuals=tuple(history), face_dims=face_dims)
         z = [zi + RELAXATION * (ai - ci) for zi, ai, ci in zip(z, a, c)]
     return ExtensionResult(False, None, residual, max_iters, budget_exhausted=True,
                            residuals=tuple(history), face_dims=face_dims)
@@ -506,29 +514,21 @@ class ScanStats:  # filled in by separability_scan as it runs
     stop: str = ""  # trivial_bound, presolve, stalled, kmax or depth
 
 
-def separability_scan(
-    rho: DensityMatrix,
-    delta: float,
-    kmax: int | None = None,
-    *,
-    stats: ScanStats | None = None,
-) -> Verdict:
+def separability_scan(rho: DensityMatrix, delta: float, kmax: int | None = None, *,
+                      stats: ScanStats | None = None) -> Verdict:
     """Search the Bose-symmetric extension hierarchy up to the trace-norm-delta depth.
 
     The depth kbar = ceil(4m/delta), capped at `kmax`, is reached over the
-    depths 2, 4, 8, ... and then kbar itself: a k-extension yields every
-    smaller one by a partial trace, so the skipped depths add no evidence.
-    The 4m/k bound needs Bose symmetry alone, so every depth is searched
-    without PPT cones, each within SCAN_ITERS iterations.  Entangled
-    (exact=False) comes only from the NPT presolve, which rules out PPT
-    extensions at every depth and so runs once, first, unless the bound is
-    trivial; its value is the certified residual.  Then every scheduled
-    depth's size guard is checked, before any iteration.  A search that
-    runs out of iterations proves nothing and yields Unknown with the last
-    residual as its value.  An extension at kbar certifies trace-norm
-    delta-closeness to the separable set; one at a smaller cap yields
-    Unknown.  `stats`, when given, records each depth's iterations and
-    residuals, and the stop reason.
+    depths 2, 4, 8, ... (module docstring), each searched without PPT cones
+    within SCAN_ITERS iterations.  Entangled (exact=False) comes only from
+    the NPT presolve, which rules out PPT extensions at every depth and so
+    runs once, first, unless the bound is trivial; its value is the
+    certified residual.  Then every depth's size guard is checked, before
+    any iteration.  A search that runs out of iterations proves nothing and
+    yields Unknown with the last residual as its value.  An extension at
+    kbar certifies trace-norm delta-closeness to the separable set; one at
+    a smaller cap yields Unknown.  `stats`, when given, records each depth's
+    iterations and residuals, and the stop reason.
     """
     stats = ScanStats() if stats is None else stats
     kbar = copies_bound(rho.m, delta)
@@ -547,10 +547,8 @@ def separability_scan(
     problems = [ExtensionProblem(rho, k, ppt=False) for k in depths]
     for prob in problems:
         res = find_extension(prob, max_iters=SCAN_ITERS)
-        stats.depths.append(
-            DepthStats(prob.k, res.iterations, res.found, res.residual, res.residuals,
-                       res.face_dims)
-        )
+        stats.depths.append(DepthStats(prob.k, res.iterations, res.found, res.residual,
+                                       res.residuals, res.face_dims))
         if not res.found:  # without PPT cones only the budget ends a search unfound
             stats.stop = "stalled"
             return Verdict(UNKNOWN, f"symext_stalled_k{prob.k}", False, res.residual)

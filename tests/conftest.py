@@ -74,10 +74,8 @@ def verify_extension(result: ExtensionResult, prob: ExtensionProblem) -> dict:
         "unit_trace": abs(float(np.trace(x).real) - 1.0),
     }
     if prob.ppt:
-        worst = 0.0
-        for l in range(1, prob.k):
-            worst = max(worst, -float(np.linalg.eigvalsh(maps.transpose_copies(x, l))[0]))
-        worst = max(worst, -float(np.linalg.eigvalsh(maps.transpose_b(x))[0]))
+        # the cones of T_B X and of the partial transposes of l = 1..k-1 copies
+        worst = max(-float(np.linalg.eigvalsh(cone.image(x))[0]) for cone in maps.cones(True)[1:])
         out["ppt"] = max(0.0, worst)
     return out
 

@@ -287,6 +287,15 @@ class TestPhaseFixedGrid:
         np.testing.assert_allclose(np.einsum("j,jk,jl->kl", weights, fx, fy),
                                    np.abs(x.conj() @ y.T) ** 2, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_features_match_the_vectorized_form(self, m):
+        # the row-at-a-time fill against the whole-array expressions it replaced
+        x = haar_unit_vectors(m, 300, 8)
+        i, j = np.triu_indices(m, 1)
+        off = (2.0 * x[:, i].conj() * x[:, j]).T
+        want = np.concatenate([(x.real**2 + x.imag**2).T, off.real, off.imag])
+        assert np.array_equal(nets.projector_features(x), want)
+
     def test_net_features_are_built_once(self):
         net = build_net(3, 0.8)
         feats = net.features

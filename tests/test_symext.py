@@ -306,7 +306,7 @@ class TestFaces:
         for terms in range(1, m * n):
             rho, x = known_extension(m, n, k, terms, seed=10 * terms + k)
             assert np.linalg.norm(maps.reduce_one(x) - rho.mat) < 1e-12
-            images = [x, maps.transpose_b(x)] + [maps.transpose_copies(x, l) for l in range(1, k)]
+            images = [cone.image(x) for cone in maps.cones(True)]
             faces = symext._faces(rho, k, ppt=True)
             assert len(faces) == len(images) and all(f is not None for f in faces)
             for face, y in zip(faces, images):
@@ -314,16 +314,24 @@ class TestFaces:
                 inside = face @ (face.conj().T @ y @ face) @ face.conj().T
                 assert np.linalg.norm(y - inside) <= 1e-10
 
+    @pytest.mark.parametrize("ppt", [False, True])
     @pytest.mark.parametrize("m,n,terms,k", [(2, 2, 2, 3), (2, 3, 4, 2), (3, 3, 5, 2)])
-    def test_nearest_on_face_keeps_a_known_extension(self, m, n, terms, k):
+    def test_face_projection_keeps_a_known_extension(self, m, n, terms, k, ppt):
         rho, x = known_extension(m, n, k, terms, seed=k)
         maps = _ExtensionMaps(m, n, k)
-        face = symext._faces(rho, k, ppt=False)[0]
-        nearest = symext._nearest_on_face(rho, maps, face)
-        np.testing.assert_allclose(nearest(x), x, atol=1e-10)
-        y = nearest(random_complex(np.random.default_rng(k), maps.dim))
+        cones, faces = maps.cones(ppt), symext._faces(rho, k, ppt)
+        assert ppt == any(face is not None for face in faces[1:])  # PPT spans cut the set
+        _, project, _, v0 = symext._face_search(rho, maps, cones, faces)
+        s = v0.conj().T @ x @ v0
+        np.testing.assert_allclose(project(s), s, atol=1e-10)
+        g = random_complex(np.random.default_rng(k), v0.shape[1])
+        y = v0 @ project(g + g.conj().T) @ v0.conj().T
         assert np.linalg.norm(maps.reduce_one(y) - rho.mat) < 1e-10
-        assert np.linalg.norm(y - face @ (face.conj().T @ y @ face) @ face.conj().T) < 1e-10
+        for cone, face in zip(cones, faces):
+            if face is not None:
+                image = cone.image(y)
+                inside = face @ (face.conj().T @ image @ face) @ face.conj().T
+                assert np.linalg.norm(image - inside) < 1e-10
 
     # (m, n, terms, seed, k): iterations of the whole-cone search, which these
     # full-rank states (with full-rank rho^Gamma) keep
@@ -340,14 +348,9 @@ class TestFaces:
         split = [sym_dim(m, l) * sym_dim(m, k - l) * n for l in range(1, k)]
         assert res.face_dims == (maps.dim, maps.dim, *split)
 
-    RANK_DEFICIENT = [
-        pytest.param(m, n, terms, k, seed, marks=pytest.mark.xfail(
-            strict=True, reason="its k = 3 extensions are rank 3 on 5-dimensional faces, where "
-                                "the search needs 1,350 iterations"))
-        if (m, n, terms, k, seed) == (2, 2, 3, 3, 2) else (m, n, terms, k, seed)
-        for m, n, terms in [(2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 4)]
-        for k in (2, 3) for seed in range(3)
-    ]
+    RANK_DEFICIENT = [(m, n, terms, k, seed)
+                      for m, n, terms in [(2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 4)]
+                      for k in (2, 3) for seed in range(3)]
 
     @pytest.mark.parametrize("m,n,terms,k,seed", RANK_DEFICIENT)
     def test_rank_deficient_mixtures_extend_within_the_benchmark_budget(self, m, n, terms, k,
@@ -375,9 +378,6 @@ class TestFaces:
             split = [sym_dim(m, l) * sym_dim(m, k - l) * n for l in range(1, k)]
             assert res.face_dims == (sym_dim(m, k) * n,) * 2 + tuple(split)
 
-    @pytest.mark.xfail(strict=True, reason="only X's face cuts the affine set, so the spans "
-                                           "of the PPT faces and of the cut affine set are "
-                                           "nearly parallel: both use all 1,000 iterations")
     @pytest.mark.parametrize("seed,iterations", [(1, 720), (3, 420)])
     def test_near_full_rank_mixture_within_its_whole_cone_iterations(self, seed, iterations):
         # rank 5 of 6; on whole cones the search finds these in `iterations`
@@ -385,17 +385,30 @@ class TestFaces:
         res = find_extension(prob, max_iters=1000)
         assert res.found and res.iterations <= iterations
 
-    def test_faces_up_to_the_size_gate(self):
-        assert 2 * 18 == symext.FACE_MAX_MN
-        res = find_extension(ExtensionProblem(states.product_mixture(2, 18, 3, 0), 2, ppt=False),
-                             max_iters=10)
-        assert res.face_dims[0] < sym_dim(2, 2) * 18  # the loop ran, on a face
-
-    def test_whole_cones_beyond_the_size_gate(self, monkeypatch):
-        monkeypatch.setattr(symext, "_faces", lambda *args: pytest.fail("faces built"))
+    def test_faces_below_the_size_gate(self):
+        # mn = 38, rank 3: E on the 3-dimensional face is a 9 x 9 matrix
         res = find_extension(ExtensionProblem(states.product_mixture(2, 19, 3, 0), 2, ppt=False),
                              max_iters=10)
-        assert res.face_dims == (sym_dim(2, 2) * 19,)  # the loop ran, on the whole cone
+        assert res.found and res.face_dims == (3,)
+
+    def test_whole_cones_beyond_the_size_gate(self, monkeypatch):
+        # rank 8 at k = 5: the Gram of the PPT spans on the 48-dimensional face of X
+        # would have 48^4 > FACE_MAX_ENTRIES entries
+        monkeypatch.setattr(symext, "_span_basis", lambda *args: pytest.fail("spans built"))
+        rho, k = states.product_mixture(3, 3, 8, 0), 5
+        assert symext._faces(rho, k, ppt=True)[0].shape[1] ** 4 > symext.FACE_MAX_ENTRIES
+        res = find_extension(ExtensionProblem(rho, k, ppt=True), max_iters=10)
+        split = [sym_dim(3, l) * sym_dim(3, k - l) * 3 for l in range(1, k)]
+        assert res.face_dims == (sym_dim(3, k) * 3,) * 2 + tuple(split)
+
+    # (m, n, terms, seed, k) whose X face reaches rho only through small singular
+    # values of E on it (8e-6 and 4.3e-7 of the largest), found there at iteration 1
+    @pytest.mark.parametrize("case,dim", [((3, 3, 4, 0, 12), 4), ((3, 3, 3, 1, 8), 3)])
+    def test_faces_kept_through_small_singular_values(self, case, dim):
+        m, n, terms, seed, k = case
+        res = find_extension(ExtensionProblem(states.product_mixture(m, n, terms, seed), k,
+                                              ppt=False), max_iters=10)
+        assert res.found and res.face_dims == (dim,)
 
     def test_feasible_start_builds_no_face(self, monkeypatch):
         monkeypatch.setattr(symext, "_faces", lambda *args: pytest.fail("faces built"))
