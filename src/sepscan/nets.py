@@ -3,7 +3,7 @@
 A net is built as a union of refinement levels drawn from the fixed
 ladder delta_l = 2 * 2^(-l/2).  A request for covering radius delta
 takes every level down to the first one at or below delta, so nets for
-smaller delta are strict supersets of nets for larger delta; scan maxima
+smaller delta are supersets of nets for larger delta; scan maxima
 are then monotone under refinement by construction.
 
 Every net covers in the phase-quotient metric min_phi ||x - e^(i phi) y||,
@@ -13,14 +13,16 @@ same 2*delta as the Euclidean metric does.  One construction per dimension:
 * m = 2, "band": latitude/longitude covering of the Bloch sphere through
   (theta, phi) -> (cos(theta/2), e^(i phi) sin(theta/2)); ~ (1/delta)^2 points.
 * m >= 3, "grid": every ray has a representative with x_0 real and >= 0, so
-  a cubic grid of spacing delta/sqrt(2m-1) on (Re x, Im x_1..x_(m-1)) keeps
-  first-axis centers h/2, 3h/2, ...; centers within half a cell diagonal of
-  the sphere are projected onto it; ~ (1/delta)^(2m-2) points.
+  a cubic grid of spacing h = delta/sqrt(2m-1) on (Re x, Im x_1..x_(m-1))
+  keeps first-axis centers h/2, 3h/2, ...; centers strictly within half a
+  cell diagonal of the sphere are projected onto it, each at its coarsest
+  level; ~ (1/delta)^(2m-2) points.
 * m = 1: CP^0 is one point, [1].
 
 `method="grid"` also builds the grid at m = 2.  A net larger than
-MAX_POINTS is refused before anything is allocated: the grid's size is
-counted exactly from integer histograms, the band's is bounded.
+MAX_POINTS is refused before anything is allocated: both sizes are counted
+exactly, level by level, by the rule that builds the level (the grid's from
+integer histograms, the band's from its list of rings).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from .core import Array
 
 MAX_POINTS = 6_000_000
-COUNT_SLACK = 1e-9
 
 
 class NetTooLargeError(ValueError):
@@ -75,86 +76,80 @@ class CoverageReport:
         return self.max_gap <= self.delta
 
 
-def _ladder_levels(delta: float) -> list[float]:
-    """Every ladder value 2 * 2^(-l/2) from 2 down to the first <= delta."""
-    levels = []
+def _ladder_levels(delta: float) -> range:
+    """The indices l of every ladder value 2 * 2^(-l/2) from 2 down to the first <= delta."""
     l = 0
-    while True:
-        d = 2.0 * 2.0 ** (-l / 2.0)
-        levels.append(d)
-        if d <= delta:
-            return levels
+    while 2.0 * 2.0 ** (-l / 2.0) > delta:
         l += 1
+    return range(l + 1)
 
 
-def _grid_geometry(m: int, level_delta: float) -> tuple[int, float, float, int]:
-    """dim = 2m - 1, the spacing h, half a cell diagonal, and k: each axis holds
-    the centers (i + 1/2) h for -k <= i < k."""
+def _grid_window(dim: int, l: int) -> tuple[int, int]:
+    """lo, hi: grid level l keeps the centers with lo <= S = sum (2 i_a + 1)^2 <= hi.
+
+    The center h (i + 1/2), h = delta_l / sqrt(dim), has norm (h/2) sqrt(S)
+    and lies strictly within half a cell diagonal 2^(-l/2) of the sphere
+    exactly when |S - dim (2^l + 1)| < 2 dim 2^(l/2), i.e. when
+    (S - dim (2^l + 1))^2 < dim^2 2^(l+2).  A cell whose center is on this
+    window's edge meets the sphere at most at a corner s/sqrt(dim), s a sign
+    vector, and the other cells at that corner have centers inside it.  The
+    projection (2i + 1)/sqrt(S) is the same at every level, so a center is
+    kept only at its coarsest one: the windows rise with l, and a level
+    keeps only S above the previous level's window.
+    """
+    def shell(l: int) -> tuple[int, int]:
+        mid, half = dim * (2**l + 1), math.isqrt(dim * dim * 2 ** (l + 2) - 1)
+        return mid - half, mid + half
+
+    lo, hi = shell(l)
+    return (max(lo, shell(l - 1)[1] + 1) if l else lo), hi
+
+
+def _grid_level_points(m: int, l: int) -> Array:
+    """The odd vectors o = 2i + 1 with S = |o|^2 in `_grid_window` and o_0 > 0,
+    as the points o/sqrt(S), in lexicographic order of o."""
     dim = 2 * m - 1
-    h = level_delta / math.sqrt(dim)
-    half_diag = 0.5 * h * math.sqrt(dim)
-    return dim, h, half_diag, int(math.ceil((1.0 + half_diag) / h))
-
-
-def _grid_level_points(m: int, level_delta: float) -> Array:
-    dim, h, half_diag, k = _grid_geometry(m, level_delta)
-    axis = (np.arange(-k, k) + 0.5) * h
+    lo, hi = _grid_window(dim, l)
+    k = (math.isqrt(hi) + 1) // 2
+    axis = np.arange(1 - 2 * k, 2 * k, 2)  # every odd o with o^2 <= hi; the positive ones from k
     lead = min(dim - 2, 2)  # chunks over two leading axes (one at m = 2), Re x_0 > 0 only
-    pts = []
     rest = np.stack(
         np.meshgrid(*([axis] * (dim - lead)), indexing="ij"), axis=-1
     ).reshape(-1, dim - lead)
     rest_sq = np.sum(rest**2, axis=1)
     order = np.argsort(rest_sq, kind="stable")
     sorted_sq = rest_sq[order]
-    lo_sq, hi_sq = max(1.0 - half_diag, 0.0) ** 2, (1.0 + half_diag) ** 2
+    blocks = []
     for head in itertools.product(axis[k:], *([axis] * (lead - 1))):
-        # candidates by squared norm, widened so the exact filter below decides
         s = sum(a * a for a in head)
-        lo, hi = np.searchsorted(sorted_sq, [lo_sq - s - 1e-9, hi_sq - s + 1e-9])
-        idx = np.sort(order[lo:hi])
-        sq = rest_sq[idx]
-        for a in head:  # coordinate by coordinate, as the full grid's norm sums
-            sq = sq + a * a
-        norms = np.sqrt(sq)
-        keep = np.abs(norms - 1.0) <= half_diag
-        if not np.any(keep):
-            continue
-        sel = rest[idx[keep]]
-        block = np.empty((sel.shape[0], dim))
+        start, stop = np.searchsorted(sorted_sq, [lo - s, hi - s + 1])
+        sel = rest[np.sort(order[start:stop])]
+        block = np.empty((sel.shape[0], dim), dtype=np.int64)
         block[:, :lead] = head
         block[:, lead:] = sel
-        block /= norms[keep][:, None]
-        pts.append(block)
-    real = np.concatenate(pts, axis=0)
+        blocks.append(block)
+    odd = np.concatenate(blocks, axis=0)
+    real = odd / np.sqrt(np.sum(odd**2, axis=1))[:, None]
     return real[:, :m] + 1j * np.pad(real[:, m:], ((0, 0), (1, 0)))
 
 
-def _grid_level_count(m: int, level_delta: float) -> int:
+def _grid_level_count(m: int, l: int) -> int:
     """The number of centers `_grid_level_points` keeps, counted without
     building them; past MAX_POINTS, some larger number.
 
-    The center h (i_a + 1/2) has squared norm (h^2/4) S with the integer
-    S = sum (2 i_a + 1)^2 = dim + 8 sum T(i_a), T(i) = i (i + 1)/2 (the same
-    for i and -1 - i), and it is kept when (1 - hd)^2 <= (h^2/4) S <= (1 + hd)^2.
-    The histogram of sum T over the first dim - 1 axes (the first one i >= 0
-    only, the others both signs) is built one axis at a time; the last axis
-    then only has to land in the window.  The window is widened by the
-    relative COUNT_SLACK, so the count is never below the built size; it
-    exceeds it only by centers on the window's edge that float rounding
-    drops.  Bins are capped at MAX_POINTS + 1: a capped bin feeds only bins
+    S = dim + 8 sum T(i_a) with T(i) = i (i + 1)/2 (the same for i and
+    -1 - i), so the window on S is one on U = sum T.  The histogram of U over
+    the first dim - 1 axes (the first one i >= 0 only, the others both signs)
+    is built one axis at a time; the last axis then only has to land in the
+    window.  Bins are capped at MAX_POINTS + 1: a capped bin feeds only bins
     that reach the cap too, so a total of at most MAX_POINTS is exact.
     """
-    dim, h, half_diag, k = _grid_geometry(m, level_delta)
-    lo = math.ceil((4.0 * max(1.0 - half_diag, 0.0) ** 2 / h**2 * (1.0 - COUNT_SLACK) - dim) / 8.0)
-    hi = math.floor((4.0 * (1.0 + half_diag) ** 2 / h**2 * (1.0 + COUNT_SLACK) - dim) / 8.0)
-    if hi < 0:
-        return 0
-    lo = max(lo, 0)
+    dim = 2 * m - 1
+    lo, hi = _grid_window(dim, l)
+    lo, hi = max(-((dim - lo) // 8), 0), (hi - dim) // 8  # the window on U = (S - dim)/8
     cap = MAX_POINTS + 1
-    tri = np.arange(k, dtype=np.int64)
+    tri = np.arange((math.isqrt(8 * hi + 1) + 1) // 2, dtype=np.int64)  # T(i) <= hi
     tri = tri * (tri + 1) // 2
-    tri = tri[tri <= hi]
     hist = np.zeros(hi + 1, dtype=np.int64)  # ways to reach sum T = u over the axes so far
     hist[0] = 1
     for axis in range(dim - 1):
@@ -169,51 +164,37 @@ def _grid_level_count(m: int, level_delta: float) -> int:
     return int(hist @ (2 * last))
 
 
-def _grid_size(m: int, delta: float) -> int:
-    """The grid net's size, counted level by level; past MAX_POINTS, some larger number."""
-    total = 0
-    for d in _ladder_levels(delta):
-        total += _grid_level_count(m, d)
-        if total > MAX_POINTS:
-            break
-    return total
-
-
-def _band_step(d: float) -> float:
-    """Ring and longitude spacing on the Bloch sphere for phase-quotient radius d:
-    the sphere angle 4 asin(d/2) with safety factors 0.95 and 0.98."""
-    gamma = 4.0 * math.asin(min(d, 2.0) / 2.0) * 0.95
-    return gamma * math.sqrt(2.0) * 0.98
-
-
-def _band_level_points(level_delta: float) -> Array:
-    """Covering of the m=2 state space modulo phase, via its 2-sphere chart."""
-    step = _band_step(level_delta)
+def _band_rings(l: int) -> list[tuple[float, int]]:
+    """Polar angle and point count of each ring of band level l on the Bloch
+    sphere: ring and longitude spacing the sphere angle 4 asin(d/2) for
+    phase-quotient radius d = delta_l, with safety factors 0.95 and 0.98."""
+    d = 2.0 * 2.0 ** (-l / 2.0)
+    step = 4.0 * math.asin(d / 2.0) * 0.95 * math.sqrt(2.0) * 0.98
     n_rings = max(int(math.ceil(math.pi / step)), 1)
     dtheta = math.pi / n_rings
-    thetas, phis = [], []
+    rings = []
     for j in range(n_rings):
         theta = (j + 0.5) * dtheta
         s_edge = 1.0 if theta - dtheta / 2 <= math.pi / 2 <= theta + dtheta / 2 else max(
             math.sin(theta - dtheta / 2), math.sin(theta + dtheta / 2)
         )
-        n_phi = max(int(math.ceil(2.0 * math.pi * s_edge / step)), 1)
-        ring_phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        thetas.append(np.full(n_phi, theta))
-        phis.append(ring_phis)
-    theta = np.concatenate(thetas)
-    phi = np.concatenate(phis)
+        rings.append((theta, max(int(math.ceil(2.0 * math.pi * s_edge / step)), 1)))
+    return rings
+
+
+def _band_level_count(l: int) -> int:
+    return sum(n_phi for _, n_phi in _band_rings(l))
+
+
+def _band_level_points(l: int) -> Array:
+    """Covering of the m=2 state space modulo phase, via its 2-sphere chart."""
+    rings = _band_rings(l)
+    theta = np.concatenate([np.full(n_phi, t) for t, n_phi in rings])
+    phi = np.concatenate([2.0 * math.pi * np.arange(n_phi) / n_phi for _, n_phi in rings])
     pts = np.empty((theta.size, 2), dtype=complex)
     pts[:, 0] = np.cos(theta / 2.0)
     pts[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
     return pts
-
-
-def _estimate_band_size(delta: float) -> float:
-    total = 0.0
-    for d in _ladder_levels(delta):
-        total += 4.0 * math.pi / _band_step(d) ** 2 + 4
-    return total
 
 
 def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
@@ -230,9 +211,9 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
     if method == "band":
         if m != 2:
             raise ValueError("band construction is only defined for m = 2")
-        size_of, level_points = _estimate_band_size, _band_level_points
+        level_count, level_points = _band_level_count, _band_level_points
     elif method == "grid":
-        size_of, level_points = partial(_grid_size, m), partial(_grid_level_points, m)
+        level_count, level_points = partial(_grid_level_count, m), partial(_grid_level_points, m)
     else:
         raise ValueError(f"unknown method {method!r}")
     if delta >= 2.0 or m == 1:
@@ -240,16 +221,15 @@ def build_net(m: int, delta: float, *, method: str | None = None) -> DeltaNet:
         pts = np.zeros((1, m), dtype=complex)
         pts[0, 0] = 1.0
     else:
-        try:
-            size = size_of(delta)
-        except (OverflowError, ZeroDivisionError):  # beyond float range, so beyond MAX_POINTS
-            size = math.inf
-        if size > MAX_POINTS:
-            raise NetTooLargeError(
-                f"{method} net for m={m}, delta={delta} exceeds {MAX_POINTS} points; "
-                "use a larger delta"
-            )
-        pts = np.concatenate([level_points(d) for d in _ladder_levels(delta)], axis=0)
+        levels, size = _ladder_levels(delta), 0
+        for l in levels:
+            size += level_count(l)
+            if size > MAX_POINTS:
+                raise NetTooLargeError(
+                    f"{method} net for m={m}, delta={delta} exceeds {MAX_POINTS} points; "
+                    "use a larger delta"
+                )
+        pts = np.concatenate([level_points(l) for l in levels], axis=0)
     pts.setflags(write=False)
     return DeltaNet(m, delta, pts, method=method)
 

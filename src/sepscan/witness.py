@@ -305,20 +305,18 @@ def initial_region(rho: DensityMatrix, stats: SearchStats) -> SearchRegion:
     return SearchRegion(normals, weights, point, center, radius, v)
 
 
-def cut(region: SearchRegion, a: Array, sigma_a: ProductState, stats: SearchStats) -> SearchRegion:
-    """Halfspace through the origin (and through a when its margin was >= 0).
+def cut(
+    region: SearchRegion, a_hat: Array, sigma_a: ProductState, stats: SearchStats
+) -> SearchRegion:
+    """Halfspace through the origin (and through the tested center when its
+    margin was >= 0).
 
-    a is the tested center (unnormalized Bloch position); sigma_a the
-    oracle maximizer for the normalized candidate.
+    a_hat is the unit Bloch direction that was tested; sigma_a the oracle
+    maximizer for its candidate.
     """
     g = region.rho_bloch - sigma_a.bloch()
-    na = float(np.linalg.norm(a))
-    if na > 1e-12:
-        a_hat = a / na
-        observed = float(g @ a_hat)
-        normal = g - observed * a_hat if observed > 0 else g
-    else:
-        normal = g
+    observed = float(g @ a_hat)
+    normal = g - observed * a_hat if observed > 0 else g
     norm = float(np.linalg.norm(normal))
     if norm < 1e-12:
         raise NumericalBreakdownError("cut normal vanished")
@@ -414,7 +412,7 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
                 break
             target = stats.primal_distance / 2.0  # the next check waits for progress
         try:
-            region = cut(region, a if na > 1e-12 else fallback * 1e-9, oracle.maximizer, stats)
+            region = cut(region, a_hat, oracle.maximizer, stats)
         except RegionEmptyError:
             stop = "region_empty"
             break

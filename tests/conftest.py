@@ -47,15 +47,14 @@ def cutting_plane_search(rho, delta: float, net) -> tuple[str, int, SearchStats]
     calls = 0
     while True:
         calls += 1
-        a = region.center
-        a_hat = a / np.linalg.norm(a)
+        a_hat = region.center / np.linalg.norm(region.center)
         oracle = wopt_max(from_bloch(a_hat, rho.m, rho.n), rho.m, rho.n, net)
         stats.oracle_evaluated += oracle.evaluated
         stats.oracle_bounded += oracle.bounded
         if float(region.rho_bloch @ a_hat) - oracle.value > 0.4 * delta:
             return "witness", calls, stats
         try:
-            region = cut(region, a, oracle.maximizer, stats)
+            region = cut(region, a_hat, oracle.maximizer, stats)
         except RegionEmptyError:
             return "region_empty", calls, stats
         if region.radius_proxy < delta / 4.0:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,24 +29,29 @@ def size_bound(m: int, delta: float) -> float:
     return size_constant(m) * (1.0 + 2.0 / delta) ** (2 * m)
 
 
-def brute_force_grid_level(m: int, level_delta: float):
-    """Every cell center of the full R^(2m-1) grid with a0 > 0 within half a
-    cell diagonal of the sphere, projected; coordinates (Re x, Im x_1..x_(m-1))."""
+def in_shell(s, dim: int, l: int):
+    """Whether the cell center with S = |2i + 1|^2 lies strictly within half a cell
+    diagonal 2^(-l/2) of the sphere at level l: |sqrt(S / (dim 2^l)) - 1| < 2^(-l/2),
+    squared twice into integers."""
+    return (s - dim * (2**l + 1)) ** 2 < dim * dim * 2 ** (l + 2)
+
+
+def brute_force_grid_level(m: int, l: int):
+    """Every odd integer vector o = 2i + 1 of R^(2m-1) with o_0 > 0 whose cell
+    center (h/2) o lies strictly within half a cell diagonal of the sphere at
+    level l and at no coarser level, projected to o/|o|, in lexicographic
+    order; coordinates (Re x, Im x_1..x_(m-1))."""
     dim = 2 * m - 1
-    h = level_delta / math.sqrt(dim)
-    half_diag = 0.5 * h * math.sqrt(dim)
-    k = int(math.ceil((1.0 + half_diag) / h))
-    axis = (np.arange(-k, k) + 0.5) * h
+    bound = int(math.sqrt(dim) * (2 ** (l / 2) + 1)) + 1
+    axis = np.arange(-bound, bound + 1)
+    axis = axis[axis % 2 == 1]
     full = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     full = full[full[:, 0] > 0]
-    # the build's summation order: level 1.0 at m = 3 has cells exactly on the boundary
-    lead = min(dim - 2, 2)
-    sq = np.sum(full[:, lead:] ** 2, axis=1)
-    for i in range(lead):
-        sq = sq + full[:, i] ** 2
-    norms = np.sqrt(sq)
-    keep = np.abs(norms - 1.0) <= half_diag
-    real = full[keep] / norms[keep][:, None]
+    s = np.sum(full**2, axis=1)
+    keep = in_shell(s, dim, l)
+    for j in range(l):
+        keep &= ~in_shell(s, dim, j)
+    real = full[keep] / np.sqrt(s[keep])[:, None]
     return real[:, :m] + 1j * np.hstack([np.zeros((real.shape[0], 1)), real[:, m:]])
 
 
@@ -110,19 +116,19 @@ class TestBuild:
         np.testing.assert_array_equal(fine.points[: coarse.size], coarse.points)
 
     def test_grid_too_large_raises(self):
-        # refused by the size estimate, before any grid level is allocated
+        # refused by the size count, before any grid level is allocated
         with pytest.raises(NetTooLargeError):
             build_net(3, 0.1)
 
     @pytest.mark.parametrize("m,delta", [(2, 1e-200), (2, 1e-201), (20, 1e-9), (60, 0.001),
                                          (200, 1.9)])
     def test_size_bound_beyond_float_range_raises(self, m, delta):
-        # the bound underflows (h**dim, step**2) or overflows (gamma, (1 + d)**dim)
+        # far past MAX_POINTS: the exact count stops at the first level that passes it
         with pytest.raises(NetTooLargeError):
             build_net(m, delta)
 
     def test_one_point_net_needs_no_size_bound(self):
-        assert build_net(200, 2.0).size == 1  # its bound overflows, unused
+        assert build_net(200, 2.0).size == 1  # no level is counted
 
     @pytest.mark.parametrize(
         "m,delta,method", [(2, 0.4, "band"), (2, 0.02, "band"), (2, 2.0, "band"),
@@ -137,10 +143,11 @@ class TestBuild:
             assert net.method == method
             np.testing.assert_array_equal(net.points, [[1.0, 0.0]])
 
-    @pytest.mark.parametrize("m,level", [(2, 2.0 * 2.0 ** -1.5), (3, 1.0)])
-    def test_grid_level_matches_brute_force(self, m, level):
-        got = nets._grid_level_points(m, level)
-        want = brute_force_grid_level(m, level)
+    @pytest.mark.parametrize("m,l", [(2, 3), (2, 6), (3, 2), (3, 4), (4, 1)])
+    def test_grid_level_matches_brute_force(self, m, l):
+        got = nets._grid_level_points(m, l)
+        want = brute_force_grid_level(m, l)
+        assert got.shape[0] > 0
         np.testing.assert_array_equal(got, want)
 
     def test_band_only_m2(self):
@@ -223,38 +230,61 @@ class TestPhaseFixedGrid:
         assert np.all(net.points[:, 0].real > 0) and np.all(net.points[:, 0].imag == 0)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_level_count_brackets_built_size(self, monkeypatch, m):
-        # every ladder level that is cheap to build: the count over the widened
-        # window is never below the built size, over the narrowed one never above
-        levels, wide = [], []
-        for d in nets._ladder_levels(1e-3):
-            wide.append(nets._grid_level_count(m, d))
-            if wide[-1] > 250_000:
-                wide.pop()
+    def test_grid_level_count_equals_built_size(self, m):
+        # every ladder level that is cheap to build
+        built = 0
+        for l in nets._ladder_levels(1e-3):
+            count = nets._grid_level_count(m, l)
+            if count > 250_000:
                 break
-            levels.append(d)
-        monkeypatch.setattr(nets, "COUNT_SLACK", -nets.COUNT_SLACK)
-        narrow = [nets._grid_level_count(m, d) for d in levels]
-        built = [nets._grid_level_points(m, d).shape[0] for d in levels]
-        assert len(levels) >= 2
-        for l, (lo, size, hi) in enumerate(zip(narrow, built, wide)):
-            assert lo <= size <= hi
-            if l % 2:  # delta irrational: no center on the window's edge, so the count is exact
-                assert lo == size == hi
+            assert count == nets._grid_level_points(m, l).shape[0]
+            built += 1
+        assert built >= 2
 
-    @pytest.mark.parametrize("m,delta,size", [(4, 0.5, 1_606_080), (5, 1.0, 1_762_816)])
+    def test_band_level_count_equals_built_size(self):
+        for l in nets._ladder_levels(0.002):
+            assert nets._band_level_count(l) == nets._band_level_points(l).shape[0]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_no_center_is_kept_at_two_levels(self, m):
+        # an odd vector o has the same S = |o|^2 at every level: S lies in at most
+        # one level's window, that of the coarsest level whose shell holds its center
+        dim, top = 2 * m - 1, 12
+        windows = [nets._grid_window(dim, l) for l in range(top)]
+        for s in range(dim, windows[-1][1] + 1):
+            kept = [l for l, (lo, hi) in enumerate(windows) if lo <= s <= hi]
+            assert kept == [l for l in range(top) if in_shell(s, dim, l)][:1]
+
+    @pytest.mark.parametrize("m,deltas", [(2, [1.0, 0.5, 0.25, 0.125]), (3, [1.0, 0.5])])
+    def test_corner_directions_are_covered_by_neighbour_cells(self, m, deltas):
+        # s/sqrt(dim), s a sign vector with s_0 = +1, is a grid vertex at even levels
+        # l >= 2, where the two cells that touch the sphere only there have their
+        # centers on the window's edge and are dropped; the other cells at that
+        # vertex cover it, even with every point in its direction taken out
+        dim = 2 * m - 1
+        signs = np.array([(1, *s) for s in itertools.product((-1, 1), repeat=dim - 1)])
+        real = signs / math.sqrt(dim)
+        corners = real[:, :m] + 1j * np.pad(real[:, m:], ((0, 0), (1, 0)))
+        for delta in deltas:
+            net = build_net(m, delta, method="grid")
+            off = np.abs(net.points @ corners.conj().T).max(axis=1) < 1.0 - 1e-9
+            others = DeltaNet(m, delta, net.points[off], method="grid")
+            assert others.size < net.size
+            assert dense_gaps(others, corners).max() <= delta
+
+    @pytest.mark.parametrize("m,delta,size", [(4, 0.5, 1_211_072), (5, 1.0, 987_904)])
     def test_counted_size_admits(self, monkeypatch, m, delta, size):
         # both fit MAX_POINTS, though the volume bound on their shells does not
         # (6,112,822 and 21,865,561); checked without allocating the nets
         built = []
 
-        def level_points(m, d):
-            built.append(d)
+        def level_points(m, l):
+            built.append(l)
             return np.ones((1, m), dtype=complex)
 
         monkeypatch.setattr(nets, "_grid_level_points", level_points)
         assert build_net(m, delta).size == len(nets._ladder_levels(delta)) == len(built)
-        assert size <= nets._grid_size(m, delta) <= 1.01 * size
+        assert sum(nets._grid_level_count(m, l) for l in built) == size
 
     @pytest.mark.parametrize("m,delta", [(2, 0.002), (3, 0.1), (4, 0.35), (5, 0.7), (60, 0.001)])
     def test_counted_size_refuses_before_building(self, monkeypatch, m, delta):
@@ -264,6 +294,14 @@ class TestPhaseFixedGrid:
         monkeypatch.setattr(nets, "_grid_level_points", level_points)
         with pytest.raises(NetTooLargeError):
             build_net(m, delta, method="grid")
+
+    def test_band_counted_size_refuses_before_building(self, monkeypatch):
+        def level_points(l):
+            raise AssertionError("a level of a refused net was built")
+
+        monkeypatch.setattr(nets, "_band_level_points", level_points)
+        with pytest.raises(NetTooLargeError):
+            build_net(2, 0.0005)
 
     def test_projector_embedding_matches_bloch_chord(self):
         # at m = 2 the embedding is the Bloch chord over sqrt(2)

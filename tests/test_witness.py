@@ -267,23 +267,23 @@ class TestInitialRegion:
 
 class TestCut:
     def _mock_maximizer(self, rho, net, region):
-        a = region.center
-        a_hat = a / np.linalg.norm(a)
-        return wopt_max(from_bloch(a_hat, rho.m, rho.n), rho.m, rho.n, net)
+        """The tested unit direction and the oracle's answer for it."""
+        a_hat = region.center / np.linalg.norm(region.center)
+        return a_hat, wopt_max(from_bloch(a_hat, rho.m, rho.n), rho.m, rho.n, net)
 
     def test_previous_center_not_strictly_feasible(self, net_001):
         rho = states.werner(0.2)
         region = initial_region(rho, SearchStats())
-        res = self._mock_maximizer(rho, net_001, region)
-        new = cut(region, region.center, res.maximizer, SearchStats())
+        a_hat, res = self._mock_maximizer(rho, net_001, region)
+        new = cut(region, a_hat, res.maximizer, SearchStats())
         assert not strictly_inside(new, region.center, margin=1e-12)
         assert strictly_inside(new, new.center)
 
     def test_origin_remains_on_boundary(self, net_001):
         rho = states.werner(0.2)
         region = initial_region(rho, SearchStats())
-        res = self._mock_maximizer(rho, net_001, region)
-        new = cut(region, region.center, res.maximizer, SearchStats())
+        a_hat, res = self._mock_maximizer(rho, net_001, region)
+        new = cut(region, a_hat, res.maximizer, SearchStats())
         # every cut passes through the origin: it satisfies each with equality
         assert np.all(new.normals @ np.zeros_like(new.center) >= -1e-12)
 
@@ -293,9 +293,9 @@ class TestCut:
         region = initial_region(rho, stats)
         radii = [region.radius_proxy]
         for _ in range(20):
-            res = self._mock_maximizer(rho, net_001, region)
+            a_hat, res = self._mock_maximizer(rho, net_001, region)
             try:
-                region = cut(region, region.center, res.maximizer, stats)
+                region = cut(region, a_hat, res.maximizer, stats)
             except RegionEmptyError:
                 break
             radii.append(region.radius_proxy)

@@ -442,7 +442,7 @@ class TestCholeskyCertificate:
 
 @pytest.fixture(scope="class")
 def memory_nets():
-    nets = [build_net(3, 0.4), build_net(3, 0.3)]  # 72,896 and 276,096 points
+    nets = [build_net(3, 0.4), build_net(3, 0.3)]  # 62,128 and 247,488 points
     for net in nets:
         net.features  # built and kept by the net, before any scan is measured
     return nets
