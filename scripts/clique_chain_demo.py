@@ -28,6 +28,8 @@ def main() -> int:
             f"  simplex value {rep.simplex_value:.4f} = block-form value {rep.rsdf_value:.4f}; "
             f"separable max {rep.wval_value:.4f} vs threshold {rep.gamma:.4f}"
         )
+        print(f"  block-form ascent: {rep.ascent.iterations} iterations, "
+              f"{rep.ascent.capped} starts stopped by the cap")
         print(f"  decided {'YES' if rep.decided_yes else 'NO'} -> "
               f"{'consistent' if rep.consistent else 'INCONSISTENT'}")
         inconsistent += not rep.consistent

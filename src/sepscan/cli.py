@@ -181,7 +181,9 @@ def cmd_gadget(args) -> tuple[dict, dict, int]:
     graph = graph_from_json(load_json(args.graph))
     chain = verify_chain(graph, args.clique, seed=args.seed)
     config = {"graph": args.graph, "clique": args.clique, "seed": args.seed}
-    report = {"chain": {**dataclasses.asdict(chain), "consistent": chain.consistent}}
+    fields = dataclasses.asdict(chain)
+    stats = fields.pop("ascent")
+    report = {"chain": {**fields, "consistent": chain.consistent}, "stats": stats}
     return config, report, EXIT_SEPARABLE if chain.consistent else EXIT_UNKNOWN
 
 

@@ -37,7 +37,7 @@ from .core import Array
 from .wopt import seesaw_max
 
 MAX_EXACT_CLIQUE = 12
-RSDF_STARTS = 32  # random starts of the projected ascent, besides the basis vectors
+RSDF_STARTS = 32  # random starts of the Newton ascent, besides the basis vectors
 RSDF_ITERS = 400
 
 
@@ -127,20 +127,19 @@ def simplex_grid_max(a: Array, steps: int) -> float:
 
     No code in `src` calls it but `motzkin_straus_value`: it is the grid side
     of the Motzkin-Straus theorem, max over the simplex of y^T A y =
-    1 - 1/kappa, which acceptance 7 checks on 100 random graphs.
+    1 - 1/kappa, which acceptance 7 checks on 100 random graphs.  The grid
+    points are the compositions of `steps` into n parts, built as one
+    integer array a leading coordinate at a time.
     """
     n = a.shape[0]
-    best = -np.inf
-    stack = [(0, steps, ())]
-    while stack:
-        idx, left, prefix = stack.pop()
-        if idx == n - 1:
-            y = np.array(prefix + (left,), dtype=float) / steps
-            best = max(best, float(y @ a @ y))
-            continue
-        for take in range(left + 1):
-            stack.append((idx + 1, left - take, prefix + (take,)))
-    return best
+    counts = np.zeros((1, 0), dtype=np.int64)  # the leading coordinates chosen so far
+    for _ in range(n - 1):
+        width = steps - counts.sum(axis=1) + 1  # choices for the next coordinate
+        row = np.repeat(np.arange(len(counts)), width)
+        take = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack([counts[row], take])
+    y = np.column_stack([counts, steps - counts.sum(axis=1)]) / steps
+    return float(np.max(np.einsum("si,ij,sj->s", y, a, y)))
 
 
 @dataclass(frozen=True)
@@ -193,20 +192,49 @@ def wmqs_to_rsdf(inst: WmqsInstance) -> RsdfInstance:
     return RsdfInstance(tuple(blocks), inst.zeta, inst.eta)
 
 
-def rsdf_value(blocks, *, seed: int = 0) -> tuple[float, Array]:
-    """F = max over the unit sphere of sum_i (x^T B_i x)^2, by projected ascent.
+@dataclass(frozen=True)
+class AscentStats:
+    iterations: int  # steps until the last start stopped, at most RSDF_ITERS
+    capped: int  # starts still climbing after RSDF_ITERS steps
+
+
+def rsdf_value(
+    blocks, *, seed: int = 0, stats: list[AscentStats] | None = None
+) -> tuple[float, Array]:
+    """F = max over the unit sphere of sum_i (x^T B_i x)^2, by damped Newton ascent.
 
     All starts (RSDF_STARTS seeded Gaussians, then the basis vectors) climb
-    together as rows of one array, each with its own step size: a step that
-    does not lower the value is taken, one that does halves the step.  A
-    start leaves the batch after a gain below 1e-14 or at a step below
-    1e-12; the best start wins, the first on ties.
+    together as rows of one array.  With w_i = x^T B_i x, F = sum_i w_i^2,
+    M = sum_i w_i B_i and the Euclidean Hessian H = 4M + 8 sum_i (B_i x)(B_i x)^T,
+    each row steps to x + d, normalized, where d solves the bordered system
+
+        [[mu I - H + 4F I, x], [x^T, 0]] [d; lambda] = [4(Mx - Fx); 0],
+
+    that is (mu - T) d = g on the tangent plane, with g the Riemannian
+    gradient and T = P(H - 4F)P, P = I - x x^T, the Riemannian Hessian.  One
+    batched `eigh` of T solves it and gives T's largest eigenvalue.  Each row
+    keeps its own damping mu > 0 (Levenberg-Marquardt with Nielsen's
+    update), raised to at least 1.1 times that eigenvalue, so mu - T is
+    positive definite and d is an ascent direction also at a saddle.  A step
+    that does not lower F is taken, and mu is scaled by a factor from 1/3
+    to 2 that falls as the ratio of actual to predicted gain rises; a step
+    that lowers F is refused and mu grows by a factor that doubles with
+    each refusal in a row.  At a degenerate maximum (an outside vertex
+    adjacent to kappa - 1 clique vertices) F falls off quartically, so a
+    fixed-step gradient ascent closes the gap like 1/t^2, while these
+    steps close a fixed share of it each.
+
+    A row's value never decreases.  A row stops after a taken step that
+    gains less than 1e-14, after a refused step whose predicted gain is
+    below 1e-14, or at RSDF_ITERS steps; the best start wins, the first on
+    ties.  `stats`, when given, gets one AscentStats appended.
     """
     blocks = np.stack(blocks)
     k, dim, _ = blocks.shape
     flat = blocks.reshape(k * dim, dim).T  # x @ flat stacks B_1 x .. B_k x (blocks are symmetric)
+    eye = np.eye(dim)
     rng = np.random.default_rng(seed)
-    x = np.vstack([rng.standard_normal((RSDF_STARTS, dim)), np.eye(dim)])
+    x = np.vstack([rng.standard_normal((RSDF_STARTS, dim)), eye])
     norms = np.linalg.norm(x, axis=1)
     x = x[norms >= 1e-12] / norms[norms >= 1e-12, None]
 
@@ -216,29 +244,44 @@ def rsdf_value(blocks, *, seed: int = 0) -> tuple[float, Array]:
         return bx, w, np.einsum("si,si->s", w, w)
 
     bx, w, val = forms(x)
-    step = np.full(len(x), 0.5)
+    mu = np.ones(len(x))
+    grow = np.full(len(x), 2.0)  # mu's factor on the next refused step
     rows = np.arange(len(x))  # start index of each row still climbing
     end_x, end_val = x.copy(), val.copy()  # where each start stopped
-    for _ in range(RSDF_ITERS):
-        if not len(rows):
-            break
-        grad = 4.0 * np.matmul(w[:, None, :], bx)[:, 0, :]
-        cand = x + step[:, None] * grad
+    steps = 0
+    while len(rows) and steps < RSDF_ITERS:
+        steps += 1
+        grad = 4.0 * (np.matmul(w[:, None, :], bx)[:, 0, :] - val[:, None] * x)
+        hess = 4.0 * np.tensordot(w, blocks, axes=1) + 8.0 * np.matmul(bx.transpose(0, 2, 1), bx)
+        xx = x[:, :, None] * x[:, None, :]
+        tangent = (eye - xx) @ (hess - 4.0 * val[:, None, None] * eye) @ (eye - xx)
+        # x's zero eigenvalue moves to -1, so that d stays tangent
+        lam, vec = np.linalg.eigh(tangent - xx)
+        mu = np.maximum(mu, 1.1 * lam[:, -1])
+        g = np.einsum("sji,sj->si", vec, grad)  # the gradient in T's eigenbasis
+        coef = g / (mu[:, None] - lam)
+        cand = x + np.einsum("sij,sj->si", vec, coef)
         cand /= np.sqrt(np.einsum("si,si->s", cand, cand))[:, None]
+        # the model's gain g.d + d.T T d / 2, equal to (g.d + mu d.d) / 2 as (mu - T) d = g
+        pred = 0.5 * (np.einsum("si,si->s", g, coef) + mu * np.einsum("si,si->s", coef, coef))
         cand_bx, cand_w, cand_val = forms(cand)
-        up = cand_val >= val
         gain = cand_val - val
+        up = gain >= 0
+        ratio = np.divide(gain, pred, out=np.zeros_like(gain), where=pred > 0)
+        mu = np.where(up, np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), grow) * mu
+        grow = np.where(up, 2.0, 2.0 * grow)
         x = np.where(up[:, None], cand, x)
         bx = np.where(up[:, None, None], cand_bx, bx)
         w = np.where(up[:, None], cand_w, w)
         val = np.where(up, cand_val, val)
-        step = np.where(up, step, 0.5 * step)
-        done = np.where(up, gain < 1e-14, step < 1e-12)
+        done = np.where(up, gain < 1e-14, pred < 1e-14)
         if done.any():
             end_x[rows[done]], end_val[rows[done]] = x[done], val[done]
             go = ~done
-            rows, x, bx, w, val, step = rows[go], x[go], bx[go], w[go], val[go], step[go]
+            rows, x, bx, w, val, mu, grow = rows[go], x[go], bx[go], w[go], val[go], mu[go], grow[go]
     end_x[rows], end_val[rows] = x, val
+    if stats is not None:
+        stats.append(AscentStats(steps, len(rows)))
     best = int(np.argmax(end_val))
     return float(end_val[best]), end_x[best]
 
@@ -322,6 +365,7 @@ class ChainReport:
     wval_value: float
     gamma: float
     epsilon: float
+    ascent: AscentStats  # of the block-form ascent
 
     @property
     def consistent(self) -> bool:
@@ -336,7 +380,8 @@ def verify_chain(g: Graph, c: int, *, seed: int = 0) -> ChainReport:
     kappa = max_clique(g)
     wmqs = clique_to_wmqs(g, c)
     rsdf = wmqs_to_rsdf(wmqs)
-    f_val, x = rsdf_value(rsdf.blocks, seed=seed)
+    ascent: list[AscentStats] = []
+    f_val, x = rsdf_value(rsdf.blocks, seed=seed, stats=ascent)
     wval = rsdf_to_wval(rsdf)
     # wval's blocks are rsdf's, so the ascent above already found the seesaw start
     value = wval_value(wval, x)
@@ -351,6 +396,7 @@ def verify_chain(g: Graph, c: int, *, seed: int = 0) -> ChainReport:
         wval_value=value,
         gamma=float(wval.gamma),
         epsilon=float(wval.epsilon),
+        ascent=ascent[0],
     )
 
 

@@ -544,6 +544,18 @@ class TestGadgetCommand:
         assert report["chain"]["decided_yes"] is True
         assert set(report["config"]) == {"command", "graph", "clique", "seed", "version"}
 
+    def test_reports_the_ascent_under_stats(self, capsys, tmp_path):
+        from sepscan.gadgets import RSDF_ITERS, Graph
+
+        path = tmp_path / "path4.json"
+        dump_json(graph_to_json(Graph.from_edges(4, [(0, 1), (0, 3), (1, 2)])), path)
+        code, report = run_cli(capsys, "gadget", "--graph", str(path), "--clique", "2")
+        assert code == 0 and report["chain"]["consistent"] is True
+        assert set(report["stats"]) == {"iterations", "capped"}
+        assert 0 < report["stats"]["iterations"] < RSDF_ITERS
+        assert report["stats"]["capped"] == 0
+        assert "ascent" not in report["chain"]
+
 
 class TestNetCommand:
     def test_build_and_verify(self, capsys):

@@ -42,7 +42,57 @@ def rsdf_sphere_grid(blocks, resolution: int = 400) -> float:
 
 
 def rsdf_value_loop(blocks, *, seed: int = 0):
-    """`rsdf_value` one start at a time: the reference for the batched ascent."""
+    """`rsdf_value` one start at a time: the reference for the batched ascent.
+
+    It solves the bordered Newton system as written and takes the tangent
+    Hessian's largest eigenvalue in an explicit basis of the tangent plane.
+    """
+    blocks = np.stack(blocks)
+    dim = blocks.shape[1]
+    eye = np.eye(dim)
+    rng = np.random.default_rng(seed)
+    seeds = [rng.standard_normal(dim) for _ in range(RSDF_STARTS)]
+    seeds.extend(eye)
+    best_val, best_x = -np.inf, None
+    for x0 in seeds:
+        x = np.asarray(x0, dtype=float)
+        nx = np.linalg.norm(x)
+        if nx < 1e-12:
+            continue
+        x = x / nx
+        mu, grow = 1.0, 2.0
+        val = float(np.sum((x @ blocks @ x) ** 2))
+        for _ in range(RSDF_ITERS):
+            w = x @ blocks @ x  # (k,)
+            bx = blocks @ x  # (k, dim)
+            grad = 4.0 * (w @ bx - val * x)
+            hess = 4.0 * np.tensordot(w, blocks, axes=1) + 8.0 * bx.T @ bx - 4.0 * val * eye
+            tangent = np.linalg.qr(np.column_stack([x, eye]))[0][:, 1:]
+            mu = max(mu, 1.1 * np.linalg.eigvalsh(tangent.T @ hess @ tangent)[-1])
+            bordered = np.block([[mu * eye - hess, x[:, None]], [x[None, :], np.zeros((1, 1))]])
+            d = np.linalg.solve(bordered, np.append(grad, 0.0))[:dim]
+            pred = grad @ d + 0.5 * d @ hess @ d
+            cand = (x + d) / np.linalg.norm(x + d)
+            cand_val = float(np.sum((cand @ blocks @ cand) ** 2))
+            gain = cand_val - val
+            if gain >= 0:
+                ratio = gain / pred if pred > 0 else 0.0
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                x, val, grow = cand, cand_val, 2.0
+                if gain < 1e-14:
+                    break
+            else:
+                mu, grow = mu * grow, 2.0 * grow
+                if pred < 1e-14:
+                    break
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
+
+
+def rsdf_gradient_loop(blocks, *, seed: int = 0):
+    """The fixed-step projected-gradient ascent the Newton ascent replaced, one
+    start at a time: the Newton ascent must never end below it."""
     blocks = np.stack(blocks)
     dim = blocks.shape[1]
     rng = np.random.default_rng(seed)
@@ -137,6 +187,18 @@ class TestCliqueQuadratic:
         with pytest.raises(ValueError):
             max_clique(Graph(13, np.zeros((13, 13), dtype=np.int8)))
 
+    @pytest.mark.parametrize("n, steps", [(1, 4), (2, 5), (3, 6), (4, 3)])
+    def test_grid_max_enumerates_every_grid_point(self, n, steps):
+        from itertools import product
+
+        from sepscan.gadgets import simplex_grid_max
+
+        a = np.random.default_rng(n).random((n, n))
+        a = a + a.T
+        grid = [np.array(p) / steps for p in product(range(steps + 1), repeat=n) if sum(p) == steps]
+        best = max(float(y @ a @ y) for y in grid)
+        assert abs(simplex_grid_max(a, steps) - best) <= 1e-15
+
 
 class TestCliqueToWmqs:
     def test_c3_interval(self):
@@ -208,20 +270,56 @@ class TestBatchedAscent:
             val, x = rsdf_value(blocks, seed=seed)
             ref_val, _ = rsdf_value_loop(blocks, seed=seed)
             assert abs(val - ref_val) <= 1e-12, (seed, val, ref_val)
+            assert val >= rsdf_gradient_loop(blocks, seed=seed)[0] - 1e-12
             assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
             forms = np.array([x @ b @ x for b in blocks])
             assert abs(float(np.sum(forms**2)) - val) <= 1e-12
 
     def test_matches_on_random_symmetric_blocks(self):
         rng = np.random.default_rng(3)
-        for dim, k in [(2, 1), (3, 4), (5, 6)]:
+        # without mu's floor at T's top eigenvalue, the 6x6 set ends at 14.27 for seed 0, not 16.14
+        for dim, k in [(2, 1), (3, 4), (5, 6), (4, 5), (6, 3), (6, 6)]:
             blocks = []
             for _ in range(k):
                 a = rng.standard_normal((dim, dim))
                 blocks.append((a + a.T) / 2)
             for seed in range(3):
                 val, _ = rsdf_value(blocks, seed=seed)
-                assert abs(val - rsdf_value_loop(blocks, seed=seed)[0]) <= 1e-12 * max(1.0, val)
+                tol = 1e-12 * max(1.0, val)
+                assert abs(val - rsdf_value_loop(blocks, seed=seed)[0]) <= tol
+                assert val >= rsdf_gradient_loop(blocks, seed=seed)[0] - tol
+
+
+class TestDegenerateMaxima:
+    """Graphs whose Motzkin-Straus program has maxima where an outside vertex
+    is adjacent to kappa - 1 clique vertices; F falls off quartically there."""
+
+    @pytest.mark.parametrize("g", [
+        # a fixed-step gradient ascent runs these to RSDF_ITERS at 7 of the 8 seeds
+        Graph.from_edges(4, [(0, 1), (0, 3), (1, 2)]),
+        Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 5), (3, 4), (3, 5)]),
+        # starts parked near saddles, where mu below T's top eigenvalue cycles
+        random_graph(4, 0.5, 1),
+        random_graph(6, 0.8, 3),
+    ])
+    def test_reaches_the_maximum_before_the_cap(self, g):
+        blocks = wmqs_to_rsdf(clique_to_wmqs(g, 2)).blocks
+        target = 1.0 - 1.0 / max_clique(g)
+        for seed in range(4):
+            stats = []
+            val, _ = rsdf_value(blocks, seed=seed, stats=stats)
+            assert abs(val - target) <= 1e-12, (seed, val)
+            (ascent,) = stats
+            assert ascent.iterations < RSDF_ITERS and ascent.capped == 0, (seed, ascent)
+
+    def test_stats_count_capped_starts(self, monkeypatch):
+        import sepscan.gadgets as gadgets
+
+        monkeypatch.setattr(gadgets, "RSDF_ITERS", 2)
+        g = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2)])
+        stats = []
+        gadgets.rsdf_value(wmqs_to_rsdf(clique_to_wmqs(g, 2)).blocks, stats=stats)
+        assert stats[0].iterations == 2 and stats[0].capped > 0
 
 
 class TestRsdfToWval:
@@ -314,6 +412,14 @@ class TestVerifyChain:
         _, x = gadgets.rsdf_value(rsdf.blocks, seed=seed)
         assert rep.wval_value == wval_value(rsdf_to_wval(rsdf), x)
         assert len(calls) == 2
+
+    def test_report_carries_the_ascent_stats(self):
+        g = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2)])
+        rep = verify_chain(g, 2, seed=1)
+        stats = []
+        rsdf_value(wmqs_to_rsdf(clique_to_wmqs(g, 2)).blocks, seed=1, stats=stats)
+        assert rep.ascent == stats[0]
+        assert 0 < rep.ascent.iterations < RSDF_ITERS and rep.ascent.capped == 0
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
