@@ -29,6 +29,7 @@ from .qsep import bits_required, reduce_wmem_to_qsep, verify_certificate
 from .serialize import (
     InputFormatError,
     density_from_json,
+    density_to_json,
     dump_json,
     graph_from_json,
     load_json,
@@ -206,8 +207,6 @@ def cmd_state(args) -> tuple[dict, dict, int]:
         key, _, value = kv.partition("=")
         params[key] = value
     rho = states.library(args.name, **params)
-    from .serialize import density_to_json
-
     obj = density_to_json(rho)
     report = {"m": rho.m, "n": rho.n}
     if args.out:

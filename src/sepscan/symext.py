@@ -69,7 +69,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .core import Array, DensityMatrix, hermitize, partial_transpose
-from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict, ppt_test
+from .onesided import EIG_TOL, ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 
 MAX_DIM = 512  # ambient dimension d_sk n of an extension
 SPLIT_MAX_DIM = 2048  # dimension of a branched, partially transposed copy
@@ -412,16 +412,16 @@ def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
 
 
 def _npt_certificate(rho: DensityMatrix, gram: Array) -> ExtensionResult | None:
-    """Infeasibility of every PPT extension when `ppt_test` finds rho NPT.
+    """Infeasibility of every PPT extension when rho is NPT: lambda_min(rho^Gamma) < -EIG_TOL.
 
     Any PPT extension has E(T_B X) = rho^Gamma with T_B X >= 0, and E maps
     PSD operators to PSD operators, so the affine and cone sets are at least
     dist_F(rho^Gamma, PSD) / ||E|| apart; ||E||^2 is the top eigenvalue of
     the Gram matrix of E.
     """
-    if ppt_test(rho).outcome != ENTANGLED:
-        return None
     vals = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.m, rho.n, "B"))
+    if not vals[0] < -EIG_TOL:
+        return None
     bound = float(np.linalg.norm(vals[vals < 0]) / math.sqrt(np.linalg.eigvalsh(gram)[-1]))
     return ExtensionResult(False, None, bound, 0)
 

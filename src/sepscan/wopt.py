@@ -31,11 +31,10 @@ threshold and come from the heap, not from fresh pages on every call.
 
 The rows give the Frobenius bound u(x) = t + sqrt((n-1)/n) ||rows[1:]||
 >= lambda_max (|t| in abs mode), with equality for n <= 2, where it is
-the scan's value.  For n >= 3 the incumbent is the best exact value among
-a few points of the first tile (the PROBE_POINTS largest u, and every
-PROBE_STRIDE-th point), and from then on the running best.  A point whose
-u is at most the level inc - PRUNE_TAU is skipped outright.  The
-deviations are formed inside the GEMM from the centered blocks, so
+the scan's value.  For n >= 3 the first incumbent is the exact value at
+the first tile's point of largest u, and from then on the running best.
+A point whose u is at most the level inc - PRUNE_TAU is skipped outright.
+The deviations are formed inside the GEMM from the centered blocks, so
 nothing cancels against n t^2: each row is a sum of m^2 products whose
 magnitudes add up to at most 2 (sum_g ||G_g||_F^2 <= ||A||_HS^2 = 1 and
 ||f(x)|| <= sqrt(2)), so it is off by a few m^2 ulps, and the norm, being
@@ -49,10 +48,8 @@ mode also of level I + B_x), run on its rows, completes with positive
 pivots.  Cholesky's backward error is at most c n^2 u ||M|| with
 ||M|| <= 2, again far below PRUNE_TAU, so a completed factorization
 proves that the point's value is below the incumbent, itself an actual
-net value.  Only the points left over reach `eigvalsh` (the probe first
-takes its own level from the probe point of largest u, which spares most
-of the probe its eigensolve).  The maximum returned is the exhaustive
-scan's, and ties go to the first net index.
+net value.  Only the points left over reach `eigvalsh`.  The maximum
+returned is the exhaustive scan's, and ties go to the first net index.
 """
 
 from __future__ import annotations
@@ -70,8 +67,6 @@ SCAN_TILE = 16_384  # floats of a tile's rows
 CERTIFY_BATCH = 1024  # points per Cholesky batch at least, to amortize its ~n^3/6 steps
 HS_NORM_TOL = 1e-8
 HERMITIAN_TOL = 1e-10
-PROBE_POINTS = 64
-PROBE_STRIDE = 256
 PRUNE_TAU = 1e-12
 SEESAW_ITERS = 120
 
@@ -168,15 +163,6 @@ def _frobenius_bound(rows: Array, n: int, mode: str) -> Array:
     return spread
 
 
-def _probe(bound: Array) -> Array:
-    """Points whose exact values set the first incumbent: the PROBE_POINTS with
-    the largest bound and every PROBE_STRIDE-th point, which spread over the net."""
-    if bound.size <= PROBE_POINTS:
-        return np.arange(bound.size)
-    top = np.argpartition(bound, -PROBE_POINTS)[-PROBE_POINTS:]
-    return np.union1d(top, np.arange(0, bound.size, PROBE_STRIDE))
-
-
 def _certified_below(rows: Array, n: int, level: float, sign: float = 1.0) -> Array:
     """True where an unpivoted Cholesky M = R^dagger R of M = level*I - sign*B_x
     completes with all pivots > 0, which proves lambda_max(sign*B_x) < level up
@@ -260,21 +246,14 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
             if bound[i] > best_val:
                 best_val, best_idx = float(bound[i]), start + i
             continue
-        if start == 0:
-            # the probe's best value; the probe point of largest bound gives
-            # the level that spares most of the probe its eigensolve
-            probe = _probe(bound)
-            first = probe[np.argmax(bound[probe])]
-            level = _scan_values(_conditioned(feats[:, first : first + 1], blocks), mode)[0]
-            idx = probe[_survivors(rows[:, probe], n, level - PRUNE_TAU, mode)]
-            vals = _scan_values(_conditioned(feats[:, idx], blocks), mode)
-            evaluated += vals.size
-            i = int(np.argmax(vals))
-            best_val, best_idx = float(vals[i]), int(idx[i])
+        if start == 0:  # the first incumbent: the exact value at the largest bound
+            best_idx = int(np.argmax(bound))
+            top = _conditioned(feats[:, best_idx : best_idx + 1], blocks)
+            best_val = float(_scan_values(top, mode)[0])
+            evaluated = bounded = 1  # its bound clears the level
+            bound[best_idx] = -np.inf  # so that it is not evaluated again
         keep = bound > best_val - PRUNE_TAU
         bounded += int(np.count_nonzero(keep))
-        if start == 0:
-            keep[probe] = False  # already evaluated or ruled out
         idx = np.flatnonzero(keep)
         if idx.size:
             held.append((start + idx, rows if idx.size == rows.shape[1] else rows[:, idx]))

@@ -11,7 +11,6 @@ from sepscan.wopt import (
     ProductState,
     _certified_below,
     _frobenius_bound,
-    _probe,
     quadratic_form,
     seesaw_max,
     wopt_max,
@@ -169,15 +168,28 @@ class TestWoptMax:
 
 
 def exhaustive_max(a, m, n, net, mode):
-    """Reference scan: every net point's full spectrum, B_x built by einsum."""
+    """Reference scan: every net point's full spectrum, B_x built by einsum.
+    Returns the maximum and the first net index that reaches it, and the gap
+    to the largest value at any other index (inf for a one-point net)."""
     a4 = np.asarray(a, dtype=complex).reshape(m, n, m, n)
-    best = -np.inf
+    tops = []
     for start in range(0, net.size, 8192):
         x = net.points[start : start + 8192]
         vals = np.linalg.eigvalsh(np.einsum("ka,ajbl,kb->kjl", x.conj(), a4, x))
-        top = np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1]
-        best = max(best, float(top.max()))
-    return best
+        tops.append(np.maximum(vals[:, -1], -vals[:, 0]) if mode == "abs" else vals[:, -1])
+    top = np.concatenate(tops)
+    i = int(np.argmax(top))
+    gap = top[i] - np.delete(top, i).max() if top.size > 1 else np.inf
+    return float(top[i]), i, gap
+
+
+def assert_scan_matches(res, a, m, n, net, mode):
+    """The scan's value is the exhaustive one, and its maximizer is the net
+    point that reaches it, whenever that point is unique by more than 1e-12."""
+    value, i, gap = exhaustive_max(a, m, n, net, mode)
+    assert abs(res.value - value) <= 1e-12
+    if gap > 1e-12:
+        np.testing.assert_array_equal(res.maximizer.alpha, net.points[i])
 
 
 def swapped(a, m, n):
@@ -218,7 +230,7 @@ class TestExhaustiveAgreement:
         for seed in range(2):
             a = random_hermitian_unit(m * n, seed + 30)
             res = wopt_max(a, m, n, net, mode=mode)
-            assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
+            assert_scan_matches(res, a, m, n, net, mode)
             at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
             assert abs((abs(at) if mode == "abs" else at) - res.value) <= 1e-12
             if n <= 2:
@@ -232,7 +244,7 @@ class TestExhaustiveAgreement:
             a = random_hermitian_unit(m * n, seed + 40)
             res = wopt_max(a, m, n, net, mode=mode)
             assert res.maximizer.alpha.shape == (m,) and res.maximizer.beta.shape == (n,)
-            assert abs(res.value - exhaustive_max(swapped(a, m, n), n, m, net, mode)) <= 1e-12
+            assert abs(res.value - exhaustive_max(swapped(a, m, n), n, m, net, mode)[0]) <= 1e-12
             at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
             assert abs((abs(at) if mode == "abs" else at) - res.value) <= 1e-12
             assert res.guarantee == 2.0 * net.delta
@@ -269,7 +281,7 @@ class TestScanPruning:
         for seed in range(2):
             a = random_hermitian_unit(m * n, seed)
             res = wopt_max(a, m, n, net, mode=mode)
-            assert abs(res.value - exhaustive_max(a, m, n, net, mode)) <= 1e-12
+            assert_scan_matches(res, a, m, n, net, mode)
             assert res.evaluated < net.size
             assert res.bounded < net.size
 
@@ -280,7 +292,7 @@ class TestScanPruning:
             res = wopt_max(a, 2, 2, net, mode=mode)
             assert res.evaluated == net.size
             assert res.bounded == net.size
-            assert abs(res.value - exhaustive_max(a, 2, 2, net, mode)) <= 1e-12
+            assert abs(res.value - exhaustive_max(a, 2, 2, net, mode)[0]) <= 1e-12
 
     def test_abs_mode_negative_dominant(self, pruning_nets):
         net = pruning_nets[(3, 0.8)]
@@ -291,7 +303,7 @@ class TestScanPruning:
         res = wopt_max(a, 3, 3, net, mode="abs")
         signed = wopt_max(a, 3, 3, net, mode="signed")
         assert res.value > signed.value + 0.1  # the negative end decides
-        assert abs(res.value - exhaustive_max(a, 3, 3, net, "abs")) <= 1e-12
+        assert abs(res.value - exhaustive_max(a, 3, 3, net, "abs")[0]) <= 1e-12
         at = quadratic_form(a, res.maximizer.alpha, res.maximizer.beta)
         assert at < 0 and abs(abs(at) - res.value) < 1e-12
 
@@ -310,7 +322,7 @@ class TestScanPruning:
         res = wopt_max(a, 2, 3, net)
         tiles = -(-net.size // 64)
         assert len(calls) < tiles  # some tile reached no eigensolve at all
-        assert abs(res.value - exhaustive_max(a, 2, 3, net, "signed")) <= 1e-12
+        assert abs(res.value - exhaustive_max(a, 2, 3, net, "signed")[0]) <= 1e-12
 
 
 def _hermitian_with_spectrum(rng, spectra):
@@ -319,19 +331,17 @@ def _hermitian_with_spectrum(rng, spectra):
     return np.einsum("kij,kj,klj->kil", q, spectra, q.conj())
 
 
-class TestProbe:
+class TestConditionedRows:
     @staticmethod
     def reference(bx, mode):
-        """The bound and the probe from a Hermitian stack, t from np.trace."""
+        """The bound from a Hermitian stack, t from np.trace."""
         n = bx.shape[-1]
         t = np.trace(bx, axis1=1, axis2=2).real / n
         dev = bx - t[:, None, None] * np.eye(n)
         fro2 = np.einsum("kjl,kjl->k", dev.real, dev.real)
         fro2 = fro2 + np.einsum("kjl,kjl->k", dev.imag, dev.imag)
         lead = np.abs(t) if mode == "abs" else t
-        bound = lead + np.sqrt((n - 1) / n * fro2)
-        top = np.argpartition(bound, -wopt.PROBE_POINTS)[-wopt.PROBE_POINTS:]
-        return t, bound, np.union1d(top, np.arange(0, bound.size, wopt.PROBE_STRIDE))
+        return t, lead + np.sqrt((n - 1) / n * fro2)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3)])
     @pytest.mark.parametrize("mode", ["signed", "abs"])
@@ -345,11 +355,10 @@ class TestProbe:
         bx = wopt._conditioned(net.features, blocks)
         direct = np.einsum("ka,ajbl,kb->kjl", net.points.conj(), a.reshape(m, n, m, n), net.points)
         np.testing.assert_allclose(bx, direct, rtol=0, atol=1e-14)
-        t_ref, bound_ref, probe_ref = self.reference(bx, mode)
+        t_ref, bound_ref = self.reference(bx, mode)
         np.testing.assert_allclose(rows[0], t_ref, rtol=0, atol=1e-14)
         bound = _frobenius_bound(rows, n, mode)
         np.testing.assert_allclose(bound, bound_ref, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(_probe(bound), probe_ref)
 
 
 class TestFrobeniusPrefilter:
