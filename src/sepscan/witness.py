@@ -26,25 +26,31 @@ stops on one of two checked certificates: interior, min N p/||p|| > 1e-9,
 where Newton starts at sqrt(k/(k+2)) p/||p|| (k normals; the barrier's
 minimum along every ray from the origin); or empty, ||N^T lambda|| <= 1e-9,
 so every unit x has min_i n_i . x <= 1e-9 (a Euclidean thickness, which
-unlike a box slack does not depend on the generator basis).
+unlike a box slack does not depend on the generator basis).  The first
+region needs no iteration: its one normal n = v(rho)/||v(rho)|| is its own
+least-norm point, its analytic center is n/sqrt(3) and its Dikin radius
+1/sqrt(3) (the barrier Hessian there is 3I + 6nn^T), or with v(rho) = 0 it
+is the ball, center 0 and radius 1/sqrt(2).
 
 The primal: every oracle maximizer sigma_i is a product state, so the
 least-norm point of conv{v(sigma_i) - v(rho)} (Gilbert's algorithm for
 separability, Brierley, Navascues and Vertesi, arXiv:1609.05011) measures
 how close a known separable mixture is to rho.  The atoms are the mn
-computational product states and every maximizer; after each oracle call
+computational product states, whose rows are the outer products of the
+local bases' diagonal columns, and every maximizer; after each oracle call
 that finds no witness, the same Wolfe solver runs warm on them, and stops
 as soon as the distance is at most delta', the QSEP distance of
 `qsep.reduce_wmem_to_qsep` for (m, n, delta).  Only then is the exact
-instance built (once per search), from the dyadic image of rho, and the
-corral's weights and atoms are truncated to a `QsepCertificate` and
-checked in exact arithmetic.  An accepted check stops the search on
-`certificate` with an exact `SeparableAssured`: it proves that the dyadic
-image of rho lies within delta' < delta of the certificate's sigma~, which
-is delta-closeness, not separability (an entangled state within delta of
-the separable set may get it).  A rejected check halves the distance the
-next check waits for, and the search cuts on; floats alone never give a
-verdict.
+instance built (once per search), from `exact_image` of rho: its floats as
+integers over one power of two, with the last diagonal entry set for
+trace exactly 1.  The corral's weights and atoms are truncated to a
+`QsepCertificate` and checked in exact arithmetic.  An accepted check stops
+the search on `certificate` with an exact `SeparableAssured`: it proves that
+the exact image of rho lies within delta' < delta of the certificate's
+sigma~, which is delta-closeness, not separability (an entangled state
+within delta of the separable set may get it).  A rejected check halves
+the distance the next check waits for, and the search cuts on; floats
+alone never give a verdict.
 
 Termination also declares the state delta-close to the separable set
 when the largest semi-axis of the Dikin ellipsoid at the analytic center
@@ -62,10 +68,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import qsep  # called through the module, so spans installed on it time the checks
-from .core import Array, DensityMatrix, from_bloch, ket, to_bloch
+from .core import Array, DensityMatrix, _local_basis, from_bloch, ket, to_bloch
 from .nets import DeltaNet, NetTooCoarseError
 from .onesided import ENTANGLED, SEPARABLE, Verdict
-from .qsep import QRat, QsepCertificate, QsepInstance, VerificationResult
+from .qsep import QsepCertificate, QsepInstance, VerificationResult
 from .wopt import ProductState, WoptResult, wopt_max
 
 NEWTON_DECREMENT_TOL = 1e-12
@@ -281,28 +287,32 @@ def _feasible_start(
     warm-started at `weights` and `point`; or RegionEmptyError with weights
     whose combination has norm <= THICKNESS_TOL.
     """
-    k, dim = normals.shape
-    if k == 0:
-        return np.zeros(dim), weights, point
     lam, x, solves = _min_norm_point(normals, weights, point, THICKNESS_TOL)
     stats.ldp_steps += solves
     size = _hull_norm(normals, lam)
     if size <= THICKNESS_TOL:
         raise RegionEmptyError(f"cut cone is empty: ||N^T lambda|| = {size:.3g}", lam)
-    nx = math.sqrt(float(x @ x))
+    nx, k = math.sqrt(float(x @ x)), len(normals)
     if np.min(normals @ x) > THICKNESS_TOL * nx:
         return math.sqrt(k / (k + 2.0)) * x / nx, lam, x
     raise NumericalBreakdownError(f"least-norm point of norm {nx:.3g} is at the threshold")
 
 
-def initial_region(rho: DensityMatrix, stats: SearchStats) -> SearchRegion:
-    """Unit Bloch ball, cut by v(rho) . x >= 0 when v(rho) is nonzero."""
+def initial_region(rho: DensityMatrix) -> SearchRegion:
+    """Unit Bloch ball, cut by n . x >= 0 with n = v(rho)/||v(rho)|| when v(rho)
+    is nonzero, in closed form.  The one normal is its own least-norm point
+    (weight 1), and the barrier -log(n . x) - log(1 - ||x||^2) is least at
+    x = n/sqrt(3), the start `_feasible_start` gives one normal, where its
+    Hessian is 3I + 6 nn^T: the Dikin radius is 1/sqrt(3).  Without the cut the
+    center is 0, the Hessian 2I and the radius 1/sqrt(2)."""
     v = to_bloch(rho.mat, rho.m, rho.n)
     nv = float(np.linalg.norm(v))
-    normals = (v / nv)[None, :] if nv >= 1e-12 else np.empty((0, v.shape[0]))
-    x0, weights, point = _feasible_start(normals, np.zeros(len(normals)), np.zeros_like(v), stats)
-    center, radius = analytic_center(normals, x0, stats)
-    return SearchRegion(normals, weights, point, center, radius, v)
+    if nv < 1e-12:
+        return SearchRegion(np.empty((0, v.shape[0])), np.zeros(0), np.zeros_like(v),
+                            np.zeros_like(v), 1.0 / math.sqrt(2.0), v)
+    n = v / nv
+    center = math.sqrt(1 / 3.0) * n / math.sqrt(float(n @ n))
+    return SearchRegion(n[None, :], np.ones(1), n, center, 1.0 / math.sqrt(3.0), v)
 
 
 def cut(
@@ -332,15 +342,37 @@ def iteration_cap(dim: int, delta: float) -> int:
     return int(math.ceil(4.0 * dim * math.log(8.0 / delta))) + 64
 
 
-def dyadic_image(mat: Array) -> tuple[tuple[QRat, ...], ...]:
+def exact_image(mat: Array) -> qsep.ExactMatrix:
     """The exact matrix of a float density matrix: the upper triangle's floats,
-    mirrored, and the last diagonal entry the `Fraction` that makes the trace
-    exactly 1."""
-    upper = np.triu(mat, 1)
-    image = upper + upper.conj().T + np.diag(mat.diagonal().real)  # adds only zeros: exact
-    rows = [[QRat(z.real, z.imag) for z in row] for row in image.tolist()]
-    rows[-1][-1] = QRat(1 - sum(map(Fraction, image.diagonal().real[:-1].tolist())), 0.0)
-    return tuple(map(tuple, rows))
+    mirrored, the real diagonal, and the last diagonal entry set so that the
+    trace is exactly 1.  Every float is an integer over a power of two, so the
+    entries are integers over the largest of those powers, and that is their
+    lowest terms: a float over 2^k, k >= 1, has an odd numerator."""
+    d = mat.shape[0]
+    z = mat.tolist()
+    q = d * (d - 1)  # the upper triangle's parts, row by row, then the diagonal's
+    parts = [x for r in range(d) for c in range(r + 1, d) for x in (z[r][c].real, z[r][c].imag)]
+    ratios = [x.as_integer_ratio() for x in parts + [z[r][r].real for r in range(d - 1)]]
+    den = max((b for _, b in ratios), default=1)  # powers of two: the largest is their lcm
+    nums = [a * (den // b) for a, b in ratios]
+    nums.append(den - sum(nums[q:]))
+    upper = iter(zip(nums[:q:2], nums[1:q:2]))
+    rows = [[(0, 0)] * d for _ in range(d)]
+    for r in range(d):
+        rows[r][r] = (nums[q + r], 0)
+        for c in range(r + 1, d):
+            re, im = rows[r][c] = next(upper)
+            rows[c][r] = (re, -im)
+    return qsep.ExactMatrix(tuple(map(tuple, rows)), den)
+
+
+def _computational_rows(m: int, n: int) -> Array:
+    """Bloch rows of the mn product states |i>|j>, i-major: those of
+    `ProductState.bloch`, which is the outer product of the local coordinates
+    of E_ii and E_jj, the diagonal columns i (m + 1) and j (n + 1) of the
+    local bases."""
+    ea, eb = (_local_basis(d)[:, :: d + 1].real.T for d in (m, n))
+    return (ea[:, None, :, None] * eb[None, :, None, :]).reshape(m * n, -1)[:, 1:]
 
 
 def _check_primal(
@@ -371,16 +403,16 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     atoms = [ProductState(ket(i, rho.m), ket(j, rho.n)) for i in range(rho.m) for j in range(rho.n)]
     exact_delta = Fraction(delta)
     if dim == 0:  # a 1x1 state is its one atom: certify it without a search
-        inst = qsep.reduce_wmem_to_qsep(dyadic_image(rho.mat), 1, 1, exact_delta)
+        inst = qsep.reduce_wmem_to_qsep(exact_image(rho.mat), 1, 1, exact_delta)
         qcert, check = _check_primal(inst, atoms, np.ones(1))
         stats.certificate_checks = 1
         verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
         return WsepResult(verdict, None, 0, "certificate", stats, inst, qcert)
     stop = "cap"
-    region = initial_region(rho, stats)
+    region = initial_region(rho)
     fallback = np.eye(dim)[0]
     cert = None
-    points = np.array([atom.bloch() for atom in atoms]) - region.rho_bloch
+    points = _computational_rows(rho.m, rho.n) - region.rho_bloch
     lam, x = np.zeros(len(atoms)), np.zeros(dim)
     bits = qsep.reduction_bits(rho.m, rho.n, exact_delta)
     target = float(qsep.error_bound_reconstruction(rho.m, rho.n, bits))  # delta'
@@ -404,7 +436,7 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
         stats.primal_distance = _hull_norm(points, lam)
         if stats.primal_distance <= target:
             if inst is None:  # built on the first check only
-                inst = qsep.reduce_wmem_to_qsep(dyadic_image(rho.mat), rho.m, rho.n, exact_delta)
+                inst = qsep.reduce_wmem_to_qsep(exact_image(rho.mat), rho.m, rho.n, exact_delta)
             stats.certificate_checks += 1
             qcert, check = _check_primal(inst, atoms, lam)
             if check.accepted:

@@ -33,7 +33,7 @@ The rows give the Frobenius bound u(x) = t + sqrt((n-1)/n) ||rows[1:]||
 >= lambda_max (|t| in abs mode), with equality for n <= 2, where it is
 the scan's value.  For n >= 3 the first incumbent is the exact value at
 the first tile's point of largest u, and from then on the running best.
-A point whose u is at most the level inc - PRUNE_TAU is skipped outright.
+A point whose u is at most the level inc + PRUNE_TAU is skipped outright.
 The deviations are formed inside the GEMM from the centered blocks, so
 nothing cancels against n t^2: each row is a sum of m^2 products whose
 magnitudes add up to at most 2 (sum_g ||G_g||_F^2 <= ||A||_HS^2 = 1 and
@@ -47,9 +47,14 @@ when an unpivoted Cholesky factorization of M = level I - B_x (in abs
 mode also of level I + B_x), run on its rows, completes with positive
 pivots.  Cholesky's backward error is at most c n^2 u ||M|| with
 ||M|| <= 2, again far below PRUNE_TAU, so a completed factorization
-proves that the point's value is below the incumbent, itself an actual
-net value.  Only the points left over reach `eigvalsh`.  The maximum
-returned is the exhaustive scan's, and ties go to the first net index.
+proves that the point's value is below the incumbent plus PRUNE_TAU, the
+incumbent being an actual net value.  Only the points left over reach
+`eigvalsh`, and one replaces the incumbent only with a larger value: the
+maximum returned is the exhaustive scan's within PRUNE_TAU, and among
+near-ties the first index examined wins.  A witness invariant under U (x) U
+or U (x) U* ties the incumbent at every net point, which a certificate at
+the incumbent itself cannot rule out.  For n <= 2 the maximum is the
+exhaustive scan's, ties going to the first net index.
 """
 
 from __future__ import annotations
@@ -206,7 +211,9 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
 
     A must be Hermitian with ||A||_HS = 1, so the additive guarantee is
     2*net.delta.  The net may live on C^m or on C^n.  Returns the maximum of
-    the exhaustive scan; `evaluated` counts the net points that reached an
+    the exhaustive scan, within PRUNE_TAU when the conditioned side has
+    dimension >= 3, where among near-ties the first index examined wins (the
+    module docstring says why); `evaluated` counts the net points that reached an
     eigensolve and `bounded` those whose Frobenius bound cleared the level
     (both all of them when the conditioned side has dimension <= 2).
     """
@@ -252,7 +259,7 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
             best_val = float(_scan_values(top, mode)[0])
             evaluated = bounded = 1  # its bound clears the level
             bound[best_idx] = -np.inf  # so that it is not evaluated again
-        keep = bound > best_val - PRUNE_TAU
+        keep = bound > best_val + PRUNE_TAU
         bounded += int(np.count_nonzero(keep))
         idx = np.flatnonzero(keep)
         if idx.size:
@@ -267,14 +274,14 @@ def wopt_max(a: Array, m: int, n: int, net: DeltaNet, *, mode: str = "signed") -
             idx = np.concatenate([h[0] for h in held])
             rows = np.concatenate([h[1] for h in held], axis=1)
         held, count = [], 0
-        live = _survivors(rows, n, best_val - PRUNE_TAU, mode)
+        live = _survivors(rows, n, best_val + PRUNE_TAU, mode)
         if live.size == 0:
             continue
         idx = idx[live]
         vals = _scan_values(_conditioned(feats[:, idx], blocks), mode)
         evaluated += vals.size
         i = int(np.argmax(vals))
-        if vals[i] > best_val or (vals[i] == best_val and idx[i] < best_idx):
+        if vals[i] > best_val:
             best_val, best_idx = float(vals[i]), int(idx[i])
     x_star = net.points[best_idx]
     top = _conditioned(feats[:, best_idx : best_idx + 1], blocks)[0]

@@ -43,7 +43,7 @@ def cutting_plane_search(rho, delta: float, net) -> tuple[str, int, SearchStats]
     number of oracle calls and the counters.  The region's center must stay
     off the origin."""
     stats = SearchStats()
-    region = initial_region(rho, stats)
+    region = initial_region(rho)
     calls = 0
     while True:
         calls += 1

@@ -8,24 +8,25 @@ import scipy.optimize
 
 from conftest import cutting_plane_search, exact_rows, random_local_unitaries, reference_verify
 from sepscan import states, witness
-from sepscan.core import DensityMatrix, from_bloch, partial_transpose, to_bloch
+from sepscan.core import DensityMatrix, from_bloch, ket, partial_transpose, to_bloch
 from sepscan.nets import NetTooCoarseError, build_net
 from sepscan.onesided import ENTANGLED, SEPARABLE, ppt_test
-from sepscan.qsep import verify_certificate
+from sepscan.qsep import QRat, verify_certificate
 from sepscan.witness import (
     RegionEmptyError,
     SearchStats,
+    _computational_rows,
     _feasible_start,
     _min_norm_point,
     analytic_center,
     cut,
-    dyadic_image,
+    exact_image,
     initial_region,
     iteration_cap,
     revalidate,
     wsep_solve,
 )
-from sepscan.wopt import wopt_max
+from sepscan.wopt import ProductState, wopt_max
 
 
 def ppt_witness_bloch(rho):
@@ -234,31 +235,51 @@ class TestFeasibleStart:
             cold_start(np.vstack([n, -n]))
         np.testing.assert_allclose(info.value.weights, [0.5, 0.5])
 
-    def test_no_normals_gives_origin(self):
-        x, _, _ = _feasible_start(np.empty((0, 4)), np.empty(0), np.zeros(4), SearchStats())
-        np.testing.assert_array_equal(x, np.zeros(4))
-
 
 class TestInitialRegion:
     def test_half_bloch_vector_is_feasible(self):
         rho = states.werner(0.7)
-        stats = SearchStats()
-        region = initial_region(rho, stats)
+        region = initial_region(rho)
         v = region.rho_bloch
         probe = v / (2.0 * np.linalg.norm(v))
         assert strictly_inside(region, probe)
-        # one halfspace: Newton starts at its analytic center, v/(sqrt(3) ||v||)
+        # one halfspace: its analytic center is v/(sqrt(3) ||v||)
         np.testing.assert_allclose(region.center, v / (math.sqrt(3.0) * np.linalg.norm(v)))
-        assert stats.newton_steps == 0
+
+    @pytest.mark.parametrize("rho", [
+        states.werner(0.3), states.werner(0.9), states.bell(),
+        states.random_full_rank(2, 2, 1), states.random_full_rank(2, 3, 2),
+        states.random_full_rank(3, 3, 3),
+        states.maximally_mixed(2, 2), states.maximally_mixed(2, 3),
+    ], ids=["werner03", "werner09", "bell", "full2x2", "full2x3", "full3x3",
+            "mixed2x2", "mixed2x3"])
+    def test_closed_form_equals_the_iterative_path(self, rho):
+        # the first region as `cut` would build it: `_feasible_start`, then Newton
+        v = to_bloch(rho.mat, rho.m, rho.n)
+        nv = float(np.linalg.norm(v))
+        normals = (v / nv)[None, :] if nv >= 1e-12 else np.empty((0, v.shape[0]))
+        stats = SearchStats()
+        if len(normals):
+            x0, weights, point = cold_start(normals, stats)
+        else:
+            x0, weights, point = np.zeros_like(v), np.zeros(0), np.zeros_like(v)
+        center, radius = analytic_center(normals, x0, stats)
+        assert stats == SearchStats()  # no affine solve, no Newton step
+        region = initial_region(rho)
+        np.testing.assert_array_equal(region.normals, normals)
+        np.testing.assert_array_equal(region.weights, weights)
+        np.testing.assert_array_equal(region.least_norm, point)
+        np.testing.assert_allclose(region.center, center, rtol=0.0, atol=1e-15)
+        assert region.radius_proxy == pytest.approx(radius, rel=0.0, abs=1e-12)
 
     def test_maximally_mixed_gives_full_ball(self):
-        region = initial_region(states.maximally_mixed(2, 2), SearchStats())
+        region = initial_region(states.maximally_mixed(2, 2))
         assert region.normals.shape[0] == 0
         np.testing.assert_allclose(region.center, 0.0, atol=1e-9)
 
     def test_contains_ppt_witness_for_npt_state(self):
         for rho in [states.bell(), states.werner(0.8)]:
-            region = initial_region(rho, SearchStats())
+            region = initial_region(rho)
             w = ppt_witness_bloch(rho)
             assert w is not None
             # scaled inside the ball, the true witness satisfies every cut
@@ -273,7 +294,7 @@ class TestCut:
 
     def test_previous_center_not_strictly_feasible(self, net_001):
         rho = states.werner(0.2)
-        region = initial_region(rho, SearchStats())
+        region = initial_region(rho)
         a_hat, res = self._mock_maximizer(rho, net_001, region)
         new = cut(region, a_hat, res.maximizer, SearchStats())
         assert not strictly_inside(new, region.center, margin=1e-12)
@@ -281,7 +302,7 @@ class TestCut:
 
     def test_origin_remains_on_boundary(self, net_001):
         rho = states.werner(0.2)
-        region = initial_region(rho, SearchStats())
+        region = initial_region(rho)
         a_hat, res = self._mock_maximizer(rho, net_001, region)
         new = cut(region, a_hat, res.maximizer, SearchStats())
         # every cut passes through the origin: it satisfies each with equality
@@ -290,7 +311,7 @@ class TestCut:
     def test_radius_proxy_nonincreasing(self, net_001):
         rho = states.random_full_rank(2, 2, 5)
         stats = SearchStats()
-        region = initial_region(rho, stats)
+        region = initial_region(rho)
         radii = [region.radius_proxy]
         for _ in range(20):
             a_hat, res = self._mock_maximizer(rho, net_001, region)
@@ -356,11 +377,24 @@ class TestWsepSolve:
         net = build_net(2, delta / 10.0, method="band")
         stop, calls, stats = cutting_plane_search(states.product_mixture(2, 3, 24, seed), delta, net)
         assert stop in ("dikin_radius", "region_empty")
-        assert len(outcomes) == calls + 1  # the initial region, then one per cut
+        assert len(outcomes) == calls  # one per cut: the initial region is in closed form
         assert outcomes.count("empty") == (stop == "region_empty")
         assert 0 < stats.ldp_steps <= 2 * calls
         assert calls < stats.newton_steps
         assert 0 < stats.oracle_evaluated < calls * net.size  # pruned scans
+
+    def test_isotropic_2x4_scans_stay_small(self):
+        # w Phi + (1 - w) I/8: the centers approach U (x) U*-invariant witnesses,
+        # which tie the incumbent at every net point, and a certificate at the
+        # incumbent itself cannot rule a tie out
+        phi = np.zeros(8)
+        phi[[0, 5]] = 1.0 / math.sqrt(2.0)
+        rho = DensityMatrix.make(2, 4, 0.35 * np.outer(phi, phi) + 0.65 * np.eye(8) / 8)
+        net = build_net(2, 0.005, method="band")
+        assert net.size == 240_544
+        res = wsep_solve(rho, 0.05, net)
+        assert (res.verdict.outcome, res.stop, res.iterations) == (ENTANGLED, "witness", 11)
+        assert res.stats.oracle_evaluated < 10_000
 
     def test_net_too_coarse_rejected(self, net_001):
         with pytest.raises(NetTooCoarseError):
@@ -446,6 +480,17 @@ class TestWsepSolve:
         assert wsep_solve(rho, 0.05, net_0005).verdict.outcome == SEPARABLE
 
 
+def qrat_image(mat):
+    """The exact image of a float state as rows of QRat: the upper triangle's
+    floats, mirrored, and the last diagonal entry the `Fraction` that makes the
+    trace exactly 1 (the reference of `exact_image`)."""
+    upper = np.triu(mat, 1)
+    image = upper + upper.conj().T + np.diag(mat.diagonal().real)  # adds only zeros: exact
+    rows = [[QRat(z.real, z.imag) for z in row] for row in image.tolist()]
+    rows[-1][-1] = QRat(1 - sum(map(Fraction, image.diagonal().real[:-1].tolist())), 0.0)
+    return tuple(map(tuple, rows))
+
+
 def reference_min_norm(points):
     """Least-norm point of the hull of the rows by NNLS on [P^T; M 1^T] lam = [0; M]."""
     k, dim = points.shape
@@ -486,17 +531,30 @@ class TestPrimal:
             res.instance, res.certificate)
         assert verify_certificate(res.instance, res.certificate).accepted
 
-    def test_dyadic_image_is_exact_with_unit_trace(self):
-        rho = states.product_mixture(2, 3, 24, 7)
-        image = dyadic_image(rho.mat)
-        d = rho.dim
-        assert sum(Fraction(image[i][i].re) for i in range(d)) == 1
+    @pytest.mark.parametrize("rho", [
+        states.product_mixture(2, 3, 24, 7), states.random_full_rank(3, 3, 5),
+        states.werner(0.3), states.maximally_mixed(2, 2), states.maximally_mixed(1, 1),
+    ], ids=["mixture2x3", "full3x3", "werner03", "mixed2x2", "one1x1"])
+    def test_exact_image_is_exact_with_unit_trace(self, rho):
+        image = exact_image(rho.mat)
+        rows, den, d = image.rows, image.den, rho.dim
+        assert den & (den - 1) == 0  # a power of two
         for i in range(d):
-            assert image[i][i].im == 0
+            assert rows[i][i][1] == 0
             for j in range(i + 1, d):
-                assert (image[i][j].re, image[i][j].im) == (rho.mat[i, j].real, rho.mat[i, j].imag)
-                assert (image[j][i].re, image[j][i].im) == (image[i][j].re, -image[i][j].im)
-        assert abs(float(image[-1][-1].re) - rho.mat[-1, -1].real) < 1e-15
+                for part, float_part in zip(rows[i][j], (rho.mat[i, j].real, rho.mat[i, j].imag)):
+                    a, b = float_part.as_integer_ratio()
+                    assert part * b == a * den
+                assert rows[j][i] == (rows[i][j][0], -rows[i][j][1])
+        assert sum(rows[i][i][0] for i in range(d)) == den
+        assert image == exact_rows(qrat_image(rho.mat))
+        assert abs(rows[-1][-1][0] / den - rho.mat[-1, -1].real) < 1e-15
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+    def test_computational_rows_are_the_atoms_bloch_rows(self, m, n):
+        rows = _computational_rows(m, n)
+        atoms = [ProductState(ket(i, m), ket(j, n)).bloch() for i in range(m) for j in range(n)]
+        assert rows.tobytes() == np.array(atoms).tobytes()
 
     def test_four_term_2x3_mixture_certified_within_a_second(self):
         # the cuts alone need 338 oracle calls and about 12 s here
@@ -523,7 +581,7 @@ class TestPrimal:
         for rho in cases:
             res = wsep_solve(rho, delta, net)
             assert res.stop == "certificate" and res.verdict.exact
-            assert res.instance.rho == exact_rows(dyadic_image(rho.mat))
+            assert res.instance.rho == exact_rows(qrat_image(rho.mat))
             assert float(res.instance.delta_prime) <= delta
             check = reference_verify(res.instance, res.certificate)
             assert check.accepted

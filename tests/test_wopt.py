@@ -285,6 +285,20 @@ class TestScanPruning:
             assert res.evaluated < net.size
             assert res.bounded < net.size
 
+    @pytest.mark.parametrize("mode", ["signed", "abs"])
+    def test_invariant_operator_ties_stop_at_the_bound(self, pruning_nets, mode):
+        # |Phi><Phi| - I/8 is U (x) U*-invariant: every B_x has the spectrum
+        # (3, -1, -1, -1)/8 up to scale, where the Frobenius bound is exact, so
+        # every point ties the first incumbent and neither filter keeps one
+        net = pruning_nets[(2, 0.4)]
+        phi = np.zeros(8)
+        phi[[0, 5]] = 1.0 / np.sqrt(2.0)
+        a = np.outer(phi, phi) - np.eye(8) / 8
+        a /= np.linalg.norm(a)
+        res = wopt_max(a, 2, 4, net, mode=mode)
+        assert res.evaluated == res.bounded == 1
+        assert abs(res.value - exhaustive_max(a, 2, 4, net, mode)[0]) <= 1e-12
+
     def test_closed_form_evaluates_every_point(self, pruning_nets):
         net = pruning_nets[(2, 0.4)]
         a = random_hermitian_unit(4, 3)
