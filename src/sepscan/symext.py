@@ -43,7 +43,10 @@ S_0 -> S_j is an isometry, so the splitting is the one above; one
 projector per problem projects onto it in S_0 (`_face_search`).  The faces
 hold every extension, so the feasible set is unchanged.  They are used
 when X's face is proper, the set-up fits FACE_MAX_ENTRIES and the cut set
-reaches rho; otherwise (every full-rank rho) all cones stay whole.
+reaches rho; otherwise (every full-rank rho) all cones stay whole.  When the
+spans leave only X = 0, the cut set is empty, and the search ends at once
+(`empty_faces`): no PPT extension exists, up to FACE_TOL (the 2x4 states of
+P. Horodecki, PLA 232, 333 (1997), at k = 2 and 3).
 
 With PPT constraints, infeasibility is also decided exactly before any
 iteration: every PPT extension satisfies E(T_B X) = rho^Gamma with
@@ -175,10 +178,13 @@ class ExtensionResult:
 
     Found: `operator` is the extension.  Not found with `budget_exhausted`
     means the iterations ran out: the residual is the last distance
-    between the iterates, evidence only.  Not found without it means
-    infeasibility was proved (the NPT presolve, at iteration 0): the
-    residual is then a certified lower bound on the distance between the
-    two sets of the splitting.
+    between the iterates, evidence only.  Not found with `empty_faces`
+    (at iteration 0) means only X = 0 lies on X's face with every T_j(X)
+    on its face's span, so no PPT extension exists, up to FACE_TOL: evidence
+    too, and the residual is nan, as nothing was searched.  Not found
+    otherwise means infeasibility was proved (the NPT presolve, at
+    iteration 0): the residual is then a certified lower bound on the
+    distance between the two sets of the splitting.
     """
 
     found: bool
@@ -190,6 +196,7 @@ class ExtensionResult:
     # dimension of each cone's variable when the loop ran: its face's, or the
     # cone's own where it stayed whole
     face_dims: tuple[int, ...] = ()
+    empty_faces: bool = False  # the faces' spans leave only X = 0 (see above)
 
 
 def _paired(x: Array, a: int, b: int) -> Array:
@@ -356,7 +363,8 @@ def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
                  faces: list[Array | None]):
     """The search in face coordinates: (its cones, the projection onto its
     affine set, that set's point nearest 0, V_0), or None where X's face is
-    whole or empty, the set-up exceeds FACE_MAX_ENTRIES, or the set misses rho.
+    whole or empty, the set-up exceeds FACE_MAX_ENTRIES, or the set misses rho,
+    or () where the spans leave only S = 0, so that the set is empty.
 
     X = V_0 S V_0^dag, and R(S) = z^dag E(X) z holds all of E(X), on the range
     of rho (orthonormal basis z).  With P the projection onto the spans
@@ -383,6 +391,8 @@ def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
             for lo in range(0, f, step))
     if spans:
         basis = _span_basis(v0, spans)
+        if not basis.shape[1]:
+            return ()
         # M^* = (R C B)^*, C the map of `_hermitian`, whose adjoint is conj(C(conj))
         rows = [basis.T @ _hermitian(np.concatenate(list(rows)).reshape(f, f, -1).conj()).conj()
                 .reshape(f * f, -1)]
@@ -436,6 +446,7 @@ def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> Extension
     origin, which is accepted at iteration 1 if feasible.  Else the search
     moves to face coordinates where `_face_search` allows (module
     docstring), or keeps every cone whole; `face_dims` gives the dimensions.
+    Faces whose spans leave only X = 0 end it at iteration 0 (`empty_faces`).
 
     Success requires X of the affine iterate to have a marginal within
     FACE_TOL of rho (exact to rounding on whole cones) and every full cone
@@ -470,6 +481,8 @@ def find_extension(prob: ExtensionProblem, max_iters: int = 20_000) -> Extension
         residual = math.sqrt(sum(float(np.sum(np.minimum(v, 0.0) ** 2)) for v in spectra))
         return ExtensionResult(True, hermitize(z[0]), residual, 1)
     search = _face_search(rho, maps, cones, _faces(rho, prob.k, prob.ppt))
+    if search == ():
+        return ExtensionResult(False, None, math.nan, 0, empty_faces=True)
     variables, nearest, start, v0 = search or (cones, nearest, start, None)  # v0: X's face
     z = [cone.image(start) for cone in variables]
     face_dims = tuple(y.shape[0] for y in z)

@@ -37,9 +37,13 @@ least-norm point of conv{v(sigma_i) - v(rho)} (Gilbert's algorithm for
 separability, Brierley, Navascues and Vertesi, arXiv:1609.05011) measures
 how close a known separable mixture is to rho.  The atoms are the mn
 computational product states, whose rows are the outer products of the
-local bases' diagonal columns, and every maximizer; after each oracle call
-that finds no witness, the same Wolfe solver runs warm on them, and stops
-as soon as the distance is at most delta', the QSEP distance of
+local bases' diagonal columns, and every maximizer.  The primal starts at
+diag(rho), in closed form: the atoms' hull is the diagonal states, and
+diag(rho) is both the nearest of them to rho and the nearest point of the
+affine hull of the atoms it weighs (Wolfe's corral invariant).  It is
+checked before the first oracle call; after each oracle call that finds no
+witness, the same Wolfe solver runs warm on the atoms, and stops as soon
+as the distance is at most delta', the QSEP distance of
 `qsep.reduce_wmem_to_qsep` for (m, n, delta).  Only then is the exact
 instance built (once per search), from `exact_image` of rho: its floats as
 integers over one power of two, with the last diagonal entry set for
@@ -55,8 +59,8 @@ alone never give a verdict.
 Termination also declares the state delta-close to the separable set
 when the largest semi-axis of the Dikin ellipsoid at the analytic center
 drops below delta/4, when the region empties, or when the iteration cap
-4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.  A 1x1 state has no Bloch
-coordinates: it is its one atom, certified before any oracle call.
+4*(m^2 n^2 - 1)*ln(8/delta) + 64 fires.  A state within delta' of its
+diagonal, a 1x1 state among them, is certified with no oracle call.
 """
 
 from __future__ import annotations
@@ -251,8 +255,8 @@ def _min_norm_point(
 ) -> tuple[Array, Array, int]:
     """Wolfe's algorithm for the least-norm point of the hull of the rows.
 
-    It starts from `weights` (>= 0, sum 1) and their `point` (kept from the
-    solve that found them: P^T weights in floats loses the direction of a
+    It starts from `weights` (>= 0, sum 1) and their `point` (computed with
+    them, not as P^T weights: in floats that loses the direction of a
     tiny point), or from the last row when all weights are 0.  While the row
     of least slack p_j . x improves on x, a major cycle brings it in.  In
     exact arithmetic ||x|| falls with every cycle and the entering row keeps
@@ -375,6 +379,13 @@ def _computational_rows(m: int, n: int) -> Array:
     return (ea[:, None, :, None] * eb[None, :, None, :]).reshape(m * n, -1)[:, 1:]
 
 
+def _diagonal_start(rho: DensityMatrix) -> tuple[Array, Array]:
+    """Weights diag(rho) on the computational atoms, and their point computed by
+    `to_bloch` (P^T lam in floats loses a tiny point's direction)."""
+    lam = np.maximum(np.diag(rho.mat).real, 0.0)
+    return lam / lam.sum(), -to_bloch(rho.mat - np.diag(np.diag(rho.mat)), rho.m, rho.n)
+
+
 def _check_primal(
     inst: QsepInstance, atoms: list[ProductState], weights: Array
 ) -> tuple[QsepCertificate, VerificationResult]:
@@ -402,21 +413,24 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     # exact check runs when the float distance is at most `target`
     atoms = [ProductState(ket(i, rho.m), ket(j, rho.n)) for i in range(rho.m) for j in range(rho.n)]
     exact_delta = Fraction(delta)
-    if dim == 0:  # a 1x1 state is its one atom: certify it without a search
-        inst = qsep.reduce_wmem_to_qsep(exact_image(rho.mat), 1, 1, exact_delta)
-        qcert, check = _check_primal(inst, atoms, np.ones(1))
-        stats.certificate_checks = 1
-        verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
-        return WsepResult(verdict, None, 0, "certificate", stats, inst, qcert)
+    bits = qsep.reduction_bits(rho.m, rho.n, exact_delta)
+    target = float(qsep.error_bound_reconstruction(rho.m, rho.n, bits))  # delta'
+    lam, x = _diagonal_start(rho)
+    stats.primal_distance = math.sqrt(float(x @ x))
+    inst = None
+    if stats.primal_distance <= target:  # checked before any oracle call
+        inst = qsep.reduce_wmem_to_qsep(exact_image(rho.mat), rho.m, rho.n, exact_delta)
+        stats.certificate_checks += 1
+        qcert, check = _check_primal(inst, atoms, lam)
+        if check.accepted:
+            verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
+            return WsepResult(verdict, None, 0, "certificate", stats, inst, qcert)
+        target = stats.primal_distance / 2.0
     stop = "cap"
     region = initial_region(rho)
     fallback = np.eye(dim)[0]
     cert = None
     points = _computational_rows(rho.m, rho.n) - region.rho_bloch
-    lam, x = np.zeros(len(atoms)), np.zeros(dim)
-    bits = qsep.reduction_bits(rho.m, rho.n, exact_delta)
-    target = float(qsep.error_bound_reconstruction(rho.m, rho.n, bits))  # delta'
-    inst = None
     for iterations in range(1, iteration_cap(dim, delta) + 1):
         a = region.center
         na = float(np.linalg.norm(a))

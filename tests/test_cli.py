@@ -187,14 +187,26 @@ class TestWitnessCommand:
         assert report["stats"]["ldp_steps"] == 0  # detected before any cut
         assert report["stats"]["unconverged_centerings"] == 0
         assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
-        # the four computational product states hold I/4: certified before any cut,
-        # as soon as the primal is within delta' = 1/4
+        # the four computational product states hold I/4: the primal starts there,
+        # at distance 0, and is certified before any oracle call
         code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3")
+        assert (code, report["verdict"]["reason"], report["verdict"]["exact"]) == (
+            0, "closeness_certificate", True)
+        assert report["verdict"]["detail"] == 0.0 and report["stats"]["primal_distance"] == 0.0
+        assert report["stats"]["stop"] == "certificate" and report["iterations"] == 0
+        assert report["stats"]["certificate_checks"] == 1 and report["stats"]["ldp_steps"] == 0
+        assert report["stats"]["oracle_evaluated"] == 0 and report["stats"]["primal_solves"] == 0
+        # a pure product state is 0.72 from its diagonal, and the first maximizer is the
+        # state itself: certified before any cut, as soon as the primal is within delta' = 1/4
+        path = tmp_path / "product22.json"
+        dump_json(density_to_json(states.random_pure_product(2, 2, 0)), path)
+        code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", "0.3")
         assert (code, report["verdict"]["reason"], report["verdict"]["exact"]) == (
             0, "closeness_certificate", True)
         assert report["verdict"]["detail"] < 0.25 and report["stats"]["primal_distance"] < 0.25
         assert report["stats"]["stop"] == "certificate" and report["iterations"] == 1
         assert report["stats"]["certificate_checks"] == 1 and report["stats"]["ldp_steps"] == 0
+        assert report["stats"]["oracle_evaluated"] == report["config"]["net_size"]
         # a 2x3 mixture cuts four times first
         path = tmp_path / "mixture23.json"
         dump_json(density_to_json(states.product_mixture(2, 3, 24, 3)), path)
@@ -203,7 +215,8 @@ class TestWitnessCommand:
         assert report["stats"]["stop"] == "certificate" and report["iterations"] == 5
         assert report["stats"]["newton_steps"] > report["iterations"]
         assert 0 < report["stats"]["ldp_steps"] <= 2 * (report["iterations"] - 1)
-        assert report["stats"]["primal_solves"] > report["iterations"]
+        # from the diagonal start, each maximizer enters the corral in one affine solve
+        assert report["stats"]["primal_solves"] == report["iterations"]
         assert 0 < report["stats"]["primal_distance"] < report["verdict"]["detail"] + 1e-5
 
     def test_certificate_artifacts_pass_qsep_verify(self, capsys, tmp_path):
@@ -267,11 +280,16 @@ class TestWitnessCommand:
     def test_3x2_state_scans_the_smaller_side(self, capsys, tmp_path):
         path = tmp_path / "mixture32.json"
         dump_json(density_to_json(states.product_mixture(3, 2, 12, 0)), path)
-        for delta in ("0.5", "1.0"):
+        for delta in ("0.3", "0.5", "1.0"):
             code, report = run_cli(capsys, "witness", "--input", str(path), "--delta", delta)
             assert code == 0
             assert report["verdict"]["outcome"] == "SeparableAssured"
             assert report["config"]["net_method"] == "band"  # the m = 2 net
+            if delta != "0.3":  # within delta' of its diagonal: no net scan
+                assert report["iterations"] == 0
+                assert report["stats"]["oracle_evaluated"] == report["stats"]["oracle_bounded"] == 0
+                continue
+            assert report["iterations"] == 2
             scanned = report["iterations"] * report["config"]["net_size"]
             assert 0 < report["stats"]["oracle_evaluated"] < scanned  # C^3 is conditioned out
             assert 0 < report["stats"]["oracle_bounded"] < scanned
@@ -767,7 +785,16 @@ class TestDeterminism:
         path = tmp_path / "werner.json"
         dump_json(density_to_json(states.werner(w)), path)
         code, rep = run_twice(capsys, "witness", "--input", str(path), "--delta", "0.5")
-        assert code == expected and rep["stats"]["oracle_evaluated"] > 0
+        assert code == expected
+        if expected == 1:
+            assert rep["stats"]["oracle_evaluated"] > 0
+            return
+        # within delta' of its diagonal: certified with no net scan; at delta 0.2 the
+        # same state is searched, and that report is deterministic too
+        assert rep["iterations"] == 0 and rep["stats"]["oracle_evaluated"] == 0
+        code, rep = run_twice(capsys, "witness", "--input", str(path), "--delta", "0.2")
+        assert (code, rep["stats"]["stop"]) == (0, "certificate")
+        assert rep["iterations"] > 0 and rep["stats"]["oracle_evaluated"] > 0
 
     def test_wopt_reports_identical_modulo_timing(self, capsys, tmp_path):
         path = tmp_path / "a23.json"

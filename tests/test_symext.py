@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 from dataclasses import dataclass, fields
 from itertools import permutations
 
@@ -414,6 +415,38 @@ class TestFaces:
         monkeypatch.setattr(symext, "_faces", lambda *args: pytest.fail("faces built"))
         res = find_extension(ExtensionProblem(states.product_mixture(2, 2, 20, 6), 3, ppt=True))
         assert res.found and res.iterations == 1 and res.face_dims == ()
+
+
+def horodecki_2x4(b: float) -> DensityMatrix:
+    """P. Horodecki's 2x4 state (PLA 232, 333): PPT for b in [0, 1], entangled for 0 < b < 1."""
+    mat = np.diag([b, b, b, b, (1 + b) / 2, b, b, (1 + b) / 2])
+    for i in range(3):
+        mat[i, 5 + i] = mat[5 + i, i] = b
+    mat[4, 7] = mat[7, 4] = math.sqrt(1 - b * b) / 2
+    return DensityMatrix.make(2, 4, (mat / (7 * b + 1)).astype(complex))
+
+
+class TestEmptyFaces:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("b", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_horodecki_2x4_ends_at_iteration_zero(self, b, k):
+        # PPT, so the presolve passes it, and its faces' spans leave only X = 0
+        rho = horodecki_2x4(b)
+        assert np.linalg.eigvalsh(partial_transpose(rho.mat, 2, 4, "B"))[0] > -1e-12
+        started = time.perf_counter()
+        res = find_extension(ExtensionProblem(rho, k, ppt=True))
+        elapsed = time.perf_counter() - started
+        assert (res.found, res.iterations, res.empty_faces, res.budget_exhausted) == (
+            False, 0, True, False)
+        assert res.operator is None and math.isnan(res.residual) and elapsed < 0.1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_separable_2x4_mixtures_keep_a_nonempty_face(self, seed):
+        # the same shape and rank, separable: the spans leave room, and it extends
+        prob = ExtensionProblem(states.product_mixture(2, 4, 5, seed), 2, ppt=True)
+        res = find_extension(prob)
+        assert res.found and not res.empty_faces
+        assert max(verify_extension(res, prob).values()) < 1e-6
 
 
 class TestNptPresolve:

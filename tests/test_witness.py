@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from sepscan.witness import (
     RegionEmptyError,
     SearchStats,
     _computational_rows,
+    _diagonal_start,
     _feasible_start,
     _min_norm_point,
     analytic_center,
@@ -521,12 +523,68 @@ class TestPrimal:
         lam, x, _ = _min_norm_point(points, np.zeros(30), np.zeros(15), floor)
         assert 1e-12 < np.linalg.norm(points.T @ lam) <= floor
 
+    @pytest.mark.parametrize("rho", [
+        *(states.random_full_rank(m, n, seed) for m, n in [(2, 2), (2, 3), (3, 3)]
+          for seed in range(3)),
+        *(states.product_mixture(m, n, terms, 5) for m, n, terms in [(2, 2, 3), (2, 3, 12)]),
+        states.random_pure_product(2, 3, 1), states.maximally_mixed(2, 3),
+        # diagonals with zero entries: a product with a computational factor, a diagonal
+        # state, and a mixture supported on two of the four atoms
+        DensityMatrix(2, 3, np.kron(np.full((2, 2), 0.5), np.diag([0.0, 1.0, 0.0]))),
+        DensityMatrix(2, 2, np.diag([0.7, 0.0, 0.3, 0.0]).astype(complex)),
+        DensityMatrix(2, 2, 0.5 * np.kron(np.full((2, 2), 0.5), np.diag([1.0, 0.0]))
+                      + 0.5 * np.diag([1.0, 0.0, 0.0, 0.0])),
+    ])
+    def test_diagonal_start_equals_the_cold_wolfe_point(self, rho):
+        # Wolfe from the last computational atom alone reaches the closed form: weights
+        # diag(rho) and the point v(diag(rho)) - v(rho), with zero diagonal entries unweighted
+        points = _computational_rows(rho.m, rho.n) - to_bloch(rho.mat, rho.m, rho.n)
+        lam, x, _ = _min_norm_point(points, np.zeros(rho.dim), np.zeros(points.shape[1]), 0.0)
+        start_lam, start_x = _diagonal_start(rho)
+        np.testing.assert_allclose(start_lam, np.diag(rho.mat).real, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(start_lam, lam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(start_x, x, rtol=0, atol=1e-12)
+        assert np.all(lam[np.diag(rho.mat).real == 0.0] == 0.0)
+
+    def test_maximally_mixed_is_certified_from_its_diagonal(self):
+        # I/4 is its atoms' uniform mixture: distance exactly 0, and no net scan
+        res = wsep_solve(states.maximally_mixed(2, 2), 0.3, build_net(2, 0.03, method="band"))
+        assert (res.verdict.outcome, res.verdict.reason, res.verdict.exact) == (
+            SEPARABLE, "closeness_certificate", True)
+        assert (res.stop, res.iterations, res.verdict.detail) == ("certificate", 0, 0.0)
+        assert res.stats.oracle_evaluated == res.stats.oracle_bounded == 0
+        assert res.stats.certificate_checks == 1 and res.stats.primal_distance == 0.0
+        assert verify_certificate(res.instance, res.certificate).accepted
+
+    def test_diagonal_start_rejected_by_the_check_searches_on(self, monkeypatch):
+        # a rejected check before the first oracle call halves the distance the next waits for
+        check_primal, oracle_calls = witness._check_primal, []
+
+        def first_rejected(inst, atoms, weights):
+            qcert, check = check_primal(inst, atoms, weights)
+            return qcert, dataclasses.replace(check, accepted=check.accepted and bool(oracle_calls))
+
+        def counted_wopt_max(*args):
+            oracle_calls.append(args)
+            return wopt_max(*args)
+
+        monkeypatch.setattr(witness, "_check_primal", first_rejected)
+        monkeypatch.setattr(witness, "wopt_max", counted_wopt_max)
+        rho = states.werner(0.2)  # 0.14 from its diagonal, within delta' = 1/4
+        diagonal_distance = float(np.linalg.norm(_diagonal_start(rho)[1]))
+        res = wsep_solve(rho, 0.3, build_net(2, 0.03, method="band"))
+        assert res.stop == "certificate" and res.iterations == len(oracle_calls) >= 1
+        assert res.stats.certificate_checks == 2 and res.stats.oracle_evaluated > 0
+        assert res.stats.primal_distance <= diagonal_distance / 2.0
+        assert verify_certificate(res.instance, res.certificate).accepted
+
     def test_one_by_one_state_is_certified_without_a_search(self):
         rho = states.maximally_mixed(1, 1)
         res = wsep_solve(rho, 0.5, build_net(1, 0.05))
         assert (res.verdict.outcome, res.verdict.reason, res.verdict.exact) == (
             SEPARABLE, "closeness_certificate", True)
         assert (res.stop, res.iterations, res.verdict.detail) == ("certificate", 0, 0.0)
+        assert res.stats.oracle_evaluated == 0 and res.stats.certificate_checks == 1
         assert reference_verify(res.instance, res.certificate) == verify_certificate(
             res.instance, res.certificate)
         assert verify_certificate(res.instance, res.certificate).accepted
