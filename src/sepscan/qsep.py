@@ -150,7 +150,13 @@ class QsepCertificate:
 
     @property
     def terms(self) -> tuple[tuple[Fraction, tuple[QRat, ...], tuple[QRat, ...]], ...]:
-        """The terms as (weight, alpha, beta) with `Fraction` and `QRat` scalars."""
+        """The terms as (weight, alpha, beta) with `Fraction` and `QRat` scalars.
+
+        No code in `src` reads it: the JSON writer works on `scaled`.  The
+        tests compare certificates with their exact references through it, and
+        perfbench's `screen` workload writes its certificate files and rebuilds
+        sigma~ in floats from it.
+        """
         one = 1 << self.p
 
         def vector(v) -> tuple[QRat, ...]:

@@ -20,7 +20,6 @@ from .core import Array, DensityMatrix
 from .qsep import (
     BitWidthError,
     ExactMatrix,
-    QRat,
     QsepCertificate,
     QsepInstance,
     bits_required,
@@ -65,10 +64,6 @@ def _ratio_from_json(obj) -> tuple[int, int]:
     return num, den
 
 
-def _qrat_to_json(x: QRat) -> dict:
-    return {"re": _fraction_to_json(x.re), "im": _fraction_to_json(x.im)}
-
-
 def density_to_json(rho: DensityMatrix) -> dict:
     return {"m": rho.m, "n": rho.n, "matrix": matrix_to_json(rho.mat)}
 
@@ -82,7 +77,10 @@ def density_from_json(obj) -> DensityMatrix:
     if obj.get("rational"):
         exact = rational_density_from_json(obj)[0]
         den = exact.den  # int / int rounds correctly, as float(Fraction) does
-        mat = np.array([[complex(re / den, im / den) for re, im in row] for row in exact.rows])
+        try:
+            mat = np.array([[complex(re / den, im / den) for re, im in row] for row in exact.rows])
+        except OverflowError as exc:
+            raise InputFormatError(f"rational entry too large for a float: {exc}") from exc
     else:
         mat = matrix_from_json(matrix)
     try:
@@ -135,18 +133,19 @@ def qsep_instance_from_json(obj) -> QsepInstance:
 
 
 def qsep_certificate_to_json(cert: QsepCertificate) -> dict:
-    return {
-        "m": cert.m,
-        "n": cert.n,
-        "terms": [
-            {
-                "weight": _fraction_to_json(p),
-                "alpha": [_qrat_to_json(x) for x in alpha],
-                "beta": [_qrat_to_json(x) for x in beta],
-            }
-            for p, alpha, beta in cert.terms
-        ],
-    }
+    """The certificate's integers over 2^p, each ratio in lowest terms: the
+    inverse of `qsep_certificate_from_json`."""
+
+    def scalar(q: int) -> dict:
+        k = min(cert.p, (q & -q).bit_length() - 1) if q else cert.p  # 2^k divides q
+        return {"num": str(q >> k), "den": str(1 << (cert.p - k))}
+
+    def vector(v) -> list:
+        return [{"re": scalar(re), "im": scalar(im)} for re, im in v]
+
+    terms = [{"weight": scalar(w), "alpha": vector(a), "beta": vector(b)}
+             for w, a, b in cert.scaled]
+    return {"m": cert.m, "n": cert.n, "terms": terms}
 
 
 def qsep_certificate_from_json(obj, inst: QsepInstance) -> QsepCertificate:

@@ -37,23 +37,24 @@ least-norm point of conv{v(sigma_i) - v(rho)} (Gilbert's algorithm for
 separability, Brierley, Navascues and Vertesi, arXiv:1609.05011) measures
 how close a known separable mixture is to rho.  The atoms are the mn
 computational product states, whose rows are the outer products of the
-local bases' diagonal columns, and every maximizer.  The primal starts at
-diag(rho), in closed form: the atoms' hull is the diagonal states, and
-diag(rho) is both the nearest of them to rho and the nearest point of the
-affine hull of the atoms it weighs (Wolfe's corral invariant).  It is
-checked before the first oracle call; after each oracle call that finds no
-witness, the same Wolfe solver runs warm on the atoms, and stops as soon
-as the distance is at most delta', the QSEP distance of
-`qsep.reduce_wmem_to_qsep` for (m, n, delta).  Only then is the exact
-instance built (once per search), from `exact_image` of rho: its floats as
-integers over one power of two, with the last diagonal entry set for
-trace exactly 1.  The corral's weights and atoms are truncated to a
-`QsepCertificate` and checked in exact arithmetic.  An accepted check stops
-the search on `certificate` with an exact `SeparableAssured`: it proves that
-the exact image of rho lies within delta' < delta of the certificate's
-sigma~, which is delta-closeness, not separability (an entangled state
-within delta of the separable set may get it).  A rejected check halves
-the distance the next check waits for, and the search cuts on; floats
+local bases' diagonal columns, and every maximizer.  The primal point of
+iteration 0 is diag(rho), in closed form: the atoms' hull is the diagonal
+states, and diag(rho) is both the nearest of them to rho and the nearest
+point of the affine hull of the atoms it weighs (Wolfe's corral invariant).
+After each oracle call that finds no witness, the same Wolfe solver runs
+warm on the atoms, and stops as soon as the distance is at most the
+current target, first delta', the QSEP distance of
+`qsep.reduce_wmem_to_qsep` for (m, n, delta).  One check runs on the primal
+of every iteration, 0 included, whose distance is at most the target.  The
+first builds the exact instance (once per search), from `exact_image` of
+rho: its floats as integers over one power of two, with the last diagonal
+entry set for trace exactly 1.  The corral's weights and atoms are
+truncated to a `QsepCertificate` and checked in exact arithmetic.  An
+accepted check stops the search on `certificate` with an exact
+`SeparableAssured`: it proves that the exact image of rho lies within
+delta' < delta of the certificate's sigma~, which is delta-closeness, not
+separability (an entangled state within delta of the separable set may get
+it).  A rejected check halves the target, and the search cuts on; floats
 alone never give a verdict.
 
 Termination also declares the state delta-close to the separable set
@@ -415,64 +416,51 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     exact_delta = Fraction(delta)
     bits = qsep.reduction_bits(rho.m, rho.n, exact_delta)
     target = float(qsep.error_bound_reconstruction(rho.m, rho.n, bits))  # delta'
-    lam, x = _diagonal_start(rho)
-    stats.primal_distance = math.sqrt(float(x @ x))
-    inst = None
-    if stats.primal_distance <= target:  # checked before any oracle call
-        inst = qsep.reduce_wmem_to_qsep(exact_image(rho.mat), rho.m, rho.n, exact_delta)
-        stats.certificate_checks += 1
-        qcert, check = _check_primal(inst, atoms, lam)
-        if check.accepted:
-            verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
-            return WsepResult(verdict, None, 0, "certificate", stats, inst, qcert)
-        target = stats.primal_distance / 2.0
-    stop = "cap"
     region = initial_region(rho)
-    fallback = np.eye(dim)[0]
-    cert = None
     points = _computational_rows(rho.m, rho.n) - region.rho_bloch
-    for iterations in range(1, iteration_cap(dim, delta) + 1):
-        a = region.center
-        na = float(np.linalg.norm(a))
-        a_hat = a / na if na > 1e-12 else fallback
-        candidate = from_bloch(a_hat, rho.m, rho.n)
-        oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
-        stats.oracle_evaluated += oracle.evaluated
-        stats.oracle_bounded += oracle.bounded
-        margin = float(region.rho_bloch @ a_hat) - oracle.value
-        if margin > 2.0 * eps:
-            cert, stop = WitnessCert(candidate, a_hat, margin, delta), "witness"
-            break
-        atoms.append(oracle.maximizer)
-        points = np.vstack([points, oracle.maximizer.bloch() - region.rho_bloch])
-        lam, x, solves = _min_norm_point(points, np.append(lam, 0.0), x, target)
-        stats.primal_solves += solves
-        stats.primal_distance = _hull_norm(points, lam)
+    lam, x = _diagonal_start(rho)  # the primal of iteration 0
+    stats.primal_distance = math.sqrt(float(x @ x))
+    stop, inst = "cap", None
+    for iterations in range(iteration_cap(dim, delta) + 1):
+        if iterations:
+            a = region.center
+            na = float(np.linalg.norm(a))
+            a_hat = a / na if na > 1e-12 else np.eye(1, dim)[0]
+            candidate = from_bloch(a_hat, rho.m, rho.n)
+            oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
+            stats.oracle_evaluated += oracle.evaluated
+            stats.oracle_bounded += oracle.bounded
+            margin = float(region.rho_bloch @ a_hat) - oracle.value
+            if margin > 2.0 * eps:
+                verdict = Verdict(ENTANGLED, "witness_search", False, margin)
+                cert = WitnessCert(candidate, a_hat, margin, delta)
+                return WsepResult(verdict, cert, iterations, "witness", stats)
+            atoms.append(oracle.maximizer)
+            points = np.vstack([points, oracle.maximizer.bloch() - region.rho_bloch])
+            lam, x, solves = _min_norm_point(points, np.append(lam, 0.0), x, target)
+            stats.primal_solves += solves
+            stats.primal_distance = _hull_norm(points, lam)
         if stats.primal_distance <= target:
             if inst is None:  # built on the first check only
                 inst = qsep.reduce_wmem_to_qsep(exact_image(rho.mat), rho.m, rho.n, exact_delta)
             stats.certificate_checks += 1
             qcert, check = _check_primal(inst, atoms, lam)
             if check.accepted:
-                stop = "certificate"
-                break
+                verdict = Verdict(SEPARABLE, "closeness_certificate", True,
+                                  math.sqrt(check.distance_sq))
+                return WsepResult(verdict, None, iterations, "certificate", stats, inst, qcert)
             target = stats.primal_distance / 2.0  # the next check waits for progress
-        try:
-            region = cut(region, a_hat, oracle.maximizer, stats)
-        except RegionEmptyError:
-            stop = "region_empty"
-            break
-        if region.radius_proxy < delta / 4.0:
-            stop = "dikin_radius"
-            break
-    if cert is not None:
-        verdict = Verdict(ENTANGLED, "witness_search", False, cert.margin)
-    elif stop == "certificate":
-        verdict = Verdict(SEPARABLE, "closeness_certificate", True, math.sqrt(check.distance_sq))
-        return WsepResult(verdict, None, iterations, stop, stats, inst, qcert)
-    else:
-        verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
-    return WsepResult(verdict, cert, iterations, stop, stats)
+        if iterations:
+            try:
+                region = cut(region, a_hat, oracle.maximizer, stats)
+            except RegionEmptyError:
+                stop = "region_empty"
+                break
+            if region.radius_proxy < delta / 4.0:
+                stop = "dikin_radius"
+                break
+    verdict = Verdict(SEPARABLE, "witness_search", False, region.radius_proxy)
+    return WsepResult(verdict, None, iterations, stop, stats)
 
 
 def revalidate(cert: WitnessCert, rho: DensityMatrix, net: DeltaNet) -> float:

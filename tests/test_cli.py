@@ -495,6 +495,19 @@ class TestZeroDenominator:
         self.assert_input_error(capsys, "qsep-reduce", "--input", path, "--delta", "1/0")
 
 
+@pytest.mark.parametrize("argv", [
+    ("test",), ("witness", "--delta", "0.5"), ("symext", "--delta", "0.5"),
+], ids=["test", "witness", "symext"])
+def test_rational_entry_too_large_for_a_float_is_input_error(capsys, tmp_path, argv):
+    # 10^400 over 1 has no float; the conversion's OverflowError is malformed input
+    scalar = {"re": {"num": "1" + "0" * 400, "den": "1"}, "im": {"num": "0", "den": "1"}}
+    path = tmp_path / "huge.rational.json"
+    dump_json({"m": 1, "n": 1, "rational": True, "matrix": [[scalar]]}, path)
+    code, report = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert (code, report["kind"]) == (64, "input")
+    assert "too large for a float" in report["error"]
+
+
 class TestPathErrors:
     """A path that cannot be read or written is malformed input (exit 64), never a verdict."""
 

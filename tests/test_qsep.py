@@ -27,6 +27,7 @@ from conftest import (
     vec_norm_sq,
 )
 from sepscan import cli, qsep, serialize, states
+from sepscan.nets import build_net
 from sepscan.qsep import (
     BitWidthError,
     CertificateFormatError,
@@ -43,6 +44,7 @@ from sepscan.qsep import (
     verify_certificate,
 )
 from sepscan.serialize import qsep_certificate_from_json, qsep_certificate_to_json
+from sepscan.witness import wsep_solve
 
 
 def wmem_out_to_wmem(rho, delta: float):
@@ -797,6 +799,42 @@ class TestScaledDecoder:
             verify_certificate(inst, cert)
 
 
+
+class TestCertificateWriter:
+    """`qsep_certificate_to_json` writes each integer over 2^p as a ratio in lowest terms."""
+
+    @staticmethod
+    def searched():
+        # certified after an oracle call, so the atoms include a maximizer with complex entries
+        rho = states.product_mixture(2, 3, 12, 0)
+        res = wsep_solve(rho, 0.3, build_net(2, 0.03, method="band"))
+        assert res.stop == "certificate" and res.iterations >= 1
+        return res.instance, res.certificate
+
+    @staticmethod
+    def truncated():
+        decomp = rational_separable_decomposition(2, 2, 4, seed=21)
+        inst = reduce_wmem_to_qsep(rational_state_of(decomp, 2, 2), 2, 2, Fraction(1, 2))
+        return inst, truncate_decomposition(decomp, bits_required(inst.delta_p), 2, 2)
+
+    @pytest.mark.parametrize("source", ["searched", "truncated"])
+    def test_writes_the_terms_and_reads_back(self, source):
+        inst, cert = getattr(self, source)()
+
+        def ratio(x: Fraction) -> dict:
+            return {"num": str(x.numerator), "den": str(x.denominator)}
+
+        def vector(v):
+            return [{"re": ratio(z.re), "im": ratio(z.im)} for z in v]
+
+        want = {"m": cert.m, "n": cert.n, "terms": [
+            {"weight": ratio(w), "alpha": vector(a), "beta": vector(b)} for w, a, b in cert.terms
+        ]}
+        obj = qsep_certificate_to_json(cert)
+        assert obj == want
+        assert has_negative_component(cert) and any(w == 0 for w, _, _ in cert.scaled)
+        assert qsep_certificate_from_json(json.loads(json.dumps(obj)), inst) == cert
+
 class TestPropositionsEndToEnd:
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
     @pytest.mark.parametrize("p", [12, 16, 20])
@@ -876,8 +914,10 @@ class TestNoFloatAudit:
         "error_bound_normalization_exact",
     ]
     # the decoders of `sepscan qsep-verify`: the certificate's, with its nested
-    # `scaled` and `vector`, and the instance's, down to its ratio reader
+    # `scaled` and `vector`, and the instance's, down to its ratio reader; and
+    # the certificate writer, which works on the same integers
     DECODER_PATH = [
+        "qsep_certificate_to_json",
         "qsep_certificate_from_json",
         "qsep_instance_from_json",
         "rational_density_from_json",

@@ -557,8 +557,10 @@ class TestPrimal:
         assert verify_certificate(res.instance, res.certificate).accepted
 
     def test_diagonal_start_rejected_by_the_check_searches_on(self, monkeypatch):
-        # a rejected check before the first oracle call halves the distance the next waits for
-        check_primal, oracle_calls = witness._check_primal, []
+        # the diagonal is the primal of iteration 0, checked by the check every later
+        # iteration runs: a rejection halves the distance the next check waits for, and
+        # the exact instance built for the first check serves the second
+        check_primal, oracle_calls, images = witness._check_primal, [], []
 
         def first_rejected(inst, atoms, weights):
             qcert, check = check_primal(inst, atoms, weights)
@@ -568,13 +570,19 @@ class TestPrimal:
             oracle_calls.append(args)
             return wopt_max(*args)
 
+        def counted_exact_image(mat):
+            images.append(mat)
+            return exact_image(mat)
+
         monkeypatch.setattr(witness, "_check_primal", first_rejected)
         monkeypatch.setattr(witness, "wopt_max", counted_wopt_max)
+        monkeypatch.setattr(witness, "exact_image", counted_exact_image)
         rho = states.werner(0.2)  # 0.14 from its diagonal, within delta' = 1/4
         diagonal_distance = float(np.linalg.norm(_diagonal_start(rho)[1]))
         res = wsep_solve(rho, 0.3, build_net(2, 0.03, method="band"))
         assert res.stop == "certificate" and res.iterations == len(oracle_calls) >= 1
-        assert res.stats.certificate_checks == 2 and res.stats.oracle_evaluated > 0
+        assert res.stats.certificate_checks == 2 and len(images) == 1
+        assert res.stats.oracle_evaluated > 0
         assert res.stats.primal_distance <= diagonal_distance / 2.0
         assert verify_certificate(res.instance, res.certificate).accepted
 
