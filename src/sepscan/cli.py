@@ -5,8 +5,9 @@ and `timings` keys to the report and encodes it.
 
 Exit codes: 0 separable-assured (or a successful non-verdict command),
 1 entangled, 2 unknown/unverified, 64 malformed input or usage, 65 infeasible
-configuration (net too coarse or too large, dimension guards), 70
-internal numerical failure.
+configuration (net too coarse or too large, dimension guards), 70 internal
+failure: a numerical breakdown, or any error with no code of its own, the
+report's encoding included.  So 0, 1 and 2 only ever carry results.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, onesided, states
-from .core import DensityMatrix
+from .core import DimensionGuardError
 from .nets import NetTooCoarseError, NetTooLargeError, build_net, verify_coverage
 from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict
 from .qsep import bits_required, reduce_wmem_to_qsep, verify_certificate
@@ -32,6 +33,7 @@ from .serialize import (
     density_to_json,
     dump_json,
     graph_from_json,
+    header_from_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -41,7 +43,7 @@ from .serialize import (
     qsep_instance_to_json,
     rational_density_from_json,
 )
-from .symext import DimensionGuardError, ScanStats, separability_scan
+from .symext import ScanStats, separability_scan
 from .witness import NumericalBreakdownError, wsep_solve
 from .wopt import wopt_max
 
@@ -51,28 +53,26 @@ EXIT_UNKNOWN = 2
 EXIT_BAD_INPUT = 64
 EXIT_INFEASIBLE = 65
 EXIT_NUMERICAL = 70
+VERDICT_EXIT = {SEPARABLE: EXIT_SEPARABLE, ENTANGLED: EXIT_ENTANGLED, UNKNOWN: EXIT_UNKNOWN}
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return {SEPARABLE: EXIT_SEPARABLE, ENTANGLED: EXIT_ENTANGLED, UNKNOWN: EXIT_UNKNOWN}[
-        verdict.outcome
-    ]
-
-
-def _load_state(path: str) -> DensityMatrix:
-    return density_from_json(load_json(path))
+def _artifact(report: dict, name: str, make, path: str | None) -> None:
+    """Write `make()` to `path`, when one is given, and list it under the report's artifacts."""
+    if path:
+        dump_json(make(), path)
+        report.setdefault("artifacts", {})[name] = path
 
 
 def cmd_test(args) -> tuple[dict, dict, int]:
-    rho = _load_state(args.input)
+    rho = density_from_json(load_json(args.input))
     tests: list[Verdict] = []
     verdict = onesided.pipeline(rho, stats=tests)
     report = {"verdict": verdict, "stats": {"tests": tests}}
-    return {"input": args.input}, report, _verdict_exit(verdict)
+    return {"input": args.input}, report, VERDICT_EXIT[verdict.outcome]
 
 
 def cmd_witness(args) -> tuple[dict, dict, int]:
-    rho = _load_state(args.input)
+    rho = density_from_json(load_json(args.input))
     net_delta = args.delta / 10.0  # the coarsest net wsep_solve accepts
     net = build_net(min(rho.m, rho.n), net_delta)
     result = wsep_solve(rho, args.delta, net)
@@ -88,44 +88,31 @@ def cmd_witness(args) -> tuple[dict, dict, int]:
         "iterations": result.iterations,
         "stats": {"stop": result.stop, **dataclasses.asdict(result.stats)},
     }
-    artifacts = {}
     if result.witness is not None:
-        witness_json = {
+        report["witness"] = {
             "operator": matrix_to_json(result.witness.operator),
             "bloch_sup_normalized": [float(x) for x in result.witness.sup_normalized_bloch()],
             "margin": result.witness.margin,
             "delta": result.witness.delta,
         }
-        report["witness"] = witness_json
-        if args.witness_out:
-            dump_json(witness_json, args.witness_out)
-            artifacts["witness"] = args.witness_out
+        _artifact(report, "witness", lambda: report["witness"], args.witness_out)
     if result.certificate is not None:
-        if args.cert_out:
-            dump_json(qsep_certificate_to_json(result.certificate), args.cert_out)
-            artifacts["certificate"] = args.cert_out
-        if args.instance_out:
-            dump_json(qsep_instance_to_json(result.instance), args.instance_out)
-            artifacts["instance"] = args.instance_out
-    if artifacts:
-        report["artifacts"] = artifacts
-    return config, report, _verdict_exit(result.verdict)
+        cert, inst = result.certificate, result.instance
+        _artifact(report, "certificate", lambda: qsep_certificate_to_json(cert), args.cert_out)
+        _artifact(report, "instance", lambda: qsep_instance_to_json(inst), args.instance_out)
+    return config, report, VERDICT_EXIT[result.verdict.outcome]
 
 
 def cmd_symext(args) -> tuple[dict, dict, int]:
-    rho = _load_state(args.input)
+    rho = density_from_json(load_json(args.input))
     stats = ScanStats()
     verdict = separability_scan(rho, args.delta, stats=stats)
     report = {"verdict": verdict, "stats": stats}
-    return {"input": args.input, "delta": args.delta}, report, _verdict_exit(verdict)
+    return {"input": args.input, "delta": args.delta}, report, VERDICT_EXIT[verdict.outcome]
 
 
 def cmd_wopt(args) -> tuple[dict, dict, int]:
-    obj = load_json(args.op)
-    try:
-        m, n, matrix = int(obj["m"]), int(obj["n"]), obj["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"operator JSON must carry m and n and a matrix: {exc}") from exc
+    m, n, matrix = header_from_json(load_json(args.op))
     mat = matrix_from_json(matrix)
     hs = float(np.linalg.norm(mat))
     if hs < 1e-15:
@@ -168,11 +155,8 @@ def cmd_qsep_reduce(args) -> tuple[dict, dict, int]:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad --delta {args.delta!r}: {exc}") from exc
     inst = reduce_wmem_to_qsep(mat, m, n, delta)
-    inst_json = qsep_instance_to_json(inst)
-    report = {"instance": inst_json, "bits": bits_required(inst.delta_p)}
-    if args.out:
-        dump_json(inst_json, args.out)
-        report["artifacts"] = {"instance": args.out}
+    report = {"instance": qsep_instance_to_json(inst), "bits": bits_required(inst.delta_p)}
+    _artifact(report, "instance", lambda: report["instance"], args.out)
     return {"input": args.input, "delta": delta}, report, EXIT_SEPARABLE
 
 
@@ -202,18 +186,10 @@ def cmd_net(args) -> tuple[dict, dict, int]:
 
 
 def cmd_state(args) -> tuple[dict, dict, int]:
-    params = {}
-    for kv in args.param or []:
-        key, _, value = kv.partition("=")
-        params[key] = value
+    params = dict(kv.partition("=")[::2] for kv in args.param or [])
     rho = states.library(args.name, **params)
-    obj = density_to_json(rho)
-    report = {"m": rho.m, "n": rho.n}
-    if args.out:
-        dump_json(obj, args.out)
-        report["artifacts"] = {"state": args.out}
-    else:
-        report["state"] = obj
+    report = {"m": rho.m, "n": rho.n, "state": density_to_json(rho)}
+    _artifact(report, "state", lambda: report.pop("state"), args.out)  # in the file or the report
     return {"name": args.name, "params": params}, report, EXIT_SEPARABLE
 
 
@@ -310,17 +286,18 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         config, report, code = args.func(args)
-    except (InputFormatError,) as exc:
-        return _fail(str(exc), "input", EXIT_BAD_INPUT)
+        report["config"] = {"command": args.command, **config, "version": __version__}
+        report["timings"] = {"total_s": round(time.time() - started, 6)}
+        line = json.dumps(report, sort_keys=True, default=_encode)
     except (NetTooCoarseError, NetTooLargeError, DimensionGuardError) as exc:
         return _fail(str(exc), "infeasible", EXIT_INFEASIBLE)
     except (NumericalBreakdownError,) as exc:
         return _fail(str(exc), "numerical", EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(str(exc), "input", EXIT_BAD_INPUT)
-    report["config"] = {"command": args.command, **config, "version": __version__}
-    report["timings"] = {"total_s": round(time.time() - started, 6)}
-    sys.stdout.write(json.dumps(report, sort_keys=True, default=_encode) + "\n")
+    except Exception as exc:  # a fault of the program, not of its input
+        return _fail(f"{type(exc).__name__}: {exc}", "internal", EXIT_NUMERICAL)
+    sys.stdout.write(line + "\n")
     return code
 
 

@@ -28,6 +28,10 @@ class DimensionMismatchError(ValueError):
     """Operands do not share the bipartition / basis they need to."""
 
 
+class DimensionGuardError(ValueError):
+    """Problem size exceeds the configured limits."""
+
+
 def dagger(x: Array) -> Array:
     return x.conj().T
 

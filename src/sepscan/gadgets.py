@@ -37,6 +37,7 @@ from .core import Array
 from .wopt import seesaw_max
 
 MAX_EXACT_CLIQUE = 12
+MAX_CHAIN_VERTICES = 6  # the largest graph verify_chain takes
 RSDF_STARTS = 32  # random starts of the Newton ascent, besides the basis vectors
 RSDF_ITERS = 400
 
@@ -375,8 +376,8 @@ class ChainReport:
 def verify_chain(g: Graph, c: int, *, seed: int = 0) -> ChainReport:
     """Run all three transformations and compare the final decision with
     exact clique enumeration."""
-    if g.n > 6:
-        raise ValueError("chain verification capped at 6 vertices")
+    if g.n > MAX_CHAIN_VERTICES:
+        raise ValueError(f"chain verification capped at {MAX_CHAIN_VERTICES} vertices")
     kappa = max_clique(g)
     wmqs = clique_to_wmqs(g, c)
     rsdf = wmqs_to_rsdf(wmqs)

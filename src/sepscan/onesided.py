@@ -35,10 +35,15 @@ class Verdict:
     detail: float | None = None
 
 
+def npt(lo: float) -> bool:
+    """Whether lambda_min(rho^{T_B}) = lo is negative beyond EIG_TOL: rho is entangled."""
+    return lo < -EIG_TOL
+
+
 def ppt_test(rho: DensityMatrix) -> Verdict:
     """Negative eigenvalue of rho^{T_B} proves entanglement; two-sided for mn <= 6."""
     lo = lambda_min(partial_transpose(rho.mat, rho.m, rho.n, "B"))
-    if lo < -EIG_TOL:
+    if npt(lo):
         return Verdict(ENTANGLED, "ppt", True, lo)
     if rho.m * rho.n <= 6:
         return Verdict(SEPARABLE, "ppt", True, lo)

@@ -68,20 +68,24 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {"m": rho.m, "n": rho.n, "matrix": matrix_to_json(rho.mat)}
 
 
-def density_from_json(obj) -> DensityMatrix:
+def header_from_json(obj) -> tuple[int, int, object]:
+    """(m, n, matrix) of a {"m", "n", "matrix"} file, the matrix as JSON gives it."""
     try:
-        m, n = int(obj["m"]), int(obj["n"])
-        matrix = obj["matrix"]
+        return int(obj["m"]), int(obj["n"]), obj["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"density matrix JSON needs m, n, matrix: {exc}") from exc
-    if obj.get("rational"):
-        exact = rational_density_from_json(obj)[0]
+        raise InputFormatError(f"JSON needs m, n and matrix: {exc}") from exc
+
+
+def density_from_json(obj) -> DensityMatrix:
+    if isinstance(obj, dict) and obj.get("rational"):
+        exact, m, n = rational_density_from_json(obj)
         den = exact.den  # int / int rounds correctly, as float(Fraction) does
         try:
             mat = np.array([[complex(re / den, im / den) for re, im in row] for row in exact.rows])
         except OverflowError as exc:
             raise InputFormatError(f"rational entry too large for a float: {exc}") from exc
     else:
+        m, n, matrix = header_from_json(obj)
         mat = matrix_from_json(matrix)
     try:
         return DensityMatrix.make(m, n, mat)
@@ -91,10 +95,7 @@ def density_from_json(obj) -> DensityMatrix:
 
 def rational_density_from_json(obj) -> tuple[ExactMatrix, int, int]:
     """(matrix, m, n) of an exact-rational file, read with no `Fraction` per scalar."""
-    try:
-        m, n, matrix = int(obj["m"]), int(obj["n"]), obj["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"rational density JSON needs m, n, matrix: {exc}") from exc
+    m, n, matrix = header_from_json(obj)
     try:
         ratios = [[(_ratio_from_json(z["re"]), _ratio_from_json(z["im"])) for z in row]
                   for row in matrix]
@@ -181,12 +182,16 @@ def qsep_certificate_from_json(obj, inst: QsepInstance) -> QsepCertificate:
 
 
 def graph_from_json(obj):
-    from .gadgets import Graph
+    """The graph of {"n", "edges"}; one too large for `verify_chain` is refused unbuilt."""
+    from .gadgets import MAX_CHAIN_VERTICES, Graph
 
     try:
-        return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n = int(obj["n"])
+        if n <= MAX_CHAIN_VERTICES:
+            return Graph.from_edges(n, [tuple(e) for e in obj["edges"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad graph JSON: {exc}") from exc
+    raise InputFormatError(f"graph has {n} vertices, more than the {MAX_CHAIN_VERTICES} allowed")
 
 
 def load_json(path: str | Path):

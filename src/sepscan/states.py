@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Array, DensityMatrix, ket, proj
+from .core import Array, DensityMatrix, DimensionGuardError, ket, proj
+
+MAX_DIM = 512  # largest mn of a library state: a 4 MiB matrix
+PARAMS = {"bell": "which", "werner": "w", "maxmixed": "m n", "product_mixture": "m n terms seed",
+          "random_full_rank": "m n seed", "pure_product": "m n seed"}  # what each state takes
 
 
 def maximally_mixed(m: int, n: int) -> DensityMatrix:
@@ -76,13 +80,20 @@ def _at_least_one(params: dict, key: str, default: int) -> int:
 
 def library(name: str, **params) -> DensityMatrix:
     """Named state lookup used by the CLI; deterministic given seed."""
+    if name not in PARAMS:
+        raise ValueError(f"unknown state name {name!r}")
+    unknown = sorted(params.keys() - set(PARAMS[name].split()))
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {unknown[0]!r}, only: {PARAMS[name]}")
     if name == "bell":
         return bell(str(params.get("which", "phi+")))
     if name == "werner":
+        if "w" not in params:
+            raise ValueError("werner needs the parameter w")
         return werner(float(params["w"]))
-    if name not in ("maxmixed", "product_mixture", "random_full_rank", "pure_product"):
-        raise ValueError(f"unknown state name {name!r}")
     m, n = _at_least_one(params, "m", 2), _at_least_one(params, "n", 2)
+    if m * n > MAX_DIM:
+        raise DimensionGuardError(f"state dimension {m * n} exceeds limit {MAX_DIM}")
     if name == "maxmixed":
         return maximally_mixed(m, n)
     seed = int(params.get("seed", 0))

@@ -50,7 +50,7 @@ P. Horodecki, PLA 232, 333 (1997), at k = 2 and 3).
 
 With PPT constraints, infeasibility is also decided exactly before any
 iteration: every PPT extension satisfies E(T_B X) = rho^Gamma with
-T_B X >= 0, so when `onesided.ppt_test` finds rho NPT, no depth k has one.
+T_B X >= 0, so when rho is NPT (`onesided.npt`), no depth k has one.
 
 The trace-distance bound 4m/k for states with a k-copy Bose-symmetric
 extension (the quantum de Finetti bound of Christandl, Koenig, Mitchison
@@ -71,8 +71,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import Array, DensityMatrix, hermitize, partial_transpose
-from .onesided import EIG_TOL, ENTANGLED, SEPARABLE, UNKNOWN, Verdict
+from .core import Array, DensityMatrix, DimensionGuardError, hermitize, partial_transpose
+from .onesided import ENTANGLED, SEPARABLE, UNKNOWN, Verdict, npt
 
 MAX_DIM = 512  # ambient dimension d_sk n of an extension
 SPLIT_MAX_DIM = 2048  # dimension of a branched, partially transposed copy
@@ -85,10 +85,6 @@ FACE_TOL = 1e-10  # eigenvalue counted as zero when the cone faces are built (se
 # 86 MB at 2.6M (2x18 rank 30, k = 3), 0.4 s at 3.2M (3x3 rank 8, k = 13)
 FACE_MAX_ENTRIES = 1 << 22
 SCAN_ITERS = 3000  # iteration budget of each depth of separability_scan
-
-
-class DimensionGuardError(ValueError):
-    """Problem size exceeds the configured limits."""
 
 
 def copies_bound(m: int, delta: float) -> int:
@@ -323,18 +319,19 @@ def _hermitian(a: Array) -> Array:
     return 0.5 * ((1 + 1j) * a + (1 - 1j) * np.swapaxes(a, 0, 1))
 
 
-def _span_basis(v0: Array, spans: list[tuple[_Cone, Array]]) -> Array:
-    """Orthonormal basis, in the coordinates of `_hermitian`, of the Hermitian S
-    with T_j(V_0 S V_0^dag) in the span of face V_j, (T_j, V_j) in `spans`: the
-    null space of the Gram of S -> (I - V_j V_j^dag) T_j(V_0 S V_0^dag), contracted
-    on each cone's factors.  Its eigenvalues lie in [0, 2 len(spans)]; at 2x2 to 3x3,
-    k = 2 to 4, those of the null space are below 6e-15, the others above 3e-4.
+def _span_basis(spans: list[_Cone]) -> Array:
+    """Orthonormal basis, in the coordinates of `_hermitian`, of the Hermitian S with
+    T_j(W_j S W_j^dag) in face V_j's span, W_j (V_0 lifted) and V_j the `lift` and `face`
+    of each `_face_search` cone in `spans`: the null space of the Gram of S -> (I - V_j
+    V_j^dag) T_j(W_j S W_j^dag), contracted on each cone's factors.  Its eigenvalues lie
+    in [0, 2 len(spans)]; at 2x2 to 3x3, k = 2 to 4, those of the null space are below
+    6e-15, the others above 3e-4.
     """
-    f = v0.shape[1]
+    f = spans[0].lift.shape[1]
     real = np.zeros((f, f, f, f))
-    for cone, face in spans:
-        w = (v0 if cone.lift is None else cone.lift @ v0).reshape(*cone.dims, f)
-        perp = (np.eye(len(face)) - face @ face.conj().T).reshape(cone.dims * 2)
+    for cone in spans:
+        w = cone.lift.reshape(*cone.dims, f)
+        perp = (np.eye(len(cone.face)) - cone.face @ cone.face.conj().T).reshape(cone.dims * 2)
         swap = cone.dims[0] < cone.dims[1]  # keep the smaller factor second
         if swap:
             w, perp = w.transpose(1, 0, 2), perp.transpose(1, 0, 3, 2)
@@ -378,10 +375,13 @@ def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
     """
     v0, (vals, vecs) = faces[0], np.linalg.eigh(rho.mat)
     z = vecs[:, vals > FACE_TOL]
-    spans = [(cone, face) for cone, face in zip(cones[1:], faces[1:]) if face is not None]
     f, r, (m, n, dsk) = 0 if v0 is None else v0.shape[1], z.shape[1], (rho.m, rho.n, maps.dsk)
-    if f == 0 or f * f * (r * r + f * f * bool(spans)) > FACE_MAX_ENTRIES:
+    proper = any(face is not None for face in faces[1:])  # a PPT cone on a proper face
+    if f == 0 or f * f * (r * r + f * f * proper) > FACE_MAX_ENTRIES:
         return None
+    face_cones = [_Cone(v0 if c.lift is None else c.lift @ v0, c.dims, c.which, face)
+                  for c, face in zip(cones[1:], faces[1:])]  # V_0 lifted once, for both uses
+    spans = [cone for cone in face_cones if cone.face is not None]
     v0h, w0 = v0.conj().T, v0.reshape(dsk, n, f)
     half = np.tensordot(w0.conj(), maps.coeffs.reshape(m, m, dsk, dsk), axes=(0, 2))
     # rows (p, q) of R^*, z^dag E(V_0 |p><q| V_0^dag) z conjugated, in blocks of about r^4
@@ -390,7 +390,7 @@ def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
             .transpose(1, 5, 2, 0, 3, 4).reshape(-1, m * n, m * n) @ z.conj()
             for lo in range(0, f, step))
     if spans:
-        basis = _span_basis(v0, spans)
+        basis = _span_basis(spans)
         if not basis.shape[1]:
             return ()
         # M^* = (R C B)^*, C the map of `_hermitian`, whose adjoint is conj(C(conj))
@@ -417,12 +417,11 @@ def _face_search(rho: DensityMatrix, maps: _ExtensionMaps, cones: list[_Cone],
     start = project(np.zeros((f, f), dtype=complex))
     if np.linalg.norm(maps.reduce_one(v0 @ start @ v0h) - rho.mat) > FACE_TOL:
         return None
-    return [_Cone(), *(_Cone(v0 if c.lift is None else c.lift @ v0, c.dims, c.which, face)
-                       for c, face in zip(cones[1:], faces[1:]))], project, start, v0
+    return [_Cone(), *face_cones], project, start, v0
 
 
 def _npt_certificate(rho: DensityMatrix, gram: Array) -> ExtensionResult | None:
-    """Infeasibility of every PPT extension when rho is NPT: lambda_min(rho^Gamma) < -EIG_TOL.
+    """Infeasibility of every PPT extension when rho is NPT by `onesided.npt`.
 
     Any PPT extension has E(T_B X) = rho^Gamma with T_B X >= 0, and E maps
     PSD operators to PSD operators, so the affine and cone sets are at least
@@ -430,7 +429,7 @@ def _npt_certificate(rho: DensityMatrix, gram: Array) -> ExtensionResult | None:
     the Gram matrix of E.
     """
     vals = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.m, rho.n, "B"))
-    if not vals[0] < -EIG_TOL:
+    if not npt(float(vals[0])):
         return None
     bound = float(np.linalg.norm(vals[vals < 0]) / math.sqrt(np.linalg.eigvalsh(gram)[-1]))
     return ExtensionResult(False, None, bound, 0)

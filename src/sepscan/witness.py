@@ -27,10 +27,11 @@ where Newton starts at sqrt(k/(k+2)) p/||p|| (k normals; the barrier's
 minimum along every ray from the origin); or empty, ||N^T lambda|| <= 1e-9,
 so every unit x has min_i n_i . x <= 1e-9 (a Euclidean thickness, which
 unlike a box slack does not depend on the generator basis).  The first
-region needs no iteration: its one normal n = v(rho)/||v(rho)|| is its own
-least-norm point, its analytic center is n/sqrt(3) and its Dikin radius
-1/sqrt(3) (the barrier Hessian there is 3I + 6nn^T), or with v(rho) = 0 it
-is the ball, center 0 and radius 1/sqrt(2).
+region, the one cut v(rho) . x >= 0, is in closed form (`initial_region`).
+The center of k >= 1 cuts has norm sqrt(k/(k+2)).  The first region has no
+cut, and center 0, only when ||v(rho)|| < 1e-12; iteration 0's primal distance,
+at most ||v(rho)||, is then below `target` (> 0.44 delta) for delta > 3e-12, and
+its exact check has certified every such state tried (maximally mixed, 1x1-2x4).
 
 The primal: every oracle maximizer sigma_i is a product state, so the
 least-norm point of conv{v(sigma_i) - v(rho)} (Gilbert's algorithm for
@@ -320,16 +321,14 @@ def initial_region(rho: DensityMatrix) -> SearchRegion:
     return SearchRegion(n[None, :], np.ones(1), n, center, 1.0 / math.sqrt(3.0), v)
 
 
-def cut(
-    region: SearchRegion, a_hat: Array, sigma_a: ProductState, stats: SearchStats
-) -> SearchRegion:
+def cut(region: SearchRegion, a_hat: Array, row: Array, stats: SearchStats) -> SearchRegion:
     """Halfspace through the origin (and through the tested center when its
     margin was >= 0).
 
-    a_hat is the unit Bloch direction that was tested; sigma_a the oracle
-    maximizer for its candidate.
+    a_hat is the unit Bloch direction that was tested; row the primal row v(sigma_a) -
+    v(rho) that `wsep_solve` appended for sigma_a, the oracle maximizer of its candidate.
     """
-    g = region.rho_bloch - sigma_a.bloch()
+    g = 0.0 - row  # v(rho) - v(sigma_a), +0 where they agree (-row would give -0)
     observed = float(g @ a_hat)
     normal = g - observed * a_hat if observed > 0 else g
     norm = float(np.linalg.norm(normal))
@@ -407,7 +406,6 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
             f"net covering radius {net.delta} exceeds delta/10 = {delta / 10}"
         )
     eps = delta / 5.0
-    dim = rho.dim**2 - 1
     stats = SearchStats()
     # the primal: atoms (the computational product states, then every oracle
     # maximizer) at v(sigma_i) - v(rho), their Wolfe weights and point; an
@@ -421,11 +419,9 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
     lam, x = _diagonal_start(rho)  # the primal of iteration 0
     stats.primal_distance = math.sqrt(float(x @ x))
     stop, inst = "cap", None
-    for iterations in range(iteration_cap(dim, delta) + 1):
+    for iterations in range(iteration_cap(rho.dim**2 - 1, delta) + 1):
         if iterations:
-            a = region.center
-            na = float(np.linalg.norm(a))
-            a_hat = a / na if na > 1e-12 else np.eye(1, dim)[0]
+            a_hat = region.center / float(np.linalg.norm(region.center))
             candidate = from_bloch(a_hat, rho.m, rho.n)
             oracle: WoptResult = wopt_max(candidate, rho.m, rho.n, net)
             stats.oracle_evaluated += oracle.evaluated
@@ -452,7 +448,7 @@ def wsep_solve(rho: DensityMatrix, delta: float, net: DeltaNet) -> WsepResult:
             target = stats.primal_distance / 2.0  # the next check waits for progress
         if iterations:
             try:
-                region = cut(region, a_hat, oracle.maximizer, stats)
+                region = cut(region, a_hat, points[-1], stats)
             except RegionEmptyError:
                 stop = "region_empty"
                 break

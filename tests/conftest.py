@@ -54,7 +54,7 @@ def cutting_plane_search(rho, delta: float, net) -> tuple[str, int, SearchStats]
         if float(region.rho_bloch @ a_hat) - oracle.value > 0.4 * delta:
             return "witness", calls, stats
         try:
-            region = cut(region, a_hat, oracle.maximizer, stats)
+            region = cut(region, a_hat, oracle.maximizer.bloch() - region.rho_bloch, stats)
         except RegionEmptyError:
             return "region_empty", calls, stats
         if region.radius_proxy < delta / 4.0:

@@ -246,6 +246,16 @@ class TestWitnessCommand:
         assert "artifacts" not in report
         assert not cert_path.exists() and not inst_path.exists()
 
+    def test_no_file_asked_no_file_serialized(self, capsys, monkeypatch, maxmixed_path):
+        def refuse(obj):
+            raise RuntimeError("serialized with no file asked for")
+
+        monkeypatch.setattr(cli, "qsep_certificate_to_json", refuse)
+        monkeypatch.setattr(cli, "qsep_instance_to_json", refuse)
+        code, report = run_cli(capsys, "witness", "--input", maxmixed_path, "--delta", "0.3")
+        assert (code, report["stats"]["stop"]) == (0, "certificate")
+        assert "artifacts" not in report
+
     def test_separable_search_does_not_import_scipy_optimize(self, tmp_path):
         # the cut cones and the primal are solved in numpy: a search ending on
         # its certificate, and the same state's cuts run on to an empty region
@@ -372,6 +382,13 @@ class TestWoptCommand:
         assert 0 < report["stats"]["evaluated"] < report["stats"]["scanned"]
         assert 0 < report["stats"]["bounded"] < report["stats"]["scanned"]
 
+    def test_zero_operator_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        dump_json({"m": 2, "n": 2, "matrix": matrix_to_json(np.zeros((4, 4)))}, path)
+        code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.2")
+        assert (code, report["kind"]) == (64, "input")
+        assert report["error"] == "zero operator"
+
     def test_3x2_operator_scans_the_smaller_side(self, capsys, tmp_path):
         a = random_hermitian_unit(6, 4)
         path = tmp_path / "a32.json"
@@ -397,7 +414,7 @@ class TestWoptCommand:
         code, report = run_cli(capsys, "wopt", "--op", str(path), "--delta", "0.2")
         assert code == 64
         assert report["kind"] == "input"
-        assert "must carry m and n" in report["error"]
+        assert "needs m, n and matrix" in report["error"]
 
     def test_operator_without_matrix_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "no_matrix.json"
@@ -715,8 +732,12 @@ class TestStateCommand:
             capsys, "state", "--name", "werner", "--param", "w=0.8", "--out", str(path)
         )
         assert code == 0
+        assert "state" not in report and report["artifacts"] == {"state": str(path)}
         rho = density_from_json(json.loads(path.read_text()))
         np.testing.assert_allclose(rho.mat, states.werner(0.8).mat, atol=1e-12)
+        code, inline = run_cli(capsys, "state", "--name", "werner", "--param", "w=0.8")
+        assert code == 0 and "artifacts" not in inline
+        assert inline["state"] == json.loads(path.read_text())
 
     def test_unknown_name_is_input_error(self, capsys):
         code, report = run_cli(capsys, "state", "--name", "nonsense")
@@ -730,6 +751,60 @@ class TestStateCommand:
         code, report = run_cli(capsys, "state", "--name", name, "--param", param)
         assert (code, report["kind"]) == (64, "input")
         assert report["error"].startswith(param.partition("=")[0] + " must be >= 1")
+
+
+class TestExitCodes:
+    """Failures exit 64, 65 or 70 with one JSON line, never 1 with a traceback; the
+    sizes below are ones numpy refuses at once, so no check can pass by allocating."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--name", "werner"], "werner needs the parameter w"),
+        (["--name", "product_mixture", "--param", "term=8"], "takes no parameter 'term'"),
+        (["--name", "bell", "--param", "n=5"], "takes no parameter 'n'"),
+        (["--name", "maxmixed", "--param", "w=0.5"], "takes no parameter 'w'"),
+    ])
+    def test_missing_or_unknown_state_parameter_is_input_error(self, capsys, argv, message):
+        code, report = run_cli(capsys, "state", *argv)
+        assert (code, report["kind"]) == (64, "input")
+        assert message in report["error"]
+
+    def test_oversized_state_is_refused_before_it_is_built(self, capsys):
+        code, report = run_cli(capsys, "state", "--name", "maxmixed", "--param", "m=3000",
+                               "--param", "n=3000")
+        assert (code, report["kind"]) == (65, "infeasible")
+        assert report["error"] == f"state dimension 9000000 exceeds limit {states.MAX_DIM}"
+
+    def test_largest_shape_in_use_is_built(self, capsys):
+        code, report = run_cli(capsys, "state", "--name", "product_mixture", "--param", "m=2",
+                               "--param", "n=19", "--param", "terms=3")  # CI's 2x19 mixture
+        assert (code, report["m"], report["n"]) == (0, 2, 19)
+
+    def test_graph_over_the_cap_is_refused_before_it_is_built(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        dump_json({"n": 1_000_000, "edges": []}, path)
+        code, report = run_cli(capsys, "gadget", "--graph", str(path), "--clique", "2")
+        assert (code, report["kind"]) == (64, "input")
+        assert report["error"] == "graph has 1000000 vertices, more than the 6 allowed"
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyError, RuntimeError])
+    def test_error_without_a_code_of_its_own_is_internal(self, capsys, monkeypatch, bell_path,
+                                                         error):
+        def fail(rho, stats):
+            raise error("w")
+
+        monkeypatch.setattr(cli.onesided, "pipeline", fail)
+        code, report = run_cli(capsys, "test", "--input", bell_path)
+        assert (code, report["kind"]) == (70, "internal")
+        assert report["error"].startswith(error.__name__ + ": ")
+
+    def test_report_that_does_not_encode_is_internal(self, capsys, monkeypatch, bell_path):
+        from sepscan.onesided import UNKNOWN, Verdict
+
+        monkeypatch.setattr(cli.onesided, "pipeline",
+                            lambda rho, stats: Verdict(UNKNOWN, "pipeline", False, object()))
+        code, report = run_cli(capsys, "test", "--input", bell_path)
+        assert (code, report["kind"]) == (70, "internal")
+        assert report["error"].startswith("TypeError: object is not JSON serializable")
 
 
 class TestNetSizeGuard:

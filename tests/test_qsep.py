@@ -914,13 +914,14 @@ class TestNoFloatAudit:
         "error_bound_normalization_exact",
     ]
     # the decoders of `sepscan qsep-verify`: the certificate's, with its nested
-    # `scaled` and `vector`, and the instance's, down to its ratio reader; and
-    # the certificate writer, which works on the same integers
+    # `scaled` and `vector`, and the instance's, down to its header and ratio
+    # readers; and the certificate writer, which works on the same integers
     DECODER_PATH = [
         "qsep_certificate_to_json",
         "qsep_certificate_from_json",
         "qsep_instance_from_json",
         "rational_density_from_json",
+        "header_from_json",
         "_ratio_from_json",
     ]
 

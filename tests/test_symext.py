@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import verify_extension
-from sepscan import states, symext
+from sepscan import onesided, states, symext
 from sepscan.core import DensityMatrix, partial_transpose
 from sepscan.onesided import ENTANGLED, SEPARABLE, UNKNOWN
 from sepscan.symext import (
@@ -149,6 +149,14 @@ class TestProblemValidation:
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuardError):
             ExtensionProblem(states.maximally_mixed(3, 3), 40)
+
+    def test_split_guard(self):
+        # m = n = 3, k = 12: the ambient 91 * 3 = 273 is within MAX_DIM, and so are the
+        # transposed blocks up to l = 4 (2,025); l = 5 branches into 21 * 36 * 3 = 2,268
+        rho = states.maximally_mixed(3, 3)
+        with pytest.raises(DimensionGuardError, match="dimension 2268 exceeds limit 2048"):
+            ExtensionProblem(rho, 12, ppt=True)
+        assert ExtensionProblem(rho, 12, ppt=False).k == 12
 
 
 class TestExtensionMaps:
@@ -468,6 +476,21 @@ class TestNptPresolve:
         searched = find_extension(ExtensionProblem(rho, k, ppt=True), max_iters=2000)
         assert not searched.found and searched.budget_exhausted
         assert certified <= searched.residual
+
+    @pytest.mark.parametrize("name,rho", NPT + [("maxmixed", states.maximally_mixed(2, 2))])
+    def test_one_eigensolve_of_rho_gamma_decided_by_onesided(self, name, rho, monkeypatch):
+        # the decision is onesided.npt's, on the spectrum the bound is read from;
+        # an NPT state's second eigensolve is of E's Gram, for ||E||
+        real_eigvalsh, solved, decided = np.linalg.eigvalsh, [], []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or real_eigvalsh(a))
+        monkeypatch.setattr(symext, "npt", lambda lo: decided.append(lo) or onesided.npt(lo))
+        gram = symext._ExtensionMaps(2, 2, 2).gram
+        cert = symext._npt_certificate(rho, gram)
+        rho_gamma = partial_transpose(rho.mat, 2, 2, "B")
+        assert decided == [real_eigvalsh(rho_gamma)[0]]
+        assert (cert is None) == (name == "maxmixed")
+        assert np.array_equal(solved[0], rho_gamma)
+        assert len(solved) == 1 if cert is None else len(solved) == 2 and solved[1] is gram
 
     def test_bell_bound_value(self):
         # dist_F(rho^Gamma, PSD) = 1/2 and ||E||^2 = 3/2 at m = k = 2

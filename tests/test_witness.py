@@ -298,7 +298,7 @@ class TestCut:
         rho = states.werner(0.2)
         region = initial_region(rho)
         a_hat, res = self._mock_maximizer(rho, net_001, region)
-        new = cut(region, a_hat, res.maximizer, SearchStats())
+        new = cut(region, a_hat, res.maximizer.bloch() - region.rho_bloch, SearchStats())
         assert not strictly_inside(new, region.center, margin=1e-12)
         assert strictly_inside(new, new.center)
 
@@ -306,7 +306,7 @@ class TestCut:
         rho = states.werner(0.2)
         region = initial_region(rho)
         a_hat, res = self._mock_maximizer(rho, net_001, region)
-        new = cut(region, a_hat, res.maximizer, SearchStats())
+        new = cut(region, a_hat, res.maximizer.bloch() - region.rho_bloch, SearchStats())
         # every cut passes through the origin: it satisfies each with equality
         assert np.all(new.normals @ np.zeros_like(new.center) >= -1e-12)
 
@@ -318,7 +318,7 @@ class TestCut:
         for _ in range(20):
             a_hat, res = self._mock_maximizer(rho, net_001, region)
             try:
-                region = cut(region, a_hat, res.maximizer, stats)
+                region = cut(region, a_hat, res.maximizer.bloch() - region.rho_bloch, stats)
             except RegionEmptyError:
                 break
             radii.append(region.radius_proxy)
